@@ -48,7 +48,7 @@ from .limits import (
     one_point,
     polarized_mass_one_residual,
     telescoping_sum,
-    ward_point_residual,
+    ward_residuals,
 )
 from .sampler import (
     BudgetExceeded,
@@ -320,19 +320,10 @@ def _verify_ward(args, spec, quad) -> tuple:
     else:
         pts = _ward_default_points(spec, axis, args.fd_step)
 
-    threads = max(1, args.threads)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(
-                lambda z: abs(ward_point_residual(spec, z, quad, args.fd_step)), pts
-            ))
-    else:
-        vals = [abs(ward_point_residual(spec, z, quad, args.fd_step)) for z in pts]
+    vals, y_invariance = ward_residuals(spec, pts, quad, args.fd_step, args.threads)
     rows = [(z.real, z.imag, float(v)) for z, v in zip(pts, vals)]
-    sup = max(vals) if vals else 0.0
-    return rows, {"sup_norm": float(sup), "points": len(pts)}, float(sup)
+    sup = float(vals.max()) if len(vals) else 0.0
+    return rows, {"sup_norm": sup, "points": len(pts), "y_invariance": y_invariance}, sup
 
 
 def _verify_mass_one(args, spec, quad) -> tuple:
@@ -671,29 +662,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args, parser) -> None:
+def _apply_config_file(args, parser, argv):
+    """Re-parse ``argv`` with the ``--config`` JSON as the subcommand's
+    defaults, so every flag given on the command line wins."""
     if not getattr(args, "config", None):
-        return
+        return args
     with open(args.config) as fh:
-        overrides = json.load(fh)
-    defaults = {}
-    # argparse has no public introspection API; walk the active
-    # subcommand's actions so its option defaults are recognized
-    for action in parser._actions:  # noqa: SLF001
-        if isinstance(action, argparse._SubParsersAction):  # noqa: SLF001
-            chosen = action.choices.get(args.command)
-            if chosen is not None:
-                for sub_action in chosen._actions:  # noqa: SLF001
-                    defaults[sub_action.dest] = sub_action.default
-        else:
-            defaults[action.dest] = action.default
-    for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise ValueError(f"unknown config key {key!r}")
-        # flags given explicitly (differing from their default) win
-        if getattr(args, dest) == defaults.get(dest):
-            setattr(args, dest, value)
+        overrides = {}
+        for key, value in json.load(fh).items():
+            dest = key.replace("-", "_")
+            if not hasattr(args, dest):
+                raise ValueError(f"unknown config key {key!r}")
+            overrides[dest] = value
+    # argparse has no public accessor for a subcommand's parser
+    subparsers = next(a for a in parser._actions  # noqa: SLF001
+                      if isinstance(a, argparse._SubParsersAction))  # noqa: SLF001
+    subparsers.choices[args.command].set_defaults(**overrides)
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -706,7 +691,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        _apply_config_file(args, parser)
+        args = _apply_config_file(args, parser, argv)
         if args.command == "eval":
             return cmd_eval(args)
         if args.command == "verify":

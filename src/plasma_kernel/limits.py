@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -59,6 +59,7 @@ __all__ = [
     "cauchy_transform",
     "laplacian_log_R",
     "ward_point_residual",
+    "ward_residuals",
     "ward_residual",
     "mass_one_residual",
     "polarized_mass_one_residual",
@@ -369,10 +370,6 @@ def _gl_panel(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _gl_unit(n):
-    return leggauss(n)
-
-
 def _half_lines(bmin, edges_offsets, n_panel, n_tail):
     """Composite rule on [bmin, inf) per column; bmin is a column vector.
 
@@ -380,7 +377,7 @@ def _half_lines(bmin, edges_offsets, n_panel, n_tail):
     bmin through the fixed edges, then a tangent-map tail captures the
     algebraic decay exactly.
     """
-    xu, wu = _gl_unit(n_panel)
+    xu, wu = leggauss(n_panel)
     cols = bmin.shape[0]
     prev = bmin[:, None]
     nodes, weights = [], []
@@ -410,6 +407,10 @@ def _ti_plane_integral(profile: _Profile, z: complex, w: complex, kind: str,
     n_panel = max(6, round(32 * scale))
     n_tail = max(6, round(28 * scale))
     singular = kind == "cauchy"
+    # Phi(conj v) = conj Phi(v): the sgn = -1 half line (and, in the polar
+    # core, phi -> -phi) contributes the complex conjugate of the sgn = +1
+    # half whenever the integrand is built from |Phi|^2 alone
+    fold = singular or z == w
     r0 = profile.diag(2.0 * xz)
     total = 0.0 + 0.0j
 
@@ -461,6 +462,11 @@ def _ti_plane_integral(profile: _Profile, z: complex, w: complex, kind: str,
             edges = [dy + 2.0, dy + 6.0, dy + 11.0, _B_CORE]
             center = ymid
         offs, wb = _half_lines(bmin, edges, n_panel, n_tail)
+        if fold:
+            acc = np.sum(_ti_integrand(profile, z, w, a_sel[:, None], center + offs,
+                                       kind, r0) * wb, axis=1)
+            col_sums[sel] = 2.0 * acc.real
+            continue
         acc = np.zeros(a_sel.shape, dtype=complex)
         for sgn in (1.0, -1.0):
             b = center + sgn * offs
@@ -485,15 +491,23 @@ def _ti_integrand(profile, z, w, a, b, kind, r0):
 
 
 def _polar_core(profile, z, rho, quad, r0):
-    """Cauchy-transform core: polar disc around the singularity at z."""
+    """Cauchy-transform core: polar disc around the singularity at z.
+
+    The angular rule is folded onto ``phi in [0, pi]``: the nodes at ``phi``
+    and ``-phi`` give complex-conjugate integrands, so each interior node
+    counts twice and only the real part survives.
+    """
     n_r = max(8, round(48 * quad.n_radial / 96.0))
     n_ang = quad.n_angular
     r, wr = _gl_panel(n_r, 0.0, rho)
-    phi = 2.0 * math.pi * np.arange(n_ang) / n_ang
+    k = np.arange(n_ang // 2 + 1)
+    mult = np.where((k == 0) | (2 * k == n_ang), 1.0, 2.0)
+    phi = 2.0 * math.pi * k / n_ang
     rr, pp = np.meshgrid(r, phi, indexing="ij")
     v = 2.0 * z.real + rr * np.exp(-1j * pp)
     dens = np.exp(-((rr * np.cos(pp)) ** 2)) * np.abs(profile.scaled(v)) ** 2 / r0
-    return -np.sum(dens * np.exp(-1j * pp) * wr[:, None]) * (2.0 * math.pi / n_ang) / math.pi
+    terms = (dens * np.exp(-1j * pp)).real * wr[:, None] * mult[None, :]
+    return -np.sum(terms) * (2.0 * math.pi / n_ang) / math.pi
 
 
 def _ml_polar_integral(spec: LimitKernelSpec, z: complex, kind: str,
@@ -598,16 +612,20 @@ def _ward_rhs(spec: LimitKernelSpec, z: complex) -> float:
     return r - background - laplacian_log_R(spec, z)
 
 
-def _dbar_cauchy(spec, z, quad, fd_step):
+_FD_OFFSETS = (-2, -1, 1, 2)
+
+
+def _central_diff(values, fd_step):
+    """4th-order central difference from the values at ``_FD_OFFSETS``."""
     stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * fd_step)
-    offsets = np.array([-2, -1, 1, 2], dtype=float)
-    cx = sum(
-        c * cauchy_transform(spec, z + s * fd_step, quad)
-        for c, s in zip(stencil, offsets)
-    )
-    cy = sum(
-        c * cauchy_transform(spec, z + 1j * s * fd_step, quad)
-        for c, s in zip(stencil, offsets)
+    return sum(c * v for c, v in zip(stencil, values))
+
+
+def _dbar_cauchy(spec, z, quad, fd_step):
+    cx, cy = (
+        _central_diff([cauchy_transform(spec, z + s * fd_step * d, quad) for s in _FD_OFFSETS],
+                      fd_step)
+        for d in (1.0, 1j)
     )
     return 0.5 * (cx + 1j * cy)
 
@@ -615,8 +633,59 @@ def _dbar_cauchy(spec, z, quad, fd_step):
 def ward_point_residual(spec: LimitKernelSpec, z: complex,
                         quad: QuadratureConfig = _DEFAULT_QUAD,
                         fd_step: float = 1e-3) -> complex:
-    """Ward-equation residual ``dbar C - (R - 1 - Lap log R)`` at one point."""
+    """Ward-equation residual ``dbar C - (R - 1 - Lap log R)`` at one point.
+
+    Takes the full 2-D stencil (eight Cauchy transforms) at every point; it
+    is the uncollapsed reference for :func:`ward_residuals`.
+    """
     return _dbar_cauchy(spec, complex(z), quad, fd_step) - _ward_rhs(spec, complex(z))
+
+
+def _thread_map(fn, items, threads):
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def ward_residuals(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAULT_QUAD,
+                   fd_step: float = 1e-3, threads: int = 1):
+    """Ward-residual magnitudes at ``points`` and the y-invariance check.
+
+    Returns ``(residuals, y_invariance)``.  For the translation-invariant
+    kernels both sides of Ward's equation depend on ``Re z`` alone, so C is
+    evaluated once on a 4-point x-stencil per distinct real part (on the
+    real axis), ``dbar C = C_x / 2`` (the y-derivative is exactly 0), and
+    the residual is spread over every point with that real part.  The
+    shortcut is checked at one off-axis point per call: ``y_invariance`` is
+    ``|C(x0 + h) - C(x0 + h + iy)|`` at the smallest real part ``x0``, with
+    ``y`` the largest ``|Im z|`` of the points (1 when all are real).
+    Mittag-Leffler kernels take :func:`ward_point_residual` at every point
+    and report ``y_invariance = None``.  ``threads`` map over the Cauchy
+    transforms (translation-invariant kernels) or the points.
+
+    Hard-edge points must satisfy ``Re z <= -2 fd_step`` so stencils never
+    cross the domain boundary.
+    """
+    pts = [complex(p) for p in np.ravel(points)]
+    if spec.kind == "hard_edge" and any(z.real > -2.0 * fd_step + 1e-15 for z in pts):
+        raise ValueError("hard-edge points must satisfy Re z <= -2 fd_step")
+    if not spec.translation_invariant or not pts:
+        vals = _thread_map(lambda z: abs(ward_point_residual(spec, z, quad, fd_step)),
+                           pts, threads)
+        return np.array(vals, dtype=float), None
+    xs = sorted({z.real for z in pts})
+    y_spot = max(abs(z.imag) for z in pts) or 1.0
+    nodes = [complex(x) + s * fd_step for x in xs for s in _FD_OFFSETS]
+    nodes.append(complex(xs[0] + fd_step, y_spot))
+    cs = _thread_map(lambda t: cauchy_transform(spec, t, quad), nodes, threads)
+    k = len(_FD_OFFSETS)
+    by_x = {
+        x: abs(0.5 * _central_diff(cs[k * i:k * i + k], fd_step) - _ward_rhs(spec, complex(x)))
+        for i, x in enumerate(xs)
+    }
+    y_invariance = abs(cs[_FD_OFFSETS.index(1)] - cs[-1])
+    return np.array([by_x[z.real] for z in pts]), float(y_invariance)
 
 
 def ward_residual(spec: LimitKernelSpec, grid, quad: QuadratureConfig = _DEFAULT_QUAD,
@@ -624,33 +693,24 @@ def ward_residual(spec: LimitKernelSpec, grid, quad: QuadratureConfig = _DEFAULT
     """Ward-equation residual magnitudes over a grid.
 
     ``grid`` is a :class:`KernelGrid` or an ``(origin, step, nx, ny)``
-    tuple.  ``dbar`` is taken by 4th-order central differences of the
-    Cauchy transform; the quadrature frame moves with the point, so C is
-    smooth in z.  Hard-edge grids must satisfy ``Re z <= -2 fd_step`` so
-    stencils never cross the domain boundary.
+    tuple; the report holds a new grid with the residuals as values, and
+    the caller's grid is left as it was.  ``dbar`` is taken by 4th-order
+    central differences of the Cauchy transform; the quadrature frame moves
+    with the point, so C is smooth in z.  See :func:`ward_residuals` for the
+    translation-invariant collapse and its ``y_invariance`` check, which
+    ``params`` reports.
     """
     grid = _as_grid(grid)
     pts = grid.points()
-    if spec.kind == "hard_edge" and np.any(pts.real > -2.0 * fd_step + 1e-15):
-        raise ValueError("hard-edge grids must satisfy Re z <= -2 fd_step")
-
-    flat = [complex(p) for p in pts.ravel()]
-
-    def residual(pt: complex) -> float:
-        return abs(ward_point_residual(spec, pt, quad, fd_step))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(residual, flat))
-    else:
-        values = [residual(p) for p in flat]
-    res = np.array(values).reshape(pts.shape)
-    grid.values = res.astype(complex)
-    return _report(grid, res, {
+    values, y_invariance = ward_residuals(spec, pts, quad, fd_step, threads)
+    res = values.reshape(pts.shape)
+    out = replace(grid, values=res.astype(complex), meta=dict(grid.meta))
+    return _report(out, res, {
         "equation": "ward",
         "spec": _spec_label(spec),
         "fd_step": fd_step,
         "quad": (quad.r_max, quad.n_radial, quad.n_angular),
+        "y_invariance": y_invariance,
     })
 
 

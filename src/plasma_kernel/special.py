@@ -339,6 +339,28 @@ def _hermite_values(k, z):
     return h
 
 
+def _hard_edge_rule_size(abs_im):
+    """Gauss-Legendre node count that ``H`` needs at ``|Im z| = abs_im``."""
+    return max(96, 16 + 8 * int(math.ceil(min(abs_im, 1e9))))
+
+
+def _hard_edge_quad(u, n_nodes, deriv):
+    """Quadrature branch of :func:`hard_edge_H_scaled` with one rule size."""
+    t, wf = _hard_edge_rule(n_nodes)
+    d = u[:, None] - t[None, :]
+    g = INV_SQRT_2PI * np.exp(-0.5 * d.real**2) * np.exp(-1j * d.imag * d.real)
+    if deriv > 0:
+        g = g * ((-1) ** deriv) * _hermite_values(deriv, d)
+    # a row-wise sum, unlike a BLAS product, gives each point the same bits
+    # whatever batch it comes in
+    acc = np.einsum("ij,j->i", g, wf)
+    tail = u + _H_TAIL_SPLIT
+    if deriv == 0:
+        return acc + plasma_F_scaled(tail)
+    gt = INV_SQRT_2PI * np.exp(-0.5 * tail.real**2) * np.exp(-1j * tail.imag * tail.real)
+    return acc + ((-1) ** deriv) * _hermite_values(deriv - 1, tail) * gt
+
+
 def hard_edge_H_scaled(z, deriv=0):
     """``H(z) exp(-Im(z)^2 / 2)`` (and scaled derivatives), overflow-free.
 
@@ -359,30 +381,24 @@ def hard_edge_H_scaled(z, deriv=0):
     quad = ~asym
     if np.any(quad):
         u = zz[quad]
-        max_im = float(np.max(np.abs(u.imag), initial=0.0))
-        n_nodes = max(96, 16 + 8 * int(math.ceil(min(max_im, 1e9))))
-        if n_nodes > _H_RULE_CAP:
+        im = np.abs(u.imag)
+        max_im = float(np.max(im))
+        n_max = _hard_edge_rule_size(max_im)
+        if n_max > _H_RULE_CAP:
             raise QuadratureNotConverged(
-                f"hard_edge_H needs {n_nodes} nodes (cap {_H_RULE_CAP}) at "
+                f"hard_edge_H needs {n_max} nodes (cap {_H_RULE_CAP}) at "
                 f"|Im z| = {max_im:.1f}; the asymptotic branch does not apply"
             )
-        t, wf = _hard_edge_rule(n_nodes)
-        d = u[:, None] - t[None, :]
-        g = INV_SQRT_2PI * np.exp(-0.5 * d.real**2) * np.exp(-1j * d.imag * d.real)
-        if deriv > 0:
-            g = g * ((-1) ** deriv) * _hermite_values(deriv, d)
-        acc = g @ wf
-        tail = u + _H_TAIL_SPLIT
-        if deriv == 0:
-            acc += plasma_F_scaled(tail)
+        if _hard_edge_rule_size(float(np.min(im))) == n_max:  # one rule fits all
+            out[quad] = _hard_edge_quad(u, n_max, deriv)
         else:
-            gt = (
-                INV_SQRT_2PI
-                * np.exp(-0.5 * tail.real**2)
-                * np.exp(-1j * tail.imag * tail.real)
-            )
-            acc += ((-1) ** deriv) * _hermite_values(deriv - 1, tail) * gt
-        out[quad] = acc
+            # each point gets the rule its own |Im| needs, not the batch maximum
+            need = np.maximum(96, 16 + 8 * np.ceil(im).astype(int))
+            acc = np.empty(u.shape, dtype=complex)
+            for n_nodes in np.unique(need):
+                sel = need == n_nodes
+                acc[sel] = _hard_edge_quad(u[sel], int(n_nodes), deriv)
+            out[quad] = acc
     if np.any(asym):
         u = zz[asym]
         g = INV_SQRT_2PI * np.exp(-0.5 * u.real**2) * np.exp(-1j * u.real * u.imag)

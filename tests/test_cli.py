@@ -199,6 +199,20 @@ def test_config_file_with_flag_override(tmp_path):
     assert payload2["config"]["spec"] == "hard-edge"
 
 
+def test_config_file_loses_to_flag_equal_to_default(tmp_path):
+    # an explicit flag wins even when its value equals the parser default
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    out = tmp_path / "o"
+    assert main(["verify", "inequalities", "--seed", "0", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    assert json.loads(next(out.glob("*.json")).read_text())["seed"] == 0
+    out2 = tmp_path / "o2"
+    assert main(["verify", "inequalities", "--config", str(cfg),
+                 "--out", str(out2)]) == 0
+    assert json.loads(next(out2.glob("*.json")).read_text())["seed"] == 7
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"no_such_option": 1}))
