@@ -66,7 +66,6 @@ from .limits import (  # noqa: F401
     telescoping_sum,
     ward_point_residual,
     ward_residual,
-    ward_residuals,
 )
 from .sampler import (  # noqa: F401
     BudgetExceeded,

@@ -59,7 +59,6 @@ __all__ = [
     "cauchy_transform",
     "laplacian_log_R",
     "ward_point_residual",
-    "ward_residuals",
     "ward_residual",
     "mass_one_residual",
     "polarized_mass_one_residual",
@@ -636,7 +635,7 @@ def ward_point_residual(spec: LimitKernelSpec, z: complex,
     """Ward-equation residual ``dbar C - (R - 1 - Lap log R)`` at one point.
 
     Takes the full 2-D stencil (eight Cauchy transforms) at every point; it
-    is the uncollapsed reference for :func:`ward_residuals`.
+    is the uncollapsed reference for :func:`_ward_residuals`.
     """
     return _dbar_cauchy(spec, complex(z), quad, fd_step) - _ward_rhs(spec, complex(z))
 
@@ -648,21 +647,21 @@ def _thread_map(fn, items, threads):
     return [fn(item) for item in items]
 
 
-def ward_residuals(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAULT_QUAD,
-                   fd_step: float = 1e-3, threads: int = 1):
-    """Ward-residual magnitudes at ``points`` and the y-invariance check.
+def _ward_residuals(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAULT_QUAD,
+                    fd_step: float = 1e-3, threads: int = 1) -> np.ndarray:
+    """Ward-residual magnitudes at ``points``.
 
-    Returns ``(residuals, y_invariance)``.  For the translation-invariant
-    kernels both sides of Ward's equation depend on ``Re z`` alone, so C is
-    evaluated once on a 4-point x-stencil per distinct real part (on the
-    real axis), ``dbar C = C_x / 2`` (the y-derivative is exactly 0), and
-    the residual is spread over every point with that real part.  The
-    shortcut is checked at one off-axis point per call: ``y_invariance`` is
-    ``|C(x0 + h) - C(x0 + h + iy)|`` at the smallest real part ``x0``, with
-    ``y`` the largest ``|Im z|`` of the points (1 when all are real).
-    Mittag-Leffler kernels take :func:`ward_point_residual` at every point
-    and report ``y_invariance = None``.  ``threads`` map over the Cauchy
-    transforms (translation-invariant kernels) or the points.
+    For the translation-invariant kernels both sides of Ward's equation
+    depend on ``Re z`` alone, so C is evaluated once on a 4-point x-stencil
+    per distinct real part (on the real axis), ``dbar C = C_x / 2`` (the
+    y-derivative is exactly 0), and the residual is spread over every point
+    with that real part.  The quadrature frame of :func:`cauchy_transform`
+    recentres on ``Im z`` and the right-hand side reads ``Re z`` only, so
+    the computed values are y-invariant up to rounding; the tests compare
+    this collapse with :func:`ward_point_residual` off the axis.
+    Mittag-Leffler kernels take :func:`ward_point_residual` at every point.
+    ``threads`` map over the Cauchy transforms (translation-invariant
+    kernels) or the points.
 
     Hard-edge points must satisfy ``Re z <= -2 fd_step`` so stencils never
     cross the domain boundary.
@@ -673,19 +672,16 @@ def ward_residuals(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFA
     if not spec.translation_invariant or not pts:
         vals = _thread_map(lambda z: abs(ward_point_residual(spec, z, quad, fd_step)),
                            pts, threads)
-        return np.array(vals, dtype=float), None
+        return np.array(vals, dtype=float)
     xs = sorted({z.real for z in pts})
-    y_spot = max(abs(z.imag) for z in pts) or 1.0
     nodes = [complex(x) + s * fd_step for x in xs for s in _FD_OFFSETS]
-    nodes.append(complex(xs[0] + fd_step, y_spot))
     cs = _thread_map(lambda t: cauchy_transform(spec, t, quad), nodes, threads)
     k = len(_FD_OFFSETS)
     by_x = {
         x: abs(0.5 * _central_diff(cs[k * i:k * i + k], fd_step) - _ward_rhs(spec, complex(x)))
         for i, x in enumerate(xs)
     }
-    y_invariance = abs(cs[_FD_OFFSETS.index(1)] - cs[-1])
-    return np.array([by_x[z.real] for z in pts]), float(y_invariance)
+    return np.array([by_x[z.real] for z in pts])
 
 
 def ward_residual(spec: LimitKernelSpec, grid, quad: QuadratureConfig = _DEFAULT_QUAD,
@@ -696,21 +692,18 @@ def ward_residual(spec: LimitKernelSpec, grid, quad: QuadratureConfig = _DEFAULT
     tuple; the report holds a new grid with the residuals as values, and
     the caller's grid is left as it was.  ``dbar`` is taken by 4th-order
     central differences of the Cauchy transform; the quadrature frame moves
-    with the point, so C is smooth in z.  See :func:`ward_residuals` for the
-    translation-invariant collapse and its ``y_invariance`` check, which
-    ``params`` reports.
+    with the point, so C is smooth in z.  See :func:`_ward_residuals` for
+    the translation-invariant collapse.
     """
     grid = _as_grid(grid)
     pts = grid.points()
-    values, y_invariance = ward_residuals(spec, pts, quad, fd_step, threads)
-    res = values.reshape(pts.shape)
+    res = _ward_residuals(spec, pts, quad, fd_step, threads).reshape(pts.shape)
     out = replace(grid, values=res.astype(complex), meta=dict(grid.meta))
     return _report(out, res, {
         "equation": "ward",
         "spec": _spec_label(spec),
         "fd_step": fd_step,
         "quad": (quad.r_max, quad.n_radial, quad.n_angular),
-        "y_invariance": y_invariance,
     })
 
 

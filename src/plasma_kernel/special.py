@@ -339,11 +339,6 @@ def _hermite_values(k, z):
     return h
 
 
-def _hard_edge_rule_size(abs_im):
-    """Gauss-Legendre node count that ``H`` needs at ``|Im z| = abs_im``."""
-    return max(96, 16 + 8 * int(math.ceil(min(abs_im, 1e9))))
-
-
 def _hard_edge_quad(u, n_nodes, deriv):
     """Quadrature branch of :func:`hard_edge_H_scaled` with one rule size."""
     t, wf = _hard_edge_rule(n_nodes)
@@ -382,23 +377,19 @@ def hard_edge_H_scaled(z, deriv=0):
     if np.any(quad):
         u = zz[quad]
         im = np.abs(u.imag)
-        max_im = float(np.max(im))
-        n_max = _hard_edge_rule_size(max_im)
+        # each point gets the rule its own |Im| needs, not the batch maximum
+        need = np.maximum(96, 16 + 8 * np.ceil(np.minimum(im, 1e9)).astype(int))
+        n_max = int(need.max())
         if n_max > _H_RULE_CAP:
             raise QuadratureNotConverged(
                 f"hard_edge_H needs {n_max} nodes (cap {_H_RULE_CAP}) at "
-                f"|Im z| = {max_im:.1f}; the asymptotic branch does not apply"
+                f"|Im z| = {float(np.max(im)):.1f}; the asymptotic branch does not apply"
             )
-        if _hard_edge_rule_size(float(np.min(im))) == n_max:  # one rule fits all
-            out[quad] = _hard_edge_quad(u, n_max, deriv)
-        else:
-            # each point gets the rule its own |Im| needs, not the batch maximum
-            need = np.maximum(96, 16 + 8 * np.ceil(im).astype(int))
-            acc = np.empty(u.shape, dtype=complex)
-            for n_nodes in np.unique(need):
-                sel = need == n_nodes
-                acc[sel] = _hard_edge_quad(u[sel], int(n_nodes), deriv)
-            out[quad] = acc
+        acc = np.empty(u.shape, dtype=complex)
+        for n_nodes in np.unique(need):
+            sel = need == n_nodes
+            acc[sel] = _hard_edge_quad(u[sel], int(n_nodes), deriv)
+        out[quad] = acc
     if np.any(asym):
         u = zz[asym]
         g = INV_SQRT_2PI * np.exp(-0.5 * u.real**2) * np.exp(-1j * u.real * u.imag)

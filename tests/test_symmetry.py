@@ -1,8 +1,6 @@
 """Exact symmetries the plane quadrature relies on, and the shortcuts built
 on them: the mirror fold of the Berezin density, the Re z collapse of the
-Ward driver with its y-invariance check, and per-point H rule sizes."""
-
-import json
+Ward driver, and per-point H rule sizes."""
 
 import numpy as np
 import pytest
@@ -13,10 +11,10 @@ from plasma_kernel.finite_n import KernelGrid
 from plasma_kernel.limits import (
     LimitKernelSpec,
     _profile_for,
+    _ward_residuals,
     cauchy_transform,
     ward_point_residual,
     ward_residual,
-    ward_residuals,
 )
 from plasma_kernel.special import hard_edge_H_scaled
 
@@ -52,22 +50,19 @@ def test_cauchy_real_and_y_invariant(spec, x):
 @pytest.mark.parametrize("spec,z", [(FB, 0.5 + 0.2j), (HE, -0.8 + 0.4j)],
                          ids=["fb", "he"])
 def test_ward_driver_matches_full_stencil_off_axis(spec, z):
-    values, y_invariance = ward_residuals(spec, [z])
+    values = _ward_residuals(spec, [z])
     assert abs(values[0] - abs(ward_point_residual(spec, z))) <= 1e-12
-    assert y_invariance <= 1e-14
 
 
 def test_ward_driver_spreads_over_equal_real_parts():
     pts = [0.5 + 0.0j, 0.5 + 1.0j, -0.5 - 1.0j, -0.5 + 0.5j]
-    values, y_invariance = ward_residuals(BULK, pts)
+    values = _ward_residuals(BULK, pts)
     assert values[0] == values[1] and values[2] == values[3]
-    assert y_invariance <= 1e-14
 
 
 def test_ward_driver_keeps_full_path_for_mittag_leffler():
     z = 0.7 + 0.2j
-    values, y_invariance = ward_residuals(ML2, [z])
-    assert y_invariance is None
+    values = _ward_residuals(ML2, [z])
     assert values[0] == abs(ward_point_residual(ML2, z))
 
 
@@ -78,7 +73,6 @@ def test_ward_residual_leaves_caller_grid_unchanged():
     assert np.array_equal(grid.values, values)
     assert report.grid is not grid
     assert np.array_equal(report.grid.values, report.residuals.astype(complex))
-    assert report.params["y_invariance"] <= 1e-14
 
 
 def test_hard_edge_H_batch_matches_single_points():
@@ -89,7 +83,7 @@ def test_hard_edge_H_batch_matches_single_points():
     assert_allclose(batch, single, rtol=1e-13, atol=0.0)
 
 
-def test_verify_ward_reports_y_invariance_and_ignores_threads(tmp_path):
+def test_verify_ward_csv_ignores_threads(tmp_path):
     argv = ["verify", "ward", "--spec", "bulk", "--grid", "-0.5:0.5:0.5"]
     outs = [tmp_path / name for name in ("t1", "t2", "t1again")]
     for out, threads in zip(outs, ("1", "2", "1")):
@@ -97,5 +91,3 @@ def test_verify_ward_reports_y_invariance_and_ignores_threads(tmp_path):
     csv = [next(out.glob("*.csv")).read_bytes() for out in outs]
     assert csv[0] == csv[1] == csv[2]
     assert len(csv[0].decode().strip().splitlines()) == 1 + 9
-    results = json.loads(next(outs[0].glob("*.json")).read_text())["results"]
-    assert 0.0 <= results["y_invariance"] <= 1e-14
