@@ -21,6 +21,7 @@ from .special import (  # noqa: F401
     gauss_gamma,
     hard_edge_H,
     hermite_prob,
+    hermite_scaled,
     hermite_scaled_pair,
     lower_inc_gamma,
     lower_inc_gamma_log,

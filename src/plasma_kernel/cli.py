@@ -198,6 +198,8 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _canonical(obj):
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, dict):
         return {k: _canonical(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
@@ -319,10 +321,12 @@ def _verify_ward(args, spec, quad) -> tuple:
         pts = [complex(x, y) for y in ys for x in xs]
     else:
         pts = _ward_default_points(spec, axis, args.fd_step)
+    if not pts:
+        raise ValueError(f"ward grid {args.grid!r} keeps no points for {args.spec}")
 
     vals = _ward_residuals(spec, pts, quad, args.fd_step, args.threads)
     rows = [(z.real, z.imag, float(v)) for z, v in zip(pts, vals)]
-    sup = float(vals.max()) if len(vals) else 0.0
+    sup = float(vals.max())
     return rows, {"sup_norm": sup, "points": len(pts)}, sup
 
 
@@ -386,6 +390,8 @@ def _verify_inequalities(args) -> tuple:
 
 
 def _verify_positivity(args, spec) -> tuple:
+    if args.sets < 1:
+        raise ValueError(f"positivity needs --sets >= 1, got {args.sets}")
     count = 8
     if args.points and args.points.startswith("random:"):
         count = int(args.points.split(":", 1)[1])
@@ -500,6 +506,8 @@ def cmd_converge(args) -> int:
             r_n = float(rescaled_kernel(pot, frame, z, z).real)
             devs.append(abs(r_n - one_point(spec, z)))
             rows.append((float(n), float(x), float(r_n)))
+        if not devs:
+            raise ValueError(f"converge grid {args.grid!r} keeps no points for {args.spec}")
         sups[str(n)] = float(max(devs))
         print(f"converge {args.pot} {args.frame} n={n}: sup |R_n - R| = {max(devs):.6f}")
     ratios = {

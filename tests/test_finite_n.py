@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import gammainc
 
 from plasma_kernel.finite_n import (
     KERNEL_MAX_N,
@@ -86,15 +85,20 @@ def test_poly_norm_sq_power():
     assert val == pytest.approx(math.log(1.0 / (2.0 * 3.0)), rel=1e-13)
 
 
-def test_poly_norm_sq_hard_edge_matches_scipy():
-    for n, j in ((9, 0), (16, 3), (64, 60)):
-        ours = poly_norm_sq(HARD, n, j)
-        ref = (
-            math.lgamma(j + 1)
-            + math.log(gammainc(j + 1, n))
-            - (j + 1) * math.log(n)
-        )
-        assert_allclose(ours, ref, rtol=1e-12)
+def test_poly_norm_sq_hard_edge_matches_poisson_sum():
+    # log gamma(j+1, n) = lgamma(j+1) + log P(Poisson(n) >= j+1), with the
+    # survival probability summed exactly at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    for n, j in ((9, 0), (16, 3), (64, 60), (1024, 10), (4096, 4000), (4096, 4095)):
+        with mpmath.workdps(40):
+            term = cdf = mpmath.mpf(1)
+            for k in range(1, j + 1):
+                term *= mpmath.mpf(n) / k
+                cdf += term
+            surv = 1 - cdf * mpmath.exp(-n)
+            ref = float(mpmath.loggamma(j + 1) + mpmath.log(surv)
+                        - (j + 1) * mpmath.log(n))
+        assert_allclose(poly_norm_sq(HARD, n, j), ref, rtol=1e-12)
 
 
 def test_poly_norm_sq_guards():
@@ -304,6 +308,23 @@ def test_exp_section_negative_mean_branch():
     n2 = 2
     x2 = (-1.0 - n2) / math.sqrt(n2)
     assert exp_section(n2, x2) == pytest.approx(0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096, 65536])
+def test_exp_section_against_poisson_sum(n):
+    # P(Poisson(mu) <= n-1) summed exactly at 40 digits, at the double mu
+    # that exp_section forms from x
+    mpmath = pytest.importorskip("mpmath")
+    for x in np.linspace(-3.0, 3.0, 7):
+        mu = n + math.sqrt(n) * float(x)
+        with mpmath.workdps(40):
+            m = mpmath.mpf(mu)
+            term = total = mpmath.mpf(1)
+            for j in range(1, n):
+                term *= m / j
+                total += term
+            ref = float(total * mpmath.exp(-m))
+        assert_allclose(exp_section(n, float(x)), ref, rtol=1e-12)
 
 
 def test_exp_section_guards():

@@ -22,7 +22,6 @@ from plasma_kernel.limits import (
     tail_bounds_report,
     ward_point_residual,
     ward_residual,
-    _jacobi_min_eig,
 )
 
 rng = np.random.default_rng(2024)
@@ -218,17 +217,6 @@ def test_ward_free_boundary_matches_bulk_deep_inside():
 # --------------------------------------------------------------------------
 
 
-def test_jacobi_eigenvalues_match_numpy():
-    for size in (2, 4, 8):
-        for _ in range(5):
-            raw = (rng.standard_normal((size, size))
-                   + 1j * rng.standard_normal((size, size)))
-            herm = raw + raw.conj().T
-            ours = _jacobi_min_eig(herm)
-            ref = float(np.linalg.eigvalsh(herm)[0])
-            assert_allclose(ours, ref, rtol=1e-11, atol=1e-11)
-
-
 @pytest.mark.parametrize("spec", [BULK, FB, HE, ML2], ids=lambda s: s.kind)
 def test_gram_positive(spec):
     pts = rng.uniform(-2, 2, 8) + 1j * rng.uniform(-2, 2, 8)
@@ -245,6 +233,8 @@ def test_gram_complementary_positive():
 def test_gram_guards():
     with pytest.raises(ValueError):
         gram_min_eig(FB, np.zeros(33, dtype=complex))
+    with pytest.raises(ValueError):
+        gram_min_eig(FB, [])
     with pytest.raises(ValueError):
         gram_min_eig(ML2, np.zeros(4, dtype=complex), complementary=True)
 
