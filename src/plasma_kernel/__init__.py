@@ -70,6 +70,7 @@ from .limits import (  # noqa: F401
 )
 from .sampler import (  # noqa: F401
     BudgetExceeded,
+    InversionCheckFailed,
     Histogram1D,
     SampleConfig,
     boundary_profile,

@@ -52,6 +52,7 @@ from .limits import (
 )
 from .sampler import (
     BudgetExceeded,
+    InversionCheckFailed,
     SampleConfig,
     boundary_profile,
     bulk_singularity_profile,
@@ -98,6 +99,7 @@ _NUMERIC_ERRORS = (
     ZeroIntensity,
     NonHermitianInput,
     BudgetExceeded,
+    InversionCheckFailed,
 )
 
 
@@ -339,6 +341,8 @@ def _verify_mass_one(args, spec, quad) -> tuple:
         "constant": "0.3",
     }
     pts = _parse_points(args.points or defaults[spec.kind], args.seed)
+    if not pts:
+        raise ValueError(f"mass-one point set {args.points!r} keeps no points")
     vals = [mass_one_residual(spec, z, quad) for z in pts]
     rows = [(z.real, z.imag, float(abs(v))) for z, v in zip(pts, vals)]
     sup = max(abs(v) for v in vals)
@@ -577,6 +581,8 @@ def cmd_sample(args) -> int:
         "max_deviation_over_3se": float(np.max(dev - 3.0 * se)),
         "bins_within_3se_plus_bias": int(np.sum(dev <= 3.0 * se + 0.02)),
         "bins": int(hist.bins),
+        "inverted": int(hist.inverted),
+        "band_backward_error": float(hist.band_backward_error),
     })
     print(f"sample {args.pot} {args.frame}: {hist.counts.sum()} counts, "
           f"max |est - target| = {dev.max():.4f}")

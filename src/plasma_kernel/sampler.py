@@ -13,6 +13,20 @@ P^{-1}((j+1)/lam, u) / n``; hard edge, ``|z_j|^2 = P^{-1}(j+1, u P(j+1, n))
 / n`` (the Gamma CDF conditioned on the droplet).  Using one shared uniform
 per index makes hard-edge radii coupled monotonically below the unconfined
 ones, and makes every output a pure function of ``(seed, trial)``.
+
+A profile inverts only the radii that can land in its histogram window.
+Each radius is ``r(P^{-1}(a_j, q_j))`` with ``q_j`` the index's (scaled)
+uniform, and ``zoom (r - r0)`` increases with ``q_j``, so index j can land
+in ``[lo, hi)`` only if ``q_j`` lies in a band ``[P(a_j, X(lo)) - eps,
+P(a_j, X(hi)) + eps]`` fixed once per run (``eps = BAND_EPS``).  Every trial
+still draws all n uniforms from its ``(seed, trial)`` stream, keeps the
+indices inside the band and inverts those alone; the inverse is
+elementwise, so each kept radius and every count equal those of
+:func:`sample_radii`, the full-inversion reference.  Once per run the band
+edges are inverted too: their backward error must stay below ``eps`` and
+their values outside the window, or the run is refused
+(:class:`InversionCheckFailed`).  ``gammaincinv``'s backward error passes
+that check for n up to 2^22 and fails it from about n = 2^23 on.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from .finite_n import Potential, RescaleFrame, droplet_radius
 
 __all__ = [
     "BudgetExceeded",
+    "InversionCheckFailed",
     "SampleConfig",
     "Histogram1D",
     "sample_radii",
@@ -37,10 +52,20 @@ __all__ = [
 
 BUDGET_LIMIT = 10**9
 DEFAULT_BIN_WIDTH = 0.1  # limit curves vary on unit scale; bias <= 0.005
+# probability margin of the inversion band: about 200x the worst backward
+# error of gammaincinv on 2e5 random (a <= 2^14, u) pairs (5.2e-15 to 5.4e-15)
+BAND_EPS = 1e-12
+# uniforms per block of trials: one inversion call over a block holds
+# enough points for numpy to run it without the interpreter lock
+BLOCK_POINTS = 2**16
 
 
 class BudgetExceeded(Exception):
     """n * trials exceeds the sampling budget guard."""
+
+
+class InversionCheckFailed(Exception):
+    """The inverse Gamma CDF misses the band margin at a band edge."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +108,8 @@ class Histogram1D:
     trials: int = 0
     counts_sq: np.ndarray = None  # per-bin sum over trials of count^2
     scale: np.ndarray = None      # per-bin Jacobian divisor (1 if plain density)
+    inverted: int = 0             # inverse-CDF evaluations of the sampling run
+    band_backward_error: float = 0.0  # worst backward error at the band edges
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -115,17 +142,31 @@ class Histogram1D:
         return np.sqrt(var / t) / (self.bin_width * scale)
 
 
-def _radii_from_uniforms(pot: Potential, n: int, u: np.ndarray) -> np.ndarray:
-    """Radii for indices j = 0..n-1 from one uniform per index (unsorted)."""
+def _shapes(pot: Potential, n: int) -> np.ndarray:
+    """Gamma shapes ``a_j`` of the radial laws, j = 0..n-1."""
     shape = np.arange(1, n + 1, dtype=float)
+    return shape / pot.lam if pot.kind == "power" else shape
+
+
+def _radius_of(pot: Potential, n: int, x: np.ndarray) -> np.ndarray:
+    """Radius of the Gamma variate ``x``; increasing in ``x``."""
     if pot.kind == "power":
-        x = gammaincinv(shape / pot.lam, u)
         return (x / n) ** (1.0 / (2.0 * pot.lam))
     if pot.kind == "hard_edge":
-        x = gammaincinv(shape, u * gammainc(shape, float(n)))
         return np.sqrt(np.minimum(x / n, 1.0))
-    x = gammaincinv(shape, u)
     return np.sqrt(x / n)
+
+
+def _radii(pot: Potential, n: int, a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Radii of the indices with shapes ``a`` at Gamma probabilities ``q``."""
+    return _radius_of(pot, n, gammaincinv(a, q))
+
+
+def _radii_from_uniforms(pot: Potential, n: int, u: np.ndarray) -> np.ndarray:
+    """Radii for indices j = 0..n-1 from one uniform per index (unsorted)."""
+    a = _shapes(pot, n)
+    q = u * gammainc(a, float(n)) if pot.kind == "hard_edge" else u
+    return _radii(pot, n, a, q)
 
 
 def _trial_uniforms(cfg: SampleConfig, trial: int) -> np.ndarray:
@@ -138,26 +179,92 @@ def sample_radii(cfg: SampleConfig, trial: int) -> np.ndarray:
     return np.sort(_radii_from_uniforms(cfg.pot, cfg.n, _trial_uniforms(cfg, trial)))
 
 
-def _histogram_counts(values: np.ndarray, lo: float, hi: float, bins: int):
+def _histogram_counts(values: np.ndarray, lo: float, hi: float, bins: int,
+                      rows=0, nrows: int = 1) -> np.ndarray:
+    """Counts of ``values`` in ``bins`` equal bins of ``[lo, hi)``: one row
+    of counts per label in ``rows`` (labels ``0..nrows-1``)."""
     idx = np.floor((values - lo) / ((hi - lo) / bins)).astype(np.int64)
     inside = (idx >= 0) & (idx < bins) & (values < hi)
-    return np.bincount(idx[inside], minlength=bins)
+    flat = (rows * bins + idx)[inside]
+    return np.bincount(flat, minlength=nrows * bins).reshape(nrows, bins)
 
 
-def _accumulate(cfg: SampleConfig, transform, lo, hi, bins, threads: int):
-    """Sum per-trial bin counts and squared counts (order-insensitive merge)."""
+@dataclass(frozen=True)
+class _Band:
+    """Per-index Gamma-probability band of the radii that can land in a window.
+
+    Index j's radius lands in ``lo <= zoom (r - r0) < hi`` only if its
+    probability ``q_j`` lies in ``[q_lo_j, q_hi_j]``; ``q_scale`` is
+    ``P(a, n)`` for the hard edge (``q = u P(a, n)``) and None otherwise.
+    """
+
+    a: np.ndarray
+    q_scale: np.ndarray | None
+    q_lo: np.ndarray
+    q_hi: np.ndarray
+    edges: int              # band edges inverted by the check
+    backward_error: float   # worst |P(a, P^{-1}(a, q)) - q| over those edges
+
+
+def _window_band(pot: Potential, n: int, zoom: float, r0: float,
+                 lo: float, hi: float) -> _Band:
+    """The band of every index, widened by ``BAND_EPS`` and checked once.
+
+    ``x -> zoom (r(x) - r0)`` is increasing and ``X(v) = n (r0 + v /
+    zoom)^(2 lam)`` inverts it (lam = 1 but for power potentials), so the
+    band is ``[P(a, X(lo)) - eps, P(a, X(hi)) + eps]``.  The check inverts
+    every edge that cuts off some probability: its backward error must stay
+    below ``eps`` and its value must fall outside the window, or the run is
+    refused with :class:`InversionCheckFailed`.
+    """
+    a = _shapes(pot, n)
+    q_scale = gammainc(a, float(n)) if pot.kind == "hard_edge" else None
+    lam = pot.lam if pot.kind == "power" else 1.0
+    with np.errstate(over="ignore"):  # an edge beyond every radius maps to inf
+        x_lo, x_hi = n * np.maximum(r0 + np.array([lo, hi]) / zoom, 0.0) ** (2.0 * lam)
+    q_lo = gammainc(a, x_lo) - BAND_EPS
+    q_hi = gammainc(a, x_hi) + BAND_EPS
+    cut_lo = q_lo > 0.0
+    cut_hi = q_hi < (1.0 if q_scale is None else q_scale)
+    a_e = np.concatenate([a[cut_lo], a[cut_hi]])
+    q_e = np.concatenate([q_lo[cut_lo], q_hi[cut_hi]])
+    x_e = gammaincinv(a_e, q_e)
+    err = float(np.max(np.abs(gammainc(a_e, x_e) - q_e), initial=0.0))
+    v_e = zoom * (_radius_of(pot, n, x_e) - r0)
+    k = int(cut_lo.sum())
+    if not err < BAND_EPS or np.any(v_e[:k] >= lo) or np.any(v_e[k:] < hi):
+        raise InversionCheckFailed(
+            f"inverse Gamma CDF misses the {BAND_EPS:g} band margin at n={n}: "
+            f"backward error {err:.2e} at the band edges")
+    return _Band(a, q_scale, q_lo, q_hi, int(a_e.size), err)
+
+
+def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist,
+                threads: int) -> Histogram1D:
+    """Histogram of ``zoom (r - r0)`` over all trials, with per-bin squared
+    counts (an order-insensitive merge).  Each trial draws all n uniforms
+    and inverts only the indices inside the window's band, in blocks of
+    trials of about ``BLOCK_POINTS`` uniforms."""
+    lo, hi, bins = _hist_window(hist)
+    pot, n = cfg.pot, cfg.n
+    band = _window_band(pot, n, zoom, r0, lo, hi)
 
     def run_chunk(trials):
         c = np.zeros(bins, dtype=np.int64)
         c2 = np.zeros(bins, dtype=np.int64)
-        for t in trials:
-            values = transform(
-                _radii_from_uniforms(cfg.pot, cfg.n, _trial_uniforms(cfg, t))
-            )
-            h = _histogram_counts(values, lo, hi, bins)
-            c += h
-            c2 += h * h
-        return c, c2
+        inverted = 0
+        step = max(1, BLOCK_POINTS // n)
+        for k in range(0, len(trials), step):
+            block = trials[k:k + step]
+            u = np.stack([_trial_uniforms(cfg, t) for t in block])
+            q = u if band.q_scale is None else u * band.q_scale
+            rows, cols = np.nonzero((q >= band.q_lo) & (q <= band.q_hi))
+            values = zoom * (_radii(pot, n, band.a[cols], q[rows, cols]) - r0)
+            h = _histogram_counts(values, lo, hi, bins, rows, len(block))
+            c += h.sum(axis=0)
+            c2 += (h * h).sum(axis=0)
+            inverted += values.size
+        return c, c2, inverted
 
     trials = list(range(cfg.trials))
     if threads > 1:
@@ -166,16 +273,29 @@ def _accumulate(cfg: SampleConfig, transform, lo, hi, bins, threads: int):
             parts = list(pool.map(run_chunk, chunks))
     else:
         parts = [run_chunk(trials)]
-    counts = np.sum([p[0] for p in parts], axis=0)
-    counts_sq = np.sum([p[1] for p in parts], axis=0)
-    return counts, counts_sq
+    return Histogram1D(
+        lo, hi, bins,
+        counts=np.sum([p[0] for p in parts], axis=0),
+        normalization="rescaled-intensity",
+        trials=cfg.trials,
+        counts_sq=np.sum([p[1] for p in parts], axis=0),
+        inverted=band.edges + sum(p[2] for p in parts),
+        band_backward_error=band.backward_error,
+    )
 
 
 def _hist_window(hist) -> tuple:
+    """``(lo, hi, bins)`` of a ``Histogram1D`` template or a tuple, checked
+    before any sampling."""
     if isinstance(hist, Histogram1D):
-        return hist.lo, hist.hi, hist.bins
+        hist = (hist.lo, hist.hi, hist.bins)
     lo, hi, bins = hist
-    return float(lo), float(hi), int(bins)
+    lo, hi, bins = float(lo), float(hi), int(bins)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"histogram window needs finite lo < hi, got {lo}:{hi}")
+    if bins < 1:
+        raise ValueError(f"histogram needs at least one bin, got {bins}")
+    return lo, hi, bins
 
 
 def boundary_profile(cfg: SampleConfig, frame: RescaleFrame, hist,
@@ -192,18 +312,9 @@ def boundary_profile(cfg: SampleConfig, frame: RescaleFrame, hist,
     r0 = droplet_radius(cfg.pot)
     if abs(abs(frame.p) - r0) > 1e-12:
         raise ValueError("frame must be centered on the droplet boundary")
-    lo, hi, bins = _hist_window(hist)
     zoom = frame.zoom
-
-    def transform(radii):
-        return zoom * (radii - r0)
-
-    counts, counts_sq = _accumulate(cfg, transform, lo, hi, bins, threads)
-    out = Histogram1D(lo, hi, bins, counts=counts,
-                      normalization="rescaled-intensity",
-                      trials=cfg.trials, counts_sq=counts_sq)
-    centers = out.bin_centers()
-    out.scale = 2.0 * np.maximum(r0 + centers / zoom, 1e-300) * zoom
+    out = _accumulate(cfg, zoom, r0, hist, threads)
+    out.scale = 2.0 * np.maximum(r0 + out.bin_centers() / zoom, 1e-300) * zoom
     return out
 
 
@@ -218,14 +329,6 @@ def bulk_singularity_profile(cfg: SampleConfig, hist=(0.0, 4.0, 40),
         raise ValueError("bulk singularity profiles require a power-law potential")
     lam = cfg.pot.lam if cfg.pot.kind == "power" else 1.0
     zoom = float(cfg.n) ** (1.0 / (2.0 * lam))
-    lo, hi, bins = _hist_window(hist)
-
-    def transform(radii):
-        return zoom * radii
-
-    counts, counts_sq = _accumulate(cfg, transform, lo, hi, bins, threads)
-    out = Histogram1D(lo, hi, bins, counts=counts,
-                      normalization="rescaled-intensity",
-                      trials=cfg.trials, counts_sq=counts_sq)
+    out = _accumulate(cfg, zoom, 0.0, hist, threads)
     out.scale = 2.0 * np.maximum(out.bin_centers(), 1e-300)
     return out

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from plasma_kernel import sampler
 from plasma_kernel.cli import (
     THRESHOLDS,
     build_parser,
@@ -138,7 +139,8 @@ def test_verify_ward_disconnected_fails(tmp_path, capsys):
     (["verify", "positivity", "--sets", "0"], "--sets >= 1"),
     (["converge", "--pot", "hard-edge", "--spec", "hard-edge", "--grid", "0:1:0.5"],
      "keeps no points"),
-], ids=["ward", "positivity", "converge"])
+    (["verify", "mass-one", "--points", "random:0"], "keeps no points"),
+], ids=["ward", "positivity", "converge", "mass-one"])
 def test_empty_point_set_is_usage_error(tmp_path, capsys, argv, named):
     # a verdict over zero points would be vacuous
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -247,6 +249,39 @@ def test_sample_artifacts(tmp_path):
     rows = next(tmp_path.glob("*.csv")).read_text().strip().splitlines()
     assert rows[0] == "bin_center,estimate,stderr"
     assert len(rows) == 1 + 20
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--bins", "0"], "at least one bin"),
+    (["--window", "0:nan"], "finite lo < hi"),
+], ids=["no-bins", "nan-window"])
+def test_bad_histogram_window_is_usage_error(tmp_path, capsys, monkeypatch,
+                                             flags, named):
+    # refused before the first trial is drawn, with a named error
+    def no_sampling(*args):
+        raise AssertionError("sampled before the window was checked")
+
+    monkeypatch.setattr(sampler, "_trial_uniforms", no_sampling)
+    assert main(["sample", "--n", "64", "--trials", "10", "--out",
+                 str(tmp_path)] + flags) == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def test_sample_reports_inversion_shortcut(tmp_path):
+    # the shortcut's work and check are reported, identically at every
+    # thread count
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        assert main(["sample", "--n", "1024", "--trials", "20", "--window",
+                     "-3:1", "--threads", threads, "--out", str(out)]) == 0
+        texts.append(next(out.glob("*.json")).read_text())
+    assert texts[0] == texts[1]
+    res = json.loads(texts[0])["results"]
+    assert 0 < res["inverted"] < 1024 * 20 // 4
+    assert 0.0 <= res["band_backward_error"] < 1e-12
 
 
 def test_converge_sections(tmp_path):

@@ -7,15 +7,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from scipy.special import gammaincinv
 from scipy.stats import gamma as gamma_dist
 
+from plasma_kernel import sampler
 from plasma_kernel.finite_n import Potential, RescaleFrame
 from plasma_kernel.sampler import (
+    BAND_EPS,
     BUDGET_LIMIT,
     BudgetExceeded,
     Histogram1D,
     SampleConfig,
+    _histogram_counts,
     _radii_from_uniforms,
+    _trial_uniforms,
     boundary_profile,
     bulk_singularity_profile,
     sample_radii,
@@ -192,3 +197,91 @@ def test_stderr_scales_like_inverse_sqrt_trials():
         hist = boundary_profile(cfg, frame, (-2.0, 0.0, 10))
         errs.append(np.median(hist.stderrs()))
     assert 1.5 <= errs[0] / errs[1] <= 2.6
+
+
+# --------------------------------------------------------------------------
+# the inversion band: only radii that can land in the window are inverted
+# --------------------------------------------------------------------------
+
+
+def _full_inversion_counts(cfg, zoom, r0, lo, hi, bins):
+    c = np.zeros(bins, dtype=np.int64)
+    c2 = np.zeros(bins, dtype=np.int64)
+    for t in range(cfg.trials):
+        r = _radii_from_uniforms(cfg.pot, cfg.n, _trial_uniforms(cfg, t))
+        h = _histogram_counts(zoom * (r - r0), lo, hi, bins)[0]
+        c += h
+        c2 += h * h
+    return c, c2
+
+
+@pytest.mark.parametrize("pot,window", [
+    (GINIBRE, (-3.0, 1.0, 40)),
+    (Potential.hard_edge(), (-3.0, 1.0, 40)),
+    (Potential.hard_edge(), (-2.0, -0.5, 6)),
+    (Potential.power(2.0), (0.9, 1.3, 2)),
+    (GINIBRE, (-3.0, 1e300, 4)),
+], ids=["ginibre", "hard-edge", "hard-edge-inner", "power2-singularity",
+        "edge-beyond-every-radius"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_windowed_counts_match_full_inversion(pot, window, seed):
+    # the band drops only indices that cannot land in the window, and the
+    # kept radii are bitwise those of the full inversion
+    n, trials = 256, 30
+    cfg = SampleConfig(pot, n, trials, seed)
+    if pot.kind == "power":
+        hist = bulk_singularity_profile(cfg, window)
+        zoom, r0 = n ** (1.0 / (2.0 * pot.lam)), 0.0
+    else:
+        frame = RescaleFrame.boundary(pot, n)
+        hist = boundary_profile(cfg, frame, window)
+        zoom, r0 = frame.zoom, 1.0
+    counts, counts_sq = _full_inversion_counts(cfg, zoom, r0, *window)
+    assert_array_equal(hist.counts, counts)
+    assert_array_equal(hist.counts_sq, counts_sq)
+    assert hist.inverted < n * trials
+
+
+def test_window_inverts_few_radii(monkeypatch):
+    # ginibre n = 1024, window -3:1: about 183 radii per trial can land in
+    # the window; the band-edge check adds about 1200 once per run
+    points = []
+
+    def counting(a, q):
+        points.append(np.size(a))
+        return gammaincinv(a, q)
+
+    monkeypatch.setattr(sampler, "gammaincinv", counting)
+    n, trials = 1024, 20
+    cfg = SampleConfig(GINIBRE, n, trials, seed=4)
+    hist = boundary_profile(cfg, RescaleFrame.boundary(GINIBRE, n),
+                            (-3.0, 1.0, 40))
+    assert sum(points) == hist.inverted
+    assert sum(points) / trials < n / 4
+    assert hist.band_backward_error < BAND_EPS
+
+
+def test_band_margin_against_mpmath():
+    # the band margin must dwarf the backward error |P(a, P^-1(a, q)) - q| of
+    # the inverse, measured with a 40-digit regularized gamma integral
+    mpmath = pytest.importorskip("mpmath")
+    qs = np.concatenate([[1e-12, 1e-9, 1e-6, 1 - 1e-6],
+                         np.random.default_rng(21).random(12)])
+    worst = 0.0
+    with mpmath.workdps(40):
+        for a in (0.5, 1.0, 7.5, 100.0, 1024.0, 4096.0, 16384.0):
+            for q in qs:
+                x = gammaincinv(a, q)
+                p = mpmath.gammainc(a, 0, float(x), regularized=True)
+                worst = max(worst, abs(float(p - mpmath.mpf(float(q)))))
+    assert worst <= BAND_EPS / 100
+
+
+def test_inaccurate_inverse_refuses_the_run(monkeypatch):
+    # an inverse whose backward error reaches the margin fails the band
+    # check before any trial is drawn
+    monkeypatch.setattr(sampler, "gammaincinv",
+                        lambda a, q: gammaincinv(a, q) * (1.0 + 1e-9))
+    cfg = SampleConfig(GINIBRE, 256, 2, seed=0)
+    with pytest.raises(sampler.InversionCheckFailed, match="band margin"):
+        boundary_profile(cfg, RescaleFrame.boundary(GINIBRE, 256), (-3.0, 1.0, 8))
