@@ -42,6 +42,7 @@ from .special import (
     gauss_gamma,
     hard_edge_H,
     hard_edge_H_scaled,
+    hard_edge_H_scaled_grid,
     hermite_scaled,
     mittag_leffler_kernel_eval,
     plasma_F,
@@ -194,6 +195,9 @@ class _Profile:
     def scaled(self, v):  # Phi(v) exp(-Im(v)^2 / 2)
         raise NotImplementedError
 
+    def scaled_grid(self, re, im):  # scaled(re[:, None] + 1j * im[None, :])
+        return self.scaled(np.add.outer(re, 1j * im))
+
     def diag(self, s: float) -> float:  # Phi(s), real s
         raise NotImplementedError
 
@@ -246,6 +250,9 @@ class _HardEdgeProfile(_Profile):
 
     def scaled(self, v):
         return np.atleast_1d(hard_edge_H_scaled(np.asarray(v, dtype=complex)))
+
+    def scaled_grid(self, re, im):
+        return hard_edge_H_scaled_grid(re, im)
 
     def diag(self, s):
         return float(hard_edge_H(complex(s)).real)
@@ -458,7 +465,9 @@ def _ti_plane_integral(profile: _Profile, z: complex, w: complex, kind: str,
             edges = [bmin[:, None] + 1.0, bmin[:, None] + 3.0, 7.0, _B_CORE]
             center = yz
         else:
-            bmin = np.zeros(a_sel.shape)
+            # every strip column has the same half-line rule, so one row of
+            # offsets serves them all and Phi is taken on the (a, b) grid
+            bmin = np.zeros(1)
             edges = [dy + 2.0, dy + 6.0, dy + 11.0, _B_CORE]
             center = ymid
         offs, wb = _half_lines(bmin, edges, n_panel, n_tail)
@@ -478,16 +487,31 @@ def _ti_plane_integral(profile: _Profile, z: complex, w: complex, kind: str,
 
 
 def _ti_integrand(profile, z, w, a, b, kind, r0):
+    """Integrand at ``t = a + ib`` for a column ``a`` of shape (n, 1).
+
+    ``b`` is either (n, m), one row of Im t per column, or (1, m), one row
+    shared by every column; then ``Re v`` and ``Im v`` vary along separate
+    axes and Phi is evaluated on that tensor grid.
+    """
     xz, yz, xw, yw = z.real, z.imag, w.real, w.imag
-    v1 = (a + xz) + 1j * (b - yz)
+
+    def phi(re, im):
+        if im.shape[0] == 1:
+            return profile.scaled_grid(re[:, 0], im[0])
+        return profile.scaled(re + 1j * im)
+
+    phi1 = phi(a + xz, b - yz)
     if kind == "cauchy":
-        dens = np.exp(-((a - xz) ** 2)) * np.abs(profile.scaled(v1)) ** 2 / r0
+        dens = np.exp(-((a - xz) ** 2)) * np.abs(phi1) ** 2 / r0
         dx, dyy = xz - a, yz - b
         return dens * (dx - 1j * dyy) / (dx * dx + dyy * dyy)
-    v2 = (xw + a) + 1j * (yw - b)
+    if z == w:
+        # v2 = conj(v1) and theta = 0, so Phi(v1) Phi(v2) = |Phi(v1)|^2
+        return np.exp(-((a - xz) ** 2)) * np.abs(phi1) ** 2
+    phi2 = phi(xw + a, yw - b)
     mag = np.exp(-0.5 * (a - xz) ** 2 - 0.5 * (a - xw) ** 2)
     theta = b * xz - a * yz + yw * a - xw * b
-    return mag * np.exp(1j * theta) * profile.scaled(v1) * profile.scaled(v2)
+    return mag * np.exp(1j * theta) * phi1 * phi2
 
 
 def _polar_core(profile, z, rho, quad, r0):

@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc, erfcx, gammaln
+from scipy.special import erfc, erfcx, gammainc
 
 __all__ = [
     "SeriesNotConverged",
@@ -33,6 +33,7 @@ __all__ = [
     "conv_indicator_scaled",
     "hard_edge_H",
     "hard_edge_H_scaled",
+    "hard_edge_H_scaled_grid",
     "hermite_prob",
     "hermite_scaled",
     "hermite_scaled_pair",
@@ -194,6 +195,7 @@ def conv_indicator_scaled(z, interval):
 
 _H_TAIL_SPLIT = 12.0
 _H_RULE_CAP = 4096
+_H_ASYMPTOTIC_IM = 21.0  # |Im| from which the asymptotic branch may apply
 
 # Coefficients of the large-|Im| expansion H(u) ~ gamma(u) * sum a_k / u^(k+1),
 # the Taylor coefficients (times k!) of exp(-s^2/2)/F(-s) at s = 0.
@@ -214,31 +216,50 @@ _H_ASYMPTOTIC_A = np.array(
 )
 
 
+def _hard_edge_rule_size(im):
+    """Gauss-Legendre nodes the quadrature branch needs at each ``|Im u|``."""
+    return np.maximum(96, 16 + 8 * np.ceil(np.minimum(im, 1e9)).astype(int))
+
+
 @lru_cache(maxsize=32)
 def _hard_edge_rule(n_nodes):
-    """Gauss-Legendre rule on [-split, 0] with 1/F(t) folded into weights."""
+    """Gauss-Legendre rule on [-split, 0] with 1/(sqrt(2 pi) F(t)) folded into weights."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     t = 0.5 * _H_TAIL_SPLIT * (x - 1.0)
     w = 0.5 * _H_TAIL_SPLIT * w
     f = np.real(plasma_F(t.astype(complex)))
-    return t, w / f
+    return t, INV_SQRT_2PI * w / f
+
+
+def _hard_edge_gauss(x, n_nodes):
+    """Offsets ``d = x - t`` from the nodes and the weighted ``w_t exp(-d^2/2)``.
+
+    With ``u = x + iy``, ``Gamma(u - t) exp(-y^2/2) = exp(-d^2/2 - iyd) / sqrt(2 pi)``:
+    the quadrature branch is ``sum_t gauss[x, t] exp(-iy d[x, t])`` plus the tail.
+    """
+    t, wf = _hard_edge_rule(n_nodes)
+    d = x[:, None] - t
+    return d, wf * np.exp(-0.5 * d * d)
+
+
+def _hard_edge_tail(u, deriv):
+    """Scaled contribution of the far tail (-inf, -split], where 1/F = 1."""
+    tail = u + _H_TAIL_SPLIT
+    if deriv == 0:
+        return plasma_F_scaled(tail)
+    gt = INV_SQRT_2PI * np.exp(-0.5 * tail.real**2) * np.exp(-1j * tail.imag * tail.real)
+    return ((-1) ** deriv) * hermite_prob(deriv - 1, tail) * gt
 
 
 def _hard_edge_quad(u, n_nodes, deriv):
     """Quadrature branch of :func:`hard_edge_H_scaled` with one rule size."""
-    t, wf = _hard_edge_rule(n_nodes)
-    d = u[:, None] - t[None, :]
-    g = INV_SQRT_2PI * np.exp(-0.5 * d.real**2) * np.exp(-1j * d.imag * d.real)
+    d, gauss = _hard_edge_gauss(u.real, n_nodes)
+    phase = np.exp(-1j * u.imag[:, None] * d)
     if deriv > 0:
-        g = g * ((-1) ** deriv) * hermite_prob(deriv, d)
+        phase = phase * ((-1) ** deriv) * hermite_prob(deriv, d + 1j * u.imag[:, None])
     # a row-wise sum, unlike a BLAS product, gives each point the same bits
     # whatever batch it comes in
-    acc = np.einsum("ij,j->i", g, wf)
-    tail = u + _H_TAIL_SPLIT
-    if deriv == 0:
-        return acc + plasma_F_scaled(tail)
-    gt = INV_SQRT_2PI * np.exp(-0.5 * tail.real**2) * np.exp(-1j * tail.imag * tail.real)
-    return acc + ((-1) ** deriv) * hermite_prob(deriv - 1, tail) * gt
+    return np.einsum("pt,pt->p", gauss, phase) + _hard_edge_tail(u, deriv)
 
 
 def hard_edge_H_scaled(z, deriv=0):
@@ -248,8 +269,9 @@ def hard_edge_H_scaled(z, deriv=0):
     negative half line.  The integral over ``(-split, 0]`` is evaluated by
     Gauss-Legendre quadrature with ``1/F`` folded into the weights; on the
     far tail ``1/F`` is within 1e-33 of 1, so that piece contributes the
-    exactly-known term ``F(z + split)``.  Far from the real axis the
-    quadrature is replaced by an asymptotic expansion in ``1/z``.
+    exactly-known term ``F(z + split)``.  Far from the real axis
+    (``|Im z| >= 21`` and ``Im(z)^2 >= Re(z)^2 + 46``) the quadrature is
+    replaced by an asymptotic expansion in ``1/z``.
 
     ``deriv=k`` returns the k-th derivative times the same scaling (only
     supported on the quadrature branch, which covers ``|Im z| < 21``).
@@ -257,21 +279,22 @@ def hard_edge_H_scaled(z, deriv=0):
     zz, scalar = _as_complex_array(z)
     out = np.empty(zz.shape, dtype=complex)
     x, y = zz.real, zz.imag
-    asym = (np.abs(y) >= 21.0) & (y * y >= x * x + 46.0) & (deriv == 0)
+    asym = (np.abs(y) >= _H_ASYMPTOTIC_IM) & (y * y >= x * x + 46.0) & (deriv == 0)
     quad = ~asym
     if np.any(quad):
         u = zz[quad]
         im = np.abs(u.imag)
         # each point gets the rule its own |Im| needs, not the batch maximum
-        need = np.maximum(96, 16 + 8 * np.ceil(np.minimum(im, 1e9)).astype(int))
-        n_max = int(need.max())
+        need = _hard_edge_rule_size(im)
+        sizes = np.unique(need)
+        n_max = int(sizes[-1])
         if n_max > _H_RULE_CAP:
             raise QuadratureNotConverged(
                 f"hard_edge_H needs {n_max} nodes (cap {_H_RULE_CAP}) at "
                 f"|Im z| = {float(np.max(im)):.1f}; the asymptotic branch does not apply"
             )
         acc = np.empty(u.shape, dtype=complex)
-        for n_nodes in np.unique(need):
+        for n_nodes in sizes:
             sel = need == n_nodes
             acc[sel] = _hard_edge_quad(u[sel], int(n_nodes), deriv)
         out[quad] = acc
@@ -288,14 +311,52 @@ def hard_edge_H_scaled(z, deriv=0):
     return _restore(out, scalar)
 
 
+def hard_edge_H_scaled_grid(x, y):
+    """``hard_edge_H_scaled(x[:, None] + 1j * y[None, :])`` on a tensor grid.
+
+    On the quadrature branch the phase of each node splits,
+    ``exp(-iy(x - t)) = exp(-ixy) exp(iyt)``, so the sum over the nodes (see
+    ``_hard_edge_gauss``) is one ``(Nx, Nt) x (Nt, Ny)`` product per rule
+    size and costs ``(Nx + Ny) Nt`` exponentials instead of ``2 Nx Ny Nt``.
+    Columns with ``|y| >= 21`` go through :func:`hard_edge_H_scaled` itself,
+    with its asymptotic switch and rule cap.  The sum is a fixed-order
+    ``einsum``, not BLAS, so the values do not depend on the thread count.
+    They differ from the pointwise ones only by the rounding of the split
+    phase: at most 3.7e-15 absolute on 43,000 random points with
+    ``Re in [-14, 2]``, ``|Im| <= 30``.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = np.empty((x.size, y.size), dtype=complex)
+    far = np.abs(y) >= _H_ASYMPTOTIC_IM
+    if np.any(far):
+        out[:, far] = hard_edge_H_scaled(x[:, None] + 1j * y[far])
+    near = ~far
+    need = _hard_edge_rule_size(np.abs(y))
+    for n_nodes in np.unique(need[near]):
+        sel = near & (need == n_nodes)
+        t = _hard_edge_rule(int(n_nodes))[0]
+        _, gauss = _hard_edge_gauss(x, int(n_nodes))
+        out[:, sel] = np.einsum("xt,yt->xy", gauss, np.exp(1j * np.multiply.outer(y[sel], t)))
+    if np.any(near):
+        u = x[:, None] + 1j * y[near]
+        out[:, near] = np.exp(-1j * x[:, None] * y[near]) * out[:, near] + _hard_edge_tail(u, 0)
+    return out
+
+
 def hard_edge_H(z, deriv=0):
     """Hard-edge plasma function ``H(z)`` (Gaussian convolved with 1/F on R-).
 
-    Absolute error <= 1e-9 for real z in the envelope Re z <= 10; off the
-    real axis the *relative* error stays ~1e-13 but H itself grows like
-    ``exp(Im(z)^2 / 2)``, so the absolute error grows with it.  Real and
-    strictly positive on the real axis.  ``deriv=k`` returns the k-th
-    derivative.
+    Absolute error <= 1e-9 for real z in the envelope Re z <= 10.  Off the
+    real axis the error is absolute on the scaled form: against 40-digit
+    ``mpmath.quad`` values, :func:`hard_edge_H_scaled` and
+    :func:`hard_edge_H_scaled_grid` stay within 4e-14 of ``H_s`` on
+    ``Re z in [-10.5, 0.5]``, ``|Im z| <= 25`` (400 random points and a
+    tensor grid across ``|Im z| = 21``; the tests bound it by 1e-13).  The
+    error of H is that times ``exp(Im(z)^2 / 2)``, and the relative error
+    is of order one where ``|H_s|`` is near 1e-15 (at -7.951+17.186i, say).
+    Real and strictly positive on the real axis.  ``deriv=k`` returns the
+    k-th derivative.
 
     Raises
     ------
@@ -450,7 +511,7 @@ def mittag_leffler_kernel_eval(lam, z):
 
 
 # --------------------------------------------------------------------------
-# lower incomplete gamma (integer shape) via Poisson sums in log space
+# lower incomplete gamma (integer shape)
 # --------------------------------------------------------------------------
 
 _GAMMA_MAX_SHAPE = 10**6
@@ -459,8 +520,16 @@ _GAMMA_MAX_SHAPE = 10**6
 def lower_inc_gamma_log(s, x):
     """``log`` of the lower incomplete gamma ``gamma(s, x)``, integer s >= 1.
 
-    Uses ``gamma(s, x) = (s-1)! P(Poisson(x) >= s)`` with the survival
-    probability summed directly in log space; stable for s and x up to 1e6.
+    At and above the mean (``x >= s``) this is ``log P(s, x) + log Gamma(s)``
+    with scipy's regularized ``gammainc``, which stays within 5e-15 relative
+    there.  Below the mean ``P`` underflows where x << s, so the value is
+    ``s log x - x + log sum_j x^j / (s (s+1) ... (s+j))``: the Poisson sum
+    ``(s-1)! P(Poisson(x) >= s)`` with its term ratios accumulated in log
+    space.  The terms fall below ``exp(-800)`` of the first within
+    ``40 sqrt(s) + 60`` of them, so the work is O(sqrt s) whatever x.
+    Against 40-digit mpmath at s in {1, 10, 1000, 10^6}, on both sides of
+    the mean, the absolute error of the log is at most
+    ``2.5e-16 max(1, |log gamma(s, x)|)`` (the tests bound it by 1e-14).
     """
     if s < 1 or s > _GAMMA_MAX_SHAPE:
         raise ValueError(f"shape must be an integer in [1, {_GAMMA_MAX_SHAPE}], got {s}")
@@ -468,14 +537,11 @@ def lower_inc_gamma_log(s, x):
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
         return -math.inf
-    # survival terms k = s, s+1, ...: the sequence peaks near k ~ x and then
-    # decays super-geometrically; go far enough past both s and the peak.
-    k_hi = int(max(s, x) + 40.0 * math.sqrt(max(s, x)) + 60)
-    k = np.arange(s, k_hi + 1, dtype=float)
-    log_pmf = k * math.log(x) - x - gammaln(k + 1.0)
-    peak = float(np.max(log_pmf))
-    log_surv = peak + math.log(float(np.sum(np.exp(log_pmf - peak))))
-    return math.lgamma(s) + min(log_surv, 0.0)
+    if x >= s:
+        return math.log(gammainc(s, x)) + math.lgamma(s)
+    j = np.arange(1.0, int(40.0 * math.sqrt(s) + 60))
+    log_terms = np.cumsum(np.log(x / (s + j)))
+    return s * math.log(x) - x - math.log(s) + math.log(1.0 + float(np.sum(np.exp(log_terms))))
 
 
 def lower_inc_gamma(s, x):

@@ -16,6 +16,8 @@ from plasma_kernel.special import (
     erfcx_cpx,
     gauss_gamma,
     hard_edge_H,
+    hard_edge_H_scaled,
+    hard_edge_H_scaled_grid,
     hermite_prob,
     hermite_scaled_pair,
     lower_inc_gamma,
@@ -220,6 +222,54 @@ def test_hard_edge_H_derivatives_match_finite_differences():
         assert_allclose(d2, fd2, rtol=1e-8, atol=1e-10)
 
 
+# Oracle rows and columns: Re on both sides of the Gaussian peak, Im on both
+# sides of |Im| = 21 and of Im^2 = Re^2 + 46 (7.4 and 12.6 straddle it for
+# Re = -1, -4 and -10.5), where the asymptotic branch may take over.
+H_GRID_RE = np.array([-10.5, -7.951, -4.0, -1.0, 0.3, 0.5])
+H_GRID_IM = np.array([0.0, 7.4, 12.6, 17.186, -20.9, 20.999, 21.0, -21.3, 25.0])
+
+
+def _mp_H_scaled_grid(re, im):
+    """``H(u) exp(-Im(u)^2/2)`` at 40 digits by ``mpmath.quad``.
+
+    ``H = F + Gamma * (1/F - 1)`` on the negative half line; the correction
+    ``1/F(t) - 1 = erfc(-t/sqrt2) / (2 - erfc(-t/sqrt2))`` is below 1e-44 for
+    ``t < -14``, so its integral runs over [-14, 0] in unit panels.  The
+    panel nodes are the same for every point, so the correction is cached.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    out = np.empty((re.size, im.size), dtype=complex)
+    with mpmath.workdps(40):
+        r2 = mpmath.sqrt(2)
+        panels = mpmath.linspace(-14, 0, 15)
+        corr = {}
+
+        def correction(t):
+            if t not in corr:
+                e = mpmath.erfc(-t / r2)
+                corr[t] = e / (2 - e)
+            return corr[t]
+
+        for i, x in enumerate(re):
+            for j, y in enumerate(im):
+                x_, y_ = mpmath.mpf(float(x)), mpmath.mpf(float(y))
+                f_s = mpmath.erfc(mpmath.mpc(x_, y_) / r2) / 2 * mpmath.exp(-y_**2 / 2)
+                integral = mpmath.quad(
+                    lambda t: mpmath.exp(-(x_ - t) ** 2 / 2 - 1j * y_ * (x_ - t)) * correction(t),
+                    panels, method="gauss-legendre")
+                out[i, j] = complex(f_s + integral / mpmath.sqrt(2 * mpmath.pi))
+    return out
+
+
+def test_hard_edge_H_scaled_against_mpmath_grid():
+    # documented envelope: |error of H_s| <= 1e-13 on Re in [-10.5, 0.5],
+    # |Im| <= 25, for the pointwise function and the tensor-grid entry
+    ref = _mp_H_scaled_grid(H_GRID_RE, H_GRID_IM)
+    u = H_GRID_RE[:, None] + 1j * H_GRID_IM[None, :]
+    assert np.max(np.abs(hard_edge_H_scaled(u.ravel()).reshape(u.shape) - ref)) <= 1e-13
+    assert np.max(np.abs(hard_edge_H_scaled_grid(H_GRID_RE, H_GRID_IM) - ref)) <= 1e-13
+
+
 # --------------------------------------------------------------------------
 # Hermite polynomials
 # --------------------------------------------------------------------------
@@ -315,3 +365,36 @@ def test_lower_inc_gamma_monotone_in_x():
     values = [lower_inc_gamma(4, x) for x in (0.5, 1.0, 2.0, 5.0, 50.0)]
     assert np.all(np.diff(values) > 0)
     assert values[-1] == pytest.approx(math.gamma(4), rel=1e-12)
+
+
+def _mp_lower_inc_gamma_log(s, x):
+    """``log gamma(s, x)`` at 40 digits; above the mean as Gamma(s) - Gamma(s, x)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        if x < s:
+            return mpmath.log(mpmath.gammainc(s, 0, x))
+        return mpmath.log(mpmath.gamma(s) - mpmath.gammainc(s, x, mpmath.inf))
+
+
+@pytest.mark.parametrize("s", [1, 10, 1000, 10**6])
+def test_lower_inc_gamma_log_against_mpmath(s):
+    # documented envelope: |error of the log| <= 1e-14 max(1, |log gamma|),
+    # on both sides of the mean; gamma itself to 1e-12 relative where finite
+    r = math.sqrt(s)
+    for x in (1e-300, 1e-3, 0.5 * s, s - 5 * r, s - r, s - 0.5, s,
+              s + 0.5, s + r, s + 5 * r, 2.0 * s, 1e4 * s):
+        if x <= 0.0:
+            continue
+        ref = float(_mp_lower_inc_gamma_log(s, float(x)))
+        value = lower_inc_gamma_log(s, float(x))
+        assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (s, x)
+        if abs(ref) < 700.0:
+            assert_allclose(lower_inc_gamma(s, float(x)), math.exp(ref), rtol=1e-12)
+
+
+def test_lower_inc_gamma_log_far_above_the_mean():
+    # the summation range no longer grows with x: x = 1e12 used to ask for
+    # an array of 1e12 Poisson terms
+    assert lower_inc_gamma_log(1, 1e12) == 0.0
+    ref = float(_mp_lower_inc_gamma_log(10**6, 1e12))
+    assert abs(lower_inc_gamma_log(10**6, 1e12) - ref) <= 1e-14 * abs(ref)
