@@ -31,6 +31,7 @@ from .finite_n import (
     DivisionNearZero,
     Potential,
     RescaleFrame,
+    _check_kernel_n,
     exp_section,
     rescaled_kernel,
 )
@@ -252,17 +253,18 @@ def _slug(text: str) -> str:
 def cmd_eval(args) -> int:
     axis = parse_grid(args.grid)
     zs = axis[None, :] + 1j * axis[:, None]
+    extra = {}
     if args.limit:
         spec = parse_spec(args.limit)
         values = np.array([[one_point(spec, z) for z in row] for row in zs], dtype=complex)
         tag = _slug(args.limit)
         config = {"mode": "limit", "spec": args.limit, "grid": args.grid}
     else:
+        _check_kernel_n(args.n)
         pot = parse_pot(args.finite)
         frame = _make_frame(pot, args.n, args.frame)
-        values = np.array(
-            [[rescaled_kernel(pot, frame, z, z) for z in row] for row in zs]
-        )
+        values, tails = rescaled_kernel(pot, frame, zs, zs, return_bound=True)
+        extra["tail_bound"] = float(tails.max())
         tag = f"{_slug(args.finite)}-n{args.n}-{args.frame}"
         config = {"mode": "finite", "pot": args.finite, "n": args.n,
                   "frame": args.frame, "grid": args.grid}
@@ -280,6 +282,7 @@ def cmd_eval(args) -> int:
         "max_value": float(real_vals.max()),
         "mean_value": float(real_vals.mean()),
         "csv": os.path.basename(csv_path),
+        **extra,
     })
     return EXIT_PASS
 
@@ -496,22 +499,24 @@ def cmd_converge(args) -> int:
                     table)
         return EXIT_PASS
 
+    for n in n_list:
+        _check_kernel_n(n)
     pot = parse_pot(args.pot)
     spec = parse_spec(args.spec)
     xs = parse_grid(args.grid) if args.grid else parse_grid("-3:3:0.25")
-    rows, sups = [], {}
+    if spec.kind == "hard_edge":
+        xs = xs[xs < 0.0]
+    if not xs.size:
+        raise ValueError(f"converge grid {args.grid!r} keeps no points for {args.spec}")
+    zs = xs.astype(complex)
+    limit = [one_point(spec, z) for z in zs]
+    rows, sups, tail = [], {}, 0.0
     for n in n_list:
         frame = _make_frame(pot, n, args.frame)
-        devs = []
-        for x in xs:
-            z = complex(x)
-            if spec.kind == "hard_edge" and z.real >= 0.0:
-                continue
-            r_n = float(rescaled_kernel(pot, frame, z, z).real)
-            devs.append(abs(r_n - one_point(spec, z)))
-            rows.append((float(n), float(x), float(r_n)))
-        if not devs:
-            raise ValueError(f"converge grid {args.grid!r} keeps no points for {args.spec}")
+        r_n, tails = rescaled_kernel(pot, frame, zs, zs, return_bound=True)
+        devs = [abs(r - lim) for r, lim in zip(r_n.real, limit)]
+        rows.extend((float(n), float(x), float(r)) for x, r in zip(xs, r_n.real))
+        tail = max(tail, float(tails.max()))
         sups[str(n)] = float(max(devs))
         print(f"converge {args.pot} {args.frame} n={n}: sup |R_n - R| = {max(devs):.6f}")
     ratios = {
@@ -523,7 +528,7 @@ def cmd_converge(args) -> int:
     _write_json(_out_path(args, f"converge_{tag}.json"), "converge",
                 {"pot": args.pot, "frame": args.frame, "n_list": args.n_list,
                  "spec": args.spec, "grid": args.grid},
-                {"sup_errors": sups, "ratios": ratios})
+                {"sup_errors": sups, "ratios": ratios, "tail_bound": tail})
     return EXIT_PASS
 
 

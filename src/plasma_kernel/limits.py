@@ -33,11 +33,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .finite_n import KernelGrid
 from .special import (
     QuadratureNotConverged,
+    _leggauss,
     conv_indicator_scaled,
     gauss_gamma,
     hard_edge_H,
@@ -373,7 +373,7 @@ _B_CORE = 16.0  # transverse extent of the linear strip panels
 
 
 def _gl_panel(n, a, b):
-    x, w = leggauss(n)
+    x, w = _leggauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -384,7 +384,7 @@ def _half_lines(bmin, edges_offsets, n_panel, n_tail):
     bmin through the fixed edges, then a tangent-map tail captures the
     algebraic decay exactly.
     """
-    xu, wu = leggauss(n_panel)
+    xu, wu = _leggauss(n_panel)
     cols = bmin.shape[0]
     prev = bmin[:, None]
     nodes, weights = [], []

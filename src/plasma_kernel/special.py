@@ -221,10 +221,19 @@ def _hard_edge_rule_size(im):
     return np.maximum(96, 16 + 8 * np.ceil(np.minimum(im, 1e9)).astype(int))
 
 
+@lru_cache(maxsize=64)
+def _leggauss(n_nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 @lru_cache(maxsize=32)
 def _hard_edge_rule(n_nodes):
     """Gauss-Legendre rule on [-split, 0] with 1/(sqrt(2 pi) F(t)) folded into weights."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _leggauss(n_nodes)
     t = 0.5 * _H_TAIL_SPLIT * (x - 1.0)
     w = 0.5 * _H_TAIL_SPLIT * w
     f = np.real(plasma_F(t.astype(complex)))

@@ -148,6 +148,18 @@ def test_empty_point_set_is_usage_error(tmp_path, capsys, argv, named):
     assert not list(tmp_path.glob("*.json"))
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (["eval", "--finite", "ginibre", "--n", "0"], 0),
+    (["eval", "--finite", "ginibre", "--n", "-5"], -5),
+    (["eval", "--finite", "ginibre", "--n", "2000000"], 2000000),
+    (["converge", "--n-list", "0,64"], 0),
+], ids=["eval-zero", "eval-negative", "eval-huge", "converge-zero"])
+def test_kernel_n_out_of_range_is_named(tmp_path, capsys, argv, bad):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"need 1 <= n <= 1048576, got {bad}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_spec_is_usage_error(tmp_path):
     assert main(["verify", "mass-one", "--spec", "nonsense",
                  "--out", str(tmp_path)]) == 2
@@ -190,6 +202,21 @@ def test_eval_grid_artifacts(tmp_path):
 def test_eval_finite_n(tmp_path):
     assert main(["eval", "--finite", "ginibre", "--n", "64",
                  "--grid", "-1:0:0.5", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--finite", "hard-edge", "--n", "4096", "--grid", "-2:1:0.5"],
+    ["converge", "--pot", "ginibre", "--n-list", "256,4096", "--grid", "-2:2:1"],
+], ids=["eval", "converge"])
+def test_finite_n_artifacts_report_tail_bound(tmp_path, argv):
+    # the kernel's truncated index range reports its bound, deterministically
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(argv + ["--out", str(out1)]) == 0
+    assert main(argv + ["--out", str(out2)]) == 0
+    for name in sorted(p.name for p in out1.iterdir()):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    results = json.loads(next(out1.glob("*.json")).read_text())["results"]
+    assert 0.0 < results["tail_bound"] <= 1e-17
 
 
 def test_artifacts_byte_identical_across_runs(tmp_path):

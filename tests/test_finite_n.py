@@ -1,12 +1,15 @@
 """Finite-n kernels, rescaling frames, and exponential sections."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import gammainc
 
+from plasma_kernel import finite_n
 from plasma_kernel.finite_n import (
     KERNEL_MAX_N,
     DivisionNearZero,
@@ -101,6 +104,27 @@ def test_poly_norm_sq_hard_edge_matches_poisson_sum():
         assert_allclose(poly_norm_sq(HARD, n, j), ref, rtol=1e-12)
 
 
+def test_poly_norm_sq_hard_edge_at_largest_n():
+    # the hard-edge norms take scipy's gammainc at or above the mean, which
+    # keeps full accuracy even at n = 2^20
+    mpmath = pytest.importorskip("mpmath")
+    n = 2**20
+    for j in (0, n // 2, n - 2, n - 1):
+        with mpmath.workdps(40):
+            # P(Poisson(n) <= j), summed down from k = j until the terms
+            # fall below 1e-45 of the sum
+            term = mpmath.exp(j * mpmath.log(n) - n - mpmath.loggamma(j + 1))
+            cdf, k = term, j
+            while k > 0 and term > 1e-45 * cdf:
+                term *= mpmath.mpf(k) / n
+                cdf += term
+                k -= 1
+            lower = 1 - cdf
+            ref = mpmath.loggamma(j + 1) + mpmath.log(lower) - (j + 1) * mpmath.log(n)
+        assert abs(gammainc(j + 1.0, n) / float(lower) - 1.0) <= 5e-15
+        assert_allclose(poly_norm_sq(HARD, n, j), float(ref), rtol=1e-14)
+
+
 def test_poly_norm_sq_guards():
     with pytest.raises(ValueError):
         poly_norm_sq(GINIBRE, 4, 4)
@@ -184,9 +208,158 @@ def test_kernel_total_mass():
     assert_allclose(total, n, rtol=1e-10)
 
 
+def test_kernel_far_outside_underflows_to_zero():
+    # n |zeta eta|^lam overflows there; every term underflows, so K is 0
+    for pot in (GINIBRE, POWER2):
+        vals = kernel_finite_n(pot, 1024, np.array([1e200, 1e200, 0.5]),
+                               np.array([1e200, 0.5, 0.5]))
+        assert vals[0] == 0.0 and vals[1] == 0.0 and vals[2] != 0.0
+
+
 def test_kernel_size_guard():
     with pytest.raises(ValueError):
         kernel_finite_n(GINIBRE, KERNEL_MAX_N + 1, 0.0, 0.0)
+
+
+# --------------------------------------------------------------------------
+# the O(sqrt(n)) window against 40-digit mpmath
+# --------------------------------------------------------------------------
+
+
+def _mp_terms(mpmath, pot, n, zeta, eta):
+    """Every term of K_n(zeta, eta) at 40 digits, by exact recurrences."""
+    z, e = mpmath.mpc(zeta), mpmath.mpc(eta)
+    u, big_n = z * mpmath.conj(e), mpmath.mpf(n)
+    if u.imag == 0:
+        u = u.real  # real arithmetic on the diagonal is twice as fast
+    lam = 2 if pot.kind == "power" else 1
+    weight = mpmath.exp(-big_n * (abs(z) ** (2 * lam) + abs(e) ** (2 * lam)) / 2)
+    if lam == 2:
+        # t_j = u^j 2 n^s / Gamma(s), s = (j+1)/2, and Gamma(s+1) = s Gamma(s)
+        chain = [2 * mpmath.sqrt(big_n) / mpmath.gamma(0.5) * weight, 2 * big_n * u * weight]
+        step = 2 * big_n * u * u
+        for j in range(n):
+            if j >= 2:
+                chain[j % 2] *= step / (j - 1)
+            yield chain[j % 2]
+        return
+    # hard edge: ||z^j||^2 = j!/n^(j+1) P(Poisson(n) >= j+1)
+    surv = _mp_poisson_survival(n) if pot.kind == "hard_edge" else None
+    t, step = big_n * weight, big_n * u
+    for j in range(n):
+        if j:
+            t *= step / j
+        yield t / surv[j] if surv else t
+
+
+@functools.lru_cache(maxsize=4)
+def _mp_poisson_survival(n):
+    """P(Poisson(n) >= j+1) for j = 0 .. n-1 at 40 digits."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        big_n = mpmath.mpf(n)
+        p = cdf = mpmath.exp(-big_n)
+        out = [1 - cdf]
+        for j in range(1, n):
+            p *= big_n / j
+            cdf += p
+            out.append(1 - cdf)
+    return out
+
+
+def _mp_kernel(mpmath, pot, n, zeta, eta):
+    if pot.kind == "ginibre":
+        # closed form: n e^(nu - n(|z|^2+|e|^2)/2) Q(n, nu) with u = z conj(e)
+        z, e, big_n = mpmath.mpc(zeta), mpmath.mpc(eta), mpmath.mpf(n)
+        nu = big_n * z * mpmath.conj(e)
+        return (big_n * mpmath.exp(nu - big_n * (abs(z) ** 2 + abs(e) ** 2) / 2)
+                * mpmath.gammainc(big_n, nu, mpmath.inf, regularized=True))
+    return mpmath.fsum(_mp_terms(mpmath, pot, n, zeta, eta))
+
+
+ORACLE_CASES = [
+    (pot, n, z, w)
+    for pot, ns in ((GINIBRE, (2**10, 2**16, 2**20)), (POWER2, (2**10, 2**16)),
+                    (HARD, (2**10, 2**16)))
+    for n in ns
+    for z, w in ((-2.0, -1.0 + 0.7j), (-0.5 - 0.5j, 0.5 + 1.0j))[: 2 if pot is GINIBRE else 1]
+]
+
+
+@pytest.mark.parametrize(
+    "pot,n,z,w", ORACLE_CASES,
+    ids=[f"{pot.kind}-{n}-{k}" for k, (pot, n, _, _) in enumerate(ORACLE_CASES)])
+def test_kernel_against_mpmath(pot, n, z, w):
+    # boundary-frame points, given to both sides as the same doubles: relative
+    # error on the diagonal, and |K - K_ref| / sqrt(K(z,z) K(w,w)) off it
+    mpmath = pytest.importorskip("mpmath")
+    frame = RescaleFrame.boundary(pot, n)
+    zeta, eta = complex(frame.to_global(z)), complex(frame.to_global(w))
+    with mpmath.workdps(40):
+        ref_zz, ref_ww, ref_zw = (complex(_mp_kernel(mpmath, pot, n, a, b))
+                                  for a, b in ((zeta, zeta), (eta, eta), (zeta, eta)))
+    got = kernel_finite_n(pot, n, np.array([zeta, eta, zeta]), np.array([zeta, eta, eta]))
+    assert abs(got[0] - ref_zz) <= 1e-12 * ref_zz.real
+    assert abs(got[1] - ref_ww) <= 1e-12 * ref_ww.real
+    assert abs(got[2] - ref_zw) <= 1e-12 * math.sqrt(ref_zz.real * ref_ww.real)
+
+
+@pytest.mark.parametrize("pot", [GINIBRE, POWER2, HARD], ids=lambda p: p.kind)
+def test_tail_bound_covers_the_terms_left_out(pot):
+    # every window width, down to ones that drop real mass, reports at least
+    # the exact mass it leaves out (relative to the mass it keeps)
+    mpmath = pytest.importorskip("mpmath")
+    n = 2**10
+    frame = RescaleFrame.boundary(pot, n)
+    for z, w in ((-1.0, -1.0), (-1.5 + 0.3j, -0.5 - 0.4j)):
+        zeta, eta = complex(frame.to_global(z)), complex(frame.to_global(w))
+        with mpmath.workdps(40):
+            mags = [abs(t) for t in _mp_terms(mpmath, pot, n, zeta, eta)]
+        mu = n * (np.abs([zeta]) * np.abs([eta])) ** pot.lam
+        theta = np.zeros(1)  # the bound depends on |t_j| only
+        peak = finite_n._peak(pot, n, mu)
+        assert mags[peak[0]] == max(mags)
+        first = int(finite_n._half_width(pot, n, mu)[0])
+        for width in (1, 3, 8, 20, 40, first):
+            lo, hi = max(peak[0] - width, 0), min(peak[0] + width, n - 1)
+            with mpmath.workdps(40):
+                kept = mpmath.fsum(mags[lo:hi + 1])
+                left_out = float((mpmath.fsum(mags) - kept) / kept)
+            bound = finite_n._window(pot, n, mu, theta, peak, width)[2][0]
+            assert left_out <= bound, (width, left_out, bound)
+            assert bound <= 1e3 * max(left_out, 1e-300) or bound <= 1e-17
+        _, reported = kernel_finite_n(pot, n, zeta, eta, return_bound=True)
+        assert reported == finite_n._window(pot, n, mu, theta, peak, first)[2][0]
+        assert reported <= 1e-17
+
+
+@pytest.mark.parametrize("n", [2**10, 2**16, 2**20])
+def test_hard_edge_log_terms_are_concave(n):
+    # the bisection for the peak and the geometric tail bounds need the term
+    # ratio n|u| gamma(j+1, n) / ((j+1) gamma(j+2, n)) to fall with j; the
+    # factor n|u| is common, so check the rest over every j
+    j = np.arange(n - 1, dtype=float)
+    mass = gammainc(np.arange(n) + 1.0, n)  # gamma(j+1, n) / j! for j < n
+    ratio = mass[:-1] / ((j + 1.0) * mass[1:])
+    assert np.all(np.diff(ratio) < 0.0)
+
+
+def test_array_call_matches_pointwise_calls_bitwise():
+    pts = random_complex(24, 1.6)
+    z = pts[:12]
+    w = np.concatenate([pts[:6], pts[12:18]])  # half diagonal, half not
+    for pot in (GINIBRE, POWER2, HARD):
+        for n in (1, 7, 4096, 2**20):
+            frame = RescaleFrame.boundary(pot, n)
+            zs, ws = frame.to_local(z), frame.to_local(w)
+            vals, bounds = rescaled_kernel(pot, frame, zs, ws, return_bound=True)
+            for k in range(z.size):
+                one, one_bound = rescaled_kernel(pot, frame, complex(zs[k]), complex(ws[k]),
+                                                 return_bound=True)
+                assert np.array(one).tobytes() == vals[k].tobytes()
+                assert one_bound == bounds[k]
+            assert np.all(vals[:6].imag == 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -324,6 +497,19 @@ def test_exp_section_against_poisson_sum(n):
                 term *= m / j
                 total += term
             ref = float(total * mpmath.exp(-m))
+        assert_allclose(exp_section(n, float(x)), ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2**19, 10**6])
+def test_exp_section_at_largest_n(n):
+    # up to the largest n exp_section accepts; the 40-digit regularized upper
+    # incomplete gamma matches the exact Poisson sum to 30 digits at n = 2^20,
+    # x = -3.  scipy stays accurate here, at |x| <= 3
+    mpmath = pytest.importorskip("mpmath")
+    for x in np.linspace(-3.0, 3.0, 13):
+        mu = n + math.sqrt(n) * float(x)
+        with mpmath.workdps(40):
+            ref = float(mpmath.gammainc(n, mpmath.mpf(mu), mpmath.inf, regularized=True))
         assert_allclose(exp_section(n, float(x)), ref, rtol=1e-12)
 
 

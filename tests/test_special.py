@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from plasma_kernel import special
 from plasma_kernel.special import (
     ERFC_ENVELOPE_RADIUS,
     HERMITE_MAX_DEGREE,
@@ -398,3 +399,15 @@ def test_lower_inc_gamma_log_far_above_the_mean():
     assert lower_inc_gamma_log(1, 1e12) == 0.0
     ref = float(_mp_lower_inc_gamma_log(10**6, 1e12))
     assert abs(lower_inc_gamma_log(10**6, 1e12) - ref) <= 1e-14 * abs(ref)
+
+
+def test_gauss_legendre_rules_are_cached_read_only():
+    # the plane quadrature and H share one cached rule per size, so no
+    # caller may write into it
+    x, w = special._leggauss(96)
+    assert special._leggauss(96)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    ref_x, ref_w = np.polynomial.legendre.leggauss(96)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
