@@ -61,8 +61,6 @@ from .sampler import (
 from .special import (
     QuadratureNotConverged,
     SeriesNotConverged,
-    hard_edge_H,
-    mittag_leffler_kernel_eval,
     plasma_F,
 )
 
@@ -256,7 +254,7 @@ def cmd_eval(args) -> int:
     extra = {}
     if args.limit:
         spec = parse_spec(args.limit)
-        values = np.array([[one_point(spec, z) for z in row] for row in zs], dtype=complex)
+        values = one_point(spec, zs).astype(complex)
         tag = _slug(args.limit)
         config = {"mode": "limit", "spec": args.limit, "grid": args.grid}
     else:
@@ -399,9 +397,13 @@ def _verify_inequalities(args) -> tuple:
 def _verify_positivity(args, spec) -> tuple:
     if args.sets < 1:
         raise ValueError(f"positivity needs --sets >= 1, got {args.sets}")
-    count = 8
-    if args.points and args.points.startswith("random:"):
-        count = int(args.points.split(":", 1)[1])
+    kind, _, text = (args.points or "random:8").partition(":")
+    if kind != "random":
+        raise ValueError(f"positivity draws its points: --points must be random:N, "
+                         f"got {args.points!r}")
+    count = int(text)
+    if not 1 <= count <= 32:
+        raise ValueError(f"positivity needs random:N with 1 <= N <= 32, got N = {count}")
     rng = np.random.default_rng(args.seed)
     worst = math.inf
     rows = []
@@ -509,16 +511,16 @@ def cmd_converge(args) -> int:
     if not xs.size:
         raise ValueError(f"converge grid {args.grid!r} keeps no points for {args.spec}")
     zs = xs.astype(complex)
-    limit = [one_point(spec, z) for z in zs]
+    limit = one_point(spec, zs)
     rows, sups, tail = [], {}, 0.0
     for n in n_list:
         frame = _make_frame(pot, n, args.frame)
         r_n, tails = rescaled_kernel(pot, frame, zs, zs, return_bound=True)
-        devs = [abs(r - lim) for r, lim in zip(r_n.real, limit)]
+        sup = float(np.max(np.abs(r_n.real - limit)))
         rows.extend((float(n), float(x), float(r)) for x, r in zip(xs, r_n.real))
         tail = max(tail, float(tails.max()))
-        sups[str(n)] = float(max(devs))
-        print(f"converge {args.pot} {args.frame} n={n}: sup |R_n - R| = {max(devs):.6f}")
+        sups[str(n)] = sup
+        print(f"converge {args.pot} {args.frame} n={n}: sup |R_n - R| = {sup:.6f}")
     ratios = {
         f"{a}->{b}": sups[str(a)] / sups[str(b)]
         for a, b in zip(n_list, n_list[1:])
@@ -541,30 +543,21 @@ def cmd_sample(args) -> int:
     pot = parse_pot(args.pot)
     cfg = SampleConfig(pot=pot, n=args.n, trials=args.trials, seed=args.seed)
     threads = max(1, args.threads)
+    # the target is R of the limit: M_lam(s^2) e^(-s^(2 lam)), F(2x) or H(2x) 1{x<0}
     if args.frame == "singularity":
         lo, hi = (0.0, 4.0)
         if args.window:
             lo, hi = (float(p) for p in args.window.split(":"))
+        spec = LimitKernelSpec.mittag_leffler(pot.lam if pot.kind == "power" else 1.0)
         hist = bulk_singularity_profile(cfg, (lo, hi, args.bins), threads=threads)
-        lam = pot.lam if pot.kind == "power" else 1.0
-        target = [
-            float(mittag_leffler_kernel_eval(lam, s * s).real)
-            * math.exp(-abs(s) ** (2 * lam))
-            for s in hist.bin_centers()
-        ]
     elif args.frame == "boundary":
         lo, hi = (-3.0, 1.0)
         if args.window:
             lo, hi = (float(p) for p in args.window.split(":"))
+        spec = (LimitKernelSpec.hard_edge() if pot.kind == "hard_edge"
+                else LimitKernelSpec.free_boundary())
         frame = _make_frame(pot, args.n, "boundary")
         hist = boundary_profile(cfg, frame, (lo, hi, args.bins), threads=threads)
-        if pot.kind == "hard_edge":
-            target = [
-                float(hard_edge_H(complex(2.0 * x)).real) if x < 0 else 0.0
-                for x in hist.bin_centers()
-            ]
-        else:
-            target = [float(plasma_F(2.0 * x).real) for x in hist.bin_centers()]
     else:
         raise ValueError("sample frame must be boundary or singularity")
 
@@ -574,7 +567,7 @@ def cmd_sample(args) -> int:
         (float(e) for e in est),
         (float(s) for s in se),
     ))
-    dev = np.abs(est - np.array(target))
+    dev = np.abs(est - one_point(spec, hist.bin_centers()))
     tag = f"{_slug(args.pot)}_{args.frame}"
     _write_csv(_out_path(args, f"sample_{tag}.csv"), ("bin_center", "estimate", "stderr"), rows)
     config = {"pot": args.pot, "n": args.n, "trials": args.trials,
@@ -650,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--quad", default=None, help="r_max,nr,na")
     p_ver.add_argument("--fd-step", type=float, default=1e-3)
     p_ver.add_argument("--points", default=None,
-                       help="comma-separated complex points or random:N")
+                       help="comma-separated complex points or random:N "
+                            "(positivity: random:N only, 1 <= N <= 32)")
     p_ver.add_argument("--sets", type=int, default=100)
     p_ver.add_argument("--complementary", action="store_true")
     p_ver.add_argument("--n", type=int, default=None,

@@ -38,6 +38,7 @@ from .finite_n import KernelGrid
 from .special import (
     QuadratureNotConverged,
     _leggauss,
+    conv_indicator,
     conv_indicator_scaled,
     gauss_gamma,
     hard_edge_H,
@@ -188,7 +189,7 @@ def _report(grid: KernelGrid, residuals: np.ndarray, params: dict) -> ResidualRe
 
 
 class _Profile:
-    """Scaled boundary profile Phi and its diagonal derivatives."""
+    """Scaled boundary profile Phi and its diagonal derivatives, elementwise."""
 
     domain_left_only = False
 
@@ -198,13 +199,13 @@ class _Profile:
     def scaled_grid(self, re, im):  # scaled(re[:, None] + 1j * im[None, :])
         return self.scaled(np.add.outer(re, 1j * im))
 
-    def diag(self, s: float) -> float:  # Phi(s), real s
+    def diag(self, s):  # Phi(s), real s
         raise NotImplementedError
 
-    def diag_d1(self, s: float) -> float:
+    def diag_d1(self, s):
         raise NotImplementedError
 
-    def diag_d2(self, s: float) -> float:
+    def diag_d2(self, s):
         raise NotImplementedError
 
 
@@ -214,18 +215,10 @@ class _IntervalProfile(_Profile):
 
     def scaled(self, v):
         v = np.atleast_1d(np.asarray(v, dtype=complex))
-        out = np.zeros(v.shape, dtype=complex)
-        for interval in self.intervals:
-            out += conv_indicator_scaled(v, interval)
-        return out
+        return sum(conv_indicator_scaled(v, interval) for interval in self.intervals)
 
     def diag(self, s):
-        total = 0.0
-        for lo, hi in self.intervals:
-            upper = 1.0 if math.isinf(hi) else float(plasma_F(s - hi).real)
-            lower = 0.0 if math.isinf(lo) else float(plasma_F(s - lo).real)
-            total += upper - lower
-        return total
+        return np.real(sum(conv_indicator(s, interval) for interval in self.intervals))
 
     def _endpoint_sum(self, s, order):
         # d/ds F(s-c) chains: F' = -gamma, F'' (v) = v gamma(v)
@@ -234,7 +227,7 @@ class _IntervalProfile(_Profile):
             for c, sign in ((hi, 1.0), (lo, -1.0)):
                 if math.isinf(c):
                     continue
-                g = float(gauss_gamma(s - c).real)
+                g = np.real(gauss_gamma(s - c))
                 total += sign * (-g if order == 1 else (s - c) * g)
         return total
 
@@ -255,13 +248,13 @@ class _HardEdgeProfile(_Profile):
         return hard_edge_H_scaled_grid(re, im)
 
     def diag(self, s):
-        return float(hard_edge_H(complex(s)).real)
+        return np.real(hard_edge_H(s))
 
     def diag_d1(self, s):
-        return float(hard_edge_H(complex(s), deriv=1).real)
+        return np.real(hard_edge_H(s, deriv=1))
 
     def diag_d2(self, s):
-        return float(hard_edge_H(complex(s), deriv=2).real)
+        return np.real(hard_edge_H(s, deriv=2))
 
 
 class _ConstantProfile(_Profile):
@@ -273,13 +266,13 @@ class _ConstantProfile(_Profile):
         return self.level * np.exp(-0.5 * v.imag**2).astype(complex)
 
     def diag(self, s):
-        return self.level
+        return np.full(np.shape(s), self.level)
 
     def diag_d1(self, s):
-        return 0.0
+        return np.zeros(np.shape(s))
 
     def diag_d2(self, s):
-        return 0.0
+        return np.zeros(np.shape(s))
 
 
 def _profile_for(spec: LimitKernelSpec) -> _Profile:
@@ -297,70 +290,83 @@ def _profile_for(spec: LimitKernelSpec) -> _Profile:
 # --------------------------------------------------------------------------
 
 
-def _in_domain(spec: LimitKernelSpec, z: complex) -> bool:
-    return z.real < 0.0 if spec.kind == "hard_edge" else True
+def _flat(*points):
+    """Common shape of the broadcast ``points`` and a flat complex copy of each.
+
+    The kernels work elementwise on these, so an array call gives each point
+    the bits of a call on that point alone.
+    """
+    arrays = np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in points))
+    return arrays[0].shape, [np.ravel(a) for a in arrays]
 
 
-def limit_kernel(spec: LimitKernelSpec, z: complex, w: complex) -> complex:
-    """Limiting correlation kernel K(z, w).
+def _shaped(out, shape):
+    """``out`` in ``shape``, or as a Python scalar when ``shape`` is ()."""
+    return out.reshape(shape) if shape else out[0].item()
+
+
+def _intensity(spec: LimitKernelSpec, z):
+    """``one_point(spec, z)``, refusing points where the intensity vanishes."""
+    r = one_point(spec, z)
+    zero = np.asarray(r) < 1e-300
+    if np.any(zero):
+        bad = complex(np.ravel(z)[np.argmax(zero)])
+        raise ZeroIntensity(f"one-point function vanishes at {bad}")
+    return r
+
+
+def limit_kernel(spec: LimitKernelSpec, z, w):
+    """Limiting correlation kernel K(z, w), elementwise over broadcast z, w.
 
     Translation-invariant kernels are evaluated in the overflow-free form
-    ``exp(-(x_z-x_w)^2/2) exp(i Im(z conj w)) PhiScaled(z + conj w)``.
+    ``exp(-(x_z-x_w)^2/2) exp(i Im(z conj w)) PhiScaled(z + conj w)``.  The
+    hard-edge kernel is 0 wherever ``Re z >= 0`` or ``Re w >= 0``.
     """
-    z, w = complex(z), complex(w)
+    shape, (z, w) = _flat(z, w)
     if spec.kind == "mittag_leffler":
         lam = spec.lam
-        m = mittag_leffler_kernel_eval(lam, z * w.conjugate())
-        return m * math.exp(
-            -0.5 * (abs(z) ** (2 * lam) + abs(w) ** (2 * lam))
-        )
-    if spec.kind == "hard_edge" and not (_in_domain(spec, z) and _in_domain(spec, w)):
-        return 0.0 + 0.0j
-    profile = _profile_for(spec)
-    v = z + w.conjugate()
-    phase = (z * w.conjugate()).imag
-    mag = math.exp(-0.5 * (z.real - w.real) ** 2)
-    return mag * complex(math.cos(phase), math.sin(phase)) * complex(profile.scaled(v)[0])
+        gauss = np.exp(-0.5 * (np.abs(z) ** (2 * lam) + np.abs(w) ** (2 * lam)))
+        return _shaped(mittag_leffler_kernel_eval(lam, z * np.conj(w)) * gauss, shape)
+    out = np.zeros(z.shape, dtype=complex)
+    keep = (z.real < 0.0) & (w.real < 0.0) if spec.kind == "hard_edge" else slice(None)
+    z, w = z[keep], w[keep]
+    mag = np.exp(-0.5 * (z.real - w.real) ** 2)
+    phase = z.imag * w.real - z.real * w.imag  # Im(z conj w)
+    out[keep] = mag * np.exp(1j * phase) * _profile_for(spec).scaled(z + np.conj(w))
+    return _shaped(out, shape)
 
 
-def one_point(spec: LimitKernelSpec, z: complex) -> float:
-    """One-point function R(z) = K(z, z), real and nonnegative."""
-    z = complex(z)
+def one_point(spec: LimitKernelSpec, z):
+    """One-point function R(z) = K(z, z), real and nonnegative, elementwise.
+
+    The hard-edge intensity is 0 wherever ``Re z >= 0``.
+    """
+    shape, (z,) = _flat(z)
     if spec.kind == "mittag_leffler":
-        lam = spec.lam
-        m = mittag_leffler_kernel_eval(lam, abs(z) ** 2)
-        return float(m.real) * math.exp(-(abs(z) ** (2 * lam)))
-    if not _in_domain(spec, z):
-        return 0.0
-    return _profile_for(spec).diag(2.0 * z.real)
+        lam, r = spec.lam, np.abs(z)
+        out = np.real(mittag_leffler_kernel_eval(lam, r**2)) * np.exp(-(r ** (2 * lam)))
+    else:
+        out = np.zeros(z.shape)
+        keep = z.real < 0.0 if spec.kind == "hard_edge" else slice(None)
+        out[keep] = _profile_for(spec).diag(2.0 * z.real[keep])
+    return _shaped(out, shape)
 
 
-def berezin(spec: LimitKernelSpec, z: complex, w: complex) -> float:
-    """Berezin kernel B(z, w) = |K(z, w)|^2 / K(z, z).
+def berezin(spec: LimitKernelSpec, z, w):
+    """Berezin kernel B(z, w) = |K(z, w)|^2 / K(z, z), elementwise.
 
     Raises
     ------
     ZeroIntensity
-        If the conditioning point has vanishing intensity.
+        If the intensity vanishes at a conditioning point z; the message
+        names the first such point.
     """
-    z, w = complex(z), complex(w)
-    r = one_point(spec, z)
-    if r < 1e-300:
-        raise ZeroIntensity(f"one-point function vanishes at {z}")
-    if spec.kind == "mittag_leffler":
-        lam = spec.lam
-        m = mittag_leffler_kernel_eval(lam, z * w.conjugate())
-        m_diag = float(mittag_leffler_kernel_eval(lam, abs(z) ** 2).real)
-        return abs(m) ** 2 / m_diag * math.exp(-(abs(w) ** (2 * lam)))
-    if not _in_domain(spec, w):
-        return 0.0
-    profile = _profile_for(spec)
-    v = z + w.conjugate()
-    phi = complex(profile.scaled(v)[0])
-    return math.exp(-((z.real - w.real) ** 2)) * abs(phi) ** 2 / r
+    shape, (z, w) = _flat(z, w)
+    r = _intensity(spec, z)
+    return _shaped(np.abs(limit_kernel(spec, z, w)) ** 2 / r, shape)
 
 
-def conditional_intensity(spec: LimitKernelSpec, a: complex, z: complex) -> float:
+def conditional_intensity(spec: LimitKernelSpec, a, z):
     """Intensity at z after conditioning a particle at a: R(z) - B(a, z)."""
     return one_point(spec, z) - berezin(spec, a, z)
 
@@ -572,8 +578,7 @@ def cauchy_transform(spec: LimitKernelSpec, z: complex,
         Where the Berezin kernel is undefined.
     """
     z = complex(z)
-    if one_point(spec, z) < 1e-300:
-        raise ZeroIntensity(f"one-point function vanishes at {z}")
+    _intensity(spec, z)
     if spec.kind == "mittag_leffler":
         return _ml_polar_integral(spec, z, "cauchy", quad)
     return _ti_plane_integral(_profile_for(spec), z, z, "cauchy", quad)
@@ -583,9 +588,7 @@ def mass_one_residual(spec: LimitKernelSpec, z: complex,
                       quad: QuadratureConfig = _DEFAULT_QUAD) -> float:
     """``integral B(z, w) dA(w) - 1`` (mass-one equation residual)."""
     z = complex(z)
-    r = one_point(spec, z)
-    if r < 1e-300:
-        raise ZeroIntensity(f"one-point function vanishes at {z}")
+    r = _intensity(spec, z)
     if spec.kind == "mittag_leffler":
         return float(_ml_polar_integral(spec, z, "mass", quad).real) - 1.0
     val = _ti_plane_integral(_profile_for(spec), z, z, "polarized", quad)
@@ -602,38 +605,34 @@ def polarized_mass_one_residual(spec: LimitKernelSpec, z: complex, w: complex,
     return lhs - limit_kernel(spec, w, z)
 
 
-def laplacian_log_R(spec: LimitKernelSpec, z: complex, fd_step: float = 1e-3) -> float:
-    """``(1/4) * (standard Laplacian) of log R`` at z.
+def laplacian_log_R(spec: LimitKernelSpec, z, fd_step: float = 1e-3):
+    """``(1/4) * (standard Laplacian) of log R`` at z, elementwise.
 
     Analytic for translation-invariant kernels (where it reduces to
     ``(log Phi)''(2x)``); 4th-order central finite differences for
     Mittag-Leffler kernels.
     """
-    z = complex(z)
+    shape, (z,) = _flat(z)
     if spec.translation_invariant:
         profile = _profile_for(spec)
         s = 2.0 * z.real
         phi = profile.diag(s)
         d1 = profile.diag_d1(s)
         d2 = profile.diag_d2(s)
-        return (d2 * phi - d1 * d1) / (phi * phi)
+        return _shaped((d2 * phi - d1 * d1) / (phi * phi), shape)
     coeff = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * fd_step**2)
     steps = np.array([-2, -1, 0, 1, 2], dtype=float)
-
-    def log_r(pt: complex) -> float:
-        return math.log(one_point(spec, pt))
-
-    lxx = sum(c * log_r(z + s * fd_step) for c, s in zip(coeff, steps))
-    lyy = sum(c * log_r(z + 1j * s * fd_step) for c, s in zip(coeff, steps))
-    return 0.25 * (lxx + lyy)
+    lxx = sum(c * np.log(one_point(spec, z + s * fd_step)) for c, s in zip(coeff, steps))
+    lyy = sum(c * np.log(one_point(spec, z + 1j * s * fd_step)) for c, s in zip(coeff, steps))
+    return _shaped(0.25 * (lxx + lyy), shape)
 
 
-def _ward_rhs(spec: LimitKernelSpec, z: complex) -> float:
-    r = one_point(spec, z)
+def _ward_rhs(spec: LimitKernelSpec, z):
+    """Right-hand side ``R - background - Lap log R`` of Ward's equation."""
     background = 1.0
     if spec.kind == "mittag_leffler":
-        background = spec.lam**2 * abs(z) ** (2.0 * (spec.lam - 1.0))
-    return r - background - laplacian_log_R(spec, z)
+        background = spec.lam**2 * np.abs(z) ** (2.0 * (spec.lam - 1.0))
+    return one_point(spec, z) - background - laplacian_log_R(spec, z)
 
 
 _FD_OFFSETS = (-2, -1, 1, 2)
@@ -684,29 +683,31 @@ def _ward_residuals(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEF
     recentres on ``Im z`` and the right-hand side reads ``Re z`` only, so
     the computed values are y-invariant up to rounding; the tests compare
     this collapse with :func:`ward_point_residual` off the axis.
-    Mittag-Leffler kernels take :func:`ward_point_residual` at every point.
+    Mittag-Leffler kernels take the full stencil of
+    :func:`ward_point_residual` at every point.  The right-hand side is one
+    array call over the distinct real parts, or over the points.
     ``threads`` map over the Cauchy transforms (translation-invariant
     kernels) or the points.
 
     Hard-edge points must satisfy ``Re z <= -2 fd_step`` so stencils never
     cross the domain boundary.
     """
-    pts = [complex(p) for p in np.ravel(points)]
-    if spec.kind == "hard_edge" and any(z.real > -2.0 * fd_step + 1e-15 for z in pts):
+    pts = np.ravel(np.asarray(points, dtype=complex))
+    if spec.kind == "hard_edge" and np.any(pts.real > -2.0 * fd_step + 1e-15):
         raise ValueError("hard-edge points must satisfy Re z <= -2 fd_step")
-    if not spec.translation_invariant or not pts:
-        vals = _thread_map(lambda z: abs(ward_point_residual(spec, z, quad, fd_step)),
-                           pts, threads)
-        return np.array(vals, dtype=float)
-    xs = sorted({z.real for z in pts})
-    nodes = [complex(x) + s * fd_step for x in xs for s in _FD_OFFSETS]
-    cs = _thread_map(lambda t: cauchy_transform(spec, t, quad), nodes, threads)
-    k = len(_FD_OFFSETS)
-    by_x = {
-        x: abs(0.5 * _central_diff(cs[k * i:k * i + k], fd_step) - _ward_rhs(spec, complex(x)))
-        for i, x in enumerate(xs)
-    }
-    return np.array([by_x[z.real] for z in pts])
+    if spec.translation_invariant:
+        xs, at = np.unique(pts.real, return_inverse=True)
+        nodes = (xs[:, None] + fd_step * np.array(_FD_OFFSETS)).ravel()
+        cs = _thread_map(lambda t: cauchy_transform(spec, t, quad), nodes.tolist(), threads)
+        dbar = 0.5 * _central_diff(np.reshape(cs, (xs.size, len(_FD_OFFSETS))).T, fd_step)
+    else:
+        xs, at = pts, slice(None)
+        dbar = np.array(_thread_map(lambda z: _dbar_cauchy(spec, z, quad, fd_step),
+                                    pts.tolist(), threads))
+    res = dbar - _ward_rhs(spec, xs)
+    # np.hypot is libm's hypot, as abs() of a Python complex is; np.abs may
+    # round differently, and these equal abs(ward_point_residual(...)) bitwise
+    return np.hypot(res.real, res.imag)[at]
 
 
 def ward_residual(spec: LimitKernelSpec, grid, quad: QuadratureConfig = _DEFAULT_QUAD,
@@ -821,6 +822,20 @@ def eighth_formula(n_nodes: int = 192, shift: float = 0.0, t_max: float = 12.0) 
     return total
 
 
+def _real_grid(x_grid) -> np.ndarray:
+    xs = np.ravel(np.asarray(x_grid, dtype=float))
+    if not xs.size:
+        raise ValueError("x_grid is empty; it needs at least one point")
+    return xs
+
+
+def _line_grid(xs, values) -> KernelGrid:
+    """One row of ``values`` on the grid that starts at ``xs[0]``."""
+    step = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
+    return KernelGrid(origin=complex(xs[0]), step=step, nx=len(values), ny=1,
+                      values=np.asarray(values, dtype=complex))
+
+
 def tail_bounds_report(spec: LimitKernelSpec, x_grid) -> ResidualReport:
     """Exterior/interior tail-bound ratios of the free-boundary intensity.
 
@@ -829,19 +844,13 @@ def tail_bounds_report(spec: LimitKernelSpec, x_grid) -> ResidualReport:
     """
     if spec.kind != "free_boundary" or spec.intervals != _HALF_LINE:
         raise ValueError("tail bounds apply to the half-line free-boundary kernel")
-    xs = np.asarray(x_grid, dtype=float)
-    values = np.empty(xs.shape)
-    for i, x in enumerate(xs):
-        r = one_point(spec, complex(x))
-        if x >= 0.0:
-            values[i] = r * math.exp(2.0 * x * x)
-        else:
-            values[i] = abs(r - 1.0) * math.exp(0.4 * x * x)
-    grid = KernelGrid(
-        origin=complex(xs[0]), step=float(xs[1] - xs[0]) if len(xs) > 1 else 1.0,
-        nx=len(xs), ny=1, values=values.astype(complex),
-    )
-    sup_ext = float(np.max(values[xs >= 0.0], initial=0.0))
+    xs = _real_grid(x_grid)
+    r = one_point(spec, xs)
+    ext = xs >= 0.0
+    values = np.abs(r - 1.0) * np.exp(0.4 * xs * xs)
+    values[ext] = r[ext] * np.exp(2.0 * xs[ext] * xs[ext])
+    grid = _line_grid(xs, values)
+    sup_ext = float(np.max(values[ext], initial=0.0))
     sup_int = float(np.max(values[xs <= 0.0], initial=0.0))
     return _report(grid, values, {
         "equation": "tail_bounds",
@@ -861,27 +870,15 @@ def gram_min_eig(spec: LimitKernelSpec, points, complementary: bool = False) -> 
     NonHermitianInput
         If the assembled matrix deviates from Hermitian by more than 1e-10.
     """
-    pts = [complex(p) for p in points]
-    if not 1 <= len(pts) <= 32:
-        raise ValueError(f"gram_min_eig needs 1 to 32 points, got {len(pts)}")
+    z = np.ravel(np.asarray(points, dtype=complex))
+    if not 1 <= z.size <= 32:
+        raise ValueError(f"gram_min_eig needs 1 to 32 points, got {z.size}")
     if complementary and spec.kind not in ("bulk", "free_boundary"):
         raise ValueError("complementary kernel defined for bulk/free-boundary specs")
-    n = len(pts)
-    m = np.empty((n, n), dtype=complex)
-    profile = _profile_for(spec) if spec.translation_invariant else None
-    for i, zi in enumerate(pts):
-        for j, zj in enumerate(pts):
-            if complementary:
-                v = zi + zj.conjugate()
-                phi_c = math.exp(-0.5 * v.imag**2) - complex(profile.scaled(v)[0])
-                phase = (zi * zj.conjugate()).imag
-                m[i, j] = (
-                    math.exp(-0.5 * (zi.real - zj.real) ** 2)
-                    * complex(math.cos(phase), math.sin(phase))
-                    * phi_c
-                )
-            else:
-                m[i, j] = limit_kernel(spec, zi, zj)
+    m = limit_kernel(spec, z[:, None], z[None, :])
+    if complementary:
+        # the bulk profile is exactly exp(-Im(v)^2 / 2), so G - K = G (1 - Psi)
+        m = limit_kernel(LimitKernelSpec.ginibre_bulk(), z[:, None], z[None, :]) - m
     asym = float(np.max(np.abs(m - m.conj().T)))
     if asym > 1e-10:
         raise NonHermitianInput(f"Gram matrix asymmetry {asym:.3e} exceeds 1e-10")
@@ -901,7 +898,7 @@ def inequality_suite(x_grid=None, z_points=None, n_pairs: int = 200,
     """
     if x_grid is None:
         x_grid = np.arange(-5.0, 5.0 + 1e-9, 0.1)
-    xs = np.asarray(x_grid, dtype=float)
+    xs = _real_grid(x_grid)
     f = np.real(plasma_F(xs.astype(complex)))
     margins_f = f - f * f - 0.25 * np.exp(-xs * xs)
 
@@ -913,7 +910,7 @@ def inequality_suite(x_grid=None, z_points=None, n_pairs: int = 200,
     if np.any(zs.real >= 0.0):
         raise ValueError("H-inequality points must have Re z < 0")
     h_at = np.atleast_1d(hard_edge_H(zs))
-    h_diag = np.array([float(hard_edge_H(complex(2.0 * z.real)).real) for z in zs])
+    h_diag = np.real(hard_edge_H(2.0 * zs.real))
     margins_h = np.exp(np.abs(zs) ** 2) * h_diag * LOG2 - np.abs(h_at) ** 2
 
     rng = np.random.default_rng(seed)
@@ -926,8 +923,7 @@ def inequality_suite(x_grid=None, z_points=None, n_pairs: int = 200,
     margins_e = np.exp(np.abs(z1 - w1) ** 2) * f_z * f_w - np.abs(cross) ** 2
 
     margins = np.concatenate([margins_f, margins_h, margins_e])
-    grid = KernelGrid(origin=complex(xs[0]), step=float(xs[1] - xs[0]),
-                      nx=len(margins), ny=1, values=margins.astype(complex))
+    grid = _line_grid(xs, margins)
     sharp_h = float(
         np.exp(1e-14) * float(hard_edge_H(complex(-2e-7)).real) * LOG2
         - abs(complex(hard_edge_H(complex(-1e-7)))) ** 2

@@ -108,7 +108,9 @@ def plasma_F(z):
     """Plasma function ``F(z) = erfc(z / sqrt 2) / 2``.
 
     Equals the convolution of the standard Gaussian kernel with the
-    indicator of the negative half line.
+    indicator of the negative half line; against 40-digit ``mpmath.quad`` of
+    that convolution (``Re z in [-4, 4.5]``, ``|Im z| <= 3``) the relative
+    error is at most 2e-15 (the tests bound it by 1e-13).
     """
     zz, scalar = _as_complex_array(z)
     return _restore(np.atleast_1d(0.5 * erfc_cpx(zz / SQRT2)), scalar)
@@ -452,8 +454,13 @@ def mittag_leffler_M(lam, z, max_terms=_ML_MAX_TERMS):
     faithfully rounded).  Truncates once five consecutive terms fall below
     1e-18 of the partial sum.
 
-    For arguments with a negative real part the series cancels
-    catastrophically: the result loses roughly ``|z|^2 / log(10)`` digits.
+    The absolute error is at most some tens of rounding units of the sum of
+    the term magnitudes, ``M_lam(|z|)``: against 40-digit mpmath sums at lam
+    in {1.5, 3}, |z| <= 4, below 1e-14 ``M_lam(|z|)`` (the tests bound it by
+    1e-13).  Where the terms cancel the result so loses
+    ``log10(M_lam(|z|) / |M_lam(z)|)`` digits, for lam > 1 also on part of
+    ``Re z >= 0``: lam = 2 loses 6.3 digits at z = -3, lam = 1.5 loses 6.2 at
+    z = 4i, and lam = 3 loses 15 at z = -3 and 3i and all of them at z = 4i.
     Kernel evaluations use :func:`mittag_leffler_kernel_eval`, which
     dispatches to closed forms where they exist.
 

@@ -3,8 +3,10 @@ byte-level reproducibility."""
 
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +146,20 @@ def test_verify_ward_disconnected_fails(tmp_path, capsys):
 def test_empty_point_set_is_usage_error(tmp_path, capsys, argv, named):
     # a verdict over zero points would be vacuous
     assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+@pytest.mark.parametrize("points,named", [
+    ("0,1,-1+1j", "--points must be random:N, got '0,1,-1+1j'"),
+    ("random:-1", "1 <= N <= 32, got N = -1"),
+    ("random:0", "1 <= N <= 32, got N = 0"),
+    ("random:33", "1 <= N <= 32, got N = 33"),
+], ids=["list", "negative", "zero", "too-many"])
+def test_positivity_points_are_a_random_count(tmp_path, capsys, points, named):
+    # positivity draws its own point sets, so an explicit list cannot be used
+    argv = ["verify", "positivity", "--points", points, "--sets", "2", "--out", str(tmp_path)]
+    assert main(argv) == 2
     assert named in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
 
@@ -327,3 +343,23 @@ def test_converge_kernels(tmp_path):
     ratios = payload["results"]["ratios"]
     assert "64->256" in ratios
     assert 1.4 <= ratios["64->256"] <= 3.0  # ~sqrt(4) for a sqrt(n) law
+
+
+def _readme_commands():
+    """The ``plasma-kernel`` lines of the README's command-line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("plasma-kernel")]
+
+
+def test_readme_command_block_runs_as_documented(tmp_path):
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for i, line in enumerate(commands):
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / str(i))
+        expected = 1 if "exits 1" in comment else 0
+        assert main(argv) == expected, line

@@ -2,6 +2,7 @@
 conditional intensities, and analytic log-Laplacians."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -239,3 +240,60 @@ def test_laplacian_log_ml_matches_finite_differences():
     # semi-analytic cross-check of the FD path: lam = 1 must give zero
     ml1 = LimitKernelSpec.mittag_leffler(1.0)
     assert abs(laplacian_log_R(ml1, 0.6 + 0.2j)) <= 1e-5
+
+
+# --------------------------------------------------------------------------
+# array calls
+# --------------------------------------------------------------------------
+
+
+def _plane(shape, seed):
+    r = np.random.default_rng(seed)
+    return r.uniform(-2.0, 2.0, shape) + 1j * r.uniform(-2.0, 2.0, shape)
+
+
+def _pointwise(fn, spec, *args):
+    """``fn`` called on one point at a time, over the broadcast arguments."""
+    args = np.broadcast_arrays(*args)
+    return np.array([fn(spec, *(complex(a[i]) for a in args))
+                     for i in np.ndindex(args[0].shape)]).reshape(args[0].shape)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_array_calls_are_elementwise(spec):
+    z, w = _plane((3, 4), 1), _plane((3, 4), 2)
+    a = -np.abs(z.real) - 0.05 + 1j * z.imag  # conditioning points, R(a) > 0
+    cases = [(limit_kernel, (z, w)), (one_point, (z,)), (berezin, (a, w)),
+             (conditional_intensity, (a, w)),
+             (limit_kernel, (z[:, :1], w[:1, :])), (berezin, (a[:, :1], w[:1, :])),
+             (conditional_intensity, (a[:, :1], w[:1, :]))]
+    for fn, args in cases:
+        values = fn(spec, *args)
+        assert values.shape == (3, 4)
+        assert np.array_equal(values, _pointwise(fn, spec, *args)), fn.__name__
+    assert type(limit_kernel(spec, -0.3 + 0.1j, -0.5)) is complex
+    for fn in (one_point, laplacian_log_R):
+        assert type(fn(spec, -0.3 + 0.1j)) is float
+    for fn in (berezin, conditional_intensity):
+        assert type(fn(spec, -0.3 + 0.1j, -0.5)) is float
+
+
+def test_hard_edge_arrays_vanish_outside_the_domain():
+    z, w = _plane((5, 6), 3), _plane((5, 6), 4)
+    a = -np.abs(z.real) - 0.05 + 1j * z.imag
+    outside = (z.real >= 0.0) | (w.real >= 0.0)
+    assert outside.any() and (~outside).any()
+    k = limit_kernel(HE, z, w)
+    assert np.all(k[outside] == 0.0) and np.all(k[~outside] != 0.0)
+    assert np.all(one_point(HE, z)[z.real >= 0.0] == 0.0)
+    assert np.all(berezin(HE, a, w)[w.real >= 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("spec,points,bad", [
+    (FB, [0.0, 40.0 + 1.0j, 50.0], 40.0 + 1.0j),
+    (HE, [-0.5, -1.0 + 0.5j, 0.3 - 0.2j, 0.7], 0.3 - 0.2j),
+], ids=["free_boundary", "hard_edge"])
+def test_zero_intensity_names_the_first_point(spec, points, bad):
+    for fn in (berezin, conditional_intensity):
+        with pytest.raises(ZeroIntensity, match=re.escape(f"vanishes at {bad}")):
+            fn(spec, np.array(points), -1.0)

@@ -263,6 +263,18 @@ def test_tail_bounds_interior():
     assert report.params["sup_interior"] <= 1.0
 
 
+@pytest.mark.parametrize("report", [
+    lambda grid: inequality_suite(x_grid=grid),
+    lambda grid: tail_bounds_report(FB, grid),
+], ids=["inequalities", "tail_bounds"])
+def test_line_reports_take_one_point_and_refuse_none(report):
+    one = report([0.5])
+    assert one.grid.origin == 0.5 and one.grid.step == 1.0
+    assert np.all(np.isfinite(one.residuals))
+    with pytest.raises(ValueError, match="x_grid is empty"):
+        report([])
+
+
 def test_tail_bounds_requires_half_line():
     with pytest.raises(ValueError):
         tail_bounds_report(BULK, [0.0, 1.0])

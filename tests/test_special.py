@@ -147,6 +147,29 @@ def test_heat_flow_endpoint_identities():
         assert abs(d2 - s * g) <= 1e-6
 
 
+F_GRID_RE = np.array([-4.0, -1.0, -0.3, 0.0, 0.6, 1.5, 4.5])
+F_GRID_IM = np.array([-3.0, -0.5, 0.0, 0.8, 3.0])
+
+
+def test_plasma_F_against_mpmath_convolution():
+    # F(z) is the Gaussian convolved with the indicator of (-inf, 0); the
+    # oracle integrates that convolution with mpmath.quad at 40 digits, so it
+    # shares nothing with the erfc route.  Documented envelope: 1e-13 relative.
+    mpmath = pytest.importorskip("mpmath")
+    ref = np.empty((F_GRID_RE.size, F_GRID_IM.size), dtype=complex)
+    with mpmath.workdps(40):
+        norm = 1 / mpmath.sqrt(2 * mpmath.pi)
+        for i, x in enumerate(F_GRID_RE):
+            # the Gaussian sits at Re z; panels reach 12 widths below it
+            panels = [-mpmath.inf] + mpmath.linspace(min(x, 0.0) - 12, 0, 5)
+            for j, y in enumerate(F_GRID_IM):
+                z = mpmath.mpc(float(x), float(y))
+                ref[i, j] = complex(norm * mpmath.quad(lambda t: mpmath.exp(-(z - t) ** 2 / 2),
+                                                       panels))
+    u = F_GRID_RE[:, None] + 1j * F_GRID_IM[None, :]
+    assert_allclose(plasma_F(u), ref, rtol=1e-13, atol=0.0)
+
+
 def test_conv_indicator_half_line_is_plasma_F():
     # same code path: bitwise identical values
     for _ in range(25):
@@ -330,6 +353,34 @@ def test_mittag_leffler_kernel_eval_lam1_is_exp():
     for v in z:
         assert_allclose(complex(mittag_leffler_kernel_eval(1.0, complex(v))),
                         np.exp(complex(v)), rtol=1e-13)
+
+
+def _mp_mittag_leffler(lam, z):
+    """``lam * sum z^j / Gamma((j+1)/lam)`` at 40 digits.
+
+    For |z| <= 4 and lam <= 3 the terms past j = 800 sum to less than 1e-50
+    of the term magnitudes.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam, z = mpmath.mpf(lam), mpmath.mpc(z)
+        return complex(lam * mpmath.fsum(z**j / mpmath.gamma((j + 1) / lam)
+                                         for j in range(800)))
+
+
+@pytest.mark.parametrize("lam", [1.5, 3.0])
+def test_mittag_leffler_against_mpmath_series(lam):
+    # documented envelope: |error| <= 1e-13 M_lam(|z|), the sum of the term
+    # magnitudes, for |z| <= 4; relative to |M_lam(z)| that is full precision
+    # on the positive axis and a loss of log10(M_lam(|z|) / |M_lam(z)|) digits
+    # where the terms cancel, which for lam > 1 includes part of Re z >= 0
+    points = [r * np.exp(1j * a) for r in (0.5, 2.0, 4.0)
+              for a in (-0.5 * np.pi, -0.2 * np.pi, 0.0, np.pi / 3, 0.5 * np.pi)]
+    points.append(-2.0 + 0.5j)  # and one point with Re z < 0
+    for z in points:
+        scale = _mp_mittag_leffler(lam, abs(z)).real
+        err = abs(complex(mittag_leffler_M(lam, z)) - _mp_mittag_leffler(lam, z))
+        assert err <= 1e-13 * scale, (z, err / scale)
 
 
 def test_mittag_leffler_nonconvergence_guard():
