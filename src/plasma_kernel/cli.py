@@ -10,8 +10,9 @@ Four subcommands, all emitting diff-able CSV + JSON artifacts:
 * ``sample``    — Monte Carlo radial profiles with deviation stats.
 
 Exit codes: 0 pass, 1 verification fail, 2 usage error, 3 numeric
-non-convergence.  Identical resolved configs produce byte-identical JSON
-(no timestamps; CSV floats use 17 significant digits).
+non-convergence or a non-finite result (then nothing is written).
+Identical resolved configs produce byte-identical JSON (no timestamps; CSV
+floats use 17 significant digits).
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+
+class NonFiniteResult(Exception):
+    """A result to be written is NaN or infinite."""
+
+
 _NUMERIC_ERRORS = (
     SeriesNotConverged,
     QuadratureNotConverged,
@@ -99,6 +105,7 @@ _NUMERIC_ERRORS = (
     NonHermitianInput,
     BudgetExceeded,
     InversionCheckFailed,
+    NonFiniteResult,
 )
 
 
@@ -234,6 +241,27 @@ def _write_json(path: str, command: str, config: dict, results: dict) -> None:
         fh.write("\n")
 
 
+def _floats(obj) -> list:
+    """Every float in ``obj``: a number, or nested lists, tuples and dicts."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [x for v in obj for x in _floats(v)]
+    return [float(obj)] if isinstance(obj, (float, np.floating)) else []
+
+
+def _write_artifacts(args, stem: str, header, rows, command: str,
+                     config: dict, results: dict) -> None:
+    """Write ``stem.csv`` and ``stem.json`` into ``--out``, or nothing if a
+    number in the rows or the results is not finite."""
+    values = np.concatenate([np.ravel(np.asarray(rows, dtype=float)), _floats(results)])
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise NonFiniteResult(f"{stem}: a result is {bad[0]}; nothing written")
+    _write_csv(_out_path(args, f"{stem}.csv"), header, rows)
+    _write_json(_out_path(args, f"{stem}.json"), command, config, results)
+
+
 def _out_path(args, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -271,17 +299,17 @@ def cmd_eval(args) -> int:
         (float(z.real), float(z.imag), float(v.real), float(v.imag))
         for z, v in zip(zs.ravel(), values.ravel())
     ]
-    csv_path = _out_path(args, f"eval_{tag}.csv")
-    _write_csv(csv_path, ("re_z", "im_z", "re_val", "im_val"), rows)
     real_vals = values.real
-    _write_json(_out_path(args, f"eval_{tag}.json"), "eval", config, {
+    results = {
         "points": int(values.size),
         "min_value": float(real_vals.min()),
         "max_value": float(real_vals.max()),
         "mean_value": float(real_vals.mean()),
-        "csv": os.path.basename(csv_path),
+        "csv": f"eval_{tag}.csv",
         **extra,
-    })
+    }
+    _write_artifacts(args, f"eval_{tag}", ("re_z", "im_z", "re_val", "im_val"), rows,
+                     "eval", config, results)
     return EXIT_PASS
 
 
@@ -457,8 +485,6 @@ def cmd_verify(args) -> int:
 
     tol = threshold_for(equation, spec.kind)
     passed = sup <= tol
-    tag = f"{equation}_{_slug(args.spec)}"
-    _write_csv(_out_path(args, f"verify_{tag}.csv"), ("x", "y", "residual"), rows)
     config = {"equation": equation, "spec": args.spec, "grid": args.grid,
               "quad": args.quad, "fd_step": args.fd_step, "seed": args.seed,
               "points": args.points, "sets": args.sets,
@@ -466,7 +492,8 @@ def cmd_verify(args) -> int:
               "threads": args.threads}
     results = dict(results)
     results.update({"threshold": tol, "passed": bool(passed)})
-    _write_json(_out_path(args, f"verify_{tag}.json"), "verify", config, results)
+    _write_artifacts(args, f"verify_{equation}_{_slug(args.spec)}", ("x", "y", "residual"),
+                     rows, "verify", config, results)
     print(f"verify {equation} [{args.spec}]: sup residual {sup:.6e} "
           f"{'<=' if passed else '>'} threshold {tol:g} -> "
           f"{'PASS' if passed else 'FAIL'}")
@@ -495,10 +522,9 @@ def cmd_converge(args) -> int:
                              "sup_dev_vs_F_exp_quarter": float(max(devs_wopp))}
             print(f"sections n={n}: sup |section - F(x)| = {max(devs_f):.6f}, "
                   f"sup |section - e^(x^2/4)F(x)| = {max(devs_wopp):.6f}")
-        _write_csv(_out_path(args, "converge_sections.csv"), ("n", "x", "section"), rows)
-        _write_json(_out_path(args, "converge_sections.json"), "converge",
-                    {"mode": "sections", "n_list": args.n_list, "grid": args.grid},
-                    table)
+        _write_artifacts(args, "converge_sections", ("n", "x", "section"), rows, "converge",
+                         {"mode": "sections", "n_list": args.n_list, "grid": args.grid},
+                         table)
         return EXIT_PASS
 
     for n in n_list:
@@ -525,12 +551,11 @@ def cmd_converge(args) -> int:
         f"{a}->{b}": sups[str(a)] / sups[str(b)]
         for a, b in zip(n_list, n_list[1:])
     }
-    tag = f"{_slug(args.pot)}_{args.frame}"
-    _write_csv(_out_path(args, f"converge_{tag}.csv"), ("n", "x", "R_n"), rows)
-    _write_json(_out_path(args, f"converge_{tag}.json"), "converge",
-                {"pot": args.pot, "frame": args.frame, "n_list": args.n_list,
-                 "spec": args.spec, "grid": args.grid},
-                {"sup_errors": sups, "ratios": ratios, "tail_bound": tail})
+    _write_artifacts(args, f"converge_{_slug(args.pot)}_{args.frame}", ("n", "x", "R_n"),
+                     rows, "converge",
+                     {"pot": args.pot, "frame": args.frame, "n_list": args.n_list,
+                      "spec": args.spec, "grid": args.grid},
+                     {"sup_errors": sups, "ratios": ratios, "tail_bound": tail})
     return EXIT_PASS
 
 
@@ -568,12 +593,10 @@ def cmd_sample(args) -> int:
         (float(s) for s in se),
     ))
     dev = np.abs(est - one_point(spec, hist.bin_centers()))
-    tag = f"{_slug(args.pot)}_{args.frame}"
-    _write_csv(_out_path(args, f"sample_{tag}.csv"), ("bin_center", "estimate", "stderr"), rows)
     config = {"pot": args.pot, "n": args.n, "trials": args.trials,
               "seed": args.seed, "frame": args.frame, "bins": args.bins,
               "window": args.window}
-    _write_json(_out_path(args, f"sample_{tag}.json"), "sample", config, {
+    results = {
         "total_counts": int(hist.counts.sum()),
         "max_abs_deviation": float(dev.max()),
         "max_deviation_over_3se": float(np.max(dev - 3.0 * se)),
@@ -581,7 +604,9 @@ def cmd_sample(args) -> int:
         "bins": int(hist.bins),
         "inverted": int(hist.inverted),
         "band_backward_error": float(hist.band_backward_error),
-    })
+    }
+    _write_artifacts(args, f"sample_{_slug(args.pot)}_{args.frame}",
+                     ("bin_center", "estimate", "stderr"), rows, "sample", config, results)
     print(f"sample {args.pot} {args.frame}: {hist.counts.sum()} counts, "
           f"max |est - target| = {dev.max():.4f}")
     return EXIT_PASS

@@ -46,6 +46,7 @@ from .special import (
     hard_edge_H_scaled_grid,
     hermite_scaled,
     mittag_leffler_kernel_eval,
+    mittag_leffler_kernel_scaled,
     plasma_F,
 )
 
@@ -319,14 +320,16 @@ def limit_kernel(spec: LimitKernelSpec, z, w):
     """Limiting correlation kernel K(z, w), elementwise over broadcast z, w.
 
     Translation-invariant kernels are evaluated in the overflow-free form
-    ``exp(-(x_z-x_w)^2/2) exp(i Im(z conj w)) PhiScaled(z + conj w)``.  The
-    hard-edge kernel is 0 wherever ``Re z >= 0`` or ``Re w >= 0``.
+    ``exp(-(x_z-x_w)^2/2) exp(i Im(z conj w)) PhiScaled(z + conj w)``, and
+    Mittag-Leffler kernels with the Gaussian inside
+    :func:`mittag_leffler_kernel_scaled`.  The hard-edge kernel is 0
+    wherever ``Re z >= 0`` or ``Re w >= 0``.
     """
     shape, (z, w) = _flat(z, w)
     if spec.kind == "mittag_leffler":
         lam = spec.lam
-        gauss = np.exp(-0.5 * (np.abs(z) ** (2 * lam) + np.abs(w) ** (2 * lam)))
-        return _shaped(mittag_leffler_kernel_eval(lam, z * np.conj(w)) * gauss, shape)
+        log_gauss = -0.5 * (np.abs(z) ** (2 * lam) + np.abs(w) ** (2 * lam))
+        return _shaped(mittag_leffler_kernel_scaled(lam, z * np.conj(w), log_gauss), shape)
     out = np.zeros(z.shape, dtype=complex)
     keep = (z.real < 0.0) & (w.real < 0.0) if spec.kind == "hard_edge" else slice(None)
     z, w = z[keep], w[keep]
@@ -343,8 +346,10 @@ def one_point(spec: LimitKernelSpec, z):
     """
     shape, (z,) = _flat(z)
     if spec.kind == "mittag_leffler":
-        lam, r = spec.lam, np.abs(z)
-        out = np.real(mittag_leffler_kernel_eval(lam, r**2)) * np.exp(-(r ** (2 * lam)))
+        # M_lam(r^2) e^(-r^(2 lam)) with the growth cancelled exactly: for
+        # lam = 2 this is (2/sqrt(pi)) e^(-r^4) + 2 r^2 erfc(-r^2)
+        lam, r2 = spec.lam, np.abs(z) ** 2
+        out = np.real(mittag_leffler_kernel_scaled(lam, r2, -(r2**lam)))
     else:
         out = np.zeros(z.shape)
         keep = z.real < 0.0 if spec.kind == "hard_edge" else slice(None)

@@ -14,19 +14,29 @@ P^{-1}((j+1)/lam, u) / n``; hard edge, ``|z_j|^2 = P^{-1}(j+1, u P(j+1, n))
 per index makes hard-edge radii coupled monotonically below the unconfined
 ones, and makes every output a pure function of ``(seed, trial)``.
 
-A profile inverts only the radii that can land in its histogram window.
-Each radius is ``r(P^{-1}(a_j, q_j))`` with ``q_j`` the index's (scaled)
-uniform, and ``zoom (r - r0)`` increases with ``q_j``, so index j can land
-in ``[lo, hi)`` only if ``q_j`` lies in a band ``[P(a_j, X(lo)) - eps,
-P(a_j, X(hi)) + eps]`` fixed once per run (``eps = BAND_EPS``).  Every trial
-still draws all n uniforms from its ``(seed, trial)`` stream, keeps the
-indices inside the band and inverts those alone; the inverse is
-elementwise, so each kept radius and every count equal those of
-:func:`sample_radii`, the full-inversion reference.  Once per run the band
-edges are inverted too: their backward error must stay below ``eps`` and
-their values outside the window, or the run is refused
-(:class:`InversionCheckFailed`).  ``gammaincinv``'s backward error passes
-that check for n up to 2^22 and fails it from about n = 2^23 on.
+A profile needs only the bin of each radius, and bins it without inverting
+it.  Each radius is ``r(P^{-1}(a_j, q_j))`` with ``q_j`` the index's
+(scaled) uniform, ``zoom (r - r0)`` increases with ``q_j``, and ``X(v) = n
+(r0 + v / zoom)^(2 lam)`` inverts that map.  So once per run a forward
+table holds ``P(a_j, X(e_k))`` at every bin edge ``e_0 = lo, ..., e_bins =
+hi``.  Index j can land in ``[lo, hi)`` only if ``q_j`` lies in its band
+``[P(a_j, X(lo)) - eps, P(a_j, X(hi)) + eps]`` (``eps = BAND_EPS``).  Every
+trial still draws all n uniforms from its ``(seed, trial)`` stream and keeps
+the indices inside the band.  A kept draw more than ``eps`` from every edge
+probability takes the bin between the two edge probabilities around it; a
+draw within ``eps`` of one is inverted and binned from its radius, exactly
+as :func:`sample_radii` (the full-inversion reference) would.
+
+The premise: the inverse's backward error ``|P(a, P^{-1}(a, q)) - q|`` is
+below ``eps``.  Then a draw more than ``eps`` from every edge probability
+inverts strictly inside the bin the table gives it, with a margin of about
+1e-13 relative in x, far above the rounding of r, of ``zoom (r - r0)`` and
+of the bin index; so every count equals that of the full inversion.  Once
+per run the band's cutting edges are inverted to measure the premise: their
+backward error must stay below ``eps`` and their values outside the window,
+or the run is refused (:class:`InversionCheckFailed`).  ``gammaincinv``'s
+backward error passes that check for n up to 2^22 and fails it from about
+n = 2^23 on.
 """
 
 from __future__ import annotations
@@ -108,7 +118,7 @@ class Histogram1D:
     trials: int = 0
     counts_sq: np.ndarray = None  # per-bin sum over trials of count^2
     scale: np.ndarray = None      # per-bin Jacobian divisor (1 if plain density)
-    inverted: int = 0             # inverse-CDF evaluations of the sampling run
+    inverted: int = 0             # inverse-CDF evaluations: band check + near-edge draws
     band_backward_error: float = 0.0  # worst backward error at the band edges
 
     def __post_init__(self):
@@ -191,39 +201,51 @@ def _histogram_counts(values: np.ndarray, lo: float, hi: float, bins: int,
 
 @dataclass(frozen=True)
 class _Band:
-    """Per-index Gamma-probability band of the radii that can land in a window.
+    """Per-index Gamma probabilities at the bin edges of a window.
 
-    Index j's radius lands in ``lo <= zoom (r - r0) < hi`` only if its
-    probability ``q_j`` lies in ``[q_lo_j, q_hi_j]``; ``q_scale`` is
-    ``P(a, n)`` for the hard edge (``q = u P(a, n)``) and None otherwise.
+    Row k of ``p`` holds ``P(a_j, X(e_k))`` at edge ``e_k``, nondecreasing
+    in k.  Index j's radius lands in ``lo <= zoom (r - r0) < hi`` only if its
+    probability ``q_j`` lies in ``[q_lo_j, q_hi_j]``, the outer rows widened
+    by ``BAND_EPS``; ``q_scale`` is ``P(a, n)`` for the hard edge (``q = u
+    P(a, n)``) and None otherwise.
     """
 
     a: np.ndarray
     q_scale: np.ndarray | None
+    p: np.ndarray
     q_lo: np.ndarray
     q_hi: np.ndarray
-    edges: int              # band edges inverted by the check
+    checked: int            # band edges inverted by the check
     backward_error: float   # worst |P(a, P^{-1}(a, q)) - q| over those edges
 
 
 def _window_band(pot: Potential, n: int, zoom: float, r0: float,
-                 lo: float, hi: float) -> _Band:
-    """The band of every index, widened by ``BAND_EPS`` and checked once.
+                 lo: float, hi: float, bins: int) -> _Band:
+    """The edge table and band of every index, checked once.
 
     ``x -> zoom (r(x) - r0)`` is increasing and ``X(v) = n (r0 + v /
     zoom)^(2 lam)`` inverts it (lam = 1 but for power potentials), so the
-    band is ``[P(a, X(lo)) - eps, P(a, X(hi)) + eps]``.  The check inverts
-    every edge that cuts off some probability: its backward error must stay
-    below ``eps`` and its value must fall outside the window, or the run is
+    table is ``P(a, X(e_k))`` and the band ``[P(a, X(lo)) - eps, P(a, X(hi))
+    + eps]``.  A row whose outer edges lie within ``2 eps`` keeps ``P(a,
+    X(lo))`` in its inner columns: each draw of its band sits within ``eps``
+    of an outer edge and is inverted.  The running maximum over the edges
+    only guards the order against rounding.  The check inverts every band
+    edge that cuts off some probability: its backward error must stay below
+    ``eps`` and its value must fall outside the window, or the run is
     refused with :class:`InversionCheckFailed`.
     """
     a = _shapes(pot, n)
     q_scale = gammainc(a, float(n)) if pot.kind == "hard_edge" else None
     lam = pot.lam if pot.kind == "power" else 1.0
     with np.errstate(over="ignore"):  # an edge beyond every radius maps to inf
-        x_lo, x_hi = n * np.maximum(r0 + np.array([lo, hi]) / zoom, 0.0) ** (2.0 * lam)
-    q_lo = gammainc(a, x_lo) - BAND_EPS
-    q_hi = gammainc(a, x_hi) + BAND_EPS
+        x = n * np.maximum(r0 + np.linspace(lo, hi, bins + 1) / zoom, 0.0) ** (2.0 * lam)
+    p = np.tile(gammainc(a, x[0]), (bins + 1, 1))
+    p[-1] = gammainc(a, x[-1])
+    wide = p[-1] - p[0] > 2.0 * BAND_EPS
+    p[1:-1, wide] = gammainc(a[wide], x[1:-1, None])
+    p = np.maximum.accumulate(p, axis=0)
+    q_lo = p[0] - BAND_EPS
+    q_hi = p[-1] + BAND_EPS
     cut_lo = q_lo > 0.0
     cut_hi = q_hi < (1.0 if q_scale is None else q_scale)
     a_e = np.concatenate([a[cut_lo], a[cut_hi]])
@@ -236,18 +258,21 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
         raise InversionCheckFailed(
             f"inverse Gamma CDF misses the {BAND_EPS:g} band margin at n={n}: "
             f"backward error {err:.2e} at the band edges")
-    return _Band(a, q_scale, q_lo, q_hi, int(a_e.size), err)
+    return _Band(a, q_scale, p, q_lo, q_hi, int(a_e.size), err)
 
 
 def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist,
                 threads: int) -> Histogram1D:
     """Histogram of ``zoom (r - r0)`` over all trials, with per-bin squared
     counts (an order-insensitive merge).  Each trial draws all n uniforms
-    and inverts only the indices inside the window's band, in blocks of
-    trials of about ``BLOCK_POINTS`` uniforms."""
+    and keeps the indices inside the window's band.  A kept draw's bin is
+    the number of edge probabilities more than ``eps`` below it, less one;
+    a draw within ``eps`` of an edge probability is inverted and binned
+    from its radius.  Trials run in blocks of about ``BLOCK_POINTS``
+    uniforms, and the edges in a loop, so temporaries stay O(points)."""
     lo, hi, bins = _hist_window(hist)
     pot, n = cfg.pot, cfg.n
-    band = _window_band(pot, n, zoom, r0, lo, hi)
+    band = _window_band(pot, n, zoom, r0, lo, hi, bins)
 
     def run_chunk(trials):
         c = np.zeros(bins, dtype=np.int64)
@@ -259,8 +284,18 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist,
             u = np.stack([_trial_uniforms(cfg, t) for t in block])
             q = u if band.q_scale is None else u * band.q_scale
             rows, cols = np.nonzero((q >= band.q_lo) & (q <= band.q_hi))
-            values = zoom * (_radii(pot, n, band.a[cols], q[rows, cols]) - r0)
-            h = _histogram_counts(values, lo, hi, bins, rows, len(block))
+            q = q[rows, cols]
+            q_eps = q - BAND_EPS
+            # kept draws lie in the band, so 0 <= above <= bins, and a draw
+            # with above == 0 sits within eps of the lower edge
+            above = np.zeros(q.size, dtype=np.int64)
+            for edge in band.p[:-1]:
+                above += q_eps > edge[cols]
+            near = q >= band.p[above, cols] - BAND_EPS
+            far = rows[~near] * bins + above[~near] - 1
+            h = np.bincount(far, minlength=len(block) * bins).reshape(len(block), bins)
+            values = zoom * (_radii(pot, n, band.a[cols[near]], q[near]) - r0)
+            h += _histogram_counts(values, lo, hi, bins, rows[near], len(block))
             c += h.sum(axis=0)
             c2 += (h * h).sum(axis=0)
             inverted += values.size
@@ -279,7 +314,7 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist,
         normalization="rescaled-intensity",
         trials=cfg.trials,
         counts_sq=np.sum([p[1] for p in parts], axis=0),
-        inverted=band.edges + sum(p[2] for p in parts),
+        inverted=band.checked + sum(p[2] for p in parts),
         band_backward_error=band.backward_error,
     )
 

@@ -39,6 +39,7 @@ __all__ = [
     "hermite_scaled_pair",
     "mittag_leffler_M",
     "mittag_leffler_kernel_eval",
+    "mittag_leffler_kernel_scaled",
     "lower_inc_gamma",
     "lower_inc_gamma_log",
 ]
@@ -524,6 +525,33 @@ def mittag_leffler_kernel_eval(lam, z):
         vals = np.atleast_1d(erfcx_cpx(-zz))
         return _restore(2.0 / SQRT_PI + 2.0 * zz * vals, scalar)
     return mittag_leffler_M(lam, z)
+
+
+def mittag_leffler_kernel_scaled(lam, z, log_scale):
+    """``M_lam(z) exp(log_scale)`` for kernel work, elementwise.
+
+    A kernel value ``M_lam(z conj w) exp(-(|z|^(2 lam) + |w|^(2 lam)) / 2)``
+    is finite where ``M_lam`` overflows and the Gaussian underflows; this
+    form keeps it finite where closed forms exist.  ``lam=1`` is
+    ``exp(z + log_scale)``.  ``lam=2`` is ``2/sqrt(pi) e^s + 2 z E`` with
+    ``E = erfcx(-z) e^s``, taken on ``Re z >= 0`` as ``2 exp(z^2 + s) -
+    erfcx(z) e^s`` (the reflection ``erfcx(-z) = 2 e^(z^2) - erfcx(z)``,
+    with ``|erfcx(z)| <= 1`` there): for a kernel ``Re(z^2) + s <= 0``, so
+    nothing overflows.  Other ``lam`` multiply the series by ``e^s``.
+    """
+    zz, scalar = _as_complex_array(z)
+    s = np.broadcast_to(np.asarray(log_scale, dtype=float), zz.shape)
+    if lam == 1.0:
+        return _restore(np.exp(zz + s), scalar)
+    g = np.exp(s)
+    if lam == 2.0:
+        right = zz.real >= 0.0
+        e = np.empty(zz.shape, dtype=complex)
+        zr = zz[right]
+        e[right] = 2.0 * np.exp(zr * zr + s[right]) - erfcx(zr) * g[right]
+        e[~right] = erfcx(-zz[~right]) * g[~right]
+        return _restore(2.0 / SQRT_PI * g + 2.0 * zz * e, scalar)
+    return _restore(mittag_leffler_M(lam, zz) * g, scalar)
 
 
 # --------------------------------------------------------------------------

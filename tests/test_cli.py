@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from plasma_kernel import sampler
+from plasma_kernel import cli, sampler
 from plasma_kernel.cli import (
     THRESHOLDS,
     build_parser,
@@ -194,6 +194,28 @@ def test_series_overflow_is_numeric_error(tmp_path):
     # far outside the convergence budget the series guard trips: exit 3
     assert main(["eval", "--limit", "ml:1.5", "--grid", "49:51:1",
                  "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--limit", "free-boundary", "--grid", "-1:1:1"],
+    ["sample", "--n", "64", "--trials", "4", "--bins", "4"],
+], ids=["eval", "sample"])
+def test_non_finite_result_is_numeric_error(tmp_path, capsys, monkeypatch, argv):
+    # a NaN anywhere in the rows or the results exits 3 before any artifact
+    # is written; the sample CSV itself is finite, only its JSON is not
+    monkeypatch.setattr(cli, "one_point", lambda spec, z: np.full(np.shape(z), np.nan))
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert "a result is nan" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_mittag_leffler_eval_is_finite_at_large_modulus(tmp_path):
+    # |z|^4 > 709 on this grid: M_2 alone overflows, R(z) = 4 |z|^2 does not
+    assert main(["eval", "--limit", "ml:2", "--grid", "5:6:0.5",
+                 "--out", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "eval_ml-2.json").read_text())["results"]
+    assert res["min_value"] == pytest.approx(4.0 * 50.0, rel=1e-13)
+    assert res["max_value"] == pytest.approx(4.0 * 72.0, rel=1e-13)
 
 
 # --------------------------------------------------------------------------

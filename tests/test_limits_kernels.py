@@ -17,7 +17,12 @@ from plasma_kernel.limits import (
     limit_kernel,
     one_point,
 )
-from plasma_kernel.special import hard_edge_H, mittag_leffler_M, plasma_F
+from plasma_kernel.special import (
+    hard_edge_H,
+    mittag_leffler_M,
+    mittag_leffler_kernel_eval,
+    plasma_F,
+)
 
 rng = np.random.default_rng(99)
 
@@ -103,6 +108,53 @@ def test_mittag_leffler_kernel_values():
         z, w = (complex(v) for v in random_points(2))
         assert_allclose(limit_kernel(ml1, z, w), limit_kernel(BULK, z, w),
                         rtol=1e-12)
+
+
+def _ml2_series(r2):
+    """``M_2(r2) e^(-r2^2)`` from the series ``2 sum r2^j / Gamma((j+1)/2)``
+    at 60 digits, with the terms from the ratio ``t_(j+2) = t_j r2^2 /
+    ((j+1)/2)``."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        x = mpmath.mpf(r2)
+        terms = [1 / mpmath.sqrt(mpmath.pi), x]
+        for j in range(2, 4 * int(r2 * r2) + 200):
+            terms.append(terms[j - 2] * x * x / (mpmath.mpf(j - 1) / 2))
+        return float(2 * mpmath.fsum(terms) * mpmath.exp(-x * x))
+
+
+def test_mittag_leffler_one_point_is_finite_at_large_modulus():
+    # M_2(r^2) overflows and e^(-r^4) underflows from r ~ 5.2 on; the exact
+    # (2/sqrt(pi)) e^(-r^4) + 2 r^2 erfc(-r^2) stays finite, and R(5) = 100
+    pytest.importorskip("mpmath")
+    assert abs(one_point(ML2, 5.0) - 100.0) <= 1e-13 * 100.0
+    for r in (5.0, 5.5, 6.0):
+        assert_allclose(one_point(ML2, r * np.exp(0.3j)), _ml2_series(r * r), rtol=1e-13)
+    assert one_point(LimitKernelSpec.mittag_leffler(1.0), 40.0) == 1.0
+
+
+def test_mittag_leffler_one_point_keeps_small_modulus_values():
+    # against the unscaled form M_2(r^2) e^(-r^4), which is exact enough
+    # where e^(r^4) is small
+    r = np.linspace(0.0, 1.5, 31)
+    z = r * np.exp(0.7j)
+    unscaled = np.real(mittag_leffler_kernel_eval(2.0, r**2)) * np.exp(-(r**4))
+    assert_allclose(one_point(ML2, z), unscaled, rtol=1e-14)
+
+
+def test_mittag_leffler_kernel_is_finite_at_large_modulus():
+    mpmath = pytest.importorskip("mpmath")
+    pairs = [(5.0, 5.1 + 0.3j), (5.0 + 1.0j, 4.8j), (-3.0 + 2.0j, 1.0 - 4.0j), (7.0, 6.5 - 1.0j)]
+    with mpmath.workdps(60):
+        for z, w in pairs:
+            zeta = mpmath.mpc(z) * mpmath.conj(mpmath.mpc(w))
+            m2 = 2 / mpmath.sqrt(mpmath.pi) + 2 * zeta * mpmath.exp(zeta**2) * mpmath.erfc(-zeta)
+            ref = complex(m2 * mpmath.exp(-(abs(z) ** 4 + abs(w) ** 4) / 2))
+            assert_allclose(limit_kernel(ML2, z, w), ref, rtol=1e-12)
+    axis = np.linspace(-8.0, 8.0, 17)
+    grid = axis[None, :] + 1j * axis[:, None]
+    assert np.all(np.isfinite(limit_kernel(ML2, grid, grid.T)))
 
 
 def test_constant_profile_kernel():

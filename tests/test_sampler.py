@@ -243,8 +243,10 @@ def test_windowed_counts_match_full_inversion(pot, window, seed):
 
 
 def test_window_inverts_few_radii(monkeypatch):
-    # ginibre n = 1024, window -3:1: about 183 radii per trial can land in
-    # the window; the band-edge check adds about 1200 once per run
+    # ginibre n = 1024, window -3:1: about 180 draws per trial land in the
+    # band and the edge table bins them without inversion.  The band-edge
+    # check inverts about 1200 points once per run; a draw within eps of an
+    # edge probability (a chance of about 3e-8 per trial) would add one
     points = []
 
     def counting(a, q):
@@ -258,6 +260,7 @@ def test_window_inverts_few_radii(monkeypatch):
                             (-3.0, 1.0, 40))
     assert sum(points) == hist.inverted
     assert sum(points) / trials < n / 4
+    assert sum(points) < 2 * n
     assert hist.band_backward_error < BAND_EPS
 
 
@@ -285,3 +288,78 @@ def test_inaccurate_inverse_refuses_the_run(monkeypatch):
     cfg = SampleConfig(GINIBRE, 256, 2, seed=0)
     with pytest.raises(sampler.InversionCheckFailed, match="band margin"):
         boundary_profile(cfg, RescaleFrame.boundary(GINIBRE, 256), (-3.0, 1.0, 8))
+
+
+# --------------------------------------------------------------------------
+# the edge table: a kept draw is binned by the Gamma CDF at the bin edges
+# --------------------------------------------------------------------------
+
+
+def _profile(cfg, window, threads=1):
+    """The sampled profile of ``cfg`` and its frame's ``(zoom, r0)``."""
+    pot, n = cfg.pot, cfg.n
+    if pot.kind == "power":
+        hist = bulk_singularity_profile(cfg, window, threads=threads)
+        return hist, n ** (1.0 / (2.0 * pot.lam)), 0.0
+    frame = RescaleFrame.boundary(pot, n)
+    return boundary_profile(cfg, frame, window, threads=threads), frame.zoom, 1.0
+
+
+@pytest.mark.parametrize("pot", [GINIBRE, Potential.hard_edge()],
+                         ids=["ginibre", "hard-edge"])
+def test_draws_on_edge_probabilities_are_inverted(monkeypatch, pot):
+    # per trial, three indices get a probability exactly on an inner edge
+    # probability and eps/2 either side of one: all three take the inverse,
+    # and the counts stay those of the full inversion
+    n, trials, window = 64, 6, (-3.0, 1.0, 8)
+    zoom = RescaleFrame.boundary(pot, n).zoom
+    band = sampler._window_band(pot, n, zoom, 1.0, *window)
+    j0 = int(np.argmax(band.p[-1] - band.p[0]))
+    offsets = (0.0, BAND_EPS / 2, -BAND_EPS / 2)
+    real_uniforms = sampler._trial_uniforms
+
+    def on_edges(cfg, trial):
+        u = real_uniforms(cfg, trial)
+        for i, off in enumerate(offsets):
+            j, k = j0 + i - 1, 1 + (i + trial) % 5  # edges -2.5 .. -0.5
+            q = band.p[k, j] + off
+            u[j] = q if band.q_scale is None else q / band.q_scale[j]
+        return u
+
+    monkeypatch.setattr(sampler, "_trial_uniforms", on_edges)
+    monkeypatch.setitem(globals(), "_trial_uniforms", on_edges)  # the reference's
+    cfg = SampleConfig(pot, n, trials, seed=17)
+    hist, _, _ = _profile(cfg, window)
+    counts, counts_sq = _full_inversion_counts(cfg, zoom, 1.0, *window)
+    assert_array_equal(hist.counts, counts)
+    assert_array_equal(hist.counts_sq, counts_sq)
+    assert hist.inverted == band.checked + len(offsets) * trials
+
+
+def test_edge_table_counts_match_full_inversion_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pots = {"ginibre": GINIBRE, "hard-edge": Potential.hard_edge(),
+            "power:2": Potential.power(2.0)}
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.sampled_from(sorted(pots)),
+        st.integers(1, 256),
+        st.floats(-6.0, 3.0),
+        st.floats(0.01, 8.0),
+        st.integers(1, 64),
+        st.integers(0, 2**32),
+    )
+    def check(pot_name, n, lo, width, bins, seed):
+        cfg = SampleConfig(pots[pot_name], n, 4, seed)
+        window = (lo, lo + width, bins)
+        hist, zoom, r0 = _profile(cfg, window)
+        counts, counts_sq = _full_inversion_counts(cfg, zoom, r0, *window)
+        assert_array_equal(hist.counts, counts)
+        assert_array_equal(hist.counts_sq, counts_sq)
+        threaded, _, _ = _profile(cfg, window, threads=2)
+        assert_array_equal(threaded.counts, counts)
+        assert_array_equal(threaded.counts_sq, counts_sq)
+
+    check()
