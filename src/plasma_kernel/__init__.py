@@ -32,7 +32,6 @@ from .special import (  # noqa: F401
 from .finite_n import (  # noqa: F401
     KERNEL_MAX_N,
     DivisionNearZero,
-    KernelGrid,
     Potential,
     RescaleFrame,
     bulk_approx_kernel,
@@ -48,7 +47,6 @@ from .limits import (  # noqa: F401
     LimitKernelSpec,
     NonHermitianInput,
     QuadratureConfig,
-    ResidualReport,
     ZeroIntensity,
     berezin,
     cauchy_transform,

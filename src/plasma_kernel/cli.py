@@ -50,7 +50,7 @@ from .limits import (
     one_point,
     polarized_mass_one_residual,
     telescoping_sum,
-    _ward_residuals,
+    ward_residual,
 )
 from .sampler import (
     BudgetExceeded,
@@ -355,7 +355,7 @@ def _verify_ward(args, spec, quad) -> tuple:
     if not pts:
         raise ValueError(f"ward grid {args.grid!r} keeps no points for {args.spec}")
 
-    vals = _ward_residuals(spec, pts, quad, args.fd_step, args.threads)
+    vals = ward_residual(spec, pts, quad, args.fd_step, args.threads)
     rows = [(z.real, z.imag, float(v)) for z, v in zip(pts, vals)]
     sup = float(vals.max())
     return rows, {"sup_norm": sup, "points": len(pts)}, sup
@@ -414,10 +414,9 @@ def _verify_eighth(args) -> tuple:
 
 
 def _verify_inequalities(args) -> tuple:
-    report = inequality_suite(seed=args.seed)
-    violation = max(0.0, -report.params["min_margin"])
-    rows = [(float(i), 0.0, float(m)) for i, m in enumerate(report.residuals)]
-    results = dict(report.params)
+    margins, results = inequality_suite(seed=args.seed)
+    violation = max(0.0, -results["min_margin"])
+    rows = [(float(i), 0.0, float(m)) for i, m in enumerate(margins)]
     results["sup_norm"] = float(violation)
     return rows, results, float(violation)
 
@@ -567,14 +566,13 @@ def cmd_converge(args) -> int:
 def cmd_sample(args) -> int:
     pot = parse_pot(args.pot)
     cfg = SampleConfig(pot=pot, n=args.n, trials=args.trials, seed=args.seed)
-    threads = max(1, args.threads)
     # the target is R of the limit: M_lam(s^2) e^(-s^(2 lam)), F(2x) or H(2x) 1{x<0}
     if args.frame == "singularity":
         lo, hi = (0.0, 4.0)
         if args.window:
             lo, hi = (float(p) for p in args.window.split(":"))
         spec = LimitKernelSpec.mittag_leffler(pot.lam if pot.kind == "power" else 1.0)
-        hist = bulk_singularity_profile(cfg, (lo, hi, args.bins), threads=threads)
+        hist = bulk_singularity_profile(cfg, (lo, hi, args.bins), threads=args.threads)
     elif args.frame == "boundary":
         lo, hi = (-3.0, 1.0)
         if args.window:
@@ -582,7 +580,7 @@ def cmd_sample(args) -> int:
         spec = (LimitKernelSpec.hard_edge() if pot.kind == "hard_edge"
                 else LimitKernelSpec.free_boundary())
         frame = _make_frame(pot, args.n, "boundary")
-        hist = boundary_profile(cfg, frame, (lo, hi, args.bins), threads=threads)
+        hist = boundary_profile(cfg, frame, (lo, hi, args.bins), threads=args.threads)
     else:
         raise ValueError("sample frame must be boundary or singularity")
 
@@ -605,7 +603,7 @@ def cmd_sample(args) -> int:
         "inverted": int(hist.inverted),
         "band_backward_error": float(hist.band_backward_error),
     }
-    _write_artifacts(args, f"sample_{_slug(args.pot)}_{args.frame}",
+    _write_artifacts(args, f"sample_{_slug(args.pot)}-n{args.n}_{args.frame}",
                      ("bin_center", "estimate", "stderr"), rows, "sample", config, results)
     print(f"sample {args.pot} {args.frame}: {hist.counts.sum()} counts, "
           f"max |est - target| = {dev.max():.4f}")
@@ -617,10 +615,23 @@ def cmd_sample(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _thread_count(text: str) -> int:
+    """A ``--threads`` value: an integer of at least 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need an integer thread count, got {text!r}")
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 thread, got {count}")
+    return count
+
+
 def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory for CSV/JSON")
-    sub.add_argument("--threads", type=int,
-                     default=int(os.environ.get("PLASMA_KERNEL_THREADS", "1")))
+    # a string default goes through the type too, so a bad environment value
+    # is a usage error when the subcommand is parsed
+    sub.add_argument("--threads", type=_thread_count,
+                     default=os.environ.get("PLASMA_KERNEL_THREADS", "1"))
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--config", default=None,
                      help="JSON file of defaults; explicit flags win")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
@@ -28,7 +28,6 @@ __all__ = [
     "DivisionNearZero",
     "Potential",
     "RescaleFrame",
-    "KernelGrid",
     "droplet_radius",
     "poly_norm_sq",
     "kernel_finite_n",
@@ -136,23 +135,6 @@ class RescaleFrame:
 
     def to_local(self, zeta: complex) -> complex:
         return cmath.exp(-1j * self.theta) * self.zoom * (zeta - self.p)
-
-
-@dataclass
-class KernelGrid:
-    """Rectangular grid of kernel values with provenance metadata."""
-
-    origin: complex
-    step: float
-    nx: int
-    ny: int
-    values: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def points(self) -> np.ndarray:
-        xs = self.origin.real + self.step * np.arange(self.nx)
-        ys = self.origin.imag + self.step * np.arange(self.ny)
-        return xs[None, :] + 1j * ys[:, None]
 
 
 def _check_kernel_n(n) -> None:

@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .finite_n import KernelGrid
 from .special import (
     QuadratureNotConverged,
     _leggauss,
@@ -55,7 +54,6 @@ __all__ = [
     "NonHermitianInput",
     "LimitKernelSpec",
     "QuadratureConfig",
-    "ResidualReport",
     "limit_kernel",
     "one_point",
     "berezin",
@@ -159,29 +157,6 @@ class QuadratureConfig:
 
     def doubled(self) -> "QuadratureConfig":
         return QuadratureConfig(self.r_max, 2 * self.n_radial, 2 * self.n_angular)
-
-
-@dataclass
-class ResidualReport:
-    """Residual field on a grid plus its norms and run parameters."""
-
-    grid: KernelGrid
-    residuals: np.ndarray
-    sup_norm: float
-    l2_norm: float
-    params: dict = field(default_factory=dict)
-
-
-def _report(grid: KernelGrid, residuals: np.ndarray, params: dict) -> ResidualReport:
-    res = np.asarray(residuals, dtype=float)
-    weight = grid.step * grid.step if res.ndim == 2 else grid.step
-    return ResidualReport(
-        grid=grid,
-        residuals=res,
-        sup_norm=float(np.max(np.abs(res))) if res.size else 0.0,
-        l2_norm=float(math.sqrt(np.sum(res * res) * weight)),
-        params=params,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -615,7 +590,10 @@ def laplacian_log_R(spec: LimitKernelSpec, z, fd_step: float = 1e-3):
 
     Analytic for translation-invariant kernels (where it reduces to
     ``(log Phi)''(2x)``); 4th-order central finite differences for
-    Mittag-Leffler kernels.
+    Mittag-Leffler kernels.  That stencil weights log R by up to
+    ``30 / (12 fd_step^2)``, 2.5e6 at the default 1e-3, so one ulp of R
+    moves the value by about 3e-10: Mittag-Leffler Ward residuals below
+    about 1e-9 are rounding.
     """
     shape, (z,) = _flat(z)
     if spec.translation_invariant:
@@ -664,7 +642,7 @@ def ward_point_residual(spec: LimitKernelSpec, z: complex,
     """Ward-equation residual ``dbar C - (R - 1 - Lap log R)`` at one point.
 
     Takes the full 2-D stencil (eight Cauchy transforms) at every point; it
-    is the uncollapsed reference for :func:`_ward_residuals`.
+    is the uncollapsed reference for :func:`ward_residual`.
     """
     return _dbar_cauchy(spec, complex(z), quad, fd_step) - _ward_rhs(spec, complex(z))
 
@@ -676,9 +654,15 @@ def _thread_map(fn, items, threads):
     return [fn(item) for item in items]
 
 
-def _ward_residuals(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAULT_QUAD,
-                    fd_step: float = 1e-3, threads: int = 1) -> np.ndarray:
-    """Ward-residual magnitudes at ``points``.
+def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAULT_QUAD,
+                  fd_step: float = 1e-3, threads: int = 1):
+    """Ward-equation residual magnitudes ``|dbar C - (R - 1 - Lap log R)|``.
+
+    ``points`` may have any shape; the result has that shape, or is a Python
+    float for a scalar point, and the caller's array is left as it was.
+    ``dbar`` is taken by 4th-order central differences of the Cauchy
+    transform; the quadrature frame moves with the point, so C is smooth in
+    z.
 
     For the translation-invariant kernels both sides of Ward's equation
     depend on ``Re z`` alone, so C is evaluated once on a 4-point x-stencil
@@ -697,7 +681,7 @@ def _ward_residuals(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEF
     Hard-edge points must satisfy ``Re z <= -2 fd_step`` so stencils never
     cross the domain boundary.
     """
-    pts = np.ravel(np.asarray(points, dtype=complex))
+    shape, (pts,) = _flat(points)
     if spec.kind == "hard_edge" and np.any(pts.real > -2.0 * fd_step + 1e-15):
         raise ValueError("hard-edge points must satisfy Re z <= -2 fd_step")
     if spec.translation_invariant:
@@ -712,50 +696,7 @@ def _ward_residuals(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEF
     res = dbar - _ward_rhs(spec, xs)
     # np.hypot is libm's hypot, as abs() of a Python complex is; np.abs may
     # round differently, and these equal abs(ward_point_residual(...)) bitwise
-    return np.hypot(res.real, res.imag)[at]
-
-
-def ward_residual(spec: LimitKernelSpec, grid, quad: QuadratureConfig = _DEFAULT_QUAD,
-                  fd_step: float = 1e-3, threads: int = 1) -> ResidualReport:
-    """Ward-equation residual magnitudes over a grid.
-
-    ``grid`` is a :class:`KernelGrid` or an ``(origin, step, nx, ny)``
-    tuple; the report holds a new grid with the residuals as values, and
-    the caller's grid is left as it was.  ``dbar`` is taken by 4th-order
-    central differences of the Cauchy transform; the quadrature frame moves
-    with the point, so C is smooth in z.  See :func:`_ward_residuals` for
-    the translation-invariant collapse.
-    """
-    grid = _as_grid(grid)
-    pts = grid.points()
-    res = _ward_residuals(spec, pts, quad, fd_step, threads).reshape(pts.shape)
-    out = replace(grid, values=res.astype(complex), meta=dict(grid.meta))
-    return _report(out, res, {
-        "equation": "ward",
-        "spec": _spec_label(spec),
-        "fd_step": fd_step,
-        "quad": (quad.r_max, quad.n_radial, quad.n_angular),
-    })
-
-
-def _as_grid(grid) -> KernelGrid:
-    if isinstance(grid, KernelGrid):
-        return grid
-    origin, step, nx, ny = grid
-    return KernelGrid(
-        origin=complex(origin), step=float(step), nx=int(nx), ny=int(ny),
-        values=np.zeros((int(ny), int(nx)), dtype=complex),
-    )
-
-
-def _spec_label(spec: LimitKernelSpec) -> str:
-    if spec.kind == "free_boundary":
-        return f"free_boundary{spec.intervals}"
-    if spec.kind == "mittag_leffler":
-        return f"mittag_leffler(lam={spec.lam})"
-    if spec.kind == "constant":
-        return f"constant(level={spec.level})"
-    return spec.kind
+    return _shaped(np.hypot(res.real, res.imag)[at], shape)
 
 
 # --------------------------------------------------------------------------
@@ -834,18 +775,12 @@ def _real_grid(x_grid) -> np.ndarray:
     return xs
 
 
-def _line_grid(xs, values) -> KernelGrid:
-    """One row of ``values`` on the grid that starts at ``xs[0]``."""
-    step = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
-    return KernelGrid(origin=complex(xs[0]), step=step, nx=len(values), ny=1,
-                      values=np.asarray(values, dtype=complex))
-
-
-def tail_bounds_report(spec: LimitKernelSpec, x_grid) -> ResidualReport:
+def tail_bounds_report(spec: LimitKernelSpec, x_grid) -> tuple:
     """Exterior/interior tail-bound ratios of the free-boundary intensity.
 
-    Reports ``R(x) e^{2x^2}`` on the ``x >= 0`` part of the grid and
-    ``|R(x) - 1| e^{0.4 x^2}`` on the ``x <= 0`` part, plus their sups.
+    Returns ``(values, params)``: ``values`` holds ``R(x) e^{2x^2}`` on the
+    ``x >= 0`` part of the grid and ``|R(x) - 1| e^{0.4 x^2}`` on the
+    ``x <= 0`` part, and ``params`` their sups.
     """
     if spec.kind != "free_boundary" or spec.intervals != _HALF_LINE:
         raise ValueError("tail bounds apply to the half-line free-boundary kernel")
@@ -854,14 +789,11 @@ def tail_bounds_report(spec: LimitKernelSpec, x_grid) -> ResidualReport:
     ext = xs >= 0.0
     values = np.abs(r - 1.0) * np.exp(0.4 * xs * xs)
     values[ext] = r[ext] * np.exp(2.0 * xs[ext] * xs[ext])
-    grid = _line_grid(xs, values)
-    sup_ext = float(np.max(values[ext], initial=0.0))
-    sup_int = float(np.max(values[xs <= 0.0], initial=0.0))
-    return _report(grid, values, {
+    return values, {
         "equation": "tail_bounds",
-        "sup_exterior": sup_ext,
-        "sup_interior": sup_int,
-    })
+        "sup_exterior": float(np.max(values[ext], initial=0.0)),
+        "sup_interior": float(np.max(values[xs <= 0.0], initial=0.0)),
+    }
 
 
 def gram_min_eig(spec: LimitKernelSpec, points, complementary: bool = False) -> float:
@@ -892,8 +824,11 @@ def gram_min_eig(spec: LimitKernelSpec, points, complementary: bool = False) -> 
 
 
 def inequality_suite(x_grid=None, z_points=None, n_pairs: int = 200,
-                     seed: int = 0) -> ResidualReport:
+                     seed: int = 0) -> tuple:
     """Margins of the sharp F- and H-inequalities (all must be >= 0).
+
+    Returns ``(margins, params)``: the margins of the three families below,
+    concatenated in that order, and their minimum and sharpness gaps.
 
     * ``F(x) - F(x)^2 - e^{-x^2}/4`` on a real grid (sharp at x = 0);
     * ``e^{|z|^2} H(z + conj z) log 2 - |H(z)|^2`` for Re z < 0 (sharp as
@@ -928,15 +863,14 @@ def inequality_suite(x_grid=None, z_points=None, n_pairs: int = 200,
     margins_e = np.exp(np.abs(z1 - w1) ** 2) * f_z * f_w - np.abs(cross) ** 2
 
     margins = np.concatenate([margins_f, margins_h, margins_e])
-    grid = _line_grid(xs, margins)
     sharp_h = float(
         np.exp(1e-14) * float(hard_edge_H(complex(-2e-7)).real) * LOG2
         - abs(complex(hard_edge_H(complex(-1e-7)))) ** 2
     )
-    return _report(grid, margins, {
+    return margins, {
         "equation": "inequalities",
         "min_margin": float(np.min(margins)),
         "sharpness_F": float(margins_f[np.argmin(np.abs(xs))]),
         "sharpness_H": sharp_h,
         "n_pairs": n_pairs,
-    })
+    }

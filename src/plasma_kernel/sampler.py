@@ -42,7 +42,7 @@ n = 2^23 on.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import math
 import numpy as np
@@ -102,19 +102,18 @@ class SampleConfig:
 class Histogram1D:
     """Binned counts plus the context needed to turn them into intensities.
 
-    ``normalization`` selects how :meth:`estimates` reads the counts:
-    ``"density-per-unit-length"`` divides by ``trials * bin width`` only;
-    ``"rescaled-intensity"`` additionally divides by the per-bin Jacobian
-    ``2 r zoom`` that converts radial counts into the rescaled planar
-    one-point function per unit ``dA`` (area measure normalized by 1/pi,
-    the convention in which the bulk intensity is exactly 1).
+    :meth:`estimates` divides the counts by ``trials * bin width * scale``.
+    With ``scale`` unset that is a density per unit length; the profiles set
+    it to the per-bin Jacobian ``2 r zoom`` that converts radial counts into
+    the rescaled planar one-point function per unit ``dA`` (area measure
+    normalized by 1/pi, the convention in which the bulk intensity is
+    exactly 1).
     """
 
     lo: float
     hi: float
     bins: int
     counts: np.ndarray = None
-    normalization: str = "density-per-unit-length"
     trials: int = 0
     counts_sq: np.ndarray = None  # per-bin sum over trials of count^2
     scale: np.ndarray = None      # per-bin Jacobian divisor (1 if plain density)
@@ -311,7 +310,6 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist,
     return Histogram1D(
         lo, hi, bins,
         counts=np.sum([p[0] for p in parts], axis=0),
-        normalization="rescaled-intensity",
         trials=cfg.trials,
         counts_sq=np.sum([p[1] for p in parts], axis=0),
         inverted=band.checked + sum(p[2] for p in parts),
@@ -320,10 +318,7 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist,
 
 
 def _hist_window(hist) -> tuple:
-    """``(lo, hi, bins)`` of a ``Histogram1D`` template or a tuple, checked
-    before any sampling."""
-    if isinstance(hist, Histogram1D):
-        hist = (hist.lo, hist.hi, hist.bins)
+    """The ``(lo, hi, bins)`` window ``hist``, checked before any sampling."""
     lo, hi, bins = hist
     lo, hi, bins = float(lo), float(hi), int(bins)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -342,7 +337,7 @@ def boundary_profile(cfg: SampleConfig, frame: RescaleFrame, hist,
     ``2 r(x) zoom`` so it converges to the rescaled one-point function
     (``F(2x)`` for Ginibre, ``H(2x)`` for the hard edge).
 
-    ``hist`` is a ``Histogram1D`` template or an ``(lo, hi, bins)`` tuple.
+    ``hist`` is the ``(lo, hi, bins)`` window.
     """
     r0 = droplet_radius(cfg.pot)
     if abs(abs(frame.p) - r0) > 1e-12:

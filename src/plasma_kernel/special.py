@@ -114,7 +114,7 @@ def plasma_F(z):
     error is at most 2e-15 (the tests bound it by 1e-13).
     """
     zz, scalar = _as_complex_array(z)
-    return _restore(np.atleast_1d(0.5 * erfc_cpx(zz / SQRT2)), scalar)
+    return _restore(0.5 * erfc_cpx(zz / SQRT2), scalar)
 
 
 def plasma_F_scaled(z):
@@ -124,25 +124,11 @@ def plasma_F_scaled(z):
     plane quadratures need far from the real axis.
     """
     zz, scalar = _as_complex_array(z)
-    out = np.empty(zz.shape, dtype=complex)
-    pos = zz.real >= 0
-    if np.any(pos):
-        v = zz[pos]
-        out[pos] = (
-            0.5
-            * erfcx(v / SQRT2)
-            * np.exp(-0.5 * v.real**2)
-            * np.exp(-1j * v.real * v.imag)
-        )
-    if np.any(~pos):
-        v = -zz[~pos]
-        refl = (
-            0.5
-            * erfcx(v / SQRT2)
-            * np.exp(-0.5 * v.real**2)
-            * np.exp(-1j * v.real * v.imag)
-        )
-        out[~pos] = np.exp(-0.5 * zz[~pos].imag ** 2) - refl
+    # F(z) = 1 - F(-z): the left half plane takes the reflected argument
+    left = ~(zz.real >= 0)
+    v = np.where(left, -zz, zz)
+    out = 0.5 * erfcx(v / SQRT2) * np.exp(-0.5 * v.real**2) * np.exp(-1j * v.real * v.imag)
+    out[left] = np.exp(-0.5 * zz[left].imag ** 2) - out[left]
     return _restore(out, scalar)
 
 
@@ -170,8 +156,8 @@ def conv_indicator(z, interval):
     if not lo < hi:
         raise ValueError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
     zz, scalar = _as_complex_array(z)
-    upper = np.ones(zz.shape, dtype=complex) if math.isinf(hi) else np.atleast_1d(plasma_F(zz - hi))
-    lower = np.zeros(zz.shape, dtype=complex) if math.isinf(lo) else np.atleast_1d(plasma_F(zz - lo))
+    upper = np.ones(zz.shape, dtype=complex) if math.isinf(hi) else plasma_F(zz - hi)
+    lower = np.zeros(zz.shape, dtype=complex) if math.isinf(lo) else plasma_F(zz - lo)
     return _restore(upper - lower, scalar)
 
 
@@ -184,11 +170,11 @@ def conv_indicator_scaled(z, interval):
     if math.isinf(hi):
         upper = np.exp(-0.5 * zz.imag**2).astype(complex)
     else:
-        upper = np.atleast_1d(plasma_F_scaled(zz - hi))
+        upper = plasma_F_scaled(zz - hi)
     if math.isinf(lo):
         lower = np.zeros(zz.shape, dtype=complex)
     else:
-        lower = np.atleast_1d(plasma_F_scaled(zz - lo))
+        lower = plasma_F_scaled(zz - lo)
     return _restore(upper - lower, scalar)
 
 
@@ -377,7 +363,7 @@ def hard_edge_H(z, deriv=0):
         region where the asymptotic branch does not apply.
     """
     zz, scalar = _as_complex_array(z)
-    out = np.atleast_1d(hard_edge_H_scaled(zz, deriv=deriv)) * np.exp(0.5 * zz.imag**2)
+    out = hard_edge_H_scaled(zz, deriv=deriv) * np.exp(0.5 * zz.imag**2)
     return _restore(out, scalar)
 
 
@@ -522,8 +508,7 @@ def mittag_leffler_kernel_eval(lam, z):
     if lam == 1.0:
         return _restore(np.exp(zz), scalar)
     if lam == 2.0:
-        vals = np.atleast_1d(erfcx_cpx(-zz))
-        return _restore(2.0 / SQRT_PI + 2.0 * zz * vals, scalar)
+        return _restore(2.0 / SQRT_PI + 2.0 * zz * erfcx_cpx(-zz), scalar)
     return mittag_leffler_M(lam, z)
 
 

@@ -85,12 +85,12 @@ def test_criterion_03_mass_one():
 
 
 def test_criterion_04_ward_equation():
-    sup_bulk = ward_residual(BULK, (-2.0 - 2.0j, 0.5, 9, 9),
-                             threads=THREADS).sup_norm
-    sup_fb = ward_residual(FB, (-2.0 - 2.0j, 0.5, 9, 9),
-                           threads=THREADS).sup_norm
-    sup_he = ward_residual(HE, (-2.0 - 1.0j, 0.3, 7, 5),
-                           threads=THREADS).sup_norm
+    square = -2.0 + 0.5 * np.arange(9)
+    grid = square[None, :] + 1j * square[:, None]
+    sup_bulk = np.max(ward_residual(BULK, grid, threads=THREADS))
+    sup_fb = np.max(ward_residual(FB, grid, threads=THREADS))
+    he_grid = (-2.0 + 0.3 * np.arange(7))[None, :] + 1j * (-1.0 + 0.3 * np.arange(5))[:, None]
+    sup_he = np.max(ward_residual(HE, he_grid, threads=THREADS))
     axis = np.arange(-1.25, 1.26, 0.5)
     ml_pts = [complex(x, y) for x in axis for y in axis
               if 0.0 < abs(complex(x, y)) <= 1.5]
@@ -171,10 +171,8 @@ def test_criterion_08_kernel_positivity():
 
 
 def test_criterion_09_tail_bounds():
-    ext = tail_bounds_report(FB, np.arange(0.0, 3.01, 0.05))
-    sup_ext = ext.params["sup_exterior"]
-    inte = tail_bounds_report(FB, np.arange(-3.0, 0.01, 0.05))
-    sup_int = inte.params["sup_interior"]
+    sup_ext = tail_bounds_report(FB, np.arange(0.0, 3.01, 0.05))[1]["sup_exterior"]
+    sup_int = tail_bounds_report(FB, np.arange(-3.0, 0.01, 0.05))[1]["sup_interior"]
     ok = sup_ext <= 0.2 and sup_int <= 1.0
     _check(9, ok,
            f"tail ratios: sup F(2x)e^(2x^2) on [0,3] = {sup_ext:.4f} vs "
@@ -184,10 +182,10 @@ def test_criterion_09_tail_bounds():
 
 
 def test_criterion_10_scalar_inequalities():
-    report = inequality_suite()
-    margin = report.params["min_margin"]
-    sharp_f = report.params["sharpness_F"]
-    sharp_h = report.params["sharpness_H"]
+    _, params = inequality_suite()
+    margin = params["min_margin"]
+    sharp_f = params["sharpness_F"]
+    sharp_h = params["sharpness_H"]
     ok = margin >= -1e-10 and abs(sharp_f) <= 1e-6 and abs(sharp_h) <= 1e-6
     _check(10, ok,
            f"pointwise inequalities: min margin {margin:.2e} >= -1e-10, "

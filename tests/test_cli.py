@@ -3,6 +3,7 @@ byte-level reproducibility."""
 
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -190,6 +191,29 @@ def test_unparseable_flag_exits_two():
     assert proc.returncode == 2
 
 
+def test_bad_thread_environment_exits_two(tmp_path):
+    # the environment default is parsed like the flag: a usage error that
+    # names the value, not a traceback
+    env = {**os.environ, "PLASMA_KERNEL_THREADS": "two"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "plasma_kernel.cli", "verify", "eighth",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "'two'" in proc.stderr and "Traceback" not in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_count_below_one_exits_two(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "eighth", "--threads", threads, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"need at least 1 thread, got {threads}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_series_overflow_is_numeric_error(tmp_path):
     # far outside the convergence budget the series guard trips: exit 3
     assert main(["eval", "--limit", "ml:1.5", "--grid", "49:51:1",
@@ -314,6 +338,16 @@ def test_sample_artifacts(tmp_path):
     rows = next(tmp_path.glob("*.csv")).read_text().strip().splitlines()
     assert rows[0] == "bin_center,estimate,stderr"
     assert len(rows) == 1 + 20
+
+
+def test_sample_artifact_names_carry_n(tmp_path):
+    # requests that differ only in --n must not overwrite each other
+    for n in ("64", "128"):
+        assert main(["sample", "--n", n, "--trials", "10", "--bins", "5",
+                     "--out", str(tmp_path)]) == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["sample_ginibre-n128_boundary.csv", "sample_ginibre-n128_boundary.json",
+                     "sample_ginibre-n64_boundary.csv", "sample_ginibre-n64_boundary.json"]
 
 
 @pytest.mark.parametrize("flags,named", [

@@ -13,7 +13,6 @@ from plasma_kernel import finite_n
 from plasma_kernel.finite_n import (
     KERNEL_MAX_N,
     DivisionNearZero,
-    KernelGrid,
     Potential,
     RescaleFrame,
     bulk_approx_kernel,
@@ -446,15 +445,6 @@ def test_psi_ratio_underflow_guard():
     frame = RescaleFrame.bulk(GINIBRE, 16)
     with pytest.raises(DivisionNearZero):
         psi_ratio(frame, 0.0, 40.0)
-
-
-def test_kernel_grid_points():
-    grid = KernelGrid(origin=-1.0 - 1.0j, step=0.5, nx=5, ny=3,
-                      values=np.zeros((3, 5)))
-    pts = grid.points()
-    assert pts.shape == (3, 5)
-    assert pts[0, 0] == -1.0 - 1.0j
-    assert pts[2, 4] == pytest.approx(1.0 + 0.0j)
 
 
 # --------------------------------------------------------------------------
