@@ -372,7 +372,7 @@ def _verify_mass_one(args, spec, quad) -> tuple:
     pts = _parse_points(args.points or defaults[spec.kind], args.seed)
     if not pts:
         raise ValueError(f"mass-one point set {args.points!r} keeps no points")
-    vals = [mass_one_residual(spec, z, quad) for z in pts]
+    vals = mass_one_residual(spec, pts, quad)
     rows = [(z.real, z.imag, float(abs(v))) for z, v in zip(pts, vals)]
     sup = max(abs(v) for v in vals)
     results = {"sup_norm": float(sup), "residuals": [float(v) for v in vals]}
@@ -453,12 +453,11 @@ def _verify_polarized(args, spec, quad) -> tuple:
     }.get(spec.kind)
     if pairs is None:
         raise ValueError("polarized verification needs free-boundary or hard-edge spec")
-    rows, sup = [], 0.0
-    for z, w in pairs:
-        r = abs(polarized_mass_one_residual(spec, z, w, quad))
-        rows.append((z.real, z.imag, float(r)))
-        sup = max(sup, r)
-    return rows, {"sup_norm": float(sup), "pairs": len(pairs)}, float(sup)
+    zs, ws = np.array(pairs).T
+    res = np.abs(polarized_mass_one_residual(spec, zs, ws, quad))
+    rows = [(z.real, z.imag, float(r)) for z, r in zip(zs, res)]
+    sup = float(res.max())
+    return rows, {"sup_norm": sup, "pairs": len(pairs)}, sup
 
 
 def cmd_verify(args) -> int:
@@ -711,22 +710,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action, key, value):
+    """A ``--config`` value as the flag would parse it: through the action's
+    ``type`` and ``choices``.  argparse checks neither on defaults that are
+    not strings, so a JSON number would skip them."""
+    try:
+        if action.type is not None and value is not None:
+            value = action.type(value if isinstance(value, str) else json.dumps(value))
+    except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: invalid choice {value!r} "
+                         f"(choose from {', '.join(map(str, action.choices))})")
+    return value
+
+
 def _apply_config_file(args, parser, argv):
     """Re-parse ``argv`` with the ``--config`` JSON as the subcommand's
     defaults, so every flag given on the command line wins."""
     if not getattr(args, "config", None):
         return args
+    # argparse has no public accessor for a subcommand's parser
+    subparsers = next(a for a in parser._actions  # noqa: SLF001
+                      if isinstance(a, argparse._SubParsersAction))  # noqa: SLF001
+    sub = subparsers.choices[args.command]
+    actions = {a.dest: a for a in sub._actions}  # noqa: SLF001
     with open(args.config) as fh:
         overrides = {}
         for key, value in json.load(fh).items():
             dest = key.replace("-", "_")
-            if not hasattr(args, dest):
+            if not hasattr(args, dest) or dest not in actions:
                 raise ValueError(f"unknown config key {key!r}")
-            overrides[dest] = value
-    # argparse has no public accessor for a subcommand's parser
-    subparsers = next(a for a in parser._actions  # noqa: SLF001
-                      if isinstance(a, argparse._SubParsersAction))  # noqa: SLF001
-    subparsers.choices[args.command].set_defaults(**overrides)
+            overrides[dest] = _config_value(actions[dest], key, value)
+    sub.set_defaults(**overrides)
     return parser.parse_args(argv)
 
 

@@ -8,22 +8,30 @@ positivity, and the inequality suite.
 
 Quadrature design
 -----------------
-The Cauchy transform kernel ``B(z,w)/(z-w)`` is integrated in polar
-coordinates centered at ``z``: writing ``w = z + r e^{i phi}``, the measure
-``dA/(z-w)`` becomes ``-e^{-i phi} dr dphi / pi``, which removes the
-singularity analytically.
+Every translation-invariant profile is ``Phi = gamma * m``, the standard
+Gaussian ``gamma`` convolved with a density m on the real line: ``m = 1_E``
+for the bulk (E = R) and the free boundary, ``m = 1_{t<0} / F(t)`` at the
+hard edge and ``m = level`` for the constant profile.  Then
+``|K(z, w)|^2`` is a double integral over m(t) m(s) whose only dependence on
+``Y = Im(z - w)`` is the phase ``exp(iY(t - s))``, so the integral over Y is
+exact in Fourier space: it gives ``2 pi delta(t - s)`` against 1 (mass-one
+and the reproducing integral) and ``2 pi sgn(u) exp(-|u| |t - s|)
+1[u (t - s) > 0]`` against ``1/(u + iY)``, ``u = Re(z - w)`` (Cauchy
+transform).  In the Cauchy transform the integral over u is then Gaussian
+and closes as well.  What is left is smooth, Gaussian-tailed and free of any
+singularity: a Gauss-Legendre rule in tau and in ``Re t`` for the
+reproducing integral (:func:`_ti_reproducing`), and one in s and in t < s
+for the Cauchy transform (:func:`_ti_cauchy_numerator`).  Each runs over
+one window of half-width ``_CUT`` per interval of the support of m, made of
+two panels of ``round(32 n_radial / 96)`` nodes that meet at the peak, so
+node-doubling configurations refine every window.  C reads ``Re z`` only,
+so it is real and y-invariant by construction.
 
-For the translation-invariant kernels the Berezin density is *not*
-``exp(-r^2)``-dominated: along the boundary direction it decays only like
-``1/|w|^2``, so a polar cutoff alone cannot reach the advertised
-tolerances.  The plane integrals therefore combine a polar core (only
-around an actual singularity) with Cartesian strips whose transverse
-panels end in tangent-map tails that integrate the algebraic decay exactly.
-Across the carved-out core the strip columns are parametrized by the angle
-of the circle (``a = x_z + rho sin psi``), which removes the square-root
-kink the circular hole would otherwise induce.  All panel node counts scale
-with ``QuadratureConfig.n_radial / 96``, so node-doubling configurations
-refine every panel at once.
+The Mittag-Leffler Berezin density decays like
+``exp(-(r^lam - |z|^lam)^2)`` in every direction, so its plane integrals
+are polar Gauss rules centred at z, truncated at ``r_max``; in polar
+coordinates ``dA/(z - w)`` becomes ``-e^{-i phi} dr dphi / pi``, which
+removes the singularity analytically.
 """
 
 from __future__ import annotations
@@ -33,16 +41,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .special import (
-    QuadratureNotConverged,
     _leggauss,
     conv_indicator,
     conv_indicator_scaled,
     gauss_gamma,
     hard_edge_H,
     hard_edge_H_scaled,
-    hard_edge_H_scaled_grid,
     hermite_scaled,
     mittag_leffler_kernel_eval,
     mittag_leffler_kernel_scaled,
@@ -144,11 +151,13 @@ class LimitKernelSpec:
 class QuadratureConfig:
     """Node budget for the plane integrals.
 
-    ``n_radial=96`` / ``n_angular=128`` are the defaults; ``r_max`` bounds
-    the polar core and sets the Gaussian padding of the strip geometry
-    (truncation of ``exp(-r^2)``-dominated factors beyond ``r_max=8`` is
-    below 1e-27; the algebraically decaying boundary lobes are handled by
-    the tangent-map tails, not by truncation).
+    ``n_radial=96`` / ``n_angular=128`` are the defaults.  The
+    translation-invariant kernels take ``round(32 n_radial / 96)``
+    Gauss-Legendre nodes per panel, two panels per window, and nothing else
+    from here: their windows are fixed by the Gaussian tail bound next to
+    ``_CUT``.  The Mittag-Leffler polar rule has ``n_radial`` radial nodes
+    on ``[0, r_max]`` and ``n_angular`` angles; truncating its
+    ``exp(-r^2)``-dominated density at ``r_max=8`` drops less than 1e-27.
     """
 
     r_max: float = 8.0
@@ -165,15 +174,21 @@ class QuadratureConfig:
 
 
 class _Profile:
-    """Scaled boundary profile Phi and its diagonal derivatives, elementwise."""
+    """Boundary profile ``Phi = gamma * m``: scaled values, diagonal
+    derivatives and the density m, elementwise.
 
-    domain_left_only = False
+    ``m`` is smooth on each of ``pieces`` and 0 off them; the kernel lives on
+    ``Re z < re_max``.
+    """
+
+    pieces = _FULL_LINE
+    re_max = math.inf
 
     def scaled(self, v):  # Phi(v) exp(-Im(v)^2 / 2)
         raise NotImplementedError
 
-    def scaled_grid(self, re, im):  # scaled(re[:, None] + 1j * im[None, :])
-        return self.scaled(np.add.outer(re, 1j * im))
+    def m(self, t):  # real t on the pieces
+        raise NotImplementedError
 
     def diag(self, s):  # Phi(s), real s
         raise NotImplementedError
@@ -187,19 +202,22 @@ class _Profile:
 
 class _IntervalProfile(_Profile):
     def __init__(self, intervals):
-        self.intervals = intervals
+        self.pieces = intervals
 
     def scaled(self, v):
         v = np.atleast_1d(np.asarray(v, dtype=complex))
-        return sum(conv_indicator_scaled(v, interval) for interval in self.intervals)
+        return sum(conv_indicator_scaled(v, interval) for interval in self.pieces)
+
+    def m(self, t):
+        return np.ones(np.shape(t))
 
     def diag(self, s):
-        return np.real(sum(conv_indicator(s, interval) for interval in self.intervals))
+        return np.real(sum(conv_indicator(s, interval) for interval in self.pieces))
 
     def _endpoint_sum(self, s, order):
         # d/ds F(s-c) chains: F' = -gamma, F'' (v) = v gamma(v)
         total = 0.0
-        for lo, hi in self.intervals:
+        for lo, hi in self.pieces:
             for c, sign in ((hi, 1.0), (lo, -1.0)):
                 if math.isinf(c):
                     continue
@@ -215,13 +233,14 @@ class _IntervalProfile(_Profile):
 
 
 class _HardEdgeProfile(_Profile):
-    domain_left_only = True
+    pieces = _HALF_LINE
+    re_max = 0.0
 
     def scaled(self, v):
         return np.atleast_1d(hard_edge_H_scaled(np.asarray(v, dtype=complex)))
 
-    def scaled_grid(self, re, im):
-        return hard_edge_H_scaled_grid(re, im)
+    def m(self, t):  # 1/F(t), between 1 and 2 on t <= 0
+        return 1.0 / ndtr(-t)
 
     def diag(self, s):
         return np.real(hard_edge_H(s))
@@ -240,6 +259,9 @@ class _ConstantProfile(_Profile):
     def scaled(self, v):
         v = np.atleast_1d(np.asarray(v, dtype=complex))
         return self.level * np.exp(-0.5 * v.imag**2).astype(complex)
+
+    def m(self, t):
+        return np.full(np.shape(t), self.level)
 
     def diag(self, s):
         return np.full(np.shape(s), self.level)
@@ -352,10 +374,26 @@ def conditional_intensity(spec: LimitKernelSpec, a, z):
 
 
 # --------------------------------------------------------------------------
-# plane quadrature engine
+# plane integrals of the translation-invariant kernels: transverse reduction
 # --------------------------------------------------------------------------
 
-_B_CORE = 16.0  # transverse extent of the linear strip panels
+# Half-width of every integration window, in the units where each Gaussian
+# factor reads exp(-q^2/2).  Tail bound: with 0 <= m <= M (M = 1 for the
+# intervals, 2 for the hard edge, the level for the constant profile), phi
+# and Phi the standard normal density and CDF and Psi(q) = q Phi(q) + phi(q),
+# the windows leave out at most
+#   of R C, over s:   M^2 int_{|q|>L} (Phi(q) Phi(-q) + phi(q) Psi(q)) dq,
+#           over t:   M^2 (2 Psi(-L) + phi(0) Phi(-L)),
+#   of the reproducing integral, over tau and over Re t:  2 M^2 Phi(-L) each.
+# Every neglected s has |s - c| > L, and every neglected t lies below
+# min(s, c) - L.  At L = 10 and M = 2 the sum is below 4e-22
+# (tests/test_limits_quadrature.py).
+_CUT = 10.0
+_BLOCK = 1 << 18  # points x rule nodes per temporary, 2 MB of float64
+
+
+def _gauss(q):
+    return np.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
 
 
 def _gl_panel(n, a, b):
@@ -363,161 +401,98 @@ def _gl_panel(n, a, b):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _half_lines(bmin, edges_offsets, n_panel, n_tail):
-    """Composite rule on [bmin, inf) per column; bmin is a column vector.
+def _panel_nodes(quad: QuadratureConfig) -> int:
+    return max(4, round(32 * quad.n_radial / 96))
 
-    Returns (nodes, weights) of shape (n_cols, n_total).  Panels run from
-    bmin through the fixed edges, then a tangent-map tail captures the
-    algebraic decay exactly.
+
+def _window(lo, peak, hi, n):
+    """Gauss-Legendre rule on ``[lo, hi]`` for arrays of bounds: two panels
+    of ``n`` nodes that meet at ``peak`` (clipped into the window).
+
+    Returns nodes and weights with a trailing axis of length ``2n``; where
+    ``hi <= lo`` the weights are 0.
     """
-    xu, wu = _leggauss(n_panel)
-    cols = bmin.shape[0]
-    prev = bmin[:, None]
+    x, w = _leggauss(n, polish=True)
+    mid = np.minimum(np.maximum(peak, lo), hi)
     nodes, weights = [], []
-    for edge in edges_offsets:
-        nxt = np.maximum(prev, edge if np.ndim(edge) else np.full((cols, 1), edge))
-        mid, half = 0.5 * (prev + nxt), 0.5 * (nxt - prev)
-        nodes.append(mid + half * xu[None, :])
-        weights.append(half * wu[None, :])
-        prev = nxt
-    xt, wt = _gl_panel(n_tail, 0.0, 0.5 * math.pi * (1.0 - 1e-12))
-    nodes.append(prev + np.tan(xt)[None, :])
-    weights.append(np.broadcast_to(wt / np.cos(xt) ** 2, (cols, n_tail)).copy())
-    return np.concatenate(nodes, axis=1), np.concatenate(weights, axis=1)
+    for a, b in ((lo, mid), (mid, hi)):
+        half = 0.5 * np.maximum(b - a, 0.0)[..., None]
+        nodes.append(0.5 * (a + b)[..., None] + half * x)
+        weights.append(half * w)
+    return np.concatenate(nodes, axis=-1), np.concatenate(weights, axis=-1)
 
 
-def _ti_plane_integral(profile: _Profile, z: complex, w: complex, kind: str,
-                       quad: QuadratureConfig) -> complex:
-    """Plane integral for translation-invariant kernels.
+def _blocks(n_points, n):
+    step = max(1, _BLOCK // (2 * n) ** 2)
+    return (slice(k, k + step) for k in range(0, n_points, step))
 
-    ``kind="polarized"``: ``integral K(t,z) K(w,t) dA(t)`` (reproducing
-    integrand).  ``kind="cauchy"``: ``integral B(z,t)/(z-t) dA(t)``.
+
+def _ti_cauchy_numerator(profile: _Profile, x, quad: QuadratureConfig):
+    """``R(x) C(x)`` for the translation-invariant kernels, flat real ``x``.
+
+    With ``c = 2x``, ``phi``/``Phi`` the standard normal density/CDF and
+    ``d = profile.re_max``,
+
+        R C = iint_{t<s} m(t) m(s) [phi(t-c) Phi(c-s)
+                                    - phi(s-c) (Phi(t-c) - Phi(t-2d))] dt ds.
+
+    The s-window of each piece of the support is centred on its point
+    nearest to c, where the integrand peaks; the t-rule runs up to s.
     """
-    xz, yz, xw, yw = z.real, z.imag, w.real, w.imag
-    scale = quad.n_radial / 96.0
-    n_zone = max(8, round(54 * scale))
-    n_a = max(16, round(160 * scale))
-    n_panel = max(6, round(32 * scale))
-    n_tail = max(6, round(28 * scale))
-    singular = kind == "cauchy"
-    # Phi(conj v) = conj Phi(v): the sgn = -1 half line (and, in the polar
-    # core, phi -> -phi) contributes the complex conjugate of the sgn = +1
-    # half whenever the integrand is built from |Phi|^2 alone
-    fold = singular or z == w
-    r0 = profile.diag(2.0 * xz)
-    total = 0.0 + 0.0j
-
-    rho = 0.0
-    if singular:
-        rho = max(1.0, min(2.0 * abs(xz) + 1.5, 4.0))
-        if profile.domain_left_only:
-            rho = min(rho, 0.995 * abs(xz))
-        total += _polar_core(profile, z, rho, quad, r0)
-
-    pad = quad.r_max + 0.5
-    a_lo = min(xz, xw) - pad
-    a_hi = 0.0 if profile.domain_left_only else max(xz, xw) + pad
-
-    if singular:
-        a_cols, a_wts, carved = [], [], []
-        if a_lo < xz - rho:
-            a, wa = _gl_panel(n_zone, a_lo, xz - rho)
-            a_cols.append(a), a_wts.append(wa), carved.append(np.zeros(a.shape, bool))
-        psi, wpsi = _gl_panel(n_zone, -0.5 * math.pi, 0.5 * math.pi)
-        a_cols.append(xz + rho * np.sin(psi))
-        a_wts.append(wpsi * rho * np.cos(psi))
-        carved.append(np.ones(psi.shape, bool))
-        if a_hi > xz + rho:
-            a, wa = _gl_panel(n_zone, xz + rho, a_hi)
-            a_cols.append(a), a_wts.append(wa), carved.append(np.zeros(a.shape, bool))
-        a = np.concatenate(a_cols)
-        wa = np.concatenate(a_wts)
-        carved = np.concatenate(carved)
-    else:
-        a, wa = _gl_panel(n_a, a_lo, a_hi)
-        carved = np.zeros(a.shape, bool)
-
-    ymid = 0.5 * (yz + yw)
-    dy = 0.5 * abs(yz - yw)
-    col_sums = np.zeros(a.shape, dtype=complex)
-
-    for is_carved in (False, True):
-        sel = carved == is_carved
-        if not np.any(sel):
-            continue
-        a_sel = a[sel]
-        if is_carved:
-            bmin = np.sqrt(np.maximum(rho**2 - (a_sel - xz) ** 2, 0.0))
-            edges = [bmin[:, None] + 1.0, bmin[:, None] + 3.0, 7.0, _B_CORE]
-            center = yz
-        else:
-            # every strip column has the same half-line rule, so one row of
-            # offsets serves them all and Phi is taken on the (a, b) grid
-            bmin = np.zeros(1)
-            edges = [dy + 2.0, dy + 6.0, dy + 11.0, _B_CORE]
-            center = ymid
-        offs, wb = _half_lines(bmin, edges, n_panel, n_tail)
-        if fold:
-            acc = np.sum(_ti_integrand(profile, z, w, a_sel[:, None], center + offs,
-                                       kind, r0) * wb, axis=1)
-            col_sums[sel] = 2.0 * acc.real
-            continue
-        acc = np.zeros(a_sel.shape, dtype=complex)
-        for sgn in (1.0, -1.0):
-            b = center + sgn * offs
-            acc += np.sum(_ti_integrand(profile, z, w, a_sel[:, None], b, kind, r0) * wb, axis=1)
-        col_sums[sel] = acc
-
-    total += np.sum(col_sums * wa) / math.pi
-    return complex(total)
+    n = _panel_nodes(quad)
+    out = np.empty(x.shape)
+    for blk in _blocks(x.size, n):
+        c = 2.0 * x[blk]
+        cs, ct = c[:, None], c[:, None, None]
+        total = 0.0
+        for lo_s, hi_s in profile.pieces:
+            peak = np.clip(c, lo_s, hi_s)
+            s, ws = _window(np.maximum(lo_s, peak - _CUT), peak, np.minimum(hi_s, peak + _CUT), n)
+            a = b = 0.0  # integrals over t < s against phi(t-c) and the Phi's
+            for lo_t, hi_t in profile.pieces:
+                top = np.minimum(hi_t, s)
+                t, wt = _window(np.maximum(lo_t, np.minimum(cs, top) - _CUT), cs, top, n)
+                mt = profile.m(t) * wt
+                a = a + np.sum(mt * _gauss(t - ct), axis=-1)
+                b = b + np.sum(mt * (ndtr(t - ct) - ndtr(t - 2.0 * profile.re_max)), axis=-1)
+            total = total + np.sum(ws * profile.m(s) * (ndtr(cs - s) * a - _gauss(s - cs) * b),
+                                   axis=-1)
+        out[blk] = total
+    return out
 
 
-def _ti_integrand(profile, z, w, a, b, kind, r0):
-    """Integrand at ``t = a + ib`` for a column ``a`` of shape (n, 1).
+def _ti_reproducing(profile: _Profile, z, w, quad: QuadratureConfig):
+    """``integral K(t, z) K(w, t) dA(t)`` elementwise over flat ``z``, ``w``.
 
-    ``b`` is either (n, m), one row of Im t per column, or (1, m), one row
-    shared by every column; then ``Re v`` and ``Im v`` vary along separate
-    axes and Phi is evaluated on that tensor grid.
+    With ``c = Re z + Re w`` and ``d = profile.re_max`` this is
+
+        (1/pi) exp(-(Re w - Re z)^2/2 - i (Im w Re w - Im z Re z))
+          int dtau m(tau)^2 exp(-(tau - c)^2/2 + i (Im w - Im z) tau)
+              int_{a<d} exp(-(2a - tau)^2/2) da,
+
+    where ``a = Re t``; the tau-windows are centred as in
+    :func:`_ti_cauchy_numerator`.  It is 0 where z or w lies outside the
+    domain ``Re < d``.
     """
-    xz, yz, xw, yw = z.real, z.imag, w.real, w.imag
-
-    def phi(re, im):
-        if im.shape[0] == 1:
-            return profile.scaled_grid(re[:, 0], im[0])
-        return profile.scaled(re + 1j * im)
-
-    phi1 = phi(a + xz, b - yz)
-    if kind == "cauchy":
-        dens = np.exp(-((a - xz) ** 2)) * np.abs(phi1) ** 2 / r0
-        dx, dyy = xz - a, yz - b
-        return dens * (dx - 1j * dyy) / (dx * dx + dyy * dyy)
-    if z == w:
-        # v2 = conj(v1) and theta = 0, so Phi(v1) Phi(v2) = |Phi(v1)|^2
-        return np.exp(-((a - xz) ** 2)) * np.abs(phi1) ** 2
-    phi2 = phi(xw + a, yw - b)
-    mag = np.exp(-0.5 * (a - xz) ** 2 - 0.5 * (a - xw) ** 2)
-    theta = b * xz - a * yz + yw * a - xw * b
-    return mag * np.exp(1j * theta) * phi1 * phi2
-
-
-def _polar_core(profile, z, rho, quad, r0):
-    """Cauchy-transform core: polar disc around the singularity at z.
-
-    The angular rule is folded onto ``phi in [0, pi]``: the nodes at ``phi``
-    and ``-phi`` give complex-conjugate integrands, so each interior node
-    counts twice and only the real part survives.
-    """
-    n_r = max(8, round(48 * quad.n_radial / 96.0))
-    n_ang = quad.n_angular
-    r, wr = _gl_panel(n_r, 0.0, rho)
-    k = np.arange(n_ang // 2 + 1)
-    mult = np.where((k == 0) | (2 * k == n_ang), 1.0, 2.0)
-    phi = 2.0 * math.pi * k / n_ang
-    rr, pp = np.meshgrid(r, phi, indexing="ij")
-    v = 2.0 * z.real + rr * np.exp(-1j * pp)
-    dens = np.exp(-((rr * np.cos(pp)) ** 2)) * np.abs(profile.scaled(v)) ** 2 / r0
-    terms = (dens * np.exp(-1j * pp)).real * wr[:, None] * mult[None, :]
-    return -np.sum(terms) * (2.0 * math.pi / n_ang) / math.pi
+    n = _panel_nodes(quad)
+    out = np.empty(z.shape, dtype=complex)
+    for blk in _blocks(z.size, n):
+        zb, wb = z[blk], w[blk]
+        c = zb.real + wb.real
+        dy = (wb.imag - zb.imag)[:, None]
+        total = 0.0
+        for lo, hi in profile.pieces:
+            peak = np.clip(c, lo, hi)
+            tau, wt = _window(np.maximum(lo, peak - _CUT), peak, np.minimum(hi, peak + _CUT), n)
+            a, wa = _window(0.5 * (tau - _CUT), 0.5 * tau,
+                            np.minimum(profile.re_max, 0.5 * (tau + _CUT)), n)
+            re_t = np.sum(wa * np.exp(-0.5 * (2.0 * a - tau[..., None]) ** 2), axis=-1)
+            dens = profile.m(tau) ** 2 * np.exp(-0.5 * (tau - c[:, None]) ** 2) * re_t
+            total = total + np.sum(wt * dens * np.exp(1j * dy * tau), axis=-1)
+        phase = wb.imag * wb.real - zb.imag * zb.real
+        inside = (zb.real < profile.re_max) & (wb.real < profile.re_max)
+        out[blk] = inside * np.exp(-0.5 * (wb.real - zb.real) ** 2 - 1j * phase) * total / math.pi
+    return out
 
 
 def _ml_polar_integral(spec: LimitKernelSpec, z: complex, kind: str,
@@ -548,41 +523,48 @@ def _ml_polar_integral(spec: LimitKernelSpec, z: complex, kind: str,
 _DEFAULT_QUAD = QuadratureConfig()
 
 
-def cauchy_transform(spec: LimitKernelSpec, z: complex,
-                     quad: QuadratureConfig = _DEFAULT_QUAD) -> complex:
-    """Cauchy transform ``C(z) = integral B(z,w)/(z-w) dA(w)``.
+def cauchy_transform(spec: LimitKernelSpec, z, quad: QuadratureConfig = _DEFAULT_QUAD):
+    """Cauchy transform ``C(z) = integral B(z,w)/(z-w) dA(w)``, elementwise.
+
+    Translation-invariant kernels take the reduced rule of
+    :func:`_ti_cauchy_numerator` for every point in one call; C depends on
+    ``Re z`` alone there and is real.  Mittag-Leffler kernels take one polar
+    quadrature per point.
 
     Raises
     ------
     ZeroIntensity
         Where the Berezin kernel is undefined.
     """
-    z = complex(z)
-    _intensity(spec, z)
-    if spec.kind == "mittag_leffler":
-        return _ml_polar_integral(spec, z, "cauchy", quad)
-    return _ti_plane_integral(_profile_for(spec), z, z, "cauchy", quad)
-
-
-def mass_one_residual(spec: LimitKernelSpec, z: complex,
-                      quad: QuadratureConfig = _DEFAULT_QUAD) -> float:
-    """``integral B(z, w) dA(w) - 1`` (mass-one equation residual)."""
-    z = complex(z)
+    shape, (z,) = _flat(z)
     r = _intensity(spec, z)
     if spec.kind == "mittag_leffler":
-        return float(_ml_polar_integral(spec, z, "mass", quad).real) - 1.0
-    val = _ti_plane_integral(_profile_for(spec), z, z, "polarized", quad)
-    return float(val.real) / r - 1.0
+        out = np.array([_ml_polar_integral(spec, p, "cauchy", quad) for p in z.tolist()])
+    else:
+        out = (_ti_cauchy_numerator(_profile_for(spec), z.real, quad) / r).astype(complex)
+    return _shaped(out, shape)
 
 
-def polarized_mass_one_residual(spec: LimitKernelSpec, z: complex, w: complex,
-                                quad: QuadratureConfig = _DEFAULT_QUAD) -> complex:
-    """Reproducing-property residual ``integral K(t,z)K(w,t)dA(t) - K(w,z)``."""
+def mass_one_residual(spec: LimitKernelSpec, z, quad: QuadratureConfig = _DEFAULT_QUAD):
+    """``integral B(z, w) dA(w) - 1`` (mass-one equation residual), elementwise."""
+    shape, (z,) = _flat(z)
+    r = _intensity(spec, z)
+    if spec.kind == "mittag_leffler":
+        mass = np.array([_ml_polar_integral(spec, p, "mass", quad).real for p in z.tolist()])
+    else:
+        mass = _ti_reproducing(_profile_for(spec), z, z, quad).real / r
+    return _shaped(mass - 1.0, shape)
+
+
+def polarized_mass_one_residual(spec: LimitKernelSpec, z, w,
+                                quad: QuadratureConfig = _DEFAULT_QUAD):
+    """Reproducing-property residual ``integral K(t,z)K(w,t)dA(t) - K(w,z)``,
+    elementwise over broadcast z, w."""
     if not spec.translation_invariant:
         raise ValueError("polarized mass-one is defined for the boundary kernels")
-    z, w = complex(z), complex(w)
-    lhs = _ti_plane_integral(_profile_for(spec), z, w, "polarized", quad)
-    return lhs - limit_kernel(spec, w, z)
+    shape, (z, w) = _flat(z, w)
+    lhs = _ti_reproducing(_profile_for(spec), z, w, quad)
+    return _shaped(lhs - limit_kernel(spec, w, z), shape)
 
 
 def laplacian_log_R(spec: LimitKernelSpec, z, fd_step: float = 1e-3):
@@ -661,22 +643,23 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
     ``points`` may have any shape; the result has that shape, or is a Python
     float for a scalar point, and the caller's array is left as it was.
     ``dbar`` is taken by 4th-order central differences of the Cauchy
-    transform; the quadrature frame moves with the point, so C is smooth in
-    z.
+    transform.
 
     For the translation-invariant kernels both sides of Ward's equation
-    depend on ``Re z`` alone, so C is evaluated once on a 4-point x-stencil
-    per distinct real part (on the real axis), ``dbar C = C_x / 2`` (the
-    y-derivative is exactly 0), and the residual is spread over every point
-    with that real part.  The quadrature frame of :func:`cauchy_transform`
-    recentres on ``Im z`` and the right-hand side reads ``Re z`` only, so
-    the computed values are y-invariant up to rounding; the tests compare
-    this collapse with :func:`ward_point_residual` off the axis.
+    depend on ``Re z`` alone: the reduced rule of :func:`cauchy_transform`
+    and the right-hand side read ``Re z`` only.  So C is evaluated in one
+    array call on a 4-point x-stencil per distinct real part,
+    ``dbar C = C_x / 2`` (the y-derivative is exactly 0), and the residual
+    is spread over every point with that real part; the tests compare this
+    collapse with :func:`ward_point_residual` off the axis.  The stencil
+    weights C by up to ``18 / (12 fd_step)``, 1500 at the default 1e-3, and
+    the reduced C is accurate to about 2e-16, so residuals of a few 1e-13
+    are rounding.
     Mittag-Leffler kernels take the full stencil of
-    :func:`ward_point_residual` at every point.  The right-hand side is one
-    array call over the distinct real parts, or over the points.
-    ``threads`` map over the Cauchy transforms (translation-invariant
-    kernels) or the points.
+    :func:`ward_point_residual` at every point, and ``threads`` map over
+    those points; the translation-invariant branch ignores ``threads``.
+    The right-hand side is one array call over the distinct real parts, or
+    over the points.
 
     Hard-edge points must satisfy ``Re z <= -2 fd_step`` so stencils never
     cross the domain boundary.
@@ -686,9 +669,8 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
         raise ValueError("hard-edge points must satisfy Re z <= -2 fd_step")
     if spec.translation_invariant:
         xs, at = np.unique(pts.real, return_inverse=True)
-        nodes = (xs[:, None] + fd_step * np.array(_FD_OFFSETS)).ravel()
-        cs = _thread_map(lambda t: cauchy_transform(spec, t, quad), nodes.tolist(), threads)
-        dbar = 0.5 * _central_diff(np.reshape(cs, (xs.size, len(_FD_OFFSETS))).T, fd_step)
+        cs = cauchy_transform(spec, xs[:, None] + fd_step * np.array(_FD_OFFSETS), quad)
+        dbar = 0.5 * _central_diff(cs.real.T, fd_step)
     else:
         xs, at = pts, slice(None)
         dbar = np.array(_thread_map(lambda z: _dbar_cauchy(spec, z, quad, fd_step),

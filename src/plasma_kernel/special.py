@@ -8,8 +8,8 @@ and the lower incomplete gamma function.
 
 Every function is a pure function of its arguments and accepts scalars or
 numpy arrays of complex values.  Overflow-free *scaled* variants (multiplied
-by ``exp(-Im(z)**2 / 2)``) are exposed for quadrature engines that need
-values far from the real axis where the plain functions overflow.
+by ``exp(-Im(z)**2 / 2)``) are exposed for kernel values far from the real
+axis, where the plain functions overflow.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "conv_indicator_scaled",
     "hard_edge_H",
     "hard_edge_H_scaled",
-    "hard_edge_H_scaled_grid",
     "hermite_prob",
     "hermite_scaled",
     "hermite_scaled_pair",
@@ -121,7 +120,7 @@ def plasma_F_scaled(z):
     """``F(z) exp(-Im(z)^2 / 2)``, overflow-free on the whole plane.
 
     ``|plasma_F_scaled(z)| <= max(F(Re z), 1)`` everywhere, which is what
-    plane quadratures need far from the real axis.
+    kernel values need far from the real axis.
     """
     zz, scalar = _as_complex_array(z)
     # F(z) = 1 - F(-z): the left half plane takes the reflected argument
@@ -211,9 +210,31 @@ def _hard_edge_rule_size(im):
 
 
 @lru_cache(maxsize=64)
-def _leggauss(n_nodes):
-    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only."""
+def _leggauss(n_nodes, polish=False):
+    """Gauss-Legendre nodes and weights on [-1, 1], cached and read-only.
+
+    numpy's weights next to the ends are off by 1e-13 (24 nodes) to 1e-11
+    (128 nodes) relative, against 40-digit mpmath.  An integrand that piles
+    up at one end of its panel, as a far Gaussian tail does, turns that
+    into a relative error of the integral of about 1e-13.  ``polish=True``
+    takes one Newton step on the nodes and recomputes the weights
+    ``2 / ((1 - x^2) P_n'(x)^2)`` in extended precision (``np.longdouble``),
+    which gives correctly rounded nodes and weights on x86-64.  It costs an
+    O(n^2) Python-level recurrence, about 3 ms at n = 64, once per size.
+    """
     x, w = np.polynomial.legendre.leggauss(n_nodes)
+    if polish:
+        t = x.astype(np.longdouble)
+        for step in range(2):
+            p_prev, p = np.ones_like(t), t
+            for j in range(2, n_nodes + 1):
+                p_prev, p = p, ((2 * j - 1) * t * p - (j - 1) * p_prev) / j
+            dp = n_nodes * (p_prev - t * p) / (1 - t * t)
+            if step == 0:
+                t = t - p / dp
+        x = t.astype(float)
+        w = (2 / ((1 - t * t) * dp * dp)).astype(float)
+        x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -229,17 +250,6 @@ def _hard_edge_rule(n_nodes):
     return t, INV_SQRT_2PI * w / f
 
 
-def _hard_edge_gauss(x, n_nodes):
-    """Offsets ``d = x - t`` from the nodes and the weighted ``w_t exp(-d^2/2)``.
-
-    With ``u = x + iy``, ``Gamma(u - t) exp(-y^2/2) = exp(-d^2/2 - iyd) / sqrt(2 pi)``:
-    the quadrature branch is ``sum_t gauss[x, t] exp(-iy d[x, t])`` plus the tail.
-    """
-    t, wf = _hard_edge_rule(n_nodes)
-    d = x[:, None] - t
-    return d, wf * np.exp(-0.5 * d * d)
-
-
 def _hard_edge_tail(u, deriv):
     """Scaled contribution of the far tail (-inf, -split], where 1/F = 1."""
     tail = u + _H_TAIL_SPLIT
@@ -250,8 +260,15 @@ def _hard_edge_tail(u, deriv):
 
 
 def _hard_edge_quad(u, n_nodes, deriv):
-    """Quadrature branch of :func:`hard_edge_H_scaled` with one rule size."""
-    d, gauss = _hard_edge_gauss(u.real, n_nodes)
+    """Quadrature branch of :func:`hard_edge_H_scaled` with one rule size.
+
+    With ``d = x - t`` for the nodes t, ``Gamma(u - t) exp(-y^2/2) =
+    exp(-d^2/2 - iyd) / sqrt(2 pi)``, and the rule's weights carry the
+    ``1 / (sqrt(2 pi) F(t))``.
+    """
+    t, wf = _hard_edge_rule(n_nodes)
+    d = u.real[:, None] - t
+    gauss = wf * np.exp(-0.5 * d * d)
     phase = np.exp(-1j * u.imag[:, None] * d)
     if deriv > 0:
         phase = phase * ((-1) ** deriv) * hermite_prob(deriv, d + 1j * u.imag[:, None])
@@ -309,52 +326,20 @@ def hard_edge_H_scaled(z, deriv=0):
     return _restore(out, scalar)
 
 
-def hard_edge_H_scaled_grid(x, y):
-    """``hard_edge_H_scaled(x[:, None] + 1j * y[None, :])`` on a tensor grid.
-
-    On the quadrature branch the phase of each node splits,
-    ``exp(-iy(x - t)) = exp(-ixy) exp(iyt)``, so the sum over the nodes (see
-    ``_hard_edge_gauss``) is one ``(Nx, Nt) x (Nt, Ny)`` product per rule
-    size and costs ``(Nx + Ny) Nt`` exponentials instead of ``2 Nx Ny Nt``.
-    Columns with ``|y| >= 21`` go through :func:`hard_edge_H_scaled` itself,
-    with its asymptotic switch and rule cap.  The sum is a fixed-order
-    ``einsum``, not BLAS, so the values do not depend on the thread count.
-    They differ from the pointwise ones only by the rounding of the split
-    phase: at most 3.7e-15 absolute on 43,000 random points with
-    ``Re in [-14, 2]``, ``|Im| <= 30``.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.empty((x.size, y.size), dtype=complex)
-    far = np.abs(y) >= _H_ASYMPTOTIC_IM
-    if np.any(far):
-        out[:, far] = hard_edge_H_scaled(x[:, None] + 1j * y[far])
-    near = ~far
-    need = _hard_edge_rule_size(np.abs(y))
-    for n_nodes in np.unique(need[near]):
-        sel = near & (need == n_nodes)
-        t = _hard_edge_rule(int(n_nodes))[0]
-        _, gauss = _hard_edge_gauss(x, int(n_nodes))
-        out[:, sel] = np.einsum("xt,yt->xy", gauss, np.exp(1j * np.multiply.outer(y[sel], t)))
-    if np.any(near):
-        u = x[:, None] + 1j * y[near]
-        out[:, near] = np.exp(-1j * x[:, None] * y[near]) * out[:, near] + _hard_edge_tail(u, 0)
-    return out
-
-
 def hard_edge_H(z, deriv=0):
     """Hard-edge plasma function ``H(z)`` (Gaussian convolved with 1/F on R-).
 
     Absolute error <= 1e-9 for real z in the envelope Re z <= 10.  Off the
     real axis the error is absolute on the scaled form: against 40-digit
-    ``mpmath.quad`` values, :func:`hard_edge_H_scaled` and
-    :func:`hard_edge_H_scaled_grid` stay within 4e-14 of ``H_s`` on
-    ``Re z in [-10.5, 0.5]``, ``|Im z| <= 25`` (400 random points and a
-    tensor grid across ``|Im z| = 21``; the tests bound it by 1e-13).  The
-    error of H is that times ``exp(Im(z)^2 / 2)``, and the relative error
-    is of order one where ``|H_s|`` is near 1e-15 (at -7.951+17.186i, say).
-    Real and strictly positive on the real axis.  ``deriv=k`` returns the
-    k-th derivative.
+    ``mpmath.quad`` values, :func:`hard_edge_H_scaled` stays within 4e-14
+    of ``H_s`` on ``Re z in [-10.5, 0.5]``, ``|Im z| <= 25`` (400 random
+    points and a grid of points across ``|Im z| = 21``; the tests bound it
+    by 1e-13).  The error of H is that times ``exp(Im(z)^2 / 2)``, and the
+    relative error is of order one where ``|H_s|`` is near 1e-15 (at
+    -7.951+17.186i, say).  Real and strictly positive on the real axis.
+    ``deriv=k`` returns the k-th derivative.  Off the real axis H serves
+    the kernel values; the plane integrals of the hard-edge kernel take
+    ``1/F`` on the real line instead (see :mod:`plasma_kernel.limits`).
 
     Raises
     ------

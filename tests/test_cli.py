@@ -320,6 +320,33 @@ def test_config_file_loses_to_flag_equal_to_default(tmp_path):
     assert json.loads(next(out2.glob("*.json")).read_text())["seed"] == 7
 
 
+def test_config_file_values_go_through_the_flag_type(tmp_path, capsys):
+    # a JSON number is checked as the flag's string would be
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"threads": 0}))
+    argv = ["verify", "ward", "--spec", "bulk", "--grid", "0:0:1", "--out", str(tmp_path)]
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert "config key 'threads': need at least 1 thread, got 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:  # the flag itself, for comparison
+        main(argv + ["--threads", "0"])
+    assert exc.value.code == 2
+    assert not list(tmp_path.glob("*.csv"))
+    cfg.write_text(json.dumps({"frame": "nope"}))
+    assert main(["eval", "--limit", "bulk", "--grid", "0:0:1", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    assert "config key 'frame': invalid choice 'nope'" in capsys.readouterr().err
+
+
+def test_config_file_numeric_value_applies(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"fd_step": 0.002, "sets": 3}))
+    out = tmp_path / "o"
+    assert main(["verify", "ward", "--spec", "bulk", "--grid", "0:0:1", "--config", str(cfg),
+                 "--out", str(out)]) == 0
+    config = json.loads(next(out.glob("*.json")).read_text())["config"]
+    assert config["fd_step"] == 0.002 and config["sets"] == 3
+
+
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"no_such_option": 1}))

@@ -1,12 +1,14 @@
 """Plane-quadrature operators: mass-one residuals, Cauchy transforms,
 Ward-equation residuals, Gram positivity, inequalities, and tail bounds."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_less
 
+from plasma_kernel import limits
 from plasma_kernel.limits import (
     LimitKernelSpec,
     QuadratureConfig,
@@ -29,6 +31,7 @@ FB = LimitKernelSpec.free_boundary()
 HE = LimitKernelSpec.hard_edge()
 ML2 = LimitKernelSpec.mittag_leffler(2.0)
 CONST = LimitKernelSpec.constant_profile(0.5)
+GAP = LimitKernelSpec.free_boundary(((-2.0, -1.0), (1.0, 2.0)))
 
 
 # --------------------------------------------------------------------------
@@ -62,13 +65,14 @@ def test_mass_one_constant_profile_defect():
 
 
 def test_mass_one_interval_union_edge_effects():
-    # bounded windows satisfy mass-one only up to Gaussian edge
-    # corrections: genuine O(1e-3) defect near edges, zero far from them
+    # m = 1_E gives m^2 = m, so every union of intervals satisfies mass-one
+    # exactly, at its edges as well as far from them (the kernel is an
+    # orthogonal projection); the gapped union fails Ward's equation
+    # instead, see test_ward_distinguishes_disconnected_union
     near = LimitKernelSpec.free_boundary(((-2.0, -1.0), (1.0, 2.0)))
-    res = mass_one_residual(near, 1.5)
-    assert 1e-4 <= abs(res) <= 1e-2
+    assert np.max(np.abs(mass_one_residual(near, [1.5, 1.0 + 0.5j, 0.0, -1.7]))) <= 1e-14
     far = LimitKernelSpec.free_boundary(((-20.0, -1.0), (1.0, 20.0)))
-    assert abs(mass_one_residual(far, 6.0)) <= 1e-10
+    assert abs(mass_one_residual(far, 6.0)) <= 1e-14
 
 
 def test_mass_one_zero_intensity_guard():
@@ -89,6 +93,9 @@ def test_polarized_free_boundary():
 def test_polarized_hard_edge():
     res = polarized_mass_one_residual(HE, -0.6 + 0.2j, -1.1 - 0.4j)
     assert abs(res) <= 1e-9
+    # outside the domain Re < 0 both the kernel and its reproducing integral vanish
+    res = polarized_mass_one_residual(HE, [0.6 + 0.2j, -0.6], [-1.1 - 0.4j, 0.3j])
+    assert res.tolist() == [0, 0]
 
 
 def test_polarized_rejects_ml():
@@ -145,6 +152,177 @@ def test_empirical_convergence_order_at_least_four():
     e_cauchy = (abs(cauchy_transform(FB, z, coarse) - ref),
                 abs(cauchy_transform(FB, z, fine) - ref))
     assert e_cauchy[0] >= 16.0 * e_cauchy[1]
+
+
+# --------------------------------------------------------------------------
+# reduced rules against independent oracles
+# --------------------------------------------------------------------------
+
+
+def _mp_half_line_cauchy(mpmath, x):
+    """C = sF(s) - s - gamma(s) + gamma(s)/F(s), s = 2x: Ward's equation
+    integrated once for the half line, so an oracle only."""
+    s = 2 * mpmath.mpf(x)
+    f, g = mpmath.ncdf(-s), mpmath.npdf(s)
+    return s * f - s - g + g / f
+
+
+def test_cauchy_half_line_closed_form():
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.round(np.arange(-3.0, 3.0 + 1e-9, 0.1), 12)
+    with mpmath.workdps(40):
+        ref = np.array([float(_mp_half_line_cauchy(mpmath, x)) for x in xs])
+    values = cauchy_transform(FB, xs)
+    assert np.all(values.imag == 0.0)
+    assert np.max(np.abs(values.real - ref)) <= 1e-14
+
+
+def test_cauchy_bulk_vanishes():
+    axis = np.arange(-3.0, 3.0 + 1e-9, 0.25)
+    values = cauchy_transform(BULK, axis[None, :] + 1j * np.array([[0.0], [1.3]]))
+    assert values.shape == (2, axis.size)
+    assert np.max(np.abs(values)) <= 1e-14
+
+
+@pytest.mark.parametrize("level", [0.25, 0.5, 2.0])
+def test_constant_profile_mass_one_defect_is_level_minus_one(level):
+    spec = LimitKernelSpec.constant_profile(level)
+    res = mass_one_residual(spec, [0.0, 0.3, -1.2 + 0.7j])
+    assert np.max(np.abs(res - (level - 1.0))) <= 1e-14
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_cumulative_rule(n):
+    """n-point Gauss-Legendre rule on [-1, 1] at the working precision and the
+    matrix Q with ``sum_j Q[i][j] f(x_j) = int_{-1}^{x_i} f`` for every
+    polynomial f of degree below n."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def legendre(x):
+        p = [mpmath.mpf(1), x]
+        for j in range(2, n + 1):
+            p.append(((2 * j - 1) * x * p[-1] - (j - 1) * p[-2]) / j)
+        return p
+
+    xs = []
+    for k in range(1, n + 1):
+        x = mpmath.cos(mpmath.pi * (k - mpmath.mpf(1) / 4) / (n + mpmath.mpf(1) / 2))
+        for _ in range(60):
+            p = legendre(x)
+            step = p[n] * (1 - x * x) / (n * (p[n - 1] - x * p[n]))
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -45:
+                break
+        xs.append(x)
+    leg = [legendre(x) for x in xs]
+    ws = [2 * (1 - x * x) / (n * p[n - 1]) ** 2 for x, p in zip(xs, leg)]
+    q = [[ws[j] * ((xs[i] + 1) / 2 + sum(leg[j][k] * (leg[i][k + 1] - leg[i][k - 1]) / 2
+                                           for k in range(1, n)))
+          for j in range(n)] for i in range(n)]
+    return xs, ws, q
+
+
+def _mp_hard_edge(mpmath, x, n=20):
+    """40-digit ``R C``, ``R`` and the reduced mass-one integral times R at
+    the hard edge, by a composite Gauss rule on [2x - 14, 0] whose inner
+    integrals over t < s are cumulative (``_mp_cumulative_rule``)."""
+    xs, ws, q = _mp_cumulative_rule(n)
+    c = 2 * mpmath.mpf(x)
+    lo = c - 14
+    panels = int(mpmath.ceil(-lo))
+    h = -lo / panels
+    num = mass = a0 = b0 = mpmath.mpf(0)
+    for p in range(panels):
+        s = [lo + p * h + (u + 1) * h / 2 for u in xs]
+        big_f = [mpmath.ncdf(-t) for t in s]  # F(t) = 1/m(t)
+        m = [1 / f for f in big_f]
+        g = [mpmath.npdf(t - c) for t in s]
+        cdf = [mpmath.ncdf(t - c) for t in s]
+        fa = [mt * gt for mt, gt in zip(m, g)]
+        fb = [mt * (ct - (1 - ft)) for mt, ct, ft in zip(m, cdf, big_f)]
+        for i in range(n):
+            a = a0 + h / 2 * mpmath.fdot(q[i], fa)
+            b = b0 + h / 2 * mpmath.fdot(q[i], fb)
+            num += ws[i] * h / 2 * m[i] * ((1 - cdf[i]) * a - g[i] * b)
+            mass += ws[i] * h / 2 * m[i] ** 2 * g[i] * big_f[i]
+        a0 += h / 2 * mpmath.fdot(ws, fa)
+        b0 += h / 2 * mpmath.fdot(ws, fb)
+    return num, a0, mass
+
+
+def test_hard_edge_reduced_integrals_against_mpmath():
+    # the reduced Cauchy numerator, R = (gamma * m)(2x) and the reduced
+    # mass-one integral (1/pi) int m^2 e^{-(tau-2x)^2/2} int_{a<0} ... da
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.array([-0.5, -1.0, -2.0])
+    with mpmath.workdps(40):
+        ref = [_mp_hard_edge(mpmath, x) for x in xs]
+    c_ref = np.array([float(num / r) for num, r, _ in ref])
+    mass_ref = np.array([float(mass / r - 1) for _, r, mass in ref])
+    assert np.max(np.abs(cauchy_transform(HE, xs).real - c_ref)) <= 1e-14
+    assert np.max(np.abs(mass_one_residual(HE, xs) - mass_ref)) <= 1e-14
+
+
+def _psi(mpmath, q):
+    return q * mpmath.ncdf(q) + mpmath.npdf(q)
+
+
+def test_gapped_union_reduced_cauchy_against_mpmath():
+    # m = 1_E: the t < s integrals close (Phi and its antiderivative Psi),
+    # the s integral is mpmath.quad over each interval
+    mpmath = pytest.importorskip("mpmath")
+    ivals = ((-2, -1), (1, 2))
+    with mpmath.workdps(40):
+        def inner(s, f):
+            return sum(f(min(s, hi)) - f(lo) for lo, hi in ivals if s > lo)
+
+        def integrand(s):
+            a = inner(s, mpmath.ncdf)
+            b = inner(s, lambda u: _psi(mpmath, u))
+            return mpmath.ncdf(-s) * a - mpmath.npdf(s) * b
+
+        num = sum(mpmath.quad(integrand, [lo, hi]) for lo, hi in ivals)
+        r = sum(mpmath.ncdf(-lo) - mpmath.ncdf(-hi) for lo, hi in ivals)
+        ref = float(num / r)
+    assert abs(cauchy_transform(GAP, 0.0) - ref) <= 1e-14
+
+
+def test_polarized_pair_against_mpmath():
+    # the first free-boundary pair of ``verify polarized``
+    mpmath = pytest.importorskip("mpmath")
+    z, w = 0.5 + 0.0j, -0.3 + 0.4j
+    with mpmath.workdps(40):
+        xz, yz, xw, yw = (mpmath.mpf(v) for v in (z.real, z.imag, w.real, w.imag))
+        c = xz + xw
+        tau = mpmath.quad(lambda t: mpmath.exp(-(t - c) ** 2 / 2 + 1j * (yw - yz) * t),
+                          [-mpmath.inf, min(c, 0), 0])
+        lhs = (mpmath.exp(-(xw - xz) ** 2 / 2 - 1j * (yw * xw - yz * xz))
+               * tau * mpmath.sqrt(mpmath.pi / 2) / mpmath.pi)
+        # K(w, z) = e^{-(xw-xz)^2/2} e^{i Im(w conj z)} F(v) e^{-Im(v)^2/2}, v = w + conj z
+        kernel = (mpmath.exp(-((xw - xz) ** 2 + (yw - yz) ** 2) / 2 + 1j * (yw * xz - xw * yz))
+                  * mpmath.erfc(mpmath.mpc(xw + xz, yw - yz) / mpmath.sqrt(2)) / 2)
+        ref = complex(lhs - kernel)
+    assert abs(ref) <= 1e-30  # the reproducing property holds exactly for 1_E
+    assert abs(polarized_mass_one_residual(FB, z, w) - ref) <= 1e-14
+
+
+def test_reduced_rule_tail_bound():
+    # the bound written next to limits._CUT, at the cut-off in use and the
+    # largest density (m = 1/F <= 2 at the hard edge)
+    mpmath = pytest.importorskip("mpmath")
+    cut, m_max = limits._CUT, 2
+    with mpmath.workdps(30):
+        phi, big_phi = mpmath.npdf, mpmath.ncdf
+
+        def lost_s(q):
+            return big_phi(q) * big_phi(-q) + phi(q) * _psi(mpmath, q)
+
+        s_range = m_max**2 * (mpmath.quad(lost_s, [-mpmath.inf, -cut])
+                              + mpmath.quad(lost_s, [cut, mpmath.inf]))
+        t_range = m_max**2 * (2 * _psi(mpmath, -cut) + phi(0) * big_phi(-cut))
+        reproducing = 4 * m_max**2 * big_phi(-cut)
+    assert s_range + t_range < 1e-17
+    assert reproducing < 1e-17
 
 
 # --------------------------------------------------------------------------

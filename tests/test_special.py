@@ -18,7 +18,6 @@ from plasma_kernel.special import (
     gauss_gamma,
     hard_edge_H,
     hard_edge_H_scaled,
-    hard_edge_H_scaled_grid,
     hermite_prob,
     hermite_scaled_pair,
     lower_inc_gamma,
@@ -287,11 +286,10 @@ def _mp_H_scaled_grid(re, im):
 
 def test_hard_edge_H_scaled_against_mpmath_grid():
     # documented envelope: |error of H_s| <= 1e-13 on Re in [-10.5, 0.5],
-    # |Im| <= 25, for the pointwise function and the tensor-grid entry
+    # |Im| <= 25
     ref = _mp_H_scaled_grid(H_GRID_RE, H_GRID_IM)
     u = H_GRID_RE[:, None] + 1j * H_GRID_IM[None, :]
     assert np.max(np.abs(hard_edge_H_scaled(u.ravel()).reshape(u.shape) - ref)) <= 1e-13
-    assert np.max(np.abs(hard_edge_H_scaled_grid(H_GRID_RE, H_GRID_IM) - ref)) <= 1e-13
 
 
 # --------------------------------------------------------------------------
@@ -462,3 +460,23 @@ def test_gauss_legendre_rules_are_cached_read_only():
         x[0] = 0.0
     ref_x, ref_w = np.polynomial.legendre.leggauss(96)
     assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+
+
+def test_polished_gauss_legendre_against_mpmath():
+    # numpy's weights next to the ends are off by up to 1e-12 relative; the
+    # polished rule of the reduced plane integrals is correctly rounded
+    mpmath = pytest.importorskip("mpmath")
+    for n in (32, 64):
+        x, w = special._leggauss(n, polish=True)
+        assert special._leggauss(n, polish=True)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+        with mpmath.workdps(40):
+            def p_n(t):
+                return mpmath.legendre(n, t)
+
+            for k in range(n // 2):  # one half: the rule is symmetric
+                root = mpmath.findroot(p_n, mpmath.mpf(float(x[k])))
+                weight = 2 / ((1 - root**2) * mpmath.diff(p_n, root) ** 2)
+                assert abs(x[k] - float(root)) <= 2.3e-16
+                assert abs(w[k] / float(weight) - 1.0) <= 4.5e-16
+        assert x.tobytes() == (-x[::-1]).tobytes() and w.tobytes() == w[::-1].tobytes()

@@ -1,6 +1,7 @@
-"""Exact symmetries the plane quadrature relies on, and the shortcuts built
-on them: the mirror fold of the Berezin density, the Re z collapse of the
-Ward driver, and per-point H rule sizes."""
+"""Exact symmetries the kernels and the Ward driver rely on, and the
+shortcuts built on them: the mirror symmetry of the profiles, the Re z
+collapse of the Ward driver, per-point H rule sizes, and a CSV that does
+not depend on the thread count."""
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ ML2 = LimitKernelSpec.mittag_leffler(2.0)
 @pytest.mark.parametrize("spec", [BULK, FB, GAP, HE, CONST],
                          ids=["bulk", "fb", "gap", "he", "const"])
 def test_profile_mirror_symmetry(spec):
-    # |Phi_s(v)| = |Phi_s(conj v)|: the fold of the sgn = +-1 half lines
+    # |Phi_s(v)| = |Phi_s(conj v)|: Phi is real on the real axis, so the
+    # Berezin density is even in Im(z - w)
     rng = np.random.default_rng(7)
     v = rng.uniform(-12.0, 4.0, 2000) + 1j * rng.uniform(-25.0, 25.0, 2000)
     profile = _profile_for(spec)
@@ -88,3 +90,4 @@ def test_verify_ward_csv_ignores_threads(tmp_path):
     csv = [next(out.glob("*.csv")).read_bytes() for out in outs]
     assert csv[0] == csv[1] == csv[2]
     assert len(csv[0].decode().strip().splitlines()) == 1 + 9
+
