@@ -27,11 +27,16 @@ two panels of ``round(32 n_radial / 96)`` nodes that meet at the peak, so
 node-doubling configurations refine every window.  C reads ``Re z`` only,
 so it is real and y-invariant by construction.
 
-The Mittag-Leffler Berezin density decays like
-``exp(-(r^lam - |z|^lam)^2)`` in every direction, so its plane integrals
-are polar Gauss rules centred at z, truncated at ``r_max``; in polar
-coordinates ``dA/(z - w)`` becomes ``-e^{-i phi} dr dphi / pi``, which
-removes the singularity analytically.
+The Mittag-Leffler kernels are invariant under a joint rotation,
+``B(z e^{it}, w e^{it}) = B(z, w)``, so the mass-one integral is a function
+of ``|z|`` and ``C(z) = e^{-i arg z} c(|z|)`` with c real.  Their plane
+integrals are therefore taken at real radii ``r = |z|`` only
+(:func:`_ml_polar`), on one polar Gauss rule centred at r for every radius
+in one call.  The Berezin density decays like ``exp(-(|w|^lam -
+r^lam)^2)`` in every direction, so the rule is truncated at ``r_max``; in
+polar coordinates ``dA/(z - w)`` becomes ``-e^{-i phi} dr dphi / pi``,
+which removes the singularity analytically; and B(r, w) is even in
+``Im w``, so the angles phi and ``2 pi - phi`` are folded together.
 """
 
 from __future__ import annotations
@@ -51,7 +56,6 @@ from .special import (
     hard_edge_H,
     hard_edge_H_scaled,
     hermite_scaled,
-    mittag_leffler_kernel_eval,
     mittag_leffler_kernel_scaled,
     plasma_F,
 )
@@ -155,9 +159,12 @@ class QuadratureConfig:
     translation-invariant kernels take ``round(32 n_radial / 96)``
     Gauss-Legendre nodes per panel, two panels per window, and nothing else
     from here: their windows are fixed by the Gaussian tail bound next to
-    ``_CUT``.  The Mittag-Leffler polar rule has ``n_radial`` radial nodes
-    on ``[0, r_max]`` and ``n_angular`` angles; truncating its
-    ``exp(-r^2)``-dominated density at ``r_max=8`` drops less than 1e-27.
+    ``_CUT``.  The Mittag-Leffler polar rule has ``n_radial`` polished
+    Gauss-Legendre nodes on ``[0, r_max]`` and the ``n_angular`` angles
+    ``2 pi k / n_angular``, of which the ``n_angular // 2 + 1`` in
+    ``[0, pi]`` are evaluated (the fold of :func:`_ml_polar`; even and odd
+    counts alike); truncating its ``exp(-r^2)``-dominated density at
+    ``r_max=8`` drops less than 1e-27.
     """
 
     r_max: float = 8.0
@@ -390,14 +397,15 @@ def conditional_intensity(spec: LimitKernelSpec, a, z):
 # (tests/test_limits_quadrature.py).
 _CUT = 10.0
 _BLOCK = 1 << 18  # points x rule nodes per temporary, 2 MB of float64
+_ML_BLOCK = 1 << 13  # radii x polar nodes per temporary, 128 kB of complex128
 
 
 def _gauss(q):
     return np.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
 
 
-def _gl_panel(n, a, b):
-    x, w = _leggauss(n)
+def _gl_panel(n, a, b, polish=False):
+    x, w = _leggauss(n, polish=polish)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -422,8 +430,8 @@ def _window(lo, peak, hi, n):
     return np.concatenate(nodes, axis=-1), np.concatenate(weights, axis=-1)
 
 
-def _blocks(n_points, n):
-    step = max(1, _BLOCK // (2 * n) ** 2)
+def _blocks(n_points, nodes_per_point, budget=_BLOCK):
+    step = max(1, budget // nodes_per_point)
     return (slice(k, k + step) for k in range(0, n_points, step))
 
 
@@ -441,7 +449,7 @@ def _ti_cauchy_numerator(profile: _Profile, x, quad: QuadratureConfig):
     """
     n = _panel_nodes(quad)
     out = np.empty(x.shape)
-    for blk in _blocks(x.size, n):
+    for blk in _blocks(x.size, (2 * n) ** 2):
         c = 2.0 * x[blk]
         cs, ct = c[:, None], c[:, None, None]
         total = 0.0
@@ -476,7 +484,7 @@ def _ti_reproducing(profile: _Profile, z, w, quad: QuadratureConfig):
     """
     n = _panel_nodes(quad)
     out = np.empty(z.shape, dtype=complex)
-    for blk in _blocks(z.size, n):
+    for blk in _blocks(z.size, (2 * n) ** 2):
         zb, wb = z[blk], w[blk]
         c = zb.real + wb.real
         dy = (wb.imag - zb.imag)[:, None]
@@ -495,25 +503,34 @@ def _ti_reproducing(profile: _Profile, z, w, quad: QuadratureConfig):
     return out
 
 
-def _ml_polar_integral(spec: LimitKernelSpec, z: complex, kind: str,
-                       quad: QuadratureConfig) -> complex:
-    """Mittag-Leffler plane integrals on a polar grid centered at z.
+def _ml_polar(spec: LimitKernelSpec, r, quad: QuadratureConfig):
+    """``(c(r), integral B(r, w) dA(w))`` of a Mittag-Leffler kernel at flat
+    real radii ``r >= 0``, with ``C(z) = e^{-i arg z} c(|z|)``.
 
-    The Berezin density decays like ``exp(-(r^lam - |z|^lam)^2)`` in every
-    direction, so the default polar truncation is already exact here.
+    A polar rule centred at r: ``n_radial`` polished Gauss-Legendre nodes on
+    ``[0, r_max]`` and the angles ``2 pi k / n_angular``.  B(r, w) is even
+    in ``Im w``, so the angles phi and ``2 pi - phi`` are folded into one
+    node of double weight (phi = 0, and phi = pi for even ``n_angular``,
+    keep weight 1), and C at a real point is real.  In polar coordinates
+    ``dA/(z - w)`` becomes ``-e^{-i phi} dr dphi / pi``, which removes the
+    singularity analytically.
     """
-    lam = spec.lam
-    r, wr = _gl_panel(quad.n_radial, 0.0, quad.r_max)
-    phi = 2.0 * math.pi * np.arange(quad.n_angular) / quad.n_angular
-    rr, pp = np.meshgrid(r, phi, indexing="ij")
-    t = z + rr * np.exp(1j * pp)
-    m = mittag_leffler_kernel_eval(lam, z * np.conj(t))
-    m_diag = float(mittag_leffler_kernel_eval(lam, abs(z) ** 2).real)
-    dens = np.abs(m) ** 2 / m_diag * np.exp(-np.abs(t) ** (2 * lam))
-    w_ang = 2.0 * math.pi / quad.n_angular
-    if kind == "cauchy":
-        return complex(-np.sum(dens * np.exp(-1j * pp) * wr[:, None]) * w_ang / math.pi)
-    return complex(np.sum(dens * rr * wr[:, None]) * w_ang / math.pi)
+    rho, w_rho = _gl_panel(quad.n_radial, 0.0, quad.r_max, polish=True)
+    n_phi = quad.n_angular
+    k = np.arange(n_phi // 2 + 1)
+    phi = 2.0 * math.pi * k / n_phi
+    fold = np.where((k == 0) | (2 * k == n_phi), 1.0, 2.0) * 2.0 / n_phi  # dphi / pi
+    w_c = -(w_rho[:, None] * (fold * np.cos(phi))).ravel()
+    w_mass = ((rho * w_rho)[:, None] * fold).ravel()
+    ring = (rho[:, None] * np.exp(1j * phi)).ravel()
+    c, mass = np.empty(r.shape), np.empty(r.shape)
+    for blk in _blocks(r.size, ring.size, _ML_BLOCK):
+        rb = r[blk]
+        dens = np.abs(limit_kernel(spec, rb[:, None], rb[:, None] + ring)) ** 2
+        dens /= _intensity(spec, rb)[:, None]
+        c[blk] = np.sum(dens * w_c, axis=-1)
+        mass[blk] = np.sum(dens * w_mass, axis=-1)
+    return c, mass
 
 
 # --------------------------------------------------------------------------
@@ -528,8 +545,10 @@ def cauchy_transform(spec: LimitKernelSpec, z, quad: QuadratureConfig = _DEFAULT
 
     Translation-invariant kernels take the reduced rule of
     :func:`_ti_cauchy_numerator` for every point in one call; C depends on
-    ``Re z`` alone there and is real.  Mittag-Leffler kernels take one polar
-    quadrature per point.
+    ``Re z`` alone there and is real.  Mittag-Leffler kernels are invariant
+    under a joint rotation, ``B(z e^{it}, w e^{it}) = B(z, w)``, so
+    ``C(z) = e^{-i arg z} c(|z|)`` with c real: one folded polar rule at
+    ``|z|`` (:func:`_ml_polar`) for every point in one call.
 
     Raises
     ------
@@ -537,22 +556,24 @@ def cauchy_transform(spec: LimitKernelSpec, z, quad: QuadratureConfig = _DEFAULT
         Where the Berezin kernel is undefined.
     """
     shape, (z,) = _flat(z)
-    r = _intensity(spec, z)
     if spec.kind == "mittag_leffler":
-        out = np.array([_ml_polar_integral(spec, p, "cauchy", quad) for p in z.tolist()])
+        out = np.exp(-1j * np.angle(z)) * _ml_polar(spec, np.abs(z), quad)[0]
     else:
+        r = _intensity(spec, z)
         out = (_ti_cauchy_numerator(_profile_for(spec), z.real, quad) / r).astype(complex)
     return _shaped(out, shape)
 
 
 def mass_one_residual(spec: LimitKernelSpec, z, quad: QuadratureConfig = _DEFAULT_QUAD):
-    """``integral B(z, w) dA(w) - 1`` (mass-one equation residual), elementwise."""
+    """``integral B(z, w) dA(w) - 1`` (mass-one equation residual), elementwise.
+
+    Mittag-Leffler kernels take the folded polar rule at ``|z|``.
+    """
     shape, (z,) = _flat(z)
-    r = _intensity(spec, z)
     if spec.kind == "mittag_leffler":
-        mass = np.array([_ml_polar_integral(spec, p, "mass", quad).real for p in z.tolist()])
+        mass = _ml_polar(spec, np.abs(z), quad)[1]
     else:
-        mass = _ti_reproducing(_profile_for(spec), z, z, quad).real / r
+        mass = _ti_reproducing(_profile_for(spec), z, z, quad).real / _intensity(spec, z)
     return _shaped(mass - 1.0, shape)
 
 
@@ -571,11 +592,20 @@ def laplacian_log_R(spec: LimitKernelSpec, z, fd_step: float = 1e-3):
     """``(1/4) * (standard Laplacian) of log R`` at z, elementwise.
 
     Analytic for translation-invariant kernels (where it reduces to
-    ``(log Phi)''(2x)``); 4th-order central finite differences for
-    Mittag-Leffler kernels.  That stencil weights log R by up to
+    ``(log Phi)''(2x)``) and for Mittag-Leffler ``lam`` in {1, 2}.  At
+    ``lam = 1``, R = 1 and the value is 0.  At ``lam = 2``, with
+    ``x = |z|^2``, ``E = erfcx(-x)`` and ``M = M_2(x) = 2/sqrt(pi) + 2xE``:
+    ``E' = M``, so ``M' = 2E + 2xM`` and ``M'' = 4M + 2xM'``, and
+
+        (1/4) Lap log R = M'/M + x (M''/M - (M'/M)^2) - 4x = 2 (x + b/R) a/R
+
+    in the scaled terms ``a = (2/sqrt(pi)) e^{-x^2}``, ``b = erfc(-x)`` and
+    ``R = M e^{-x^2} = a + 2xb``: every term is positive and finite, also
+    where ``erfcx(-x)`` overflows.  Other ``lam`` take 4th-order central
+    finite differences.  That stencil weights log R by up to
     ``30 / (12 fd_step^2)``, 2.5e6 at the default 1e-3, so one ulp of R
-    moves the value by about 3e-10: Mittag-Leffler Ward residuals below
-    about 1e-9 are rounding.
+    moves the value by about 3e-10: their Ward residuals below about 1e-9
+    are rounding.
     """
     shape, (z,) = _flat(z)
     if spec.translation_invariant:
@@ -585,6 +615,14 @@ def laplacian_log_R(spec: LimitKernelSpec, z, fd_step: float = 1e-3):
         d1 = profile.diag_d1(s)
         d2 = profile.diag_d2(s)
         return _shaped((d2 * phi - d1 * d1) / (phi * phi), shape)
+    if spec.lam == 1.0:
+        return _shaped(np.zeros(z.shape), shape)
+    if spec.lam == 2.0:
+        x = np.abs(z) ** 2
+        a = 2.0 / math.sqrt(math.pi) * np.exp(-x * x)
+        b = 2.0 * ndtr(math.sqrt(2.0) * x)  # erfc(-x)
+        r = a + 2.0 * x * b
+        return _shaped(2.0 * (x + b / r) * a / r, shape)
     coeff = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * fd_step**2)
     steps = np.array([-2, -1, 0, 1, 2], dtype=float)
     lxx = sum(c * np.log(one_point(spec, z + s * fd_step)) for c, s in zip(coeff, steps))
@@ -616,6 +654,21 @@ def _dbar_cauchy(spec, z, quad, fd_step):
         for d in (1.0, 1j)
     )
     return 0.5 * (cx + 1j * cy)
+
+
+# Mittag-Leffler points nearer 0 than this many fd_step keep the full
+# stencil: the radial one reaches r - 2 fd_step and divides by r
+_ML_RADIAL_MIN = 3.0
+
+
+def _dbar_mittag_leffler(spec, z, quad, fd_step):
+    """``dbar C`` at a point ``|z| < 3 fd_step`` by the full stencil, and at
+    a radius ``z = r >= 3 fd_step`` as ``(c'(r) + c(r)/r) / 2`` from one
+    call on the five real nodes ``r + k fd_step``, k = -2..2."""
+    if abs(z) < _ML_RADIAL_MIN * fd_step:
+        return _dbar_cauchy(spec, z, quad, fd_step)
+    c = _ml_polar(spec, z.real + fd_step * np.arange(-2.0, 3.0), quad)[0]
+    return 0.5 * (_central_diff(c[[0, 1, 3, 4]], fd_step) + c[2] / z.real)
 
 
 def ward_point_residual(spec: LimitKernelSpec, z: complex,
@@ -654,12 +707,19 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
     collapse with :func:`ward_point_residual` off the axis.  The stencil
     weights C by up to ``18 / (12 fd_step)``, 1500 at the default 1e-3, and
     the reduced C is accurate to about 2e-16, so residuals of a few 1e-13
-    are rounding.
-    Mittag-Leffler kernels take the full stencil of
-    :func:`ward_point_residual` at every point, and ``threads`` map over
-    those points; the translation-invariant branch ignores ``threads``.
-    The right-hand side is one array call over the distinct real parts, or
-    over the points.
+    are rounding.  This branch ignores ``threads``.
+
+    For the Mittag-Leffler kernels ``C(z) = e^{-i arg z} c(|z|)`` with c
+    real (see :func:`cauchy_transform`), so ``dbar C = (c'(r) + c(r)/r) / 2``
+    at ``r = |z|``, and the right-hand side is radial too.  Per distinct
+    ``|z|``, one array call of the folded polar rule gives c at the five
+    real nodes ``r + k fd_step``, k = -2..2; c' is their 4th-order central
+    difference, and the residual is spread over every point with that
+    radius.  Points with ``|z| < 3 fd_step`` take the full stencil of
+    :func:`ward_point_residual`.  ``threads`` map over the distinct radii
+    and those points, so no value depends on the thread count.
+    The right-hand side is one array call over the distinct real parts or
+    radii, and those points.
 
     Hard-edge points must satisfy ``Re z <= -2 fd_step`` so stencils never
     cross the domain boundary.
@@ -672,12 +732,15 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
         cs = cauchy_transform(spec, xs[:, None] + fd_step * np.array(_FD_OFFSETS), quad)
         dbar = 0.5 * _central_diff(cs.real.T, fd_step)
     else:
-        xs, at = pts, slice(None)
-        dbar = np.array(_thread_map(lambda z: _dbar_cauchy(spec, z, quad, fd_step),
-                                    pts.tolist(), threads))
+        rs = np.abs(pts)
+        xs, at = np.unique(np.where(rs < _ML_RADIAL_MIN * fd_step, pts, rs),
+                           return_inverse=True)
+        dbar = np.array(_thread_map(lambda x: _dbar_mittag_leffler(spec, x, quad, fd_step),
+                                    xs.tolist(), threads))
     res = dbar - _ward_rhs(spec, xs)
     # np.hypot is libm's hypot, as abs() of a Python complex is; np.abs may
-    # round differently, and these equal abs(ward_point_residual(...)) bitwise
+    # round differently, and where the full stencil is taken these equal
+    # abs(ward_point_residual(...)) bitwise
     return _shaped(np.hypot(res.real, res.imag)[at], shape)
 
 

@@ -294,6 +294,35 @@ def test_laplacian_log_ml_matches_finite_differences():
     assert abs(laplacian_log_R(ml1, 0.6 + 0.2j)) <= 1e-5
 
 
+def test_laplacian_log_ml2_against_mpmath():
+    # (1/4)(f'' + f'/r) with f(r) = log M_2(r^2) - r^4, differentiated by mpmath
+    mpmath = pytest.importorskip("mpmath")
+    rs = np.array([0.1, 0.5, 1.0, 1.5, 2.0])
+    with mpmath.workdps(40):
+        def log_r(r):
+            x = r * r
+            m2 = 2 / mpmath.sqrt(mpmath.pi) + 2 * x * mpmath.exp(x * x) * mpmath.erfc(-x)
+            return mpmath.log(m2) - x * x
+
+        ref = np.array([float((mpmath.diff(log_r, r, 2) + mpmath.diff(log_r, r, 1) / r) / 4)
+                        for r in (mpmath.mpf(v) for v in rs)])
+    assert np.max(np.abs(laplacian_log_R(ML2, rs) - ref)) <= 1e-13
+    # the value is radial
+    z = -0.6 + 0.8j
+    assert laplacian_log_R(ML2, z) == laplacian_log_R(ML2, abs(z))
+
+
+def test_laplacian_log_ml1_is_exactly_zero():
+    ml1 = LimitKernelSpec.mittag_leffler(1.0)
+    assert np.all(laplacian_log_R(ml1, np.array([0.0, 0.6 + 0.2j, -3.0j, 7.0])) == 0.0)
+
+
+def test_laplacian_log_ml2_is_finite_where_erfcx_overflows():
+    # erfcx(-r^2) overflows from r ~ 5.2 on; a RuntimeWarning fails the test
+    values = laplacian_log_R(ML2, np.array([3.0, 5.0, 6.0, 6.0j]))
+    assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
+
 # --------------------------------------------------------------------------
 # array calls
 # --------------------------------------------------------------------------

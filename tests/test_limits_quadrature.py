@@ -23,6 +23,7 @@ from plasma_kernel.limits import (
     ward_point_residual,
     ward_residual,
 )
+from plasma_kernel.special import _leggauss, mittag_leffler_kernel_eval
 
 rng = np.random.default_rng(2024)
 
@@ -134,6 +135,45 @@ def test_cauchy_node_doubling_mittag_leffler():
     c1 = cauchy_transform(ML2, z)
     c2 = cauchy_transform(ML2, z, QuadratureConfig().doubled())
     assert abs(c1 - c2) <= 1e-10
+
+
+def _unfolded_ml_cauchy(z, quad):
+    """C(z) for ML2 on the full polar rule centred at z: every angle
+    ``2 pi k / n_angular``, no rotation to the real axis and no fold."""
+    x, w = _leggauss(quad.n_radial, polish=True)
+    rho, w_rho = 0.5 * quad.r_max * (x + 1.0), 0.5 * quad.r_max * w
+    phi = 2.0 * math.pi * np.arange(quad.n_angular) / quad.n_angular
+    t = z + rho[:, None] * np.exp(1j * phi)
+    m = mittag_leffler_kernel_eval(2.0, z * np.conj(t))
+    m_diag = mittag_leffler_kernel_eval(2.0, abs(z) ** 2).real
+    dens = np.abs(m) ** 2 * np.exp(-np.abs(t) ** 4) / m_diag
+    return -np.sum(dens * np.exp(-1j * phi) * w_rho[:, None]) * 2.0 / quad.n_angular
+
+
+@pytest.mark.parametrize("n_angular", [128, 127], ids=["even", "odd"])
+def test_mittag_leffler_cauchy_rotation_and_fold(n_angular):
+    # C(z) = e^{-i arg z} c(|z|), c from the folded rule at |z|, against
+    # the unfolded rule centred at z itself
+    quad = QuadratureConfig(n_angular=n_angular)
+    zs = np.array([0.5 + 0.4j, -0.7 + 0.2j, -0.3 - 0.9j, 1.1 - 0.6j])
+    ref = np.array([_unfolded_ml_cauchy(z, quad) for z in zs])
+    assert np.max(np.abs(cauchy_transform(ML2, zs, quad) - ref)) <= 1e-14
+
+
+def test_mittag_leffler_cauchy_is_real_on_the_real_axis():
+    rs = np.array([0.0, 0.3, 1.2, 2.5])
+    for quad in (QuadratureConfig(), QuadratureConfig(n_angular=127)):
+        c = cauchy_transform(ML2, rs, quad)
+        assert np.all(c.imag == 0.0)
+    assert cauchy_transform(ML2, 1.2).imag == 0.0
+
+
+def test_mittag_leffler_mass_one_is_radial_and_at_rounding():
+    zs = np.array([0.5 + 0.4j, -0.7 + 0.2j, -0.3 - 0.9j, 1.1 - 0.6j, 1.5j])
+    res = mass_one_residual(ML2, zs)
+    assert np.max(np.abs(res - mass_one_residual(ML2, np.abs(zs)))) <= 1e-15
+    # the polished radial rule; numpy's leggauss end weights leave up to 1e-14
+    assert np.max(np.abs(res)) <= 1e-15
 
 
 def test_cauchy_decays_deep_in_bulk():

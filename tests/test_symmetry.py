@@ -1,7 +1,7 @@
 """Exact symmetries the kernels and the Ward driver rely on, and the
-shortcuts built on them: the mirror symmetry of the profiles, the Re z
-collapse of the Ward driver, per-point H rule sizes, and a CSV that does
-not depend on the thread count."""
+shortcuts built on them: the mirror symmetry of the profiles, the Re z and
+|z| collapses of the Ward driver, per-point H rule sizes, and a CSV that
+does not depend on the thread count."""
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ GAP = LimitKernelSpec.free_boundary(((-2.0, -1.0), (1.0, 2.0)))
 HE = LimitKernelSpec.hard_edge()
 CONST = LimitKernelSpec.constant_profile(0.5)
 ML2 = LimitKernelSpec.mittag_leffler(2.0)
+ML1 = LimitKernelSpec.mittag_leffler(1.0)
 
 
 @pytest.mark.parametrize("spec", [BULK, FB, GAP, HE, CONST],
@@ -47,9 +48,13 @@ def test_cauchy_real_and_y_invariant(spec, x):
         assert abs(c - base) <= 1e-14
 
 
-@pytest.mark.parametrize("spec,z", [(FB, 0.5 + 0.2j), (HE, -0.8 + 0.4j)],
-                         ids=["fb", "he"])
+@pytest.mark.parametrize("spec,z", [(FB, 0.5 + 0.2j), (HE, -0.8 + 0.4j),
+                                    (ML2, 0.7 + 0.2j), (ML1, -0.4 + 0.9j)],
+                         ids=["fb", "he", "ml2", "ml1"])
 def test_ward_driver_matches_full_stencil_off_axis(spec, z):
+    # the |z| collapse of the Mittag-Leffler kernels takes c' on the radial
+    # stencil, the full stencil takes C_x and C_y: equal up to the O(h^4)
+    # terms of two different stencils
     values = ward_residual(spec, [z])
     assert abs(values[0] - abs(ward_point_residual(spec, z))) <= 1e-12
 
@@ -60,10 +65,15 @@ def test_ward_driver_spreads_over_equal_real_parts():
     assert values[0] == values[1] and values[2] == values[3]
 
 
-def test_ward_driver_keeps_full_path_for_mittag_leffler():
-    z = 0.7 + 0.2j
-    values = ward_residual(ML2, [z])
-    assert values[0] == abs(ward_point_residual(ML2, z))
+def test_ward_driver_spreads_over_equal_radii():
+    # one value per distinct |z|, in every quadrant; points nearer 0 than
+    # 3 fd_step keep the full stencil
+    pts = [0.6 + 0.8j, -0.6 + 0.8j, -0.6 - 0.8j, 0.6 - 0.8j, 0.8 + 0.6j,
+           0.3 + 0.4j, -0.4 - 0.3j, 0.002 + 0.001j]
+    values = ward_residual(ML2, pts)
+    assert len(set(values[:5].tolist())) == 1
+    assert values[5] == values[6] != values[0]
+    assert values[7] == abs(ward_point_residual(ML2, pts[7]))
 
 
 def test_ward_residual_leaves_caller_grid_unchanged():
@@ -83,11 +93,14 @@ def test_hard_edge_H_batch_matches_single_points():
 
 
 def test_verify_ward_csv_ignores_threads(tmp_path):
-    argv = ["verify", "ward", "--spec", "bulk", "--grid", "-0.5:0.5:0.5"]
-    outs = [tmp_path / name for name in ("t1", "t2", "t1again")]
-    for out, threads in zip(outs, ("1", "2", "1")):
-        assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
-    csv = [next(out.glob("*.csv")).read_bytes() for out in outs]
-    assert csv[0] == csv[1] == csv[2]
-    assert len(csv[0].decode().strip().splitlines()) == 1 + 9
+    # the Mittag-Leffler grid has three distinct radii over four points
+    cases = [("bulk", "-0.5:0.5:0.5", 9), ("ml:2", "-0.707:0.706:1.413", 4)]
+    for spec, grid, rows in cases:
+        argv = ["verify", "ward", "--spec", spec, "--grid", grid]
+        outs = [tmp_path / f"{spec}-{name}" for name in ("t1", "t2", "t1again")]
+        for out, threads in zip(outs, ("1", "2", "1")):
+            assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
+        csv = [next(out.glob("*.csv")).read_bytes() for out in outs]
+        assert csv[0] == csv[1] == csv[2]
+        assert len(csv[0].decode().strip().splitlines()) == 1 + rows
 
