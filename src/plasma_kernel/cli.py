@@ -355,7 +355,7 @@ def _verify_ward(args, spec, quad) -> tuple:
     if not pts:
         raise ValueError(f"ward grid {args.grid!r} keeps no points for {args.spec}")
 
-    vals = ward_residual(spec, pts, quad, args.fd_step, args.threads)
+    vals = ward_residual(spec, pts, quad, args.fd_step)
     rows = [(z.real, z.imag, float(v)) for z, v in zip(pts, vals)]
     sup = float(vals.max())
     return rows, {"sup_norm": sup, "points": len(pts)}, sup
@@ -486,8 +486,7 @@ def cmd_verify(args) -> int:
     config = {"equation": equation, "spec": args.spec, "grid": args.grid,
               "quad": args.quad, "fd_step": args.fd_step, "seed": args.seed,
               "points": args.points, "sets": args.sets,
-              "complementary": bool(args.complementary), "n": args.n,
-              "threads": args.threads}
+              "complementary": bool(args.complementary), "n": args.n}
     results = dict(results)
     results.update({"threshold": tol, "passed": bool(passed)})
     _write_artifacts(args, f"verify_{equation}_{_slug(args.spec)}", ("x", "y", "residual"),

@@ -42,7 +42,6 @@ which removes the singularity analytically; and B(r, w) is even in
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -648,27 +647,17 @@ def _central_diff(values, fd_step):
 
 
 def _dbar_cauchy(spec, z, quad, fd_step):
-    cx, cy = (
-        _central_diff([cauchy_transform(spec, z + s * fd_step * d, quad) for s in _FD_OFFSETS],
-                      fd_step)
-        for d in (1.0, 1j)
-    )
-    return 0.5 * (cx + 1j * cy)
+    """``dbar C`` at flat ``z`` by the full 2-D stencil: the eight Cauchy
+    transforms of every point in one call."""
+    steps = np.array([s * fd_step * d for d in (1.0, 1j) for s in _FD_OFFSETS])
+    cs = cauchy_transform(spec, z[:, None] + steps, quad).T
+    return 0.5 * (_central_diff(cs[:4], fd_step) + 1j * _central_diff(cs[4:], fd_step))
 
 
-# Mittag-Leffler points nearer 0 than this many fd_step keep the full
-# stencil: the radial one reaches r - 2 fd_step and divides by r
+# Mittag-Leffler points nearer 0 than this many fd_step take the full
+# stencil of _dbar_cauchy: the radial one reaches r - 2 fd_step and divides
+# by r
 _ML_RADIAL_MIN = 3.0
-
-
-def _dbar_mittag_leffler(spec, z, quad, fd_step):
-    """``dbar C`` at a point ``|z| < 3 fd_step`` by the full stencil, and at
-    a radius ``z = r >= 3 fd_step`` as ``(c'(r) + c(r)/r) / 2`` from one
-    call on the five real nodes ``r + k fd_step``, k = -2..2."""
-    if abs(z) < _ML_RADIAL_MIN * fd_step:
-        return _dbar_cauchy(spec, z, quad, fd_step)
-    c = _ml_polar(spec, z.real + fd_step * np.arange(-2.0, 3.0), quad)[0]
-    return 0.5 * (_central_diff(c[[0, 1, 3, 4]], fd_step) + c[2] / z.real)
 
 
 def ward_point_residual(spec: LimitKernelSpec, z: complex,
@@ -679,18 +668,12 @@ def ward_point_residual(spec: LimitKernelSpec, z: complex,
     Takes the full 2-D stencil (eight Cauchy transforms) at every point; it
     is the uncollapsed reference for :func:`ward_residual`.
     """
-    return _dbar_cauchy(spec, complex(z), quad, fd_step) - _ward_rhs(spec, complex(z))
-
-
-def _thread_map(fn, items, threads):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    z = np.array([complex(z)])
+    return (_dbar_cauchy(spec, z, quad, fd_step) - _ward_rhs(spec, z))[0].item()
 
 
 def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAULT_QUAD,
-                  fd_step: float = 1e-3, threads: int = 1):
+                  fd_step: float = 1e-3):
     """Ward-equation residual magnitudes ``|dbar C - (R - 1 - Lap log R)|``.
 
     ``points`` may have any shape; the result has that shape, or is a Python
@@ -707,17 +690,16 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
     collapse with :func:`ward_point_residual` off the axis.  The stencil
     weights C by up to ``18 / (12 fd_step)``, 1500 at the default 1e-3, and
     the reduced C is accurate to about 2e-16, so residuals of a few 1e-13
-    are rounding.  This branch ignores ``threads``.
+    are rounding.
 
     For the Mittag-Leffler kernels ``C(z) = e^{-i arg z} c(|z|)`` with c
     real (see :func:`cauchy_transform`), so ``dbar C = (c'(r) + c(r)/r) / 2``
-    at ``r = |z|``, and the right-hand side is radial too.  Per distinct
-    ``|z|``, one array call of the folded polar rule gives c at the five
-    real nodes ``r + k fd_step``, k = -2..2; c' is their 4th-order central
-    difference, and the residual is spread over every point with that
-    radius.  Points with ``|z| < 3 fd_step`` take the full stencil of
-    :func:`ward_point_residual`.  ``threads`` map over the distinct radii
-    and those points, so no value depends on the thread count.
+    at ``r = |z|``, and the right-hand side is radial too.  One array call
+    of the folded polar rule gives c at the five real nodes
+    ``r + k fd_step``, k = -2..2, of every distinct ``|z|``; c' is their
+    4th-order central difference, and the residual is spread over every
+    point with that radius.  Points with ``|z| < 3 fd_step`` take the full
+    stencil of :func:`ward_point_residual`, all in one more call.
     The right-hand side is one array call over the distinct real parts or
     radii, and those points.
 
@@ -735,8 +717,14 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
         rs = np.abs(pts)
         xs, at = np.unique(np.where(rs < _ML_RADIAL_MIN * fd_step, pts, rs),
                            return_inverse=True)
-        dbar = np.array(_thread_map(lambda x: _dbar_mittag_leffler(spec, x, quad, fd_step),
-                                    xs.tolist(), threads))
+        near = np.abs(xs) < _ML_RADIAL_MIN * fd_step
+        r = xs.real[~near]
+        nodes = r[:, None] + fd_step * np.arange(-2.0, 3.0)
+        c = _ml_polar(spec, nodes.ravel(), quad)[0].reshape(nodes.shape).T
+        dbar = np.empty(xs.shape, dtype=complex)
+        dbar[~near] = 0.5 * (_central_diff(c[[0, 1, 3, 4]], fd_step) + c[2] / r)
+        if np.any(near):
+            dbar[near] = _dbar_cauchy(spec, xs[near], quad, fd_step)
     res = dbar - _ward_rhs(spec, xs)
     # np.hypot is libm's hypot, as abs() of a Python complex is; np.abs may
     # round differently, and where the full stencil is taken these equal

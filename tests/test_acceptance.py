@@ -87,10 +87,10 @@ def test_criterion_03_mass_one():
 def test_criterion_04_ward_equation():
     square = -2.0 + 0.5 * np.arange(9)
     grid = square[None, :] + 1j * square[:, None]
-    sup_bulk = np.max(ward_residual(BULK, grid, threads=THREADS))
-    sup_fb = np.max(ward_residual(FB, grid, threads=THREADS))
+    sup_bulk = np.max(ward_residual(BULK, grid))
+    sup_fb = np.max(ward_residual(FB, grid))
     he_grid = (-2.0 + 0.3 * np.arange(7))[None, :] + 1j * (-1.0 + 0.3 * np.arange(5))[:, None]
-    sup_he = np.max(ward_residual(HE, he_grid, threads=THREADS))
+    sup_he = np.max(ward_residual(HE, he_grid))
     axis = np.arange(-1.25, 1.26, 0.5)
     ml_pts = [complex(x, y) for x in axis for y in axis
               if 0.0 < abs(complex(x, y)) <= 1.5]

@@ -386,14 +386,12 @@ def test_ward_point_mittag_leffler():
     assert abs(ward_point_residual(ML2, 0.7 + 0.2j)) <= 5e-3
 
 
-def test_ward_residual_keeps_shape_and_ignores_threads():
+def test_ward_residual_keeps_shape():
     axis = -0.5 + 0.5 * np.arange(3)
     pts = axis[None, :] + 1j * axis[:, None]
     values = ward_residual(BULK, pts)
     assert values.shape == (3, 3)
     assert np.max(values) <= 1e-8
-    threaded = ward_residual(BULK, pts, threads=2)
-    assert np.array_equal(values, threaded)
 
 
 def test_ward_residual_scalar_point_gives_float():

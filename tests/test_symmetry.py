@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from plasma_kernel.cli import main
 from plasma_kernel.limits import (
     LimitKernelSpec,
+    QuadratureConfig,
     _profile_for,
     cauchy_transform,
     ward_point_residual,
@@ -67,13 +68,24 @@ def test_ward_driver_spreads_over_equal_real_parts():
 
 def test_ward_driver_spreads_over_equal_radii():
     # one value per distinct |z|, in every quadrant; points nearer 0 than
-    # 3 fd_step keep the full stencil
+    # 3 fd_step keep the full stencil, all in one call
     pts = [0.6 + 0.8j, -0.6 + 0.8j, -0.6 - 0.8j, 0.6 - 0.8j, 0.8 + 0.6j,
-           0.3 + 0.4j, -0.4 - 0.3j, 0.002 + 0.001j]
+           0.3 + 0.4j, -0.4 - 0.3j, 0.002 + 0.001j, -0.0015 - 0.001j, 0.0027j]
     values = ward_residual(ML2, pts)
     assert len(set(values[:5].tolist())) == 1
     assert values[5] == values[6] != values[0]
-    assert values[7] == abs(ward_point_residual(ML2, pts[7]))
+    for z, value in zip(pts[7:], values[7:]):
+        assert value == abs(ward_point_residual(ML2, z))
+
+
+@pytest.mark.parametrize("quad", [QuadratureConfig(), QuadratureConfig(8.0, 24, 16)],
+                         ids=["default", "8-24-16"])
+def test_ward_driver_batch_equals_single_points(quad):
+    # the coarse rule puts several radii into one block of the polar rule
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(0.2, 1.5, 8) * np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(8)))
+    values = ward_residual(ML2, pts, quad)
+    assert np.array_equal(values, [ward_residual(ML2, p, quad) for p in pts])
 
 
 def test_ward_residual_leaves_caller_grid_unchanged():
@@ -102,5 +114,7 @@ def test_verify_ward_csv_ignores_threads(tmp_path):
             assert main(argv + ["--threads", threads, "--out", str(out)]) == 0
         csv = [next(out.glob("*.csv")).read_bytes() for out in outs]
         assert csv[0] == csv[1] == csv[2]
+        js = [next(out.glob("*.json")).read_bytes() for out in outs]
+        assert js[0] == js[1] == js[2]
         assert len(csv[0].decode().strip().splitlines()) == 1 + rows
 
