@@ -739,38 +739,46 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
 SERIES_MAX_N = 200
 
 
-def mass_one_series_residual(x: float, n_terms: int) -> float:
+def _hermite_rows(n_terms: int, s: np.ndarray) -> np.ndarray:
+    """Real :func:`hermite_scaled` values, one contiguous row per point, so
+    a sum along a row has the bits of a call on that point alone."""
+    return np.ascontiguousarray(np.moveaxis(hermite_scaled(n_terms, s).real, 0, -1))
+
+
+def mass_one_series_residual(x, n_terms: int):
     """Truncation residual of the series form of the mass-one equation.
 
     For the free-boundary diagonal ``R = F(2x)`` the identity reads
     ``R = sum_n (d^n R)^n-th-derivative^2 / n!``; with ``s = 2x`` and
     ``F^(n)(s) = (-1)^n h_{n-1}(s) gamma(s)`` this returns
-    ``F(s) - F(s)^2 - gamma(s)^2 sum_{n=1}^{N} p_{n-1}(s)^2 / n``.
+    ``F(s) - F(s)^2 - gamma(s)^2 sum_{n=1}^{N} p_{n-1}(s)^2 / n``,
+    elementwise over an array ``x``.
     """
     if not 0 <= n_terms <= SERIES_MAX_N:
         raise ValueError(f"need 0 <= N <= {SERIES_MAX_N}, got {n_terms}")
-    s = 2.0 * x
-    f = float(plasma_F(s).real)
-    residual = f - f * f
-    if n_terms == 0:
-        return residual
-    g2 = float(gauss_gamma(s).real) ** 2
-    p = hermite_scaled(n_terms, s).real
-    tail = float(np.sum(p[:-1] ** 2 / np.arange(1, n_terms + 1)))
-    return residual - g2 * tail
+    s = 2.0 * np.asarray(x, dtype=float)
+    f = plasma_F(s).real
+    # float_power is libm's pow, as the ** of a Python float
+    g2 = np.float_power(gauss_gamma(s).real, 2)
+    p = _hermite_rows(n_terms, s)
+    tail = np.sum(p[..., :-1] ** 2 / np.arange(1, n_terms + 1), axis=-1)
+    residual = f - f * f - g2 * tail
+    return float(residual) if np.ndim(x) == 0 else residual
 
 
-def hermite_identity_residual(s: float, n_terms: int) -> float:
-    """Residual of ``sum_n F^(n)(s) F^(n+1)(s) / n! = F'(s) / 2`` at N terms."""
+def hermite_identity_residual(s, n_terms: int):
+    """Residual of ``sum_n F^(n)(s) F^(n+1)(s) / n! = F'(s) / 2`` at N
+    terms, elementwise over an array ``s``."""
     if not 0 <= n_terms <= SERIES_MAX_N:
         raise ValueError(f"need 0 <= N <= {SERIES_MAX_N}, got {n_terms}")
-    f = float(plasma_F(s).real)
-    g = float(gauss_gamma(s).real)
+    ss = np.asarray(s, dtype=float)
+    f = plasma_F(ss).real
+    g = gauss_gamma(ss).real
     lhs = -f * g  # n = 0 term F F'
-    p = hermite_scaled(n_terms, s).real
-    cross = float(np.sum(p[:-1] * p[1:] / np.sqrt(np.arange(1, n_terms + 1))))
-    lhs -= g * g * cross
-    return lhs - (-0.5 * g)
+    p = _hermite_rows(n_terms, ss)
+    cross = np.sum(p[..., :-1] * p[..., 1:] / np.sqrt(np.arange(1, n_terms + 1)), axis=-1)
+    lhs = lhs - g * g * cross - (-0.5 * g)
+    return float(lhs) if np.ndim(s) == 0 else lhs
 
 
 def telescoping_sum(s: float, n_terms: int) -> float:

@@ -37,11 +37,14 @@ backward error must stay below ``eps`` and their values outside the window,
 or the run is refused (:class:`InversionCheckFailed`).  ``gammaincinv``'s
 backward error passes that check for n up to 2^22 and fails it from about
 n = 2^23 on.
+
+Trials run one block after another in one thread.  At the sizes sampled
+most of a trial is the set-up of its own random stream, which runs in
+Python, so a thread pool over the trials did not pay.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import math
@@ -65,8 +68,8 @@ DEFAULT_BIN_WIDTH = 0.1  # limit curves vary on unit scale; bias <= 0.005
 # probability margin of the inversion band: about 200x the worst backward
 # error of gammaincinv on 2e5 random (a <= 2^14, u) pairs (5.2e-15 to 5.4e-15)
 BAND_EPS = 1e-12
-# uniforms per block of trials: one inversion call over a block holds
-# enough points for numpy to run it without the interpreter lock
+# uniforms per block of trials: a block's temporaries stay O(points) while
+# each numpy call still spans many trials
 BLOCK_POINTS = 2**16
 
 
@@ -260,61 +263,43 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
     return _Band(a, q_scale, p, q_lo, q_hi, int(a_e.size), err)
 
 
-def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist,
-                threads: int) -> Histogram1D:
+def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
     """Histogram of ``zoom (r - r0)`` over all trials, with per-bin squared
-    counts (an order-insensitive merge).  Each trial draws all n uniforms
-    and keeps the indices inside the window's band.  A kept draw's bin is
-    the number of edge probabilities more than ``eps`` below it, less one;
-    a draw within ``eps`` of an edge probability is inverted and binned
-    from its radius.  Trials run in blocks of about ``BLOCK_POINTS``
-    uniforms, and the edges in a loop, so temporaries stay O(points)."""
+    counts.  Each trial draws all n uniforms and keeps the indices inside
+    the window's band.  A kept draw's bin is the number of edge
+    probabilities more than ``eps`` below it, less one; a draw within
+    ``eps`` of an edge probability is inverted and binned from its radius.
+    Trials run in blocks of about ``BLOCK_POINTS`` uniforms, and the edges
+    in a loop, so temporaries stay O(points)."""
     lo, hi, bins = _hist_window(hist)
     pot, n = cfg.pot, cfg.n
     band = _window_band(pot, n, zoom, r0, lo, hi, bins)
-
-    def run_chunk(trials):
-        c = np.zeros(bins, dtype=np.int64)
-        c2 = np.zeros(bins, dtype=np.int64)
-        inverted = 0
-        step = max(1, BLOCK_POINTS // n)
-        for k in range(0, len(trials), step):
-            block = trials[k:k + step]
-            u = np.stack([_trial_uniforms(cfg, t) for t in block])
-            q = u if band.q_scale is None else u * band.q_scale
-            rows, cols = np.nonzero((q >= band.q_lo) & (q <= band.q_hi))
-            q = q[rows, cols]
-            q_eps = q - BAND_EPS
-            # kept draws lie in the band, so 0 <= above <= bins, and a draw
-            # with above == 0 sits within eps of the lower edge
-            above = np.zeros(q.size, dtype=np.int64)
-            for edge in band.p[:-1]:
-                above += q_eps > edge[cols]
-            near = q >= band.p[above, cols] - BAND_EPS
-            far = rows[~near] * bins + above[~near] - 1
-            h = np.bincount(far, minlength=len(block) * bins).reshape(len(block), bins)
-            values = zoom * (_radii(pot, n, band.a[cols[near]], q[near]) - r0)
-            h += _histogram_counts(values, lo, hi, bins, rows[near], len(block))
-            c += h.sum(axis=0)
-            c2 += (h * h).sum(axis=0)
-            inverted += values.size
-        return c, c2, inverted
-
-    trials = list(range(cfg.trials))
-    if threads > 1:
-        chunks = [trials[k::threads] for k in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-    else:
-        parts = [run_chunk(trials)]
-    return Histogram1D(
-        lo, hi, bins,
-        counts=np.sum([p[0] for p in parts], axis=0),
-        trials=cfg.trials,
-        counts_sq=np.sum([p[1] for p in parts], axis=0),
-        inverted=band.checked + sum(p[2] for p in parts),
-        band_backward_error=band.backward_error,
-    )
+    out = Histogram1D(lo, hi, bins, trials=cfg.trials,
+                      counts_sq=np.zeros(bins, dtype=np.int64),
+                      inverted=band.checked,
+                      band_backward_error=band.backward_error)
+    step = max(1, BLOCK_POINTS // n)
+    for start in range(0, cfg.trials, step):
+        block = range(start, min(start + step, cfg.trials))
+        u = np.stack([_trial_uniforms(cfg, t) for t in block])
+        q = u if band.q_scale is None else u * band.q_scale
+        rows, cols = np.nonzero((q >= band.q_lo) & (q <= band.q_hi))
+        q = q[rows, cols]
+        q_eps = q - BAND_EPS
+        # kept draws lie in the band, so 0 <= above <= bins, and a draw
+        # with above == 0 sits within eps of the lower edge
+        above = np.zeros(q.size, dtype=np.int64)
+        for edge in band.p[:-1]:
+            above += q_eps > edge[cols]
+        near = q >= band.p[above, cols] - BAND_EPS
+        far = rows[~near] * bins + above[~near] - 1
+        h = np.bincount(far, minlength=len(block) * bins).reshape(len(block), bins)
+        values = zoom * (_radii(pot, n, band.a[cols[near]], q[near]) - r0)
+        h += _histogram_counts(values, lo, hi, bins, rows[near], len(block))
+        out.counts += h.sum(axis=0)
+        out.counts_sq += (h * h).sum(axis=0)
+        out.inverted += values.size
+    return out
 
 
 def _hist_window(hist) -> tuple:
@@ -328,8 +313,7 @@ def _hist_window(hist) -> tuple:
     return lo, hi, bins
 
 
-def boundary_profile(cfg: SampleConfig, frame: RescaleFrame, hist,
-                     threads: int = 1) -> Histogram1D:
+def boundary_profile(cfg: SampleConfig, frame: RescaleFrame, hist) -> Histogram1D:
     """Empirical rescaled one-point profile along the boundary normal.
 
     Accumulates ``zoom * (r - droplet radius)`` over all trials; the
@@ -343,13 +327,12 @@ def boundary_profile(cfg: SampleConfig, frame: RescaleFrame, hist,
     if abs(abs(frame.p) - r0) > 1e-12:
         raise ValueError("frame must be centered on the droplet boundary")
     zoom = frame.zoom
-    out = _accumulate(cfg, zoom, r0, hist, threads)
+    out = _accumulate(cfg, zoom, r0, hist)
     out.scale = 2.0 * np.maximum(r0 + out.bin_centers() / zoom, 1e-300) * zoom
     return out
 
 
-def bulk_singularity_profile(cfg: SampleConfig, hist=(0.0, 4.0, 40),
-                             threads: int = 1) -> Histogram1D:
+def bulk_singularity_profile(cfg: SampleConfig, hist=(0.0, 4.0, 40)) -> Histogram1D:
     """Empirical rescaled profile at a bulk singularity (zoom ``n^{1/(2 lam)}``).
 
     Histograms ``n^{1/(2 lam)} r``; the normalized estimate targets the
@@ -359,6 +342,6 @@ def bulk_singularity_profile(cfg: SampleConfig, hist=(0.0, 4.0, 40),
         raise ValueError("bulk singularity profiles require a power-law potential")
     lam = cfg.pot.lam if cfg.pot.kind == "power" else 1.0
     zoom = float(cfg.n) ** (1.0 / (2.0 * lam))
-    out = _accumulate(cfg, zoom, 0.0, hist, threads)
+    out = _accumulate(cfg, zoom, 0.0, hist)
     out.scale = 2.0 * np.maximum(out.bin_centers(), 1e-300)
     return out

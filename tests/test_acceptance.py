@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from plasma_kernel.cli import main
 from plasma_kernel.finite_n import Potential, RescaleFrame, exp_section, rescaled_kernel
 from plasma_kernel.limits import (
     LimitKernelSpec,
@@ -192,15 +193,22 @@ def test_criterion_10_scalar_inequalities():
            f"sharpness gaps {abs(sharp_f):.1e}, {abs(sharp_h):.1e} <= 1e-6")
 
 
-def test_criterion_11_sampler_profiles():
+def test_criterion_11_sampler_profiles(tmp_path):
     start = time.time()
     window = (-3.0, 1.0, 40)
     gin = Potential.ginibre()
     cfg = SampleConfig(gin, 1024, 4000, seed=0)
     frame = RescaleFrame.boundary(gin, 1024)
-    h1 = boundary_profile(cfg, frame, window, threads=1)
-    h8 = boundary_profile(cfg, frame, window, threads=THREADS)
-    deterministic = np.array_equal(h1.counts, h8.counts)
+    h1 = boundary_profile(cfg, frame, window)
+    # the thread count exists only at the CLI: its artifact must carry the
+    # library's estimates bitwise
+    rc = main(["sample", "--n", "1024", "--trials", "4000", "--seed", "0",
+               "--window", "-3:1", "--bins", "40", "--threads", str(THREADS),
+               "--out", str(tmp_path)])
+    deterministic = rc == 0 and np.array_equal(
+        np.loadtxt(tmp_path / "sample_ginibre-n1024_boundary.csv",
+                   delimiter=",", skiprows=1, usecols=1),
+        h1.estimates())
 
     centers = h1.bin_centers()
     env = 3.0 * h1.stderrs() + 0.02
@@ -210,7 +218,7 @@ def test_criterion_11_sampler_profiles():
     hard = Potential.hard_edge()
     cfg_h = SampleConfig(hard, 1024, 4000, seed=0)
     frame_h = RescaleFrame.boundary(hard, 1024)
-    hh = boundary_profile(cfg_h, frame_h, window, threads=THREADS)
+    hh = boundary_profile(cfg_h, frame_h, window)
     target_h = np.array([
         complex(hard_edge_H(2 * x)).real if x < 0.0 else 0.0
         for x in centers

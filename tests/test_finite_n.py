@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import gammainc
 
 from plasma_kernel import finite_n
@@ -471,6 +471,17 @@ def test_exp_section_negative_mean_branch():
     n2 = 2
     x2 = (-1.0 - n2) / math.sqrt(n2)
     assert exp_section(n2, x2) == pytest.approx(0.0, abs=1e-13)
+
+    # an array call gives each point the bits of a call on that point
+    # alone, on both branches: the last x has mu = -2, and x in [-4, 4]
+    # reaches mu <= 0 for n <= 16
+    for n in (2, 3, 4, 4096):
+        xs = np.concatenate([np.linspace(-4.0, 4.0, 33), [(-2.0 - n) / math.sqrt(n)]])
+        batch = exp_section(n, xs.reshape(2, 17))
+        single = [exp_section(n, float(x)) for x in xs]
+        assert batch.shape == (2, 17)
+        assert all(isinstance(v, float) for v in single)
+        assert_array_equal(batch.ravel(), single)
 
 
 @pytest.mark.parametrize("n", [64, 1024, 4096, 65536])

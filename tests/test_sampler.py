@@ -146,15 +146,6 @@ def test_profile_counts_conserved():
     assert int(hist.counts.sum()) == 64 * 25
 
 
-def test_profile_thread_determinism():
-    cfg = SampleConfig(GINIBRE, 64, 16, seed=3)
-    frame = RescaleFrame.boundary(GINIBRE, 64)
-    h1 = boundary_profile(cfg, frame, (-3.0, 1.0, 40), threads=1)
-    h8 = boundary_profile(cfg, frame, (-3.0, 1.0, 40), threads=8)
-    assert_array_equal(h1.counts, h8.counts)
-    assert_array_equal(h1.counts_sq, h8.counts_sq)
-
-
 def test_boundary_profile_requires_boundary_frame():
     cfg = SampleConfig(GINIBRE, 64, 2, seed=0)
     with pytest.raises(ValueError):
@@ -165,7 +156,7 @@ def test_boundary_profile_matches_plasma_profile():
     # moderate run: every bin within 3 standard errors + bin bias of F(2x)
     cfg = SampleConfig(GINIBRE, 256, 600, seed=42)
     frame = RescaleFrame.boundary(GINIBRE, 256)
-    hist = boundary_profile(cfg, frame, (-3.0, 1.0, 40), threads=4)
+    hist = boundary_profile(cfg, frame, (-3.0, 1.0, 40))
     est = hist.estimates()
     err = hist.stderrs()
     target = np.array([complex(plasma_F(2 * x)).real
@@ -295,14 +286,14 @@ def test_inaccurate_inverse_refuses_the_run(monkeypatch):
 # --------------------------------------------------------------------------
 
 
-def _profile(cfg, window, threads=1):
+def _profile(cfg, window):
     """The sampled profile of ``cfg`` and its frame's ``(zoom, r0)``."""
     pot, n = cfg.pot, cfg.n
     if pot.kind == "power":
-        hist = bulk_singularity_profile(cfg, window, threads=threads)
+        hist = bulk_singularity_profile(cfg, window)
         return hist, n ** (1.0 / (2.0 * pot.lam)), 0.0
     frame = RescaleFrame.boundary(pot, n)
-    return boundary_profile(cfg, frame, window, threads=threads), frame.zoom, 1.0
+    return boundary_profile(cfg, frame, window), frame.zoom, 1.0
 
 
 @pytest.mark.parametrize("pot", [GINIBRE, Potential.hard_edge()],
@@ -358,8 +349,5 @@ def test_edge_table_counts_match_full_inversion_property():
         counts, counts_sq = _full_inversion_counts(cfg, zoom, r0, *window)
         assert_array_equal(hist.counts, counts)
         assert_array_equal(hist.counts_sq, counts_sq)
-        threaded, _, _ = _profile(cfg, window, threads=2)
-        assert_array_equal(threaded.counts, counts)
-        assert_array_equal(threaded.counts_sq, counts_sq)
 
     check()

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from plasma_kernel.limits import (
     SERIES_MAX_N,
@@ -35,6 +35,18 @@ MASS_SERIES_ORACLE = [
 @pytest.mark.parametrize("x,n,expected", MASS_SERIES_ORACLE)
 def test_mass_series_frozen_values(x, n, expected):
     assert_allclose(mass_one_series_residual(x, n), expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("n", [0, 1, 80, SERIES_MAX_N])
+def test_series_residuals_batch_equals_single_points(n):
+    # an array call gives each point the bits of a call on that point alone
+    xs = np.linspace(-6.0, 6.0, 49).reshape(7, 7)
+    for func in (mass_one_series_residual, hermite_identity_residual):
+        batch = func(xs, n)
+        single = [func(float(x), n) for x in xs.ravel()]
+        assert batch.shape == xs.shape
+        assert all(isinstance(v, float) for v in single)
+        assert_array_equal(batch.ravel(), single)
 
 
 def test_mass_series_vanishes_deep_inside():

@@ -10,6 +10,7 @@ from plasma_kernel import special
 from plasma_kernel.special import (
     ERFC_ENVELOPE_RADIUS,
     HERMITE_MAX_DEGREE,
+    QuadratureNotConverged,
     SeriesNotConverged,
     conv_indicator,
     erfc_cpx,
@@ -290,6 +291,17 @@ def test_hard_edge_H_scaled_against_mpmath_grid():
     ref = _mp_H_scaled_grid(H_GRID_RE, H_GRID_IM)
     u = H_GRID_RE[:, None] + 1j * H_GRID_IM[None, :]
     assert np.max(np.abs(hard_edge_H_scaled(u.ravel()).reshape(u.shape) - ref)) <= 1e-13
+
+
+def test_hard_edge_H_refuses_past_the_rule_cap():
+    # off the asymptotic branch (Im z^2 < Re z^2 + 46) |Im z| = 600 would
+    # need a 4816-node rule, past the cap: refused, not truncated
+    with pytest.raises(QuadratureNotConverged, match="needs 4816 nodes"):
+        hard_edge_H_scaled(-600 + 600j)
+    # on the asymptotic branch a point as far out keeps a finite, nonzero
+    # value (about -3.9e-198 - 4.5e-198j)
+    v = hard_edge_H_scaled(-30 + 40j)
+    assert np.isfinite(v) and 1e-199 < abs(v) < 1e-196
 
 
 # --------------------------------------------------------------------------
