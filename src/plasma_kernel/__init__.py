@@ -23,8 +23,6 @@ from .special import (  # noqa: F401
     hermite_prob,
     hermite_scaled,
     hermite_scaled_pair,
-    lower_inc_gamma,
-    lower_inc_gamma_log,
     mittag_leffler_M,
     mittag_leffler_kernel_eval,
     plasma_F,

@@ -12,7 +12,8 @@ error is at most 3.5e-13 relative on the diagonal and 1.1e-13 of
 ``sqrt(K(zeta, zeta) K(eta, eta))`` off it, both at n = 2^20.  Nearly all of
 it is the rounding of ``|zeta|``, ``|eta|`` and ``arg(zeta conj(eta))``,
 which the kernel amplifies by about sqrt(n) near the droplet edge and more
-outside it.
+outside it.  Without the cap ``j < n`` the same window sums the
+Mittag-Leffler limit kernel and its Cauchy transform.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gamma, gammainc, gammaincc, gammaln
 
 __all__ = [
     "DivisionNearZero",
+    "SeriesNotConverged",
     "Potential",
     "RescaleFrame",
     "droplet_radius",
@@ -43,6 +45,10 @@ KERNEL_MAX_N = 2**20
 
 class DivisionNearZero(Exception):
     """A kernel ratio was requested where the denominator underflows."""
+
+
+class SeriesNotConverged(Exception):
+    """A term window needs more terms than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -213,8 +219,20 @@ def _log_poisson(x, mu):
     x = np.asarray(x, dtype=float)
     big = x >= _LOADER_MIN_X
     xb = np.where(big, x, _LOADER_MIN_X)
-    saddle = -_stirlerr(xb) - _bd0(xb, mu) - 0.5 * np.log(2.0 * math.pi * xb)
+    with np.errstate(over="ignore"):  # x / mu in the branch not taken, at tiny mu
+        saddle = -_stirlerr(xb) - _bd0(xb, mu) - 0.5 * np.log(2.0 * math.pi * xb)
     return np.where(big, saddle, x * np.log(mu) - mu - gammaln(x + 1.0))
+
+
+def _poisson(x, mu, g):
+    """``mu^x e^-mu / Gamma(x+1)`` to a few rounding units, ``x > -1``, ``g =
+    Gamma(min(x, 150) + 1)``: ``pow`` and ``exp`` in range, else ``_log_poisson``."""
+    direct = (x < 150.0) & (mu < 690.0) & (x * np.log(mu) < 690.0)
+    out = np.empty(x.shape)
+    xd, md = x[direct], mu[direct]
+    out[direct] = np.power(md, xd) * np.exp(-md) / g[direct]
+    out[~direct] = np.exp(_log_poisson(x[~direct], mu[~direct]))
+    return out
 
 
 def _hard_edge_mass(n: int, j):
@@ -256,14 +274,19 @@ def _ratio(pot: Potential, n: int, j, mu):
     return r
 
 
-def _peak(pot: Potential, n: int, mu):
+def _peak(pot: Potential, n: int, mu, uncapped: bool = False):
     """Index of the largest term: the first ``j`` whose ratio is below 1.
 
     The log terms are concave in ``j``, so the ratio falls with ``j`` and a
-    bisection over ``[0, n-1]`` finds the argmax exactly.
+    bisection over ``[0, n-1]`` (uncapped: up to the first ``ceil(lam (mu +
+    1)) 2^k`` whose ratio is below 1) finds the argmax exactly.
     """
     lo = np.zeros(mu.shape, dtype=np.int64)
     hi = np.full(mu.shape, n - 1, dtype=np.int64)
+    if uncapped:
+        hi = np.ceil(pot.lam * (mu + 1.0)).astype(np.int64)
+        while np.any(rises := _ratio(pot, n, hi, mu) >= 1.0):
+            hi[rises] *= 2
     while np.any(lo < hi):
         act = lo < hi
         mid = (lo[act] + hi[act]) // 2
@@ -273,40 +296,58 @@ def _peak(pot: Potential, n: int, mu):
     return lo
 
 
-def _half_width(pot: Potential, n: int, mu):
+def _half_width(pot: Potential, n: int, mu, uncapped: bool = False):
     """First window half width to try: the 8.6 standard deviations of the
     term profile that a 1e-17 tail needs, in multiples of 32 so that the
-    points of one grid share a few widths."""
-    sd = pot.lam * np.sqrt(np.clip(mu, 1.0, n / pot.lam))
+    points of one grid share a few widths (uncapped, the clip only keeps it
+    an integer)."""
+    sd = pot.lam * np.sqrt(np.clip(mu, 1.0, 1e18 if uncapped else n / pot.lam))
     return 32 * np.ceil((8.6 * sd + 24.0) / 32.0).astype(np.int64)
 
 
-def _window(pot: Potential, n: int, mu, theta, peak, w: int):
-    """Sum the terms ``peak - w .. peak + w`` of each row relative to the peak.
-
-    Returns ``(re, im, bound)``: the real and imaginary parts of
-    ``sum_k t_(peak+k) e^(i k theta) / t_peak`` and a bound on the terms
-    left out, relative to the kept ``sum |t| / t_peak``.  Each row is
-    computed on its own, so the result does not depend on the other rows.
-    """
-    j = peak[:, None] + np.arange(-w - 1, w + 1)
+def _terms(pot: Potential, n: int, mu, peak, w: int, uncapped: bool = False):
+    """``(t, rho_down, rho_up)``: the terms ``t_(peak+k) / t_peak``, k = -w..w,
+    of each row on its own, 0 outside ``[0, n-1]`` (uncapped: ``j < 0``), and
+    the first ratio past each end of the window, 0 where the range ends."""
+    if uncapped:
+        # each term on its own: ratio products carry their rounding along
+        j = peak[:, None] + np.arange(-w, w + 1)
+        lo = max(int(peak.min()) - w, 0)  # Gamma once per index of the block
+        xs = (np.arange(lo, int(peak.max()) + w + 1) + 1.0) / pot.lam - 1.0
+        at, m = np.maximum(j, lo) - lo, np.broadcast_to(mu[:, None], j.shape)
+        t = np.where(j >= 0, _poisson(xs[at], m, gamma(np.minimum(xs, 150.0) + 1.0)[at]), 0.0)
+        low = peak - w - 1
+        rho_down = np.where(low >= 0, 1.0 / _ratio(pot, n, np.maximum(low, 0), mu), 0.0)
+        return t / t[:, w:w + 1], rho_down, _ratio(pot, n, peak + w, mu)
+    # ratios only as far as some row of the block stays inside [0, n-1]
+    top, bottom = min(w, n - 1 - int(peak.min())), min(w, int(peak.max()))
+    j = peak[:, None] + np.arange(-bottom - 1, top + 1)
     r = _ratio(pot, n, np.clip(j, 0, n - 1), mu[:, None])
-    up, down = r[:, w + 1:], 1.0 / r[:, w::-1]
     # ratios leaving [0, n-1] are zero: the sum ends there
-    if peak.max() + w >= n - 1:
-        up = np.where(j[:, w + 1:] < n - 1, up, 0.0)
-    if peak.min() - w - 1 < 0:
-        down = np.where(j[:, w::-1] >= 0, down, 0.0)
-    t_up = np.cumprod(up[:, :w], axis=1)
-    t_down = np.cumprod(down[:, :w], axis=1)
+    up = np.where(j[:, bottom + 1:] < n - 1, r[:, bottom + 1:], 0.0)
+    down = np.where(j[:, bottom::-1] >= 0, 1.0 / r[:, bottom::-1], 0.0)
+    t = np.zeros((peak.size, 2 * w + 1))
+    t[:, w] = 1.0
+    t[:, w + 1:w + 1 + top] = np.cumprod(up[:, :top], axis=1)
+    t[:, w - bottom:w] = np.cumprod(down[:, :bottom], axis=1)[:, ::-1]
+    return t, down[:, w] if bottom == w else 0.0, up[:, w] if top == w else 0.0
+
+
+def _tail(last, rho):
+    """Bound on the terms past an end of a window: the ratios keep falling, so
+    they are at most a geometric series in ``rho``, the first ratio past it."""
+    with np.errstate(divide="ignore"):
+        return np.where(rho < 1.0, last * rho / (1.0 - rho), np.inf)
+
+
+def _window(pot: Potential, n: int, mu, theta, peak, w: int, uncapped: bool = False):
+    """``(re, im, bound)`` of ``sum_k t_(peak+k) e^(i k theta) / t_peak`` over
+    k = -w..w, the bound relative to the kept ``sum |t| / t_peak``."""
+    t, rho_down, rho_up = _terms(pot, n, mu, peak, w, uncapped)
+    t_up, t_down = t[:, w + 1:], t[:, w - 1::-1]
     both = t_up + t_down
     kept = 1.0 + both.sum(axis=1)
-    # the ratios keep falling beyond either end, so each tail is at most a
-    # geometric series in the first ratio past that end
-    bound = np.zeros(len(peak))
-    for last, rho in ((t_up[:, -1], up[:, w]), (t_down[:, -1], down[:, w])):
-        with np.errstate(divide="ignore"):
-            bound += np.where(rho < 1.0, last * rho / (1.0 - rho), np.inf)
+    bound = _tail(t_up[:, -1], rho_up) + _tail(t_down[:, -1], rho_down)
     if not np.any(theta):
         return kept, np.zeros(len(peak)), bound / kept
     # t_(peak+k) e^(ik theta) + t_(peak-k) e^(-ik theta), summed over k >= 1
@@ -318,33 +359,42 @@ def _window(pot: Potential, n: int, mu, theta, peak, w: int):
 
 _TAIL_TOL = 1e-17  # relative mass a window may leave out
 _BLOCK = 1 << 14  # window entries handled at once
+WINDOW_MAX_TERMS = 1 << 16  # terms a window without the cap j < n may hold
 
 
-def kernel_finite_n(pot: Potential, n: int, zeta, eta, *, return_bound: bool = False):
-    """Finite-n correlation kernel ``K_n(zeta, eta)`` (weighted, unrescaled).
+def _sum_windows(pot: Potential, n: int, mu, reduce, budget=None):
+    """``(peak, values, bound)``: ``reduce(sel, peak, w)`` gives the values of
+    rows ``sel`` of half width ``w`` (blocks of ~2^14 entries sorted by peak)
+    and a bound on what the window leaves out; rows above 1e-17 go again at
+    twice the width.  A ``budget`` lifts the cap j < n, refusing longer windows."""
+    uncapped = budget is not None
+    width = _half_width(pot, n, mu, uncapped)
+    values, bound = np.zeros(mu.size, dtype=complex), np.zeros(mu.size)
+    peak, todo = None, np.arange(mu.size)
+    while peak is None or todo.size:
+        need = 2 * int(np.max(width[todo], initial=0)) + 1
+        if uncapped and need > budget:
+            raise SeriesNotConverged(f"a term window needs {need} terms (budget {budget})")
+        if peak is None:
+            peak = _peak(pot, n, mu, uncapped)
+        redo = [todo[:0]]
+        for w in np.unique(width[todo]):
+            group = todo[width[todo] == w]
+            group = group[np.argsort(peak[group], kind="stable")]
+            rows = max(1, _BLOCK // (2 * int(w) + 2))
+            for b in range(0, group.size, rows):
+                sel = group[b:b + rows]
+                values[sel], bound[sel] = reduce(sel, peak[sel], int(w))
+                redo.append(sel[bound[sel] > _TAIL_TOL])
+        todo = np.concatenate(redo)
+        width[todo] *= 2
+    return peak, values, bound
 
-    ``K_n = sum_j (zeta conj(eta))^j / ||zeta^j||^2 * exp(-n(Q(zeta)+Q(eta))/2)``
-    for points ``zeta``, ``eta`` (scalars or arrays that broadcast; scalars
-    give a complex scalar).  Each point sums only the O(sqrt(n)) terms
-    around its largest one:
 
-    * the peak index is the first ``j`` whose term ratio is below 1, near
-      ``n|zeta eta|`` (Ginibre), ``lam n|zeta eta|^lam`` (power) or
-      ``min(n|zeta eta|, n-1)`` (hard edge);
-    * the peak term is C. Loader's saddle-point Poisson/Gamma log density
-      times the exact ``exp(-n(|zeta|^lam - |eta|^lam)^2/2)``;
-    * the other terms follow by exact term ratios (see ``_ratio``), walking
-      outwards until the geometric bound on each tail, relative to the kept
-      mass, is below 1e-17.
-
-    Hard-edge kernels return 0 once either argument leaves the closed unit
-    disc.  Diagonal values are real and nonnegative.  With
-    ``return_bound=True`` the result is ``(K, bound)``, where ``bound``
-    bounds the mass of the terms left out relative to the kept ``sum |t_j|``
-    (itself at most ``sqrt(K(zeta, zeta) K(eta, eta))``).
-    """
-    _check_kernel_n(n)
-    shape, zeta, eta = _flat_pair(zeta, eta)
+def _kernel(pot: Potential, n: int, zeta, eta, budget=None, square: bool = False):
+    """``(K, bound)`` of :func:`kernel_finite_n` at flat arrays, over ``j < n``
+    or, with a term budget, every ``j >= 0``; ``square`` sums the squares."""
+    uncapped = budget is not None
     lam = pot.lam
     abs_z, abs_e = np.abs(zeta), np.abs(eta)
     with np.errstate(over="ignore"):
@@ -360,40 +410,108 @@ def kernel_finite_n(pot: Potential, n: int, zeta, eta, *, return_bound: bool = F
     if np.any(at_zero):
         # only the j = 0 term survives
         q = abs_z[at_zero] ** (2.0 * lam) + abs_e[at_zero] ** (2.0 * lam)
-        out[at_zero] = np.exp(-_log_norm(pot, n, 0) - 0.5 * n * q)
+        log_t0 = -_log_norm(pot, n, 0) - 0.5 * n * q
+        out[at_zero] = np.exp(2.0 * log_t0 if square else log_t0)
 
     idx = np.flatnonzero(live & (mu > 0.0))
     mu = mu[idx]
     # arg(zeta conj(eta)); zero on the diagonal, which the rounded product may miss
     theta = np.where(zeta[idx] == eta[idx], 0.0, np.angle(zeta[idx] * eta[idx].conjugate()))
-    peak = _peak(pot, n, mu)
-    width = _half_width(pot, n, mu)
-    sums = np.zeros(idx.size, dtype=complex)
-    todo = np.arange(idx.size)
-    while todo.size:
-        redo = []
-        for w in np.unique(width[todo]):
-            group = todo[width[todo] == w]
-            group = group[np.argsort(peak[group], kind="stable")]
-            rows = max(1, _BLOCK // (2 * int(w) + 2))
-            for b in range(0, group.size, rows):
-                sel = group[b:b + rows]
-                s_re, s_im, rel_tail = _window(pot, n, mu[sel], theta[sel], peak[sel], int(w))
-                sums[sel] = s_re + 1j * s_im
-                bound[idx[sel]] = rel_tail
-                redo.append(sel[rel_tail > _TAIL_TOL])
-        todo = np.concatenate(redo)
-        width[todo] *= 2
 
+    def reduce(sel, peak, w):
+        if square:
+            # past the window every term is below 1, so its square is too
+            t, rho_down, rho_up = _terms(pot, n, mu[sel], peak, w, uncapped)
+            return (t * t).sum(axis=1), _tail(t[:, -1], rho_up) + _tail(t[:, 0], rho_down)
+        re, im, rel_tail = _window(pot, n, mu[sel], theta[sel], peak, w, uncapped)
+        return re + 1j * im, rel_tail
+
+    peak, sums, bound[idx] = _sum_windows(pot, n, mu, reduce, budget)
     with np.errstate(over="ignore"):  # an infinite Gaussian exponent gives 0
         gauss = 0.5 * n * (abs_z[idx] ** lam - abs_e[idx] ** lam) ** 2
-    log_peak = (math.log(lam * n) + (lam - 1.0) * np.log(abs_z[idx] * abs_e[idx])
-                + _log_poisson((peak + 1.0) / lam - 1.0, mu) - gauss)
+    a, x = abs_z[idx] * abs_e[idx], (peak + 1.0) / lam - 1.0
+    # below Loader's range the terms of the saddle form cancel where a n^(1/lam) is small
+    log_peak = np.where(x >= _LOADER_MIN_X,
+                        math.log(lam * n) + (lam - 1.0) * np.log(a) + _log_poisson(x, mu),
+                        math.log(lam) + math.log(n) / lam + peak * np.log(a * n ** (1.0 / lam))
+                        - mu - gammaln(x + 1.0)) - gauss
     if pot.kind == "hard_edge":
         log_peak = log_peak - np.log(gammainc(peak + 1.0, n))
-    out[idx] = np.exp(log_peak) * sums * np.exp(1j * (peak * theta))
-    out, bound = _unflatten(shape, out, bound)
+    if square:
+        out[idx] = np.exp(2.0 * log_peak) * sums
+    else:
+        out[idx] = np.exp(log_peak) * sums * np.exp(1j * (peak * theta))
+    return out, bound
+
+
+def kernel_finite_n(pot: Potential, n: int, zeta, eta, *, return_bound: bool = False):
+    """Finite-n correlation kernel ``K_n(zeta, eta)`` (weighted, unrescaled).
+
+    ``K_n = sum_j (zeta conj(eta))^j / ||zeta^j||^2 * exp(-n(Q(zeta)+Q(eta))/2)``
+    for points ``zeta``, ``eta`` (scalars or arrays that broadcast; scalars
+    give a complex scalar), summed over the O(sqrt(n)) terms around the
+    largest (see ``_peak``): C. Loader's saddle-point log density times the
+    exact ``exp(-n(|zeta|^lam - |eta|^lam)^2/2)`` at the peak, exact term
+    ratios (``_ratio``) outwards until the geometric bound on each tail,
+    relative to the kept mass, is below 1e-17.  Hard-edge kernels return 0
+    once either argument leaves the closed unit disc.  Diagonal values are
+    real and nonnegative.  With ``return_bound=True`` the result is ``(K,
+    bound)``, ``bound`` the mass of the terms left out relative to the kept
+    ``sum |t_j|`` (itself at most ``sqrt(K(zeta, zeta) K(eta, eta))``).
+    """
+    _check_kernel_n(n)
+    shape, zeta, eta = _flat_pair(zeta, eta)
+    out, bound = _unflatten(shape, *_kernel(pot, n, zeta, eta))
     return (out, bound) if return_bound else out
+
+
+def _ml_kernel(lam: float, z, w, budget=WINDOW_MAX_TERMS, square: bool = False):
+    """``(K, bound)`` of the Mittag-Leffler kernel ``M_lam(z conj w) e^{-(|z|^(2
+    lam) + |w|^(2 lam))/2}`` at flat arrays: :func:`_kernel` for power(lam) at
+    n = 1 without the cap, whose terms the singularity frame keeps for every
+    n.  The default budget refuses ``|z w|^lam`` past ``(3800 / lam)^2``."""
+    return _kernel(Potential.power(lam), 1, z, w, budget, square)
+
+
+def _ml_cauchy(lam: float, r):
+    """``(c, bound)`` at flat ``r >= 0`` of the Mittag-Leffler ``C(z) = e^{-i arg
+    z} c(|z|)``: with ``s_l`` the terms of ``R = K(r, r)`` and ``P_j``, ``Q_j``
+    the incomplete gammas at ``((j+1)/lam, r^(2 lam))``, ``c = sum_j [P_j
+    sum_{l<=j} s_l - Q_j sum_{l>j} s_l] / (r R)`` over the window of R, and
+    ``bound`` covers the tails its partial sums miss and the rest."""
+    # c = kappa r + O(r^3), |kappa| < 1.03: where r^(2 lam) underflows, c = 0 within 2r
+    c, bound = np.zeros(r.shape), 2.0 * r
+    idx = np.flatnonzero((r * r) ** lam > 0.0)
+    rr = r[idx]
+    mu = (rr * rr) ** lam
+
+    def reduce(sel, peak, w):
+        s, rho_down, rho_up = _terms(Potential.power(lam), 1, mu[sel], peak, w, True)
+        # shape 0 (P = 1, Q = 0) where j < 0, and s = 0 there
+        shape, x = np.maximum(peak[:, None] + np.arange(1 - w, w + 2), 0) / lam, mu[sel]
+        # P_j below_j and Q_j above_j nearly cancel at the peak: the running
+        # sums are kept in extended precision
+        below = np.cumsum(s, axis=1, dtype=np.longdouble)
+        above = np.zeros(s.shape, dtype=np.longdouble)
+        above[:, :-1] = np.cumsum(s[:, :0:-1], axis=1, dtype=np.longdouble)[:, ::-1]
+        d = gammainc(shape, x[:, None]) * below - gammaincc(shape, x[:, None]) * above
+        value = (d.sum(axis=1) / (rr[sel] * below[:, -1])).astype(float)
+        kept, r2 = s.sum(axis=1), rr[sel] ** 2
+        tail_d, tail_u = _tail(s[:, 0], rho_down), _tail(s[:, -1], rho_up)
+        lo, hi = np.maximum((peak - w) / lam - 1.0, 0.0), (peak + w + 2.0) / lam
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # past the window Q_j <= s_j h below it and P_j <= s_j g above it
+            h = np.where(x > lo, r2 / (lam * (x - lo)), np.inf)
+            g = np.where(hi + 1.0 > x, r2 * (hi + 1.0) / (lam * hi * (hi + 1.0 - x)), np.inf)
+            whole = kept + tail_d + tail_u
+            lost = sum(np.where(t > 0, t * (2 * w + 1 + k / (1 - q) + whole * f), 0)
+                       for t, q, k, f in ((tail_d, rho_down, 1, h), (tail_u, rho_up, rho_up, g)))
+            err = lost / (rr[sel] * kept) + np.abs(value) * (tail_d + tail_u) / kept
+        return value, np.where(np.isfinite(tail_d + tail_u), err, np.inf)
+
+    _, values, bound[idx] = _sum_windows(Potential.power(lam), 1, mu, reduce, WINDOW_MAX_TERMS)
+    c[idx] = values.real
+    return c, bound
 
 
 def _flat_pair(z, w):

@@ -29,14 +29,10 @@ so it is real and y-invariant by construction.
 
 The Mittag-Leffler kernels are invariant under a joint rotation,
 ``B(z e^{it}, w e^{it}) = B(z, w)``, so the mass-one integral is a function
-of ``|z|`` and ``C(z) = e^{-i arg z} c(|z|)`` with c real.  Their plane
-integrals are therefore taken at real radii ``r = |z|`` only
-(:func:`_ml_polar`), on one polar Gauss rule centred at r for every radius
-in one call.  The Berezin density decays like ``exp(-(|w|^lam -
-r^lam)^2)`` in every direction, so the rule is truncated at ``r_max``; in
-polar coordinates ``dA/(z - w)`` becomes ``-e^{-i phi} dr dphi / pi``,
-which removes the singularity analytically; and B(r, w) is even in
-``Im w``, so the angles phi and ``2 pi - phi`` are folded together.
+of ``|z|`` and ``C(z) = e^{-i arg z} c(|z|)`` with c real.  At a real r,
+``|K(r, rho e^{i phi})|^2`` is a Fourier series in phi, so the angular
+integrals are exact: incomplete gammas for c (``finite_n._ml_cauchy``), and
+by Parseval a radial Gauss rule for mass-one (:func:`_ml_mass`).
 """
 
 from __future__ import annotations
@@ -47,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .finite_n import _ml_cauchy, _ml_kernel
 from .special import (
     _leggauss,
     conv_indicator,
@@ -158,12 +155,10 @@ class QuadratureConfig:
     translation-invariant kernels take ``round(32 n_radial / 96)``
     Gauss-Legendre nodes per panel, two panels per window, and nothing else
     from here: their windows are fixed by the Gaussian tail bound next to
-    ``_CUT``.  The Mittag-Leffler polar rule has ``n_radial`` polished
-    Gauss-Legendre nodes on ``[0, r_max]`` and the ``n_angular`` angles
-    ``2 pi k / n_angular``, of which the ``n_angular // 2 + 1`` in
-    ``[0, pi]`` are evaluated (the fold of :func:`_ml_polar`; even and odd
-    counts alike); truncating its ``exp(-r^2)``-dominated density at
-    ``r_max=8`` drops less than 1e-27.
+    ``_CUT``.  The Mittag-Leffler mass-one rule has ``n_radial`` polished
+    nodes in ``|w|`` where ``||w|^lam - |z|^lam| <= r_max``; outside, its
+    density has a factor ``exp(-(|w|^lam - |z|^lam)^2) < e^-64``.
+    ``n_angular`` drives nothing.
     """
 
     r_max: float = 8.0
@@ -324,13 +319,15 @@ def limit_kernel(spec: LimitKernelSpec, z, w):
 
     Translation-invariant kernels are evaluated in the overflow-free form
     ``exp(-(x_z-x_w)^2/2) exp(i Im(z conj w)) PhiScaled(z + conj w)``, and
-    Mittag-Leffler kernels with the Gaussian inside
-    :func:`mittag_leffler_kernel_scaled`.  The hard-edge kernel is 0
+    Mittag-Leffler kernels with the Gaussian inside (closed forms for lam in
+    {1, 2}, else ``finite_n._ml_kernel``).  The hard-edge kernel is 0
     wherever ``Re z >= 0`` or ``Re w >= 0``.
     """
     shape, (z, w) = _flat(z, w)
     if spec.kind == "mittag_leffler":
         lam = spec.lam
+        if lam not in (1.0, 2.0):
+            return _shaped(_ml_kernel(lam, z, w)[0], shape)
         log_gauss = -0.5 * (np.abs(z) ** (2 * lam) + np.abs(w) ** (2 * lam))
         return _shaped(mittag_leffler_kernel_scaled(lam, z * np.conj(w), log_gauss), shape)
     out = np.zeros(z.shape, dtype=complex)
@@ -352,7 +349,11 @@ def one_point(spec: LimitKernelSpec, z):
         # M_lam(r^2) e^(-r^(2 lam)) with the growth cancelled exactly: for
         # lam = 2 this is (2/sqrt(pi)) e^(-r^4) + 2 r^2 erfc(-r^2)
         lam, r2 = spec.lam, np.abs(z) ** 2
-        out = np.real(mittag_leffler_kernel_scaled(lam, r2, -(r2**lam)))
+        if lam in (1.0, 2.0):
+            out = np.real(mittag_leffler_kernel_scaled(lam, r2, -(r2**lam)))
+        else:
+            r, at = np.unique(np.abs(z), return_inverse=True)  # R is radial
+            out = np.real(_ml_kernel(lam, r, r)[0])[at]
     else:
         out = np.zeros(z.shape)
         keep = z.real < 0.0 if spec.kind == "hard_edge" else slice(None)
@@ -396,16 +397,10 @@ def conditional_intensity(spec: LimitKernelSpec, a, z):
 # (tests/test_limits_quadrature.py).
 _CUT = 10.0
 _BLOCK = 1 << 18  # points x rule nodes per temporary, 2 MB of float64
-_ML_BLOCK = 1 << 13  # radii x polar nodes per temporary, 128 kB of complex128
 
 
 def _gauss(q):
     return np.exp(-0.5 * q * q) / math.sqrt(2.0 * math.pi)
-
-
-def _gl_panel(n, a, b, polish=False):
-    x, w = _leggauss(n, polish=polish)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
 def _panel_nodes(quad: QuadratureConfig) -> int:
@@ -429,8 +424,8 @@ def _window(lo, peak, hi, n):
     return np.concatenate(nodes, axis=-1), np.concatenate(weights, axis=-1)
 
 
-def _blocks(n_points, nodes_per_point, budget=_BLOCK):
-    step = max(1, budget // nodes_per_point)
+def _blocks(n_points, nodes_per_point):
+    step = max(1, _BLOCK // nodes_per_point)
     return (slice(k, k + step) for k in range(0, n_points, step))
 
 
@@ -502,34 +497,18 @@ def _ti_reproducing(profile: _Profile, z, w, quad: QuadratureConfig):
     return out
 
 
-def _ml_polar(spec: LimitKernelSpec, r, quad: QuadratureConfig):
-    """``(c(r), integral B(r, w) dA(w))`` of a Mittag-Leffler kernel at flat
-    real radii ``r >= 0``, with ``C(z) = e^{-i arg z} c(|z|)``.
-
-    A polar rule centred at r: ``n_radial`` polished Gauss-Legendre nodes on
-    ``[0, r_max]`` and the angles ``2 pi k / n_angular``.  B(r, w) is even
-    in ``Im w``, so the angles phi and ``2 pi - phi`` are folded into one
-    node of double weight (phi = 0, and phi = pi for even ``n_angular``,
-    keep weight 1), and C at a real point is real.  In polar coordinates
-    ``dA/(z - w)`` becomes ``-e^{-i phi} dr dphi / pi``, which removes the
-    singularity analytically.
-    """
-    rho, w_rho = _gl_panel(quad.n_radial, 0.0, quad.r_max, polish=True)
-    n_phi = quad.n_angular
-    k = np.arange(n_phi // 2 + 1)
-    phi = 2.0 * math.pi * k / n_phi
-    fold = np.where((k == 0) | (2 * k == n_phi), 1.0, 2.0) * 2.0 / n_phi  # dphi / pi
-    w_c = -(w_rho[:, None] * (fold * np.cos(phi))).ravel()
-    w_mass = ((rho * w_rho)[:, None] * fold).ravel()
-    ring = (rho[:, None] * np.exp(1j * phi)).ravel()
-    c, mass = np.empty(r.shape), np.empty(r.shape)
-    for blk in _blocks(r.size, ring.size, _ML_BLOCK):
-        rb = r[blk]
-        dens = np.abs(limit_kernel(spec, rb[:, None], rb[:, None] + ring)) ** 2
-        dens /= _intensity(spec, rb)[:, None]
-        c[blk] = np.sum(dens * w_c, axis=-1)
-        mass[blk] = np.sum(dens * w_mass, axis=-1)
-    return c, mass
+def _ml_mass(spec: LimitKernelSpec, r, quad: QuadratureConfig):
+    """``integral B(r, w) dA(w)`` of a Mittag-Leffler kernel at flat radii r:
+    by Parseval the mean of ``|K(r, rho e^{i phi})|^2`` over phi is the sum of
+    the squared terms ``a_l^2 (r rho)^(2l)`` times the weight, so this is
+    ``(1/R(r)) int 2 rho mean(rho) drho`` on the rule of
+    :class:`QuadratureConfig`, 1 only if the ``a_l`` match the weight."""
+    x, wx = _leggauss(quad.n_radial, polish=True)
+    lo, hi = np.maximum(r**spec.lam + np.c_[[-1.0, 1.0]] * quad.r_max, 0.0) ** (1 / spec.lam)
+    half = 0.5 * (hi - lo)[:, None]
+    rho = (lo[:, None] + half * (x + 1.0)).ravel()
+    mean = _ml_kernel(spec.lam, np.repeat(r, x.size), rho, square=True)[0].real * rho
+    return np.sum(2.0 * mean.reshape(half.size, -1) * (half * wx), axis=1) / _intensity(spec, r)
 
 
 # --------------------------------------------------------------------------
@@ -544,10 +523,9 @@ def cauchy_transform(spec: LimitKernelSpec, z, quad: QuadratureConfig = _DEFAULT
 
     Translation-invariant kernels take the reduced rule of
     :func:`_ti_cauchy_numerator` for every point in one call; C depends on
-    ``Re z`` alone there and is real.  Mittag-Leffler kernels are invariant
-    under a joint rotation, ``B(z e^{it}, w e^{it}) = B(z, w)``, so
-    ``C(z) = e^{-i arg z} c(|z|)`` with c real: one folded polar rule at
-    ``|z|`` (:func:`_ml_polar`) for every point in one call.
+    ``Re z`` alone there and is real.  Mittag-Leffler kernels have ``C(z) =
+    e^{-i arg z} c(|z|)`` with c real from the exact angular reduction of
+    ``finite_n._ml_cauchy``, which takes no ``quad``.
 
     Raises
     ------
@@ -556,7 +534,7 @@ def cauchy_transform(spec: LimitKernelSpec, z, quad: QuadratureConfig = _DEFAULT
     """
     shape, (z,) = _flat(z)
     if spec.kind == "mittag_leffler":
-        out = np.exp(-1j * np.angle(z)) * _ml_polar(spec, np.abs(z), quad)[0]
+        out = np.exp(-1j * np.angle(z)) * _ml_cauchy(spec.lam, np.abs(z))[0]
     else:
         r = _intensity(spec, z)
         out = (_ti_cauchy_numerator(_profile_for(spec), z.real, quad) / r).astype(complex)
@@ -566,11 +544,11 @@ def cauchy_transform(spec: LimitKernelSpec, z, quad: QuadratureConfig = _DEFAULT
 def mass_one_residual(spec: LimitKernelSpec, z, quad: QuadratureConfig = _DEFAULT_QUAD):
     """``integral B(z, w) dA(w) - 1`` (mass-one equation residual), elementwise.
 
-    Mittag-Leffler kernels take the folded polar rule at ``|z|``.
+    Mittag-Leffler kernels take the radial rule of :func:`_ml_mass`.
     """
     shape, (z,) = _flat(z)
     if spec.kind == "mittag_leffler":
-        mass = _ml_polar(spec, np.abs(z), quad)[1]
+        mass = _ml_mass(spec, np.abs(z), quad)
     else:
         mass = _ti_reproducing(_profile_for(spec), z, z, quad).real / _intensity(spec, z)
     return _shaped(mass - 1.0, shape)
@@ -692,16 +670,12 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
     the reduced C is accurate to about 2e-16, so residuals of a few 1e-13
     are rounding.
 
-    For the Mittag-Leffler kernels ``C(z) = e^{-i arg z} c(|z|)`` with c
-    real (see :func:`cauchy_transform`), so ``dbar C = (c'(r) + c(r)/r) / 2``
-    at ``r = |z|``, and the right-hand side is radial too.  One array call
-    of the folded polar rule gives c at the five real nodes
-    ``r + k fd_step``, k = -2..2, of every distinct ``|z|``; c' is their
-    4th-order central difference, and the residual is spread over every
-    point with that radius.  Points with ``|z| < 3 fd_step`` take the full
-    stencil of :func:`ward_point_residual`, all in one more call.
-    The right-hand side is one array call over the distinct real parts or
-    radii, and those points.
+    For the Mittag-Leffler kernels ``C(z) = e^{-i arg z} c(|z|)`` (see
+    :func:`cauchy_transform`), so ``dbar C = (c'(r) + c(r)/r) / 2`` at
+    ``r = |z|``, with c' the central difference of c at ``r + k fd_step``,
+    k = -2..2, all in one call, and the residual is spread over every point
+    of that radius.  Points with ``|z| < 3 fd_step`` take the full stencil
+    of :func:`ward_point_residual`, in one more call.
 
     Hard-edge points must satisfy ``Re z <= -2 fd_step`` so stencils never
     cross the domain boundary.
@@ -720,7 +694,7 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
         near = np.abs(xs) < _ML_RADIAL_MIN * fd_step
         r = xs.real[~near]
         nodes = r[:, None] + fd_step * np.arange(-2.0, 3.0)
-        c = _ml_polar(spec, nodes.ravel(), quad)[0].reshape(nodes.shape).T
+        c = _ml_cauchy(spec.lam, nodes.ravel())[0].reshape(nodes.shape).T
         dbar = np.empty(xs.shape, dtype=complex)
         dbar[~near] = 0.5 * (_central_diff(c[[0, 1, 3, 4]], fd_step) + c[2] / r)
         if np.any(near):
@@ -800,9 +774,9 @@ def eighth_formula(n_nodes: int = 192, shift: float = 0.0, t_max: float = 12.0) 
     Splits at the indicator kink at 0; equals exactly 1/8 when
     ``shift = 0`` and moves by ``shift^2/8`` otherwise.
     """
-    total = 0.0
+    total, (x, w) = 0.0, _leggauss(n_nodes)
     for lo, hi in ((-t_max - abs(shift), 0.0), (0.0, t_max + abs(shift))):
-        t, wt = _gl_panel(n_nodes, lo, hi)
+        t, wt = 0.5 * (hi - lo) * x + 0.5 * (lo + hi), 0.5 * (hi - lo) * w
         f = np.real(plasma_F(2.0 * t - shift))
         indicator = (t < 0.0).astype(float)
         total += float(np.sum(t * (f - indicator) * wt))

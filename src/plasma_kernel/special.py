@@ -3,8 +3,8 @@
 Provides the complementary error function on the complex plane, the plasma
 function ``F`` (Gaussian convolved with a half-line indicator), indicator
 convolutions for general intervals, the hard-edge plasma function ``H``,
-probabilists' Hermite polynomials, the generalized Mittag-Leffler function,
-and the lower incomplete gamma function.
+probabilists' Hermite polynomials and the generalized Mittag-Leffler
+function.
 
 Every function is a pure function of its arguments and accepts scalars or
 numpy arrays of complex values.  Overflow-free *scaled* variants (multiplied
@@ -18,7 +18,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc, erfcx, gammainc
+from scipy.special import erfc, erfcx
+
+from .finite_n import WINDOW_MAX_TERMS, SeriesNotConverged, _ml_kernel
 
 __all__ = [
     "SeriesNotConverged",
@@ -39,8 +41,6 @@ __all__ = [
     "mittag_leffler_M",
     "mittag_leffler_kernel_eval",
     "mittag_leffler_kernel_scaled",
-    "lower_inc_gamma",
-    "lower_inc_gamma_log",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -48,10 +48,6 @@ SQRT_PI = math.sqrt(math.pi)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 ERFC_ENVELOPE_RADIUS = 30.0
-
-
-class SeriesNotConverged(Exception):
-    """A series evaluation exhausted its term budget before converging."""
 
 
 class QuadratureNotConverged(Exception):
@@ -412,73 +408,29 @@ def hermite_scaled_pair(n, z):
 # Mittag-Leffler function
 # --------------------------------------------------------------------------
 
-_ML_MAX_TERMS = 10**5
-_ML_STOP_RATIO = 1e-18
-_ML_STOP_RUN = 5
 
-
-def mittag_leffler_M(lam, z, max_terms=_ML_MAX_TERMS):
+def mittag_leffler_M(lam, z, max_terms=WINDOW_MAX_TERMS):
     """Generalized Mittag-Leffler function ``lam * sum z^j / Gamma((j+1)/lam)``.
 
-    Series evaluation with log-gamma terms, accumulated exactly with
-    ``math.fsum`` after collecting the terms (the partial sums are
-    magnitude-ordered around the largest term, so the compensated total is
-    faithfully rounded).  Truncates once five consecutive terms fall below
-    1e-18 of the partial sum.
-
-    The absolute error is at most some tens of rounding units of the sum of
-    the term magnitudes, ``M_lam(|z|)``: against 40-digit mpmath sums at lam
-    in {1.5, 3}, |z| <= 4, below 1e-14 ``M_lam(|z|)`` (the tests bound it by
-    1e-13).  Where the terms cancel the result so loses
-    ``log10(M_lam(|z|) / |M_lam(z)|)`` digits, for lam > 1 also on part of
-    ``Re z >= 0``: lam = 2 loses 6.3 digits at z = -3, lam = 1.5 loses 6.2 at
-    z = 4i, and lam = 3 loses 15 at z = -3 and 3i and all of them at z = 4i.
-    Kernel evaluations use :func:`mittag_leffler_kernel_eval`, which
-    dispatches to closed forms where they exist.
+    The Mittag-Leffler kernel's term window at ``z conj w = z``, ``|w| =
+    sqrt|z|``, times ``exp(|z|^lam)``: the error is a few rounding units of
+    ``M_lam(|z|) (1 + |z|^lam)``, so cancelling terms lose ``log10(M_lam(|z|)
+    / |M_lam(z)|)`` digits (lam = 3 loses 15 at z = -3).
 
     Raises
     ------
     SeriesNotConverged
-        If ``max_terms`` terms are exhausted before the stop rule fires.
+        If a window needs more than ``max_terms`` terms, or where
+        ``|z|^lam > 705``: there ``M_lam(|z|)`` leaves the double range.
     """
     if not 1.0 <= lam <= 10.0:
         raise ValueError(f"lambda must lie in [1, 10], got {lam}")
     zz, scalar = _as_complex_array(z)
-    out = np.empty(zz.shape, dtype=complex)
-    for idx, zval in np.ndenumerate(zz):
-        out[idx] = _ml_series_scalar(lam, complex(zval), max_terms)
-    return _restore(out, scalar)
-
-
-def _ml_series_scalar(lam, z, max_terms):
-    re_parts = []
-    im_parts = []
-    partial = 0.0 + 0.0j
-    below = 0
-    log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
-    phase = z / abs(z) if z != 0 else 0.0
-    term_phase = 1.0 + 0.0j
-    for j in range(max_terms):
-        log_mag = (j * log_abs_z if j else 0.0) - math.lgamma((j + 1) / lam)
-        if log_mag > 705.0:
-            raise SeriesNotConverged(
-                f"term {j} of M_(lam={lam})({z}) overflows the double range"
-            )
-        term = math.exp(log_mag) * term_phase if log_mag > -745 else 0.0
-        re_parts.append(term.real if term else 0.0)
-        im_parts.append(term.imag if term else 0.0)
-        partial += term
-        if abs(term) < _ML_STOP_RATIO * max(abs(partial), 1e-300):
-            below += 1
-            if below >= _ML_STOP_RUN:
-                return lam * complex(math.fsum(re_parts), math.fsum(im_parts))
-        else:
-            below = 0
-        term_phase *= phase
-    raise SeriesNotConverged(
-        f"Mittag-Leffler series for lambda={lam}, z={z} did not settle "
-        f"within {max_terms} terms"
-    )
+    mag, root = np.abs(zz), np.sqrt(np.abs(zz))
+    if np.any(mag**lam > 705.0):
+        raise SeriesNotConverged(f"M_(lam={lam}) overflows at |z| = {mag.max():.6g}")
+    k = _ml_kernel(lam, (zz / np.where(root > 0, root, 1)).ravel(), root.ravel(), max_terms)[0]
+    return _restore(k.reshape(zz.shape) * np.exp(mag**lam), scalar)
 
 
 def mittag_leffler_kernel_eval(lam, z):
@@ -486,8 +438,8 @@ def mittag_leffler_kernel_eval(lam, z):
 
     ``lam=1`` is ``exp``; ``lam=2`` uses
     ``M_2(z) = 2/sqrt(pi) + 2 z erfcx(-z) `` (exact, cancellation-free).
-    Other ``lam`` fall back to the series, subject to its cancellation
-    envelope.
+    Other ``lam`` take :func:`mittag_leffler_M`, subject to its
+    cancellation envelope.
     """
     zz, scalar = _as_complex_array(z)
     if lam == 1.0:
@@ -507,7 +459,7 @@ def mittag_leffler_kernel_scaled(lam, z, log_scale):
     ``E = erfcx(-z) e^s``, taken on ``Re z >= 0`` as ``2 exp(z^2 + s) -
     erfcx(z) e^s`` (the reflection ``erfcx(-z) = 2 e^(z^2) - erfcx(z)``,
     with ``|erfcx(z)| <= 1`` there): for a kernel ``Re(z^2) + s <= 0``, so
-    nothing overflows.  Other ``lam`` multiply the series by ``e^s``.
+    nothing overflows.  Other ``lam`` multiply ``M_lam`` by ``e^s``.
     """
     zz, scalar = _as_complex_array(z)
     s = np.broadcast_to(np.asarray(log_scale, dtype=float), zz.shape)
@@ -522,46 +474,3 @@ def mittag_leffler_kernel_scaled(lam, z, log_scale):
         e[~right] = erfcx(-zz[~right]) * g[~right]
         return _restore(2.0 / SQRT_PI * g + 2.0 * zz * e, scalar)
     return _restore(mittag_leffler_M(lam, zz) * g, scalar)
-
-
-# --------------------------------------------------------------------------
-# lower incomplete gamma (integer shape)
-# --------------------------------------------------------------------------
-
-_GAMMA_MAX_SHAPE = 10**6
-
-
-def lower_inc_gamma_log(s, x):
-    """``log`` of the lower incomplete gamma ``gamma(s, x)``, integer s >= 1.
-
-    At and above the mean (``x >= s``) this is ``log P(s, x) + log Gamma(s)``
-    with scipy's regularized ``gammainc``, which stays within 5e-15 relative
-    there.  Below the mean ``P`` underflows where x << s, so the value is
-    ``s log x - x + log sum_j x^j / (s (s+1) ... (s+j))``: the Poisson sum
-    ``(s-1)! P(Poisson(x) >= s)`` with its term ratios accumulated in log
-    space.  The terms fall below ``exp(-800)`` of the first within
-    ``40 sqrt(s) + 60`` of them, so the work is O(sqrt s) whatever x.
-    Against 40-digit mpmath at s in {1, 10, 1000, 10^6}, on both sides of
-    the mean, the absolute error of the log is at most
-    ``2.5e-16 max(1, |log gamma(s, x)|)`` (the tests bound it by 1e-14).
-    """
-    if s < 1 or s > _GAMMA_MAX_SHAPE:
-        raise ValueError(f"shape must be an integer in [1, {_GAMMA_MAX_SHAPE}], got {s}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return -math.inf
-    if x >= s:
-        return math.log(gammainc(s, x)) + math.lgamma(s)
-    j = np.arange(1.0, int(40.0 * math.sqrt(s) + 60))
-    log_terms = np.cumsum(np.log(x / (s + j)))
-    return s * math.log(x) - x - math.log(s) + math.log(1.0 + float(np.sum(np.exp(log_terms))))
-
-
-def lower_inc_gamma(s, x):
-    """Lower incomplete gamma ``gamma(s, x)`` for integer ``s >= 1``.
-
-    Relative error <= 1e-12; overflows honestly to inf once
-    ``(s-1)!`` exceeds the double range (use :func:`lower_inc_gamma_log`).
-    """
-    return math.exp(lower_inc_gamma_log(s, x))

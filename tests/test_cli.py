@@ -214,10 +214,17 @@ def test_thread_count_below_one_exits_two(tmp_path, capsys, threads):
     assert not list(tmp_path.iterdir())
 
 
-def test_series_overflow_is_numeric_error(tmp_path):
-    # far outside the convergence budget the series guard trips: exit 3
+def test_window_budget_is_numeric_error(tmp_path, capsys):
+    # |z| = 70 at lam = 1.5 sums windows of about 15,000 terms; past |z| =
+    # 186 they would exceed the budget of 65,536, and the guard trips: exit 3
     assert main(["eval", "--limit", "ml:1.5", "--grid", "49:51:1",
-                 "--out", str(tmp_path)]) == 3
+                 "--out", str(tmp_path)]) == 0
+    res = json.loads((tmp_path / "eval_ml-1-5.json").read_text())["results"]
+    # far out R(z) = lam^2 |z|^(2 lam - 2) = 2.25 |z| up to exponentially small terms
+    assert res["min_value"] == pytest.approx(2.25 * 49.0 * math.sqrt(2.0), rel=1e-12)
+    assert main(["eval", "--limit", "ml:1.5", "--grid", "200:201:1",
+                 "--out", str(tmp_path / "far")]) == 3
+    assert "terms (budget 65536)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from plasma_kernel.finite_n import _ml_kernel
 from plasma_kernel.limits import (
     LimitKernelSpec,
     ZeroIntensity,
@@ -155,6 +156,77 @@ def test_mittag_leffler_kernel_is_finite_at_large_modulus():
     axis = np.linspace(-8.0, 8.0, 17)
     grid = axis[None, :] + 1j * axis[:, None]
     assert np.all(np.isfinite(limit_kernel(ML2, grid, grid.T)))
+
+
+def _mp_ml3_kernel(mpmath, z, w):
+    """``M_3(z conj w) e^(-(|z|^6 + |w|^6)/2)`` at the working precision, the
+    series terms from ``t_(j+3) = t_j u^3 / ((j+1)/3)``."""
+    u = mpmath.mpc(z) * mpmath.conj(mpmath.mpc(w))
+    terms = [3 * u**j / mpmath.gamma(mpmath.mpf(j + 1) / 3) for j in range(3)]
+    j = 0
+    while abs(terms[-1]) > mpmath.mpf(10) ** -(mpmath.mp.dps + 20) or j < 60:
+        terms.append(terms[j] * u**3 / (mpmath.mpf(j + 1) / 3))
+        j += 1
+    weight = mpmath.exp(-(abs(mpmath.mpc(z)) ** 6 + abs(mpmath.mpc(w)) ** 6) / 2)
+    return mpmath.fsum(terms) * weight
+
+
+def test_mittag_leffler_kernel_lam3_against_mpmath():
+    # complex z conj w: the series cancels by up to 26 digits here, so the
+    # oracle runs at 400; the error is measured on the kernel's own scale
+    # sqrt(R(z) R(w)), as the terms are summed relative to the largest
+    mpmath = pytest.importorskip("mpmath")
+    ml3 = LimitKernelSpec.mittag_leffler(3.0)
+    pairs = [(1.5 + 0.5j, -0.7 + 1.2j), (2.0, 1.9j), (1.2 - 0.8j, 1.3 + 0.4j),
+             (0.3 + 0.2j, -1.1 + 0.4j), (-1.6 + 0.9j, 1.7 - 0.6j), (0.0, 1.4 - 0.2j),
+             (1.8 + 0.1j, 1.8 + 0.1j)]
+    z, w = np.array(pairs).T
+    got = limit_kernel(ml3, z, w)
+    scale = np.sqrt(one_point(ml3, z) * one_point(ml3, w))
+    with mpmath.workdps(400):
+        ref = np.array([complex(_mp_ml3_kernel(mpmath, a, b)) for a, b in pairs])
+        diag = np.array([float(_mp_ml3_kernel(mpmath, a, a).real) for a in z])
+    assert np.max(np.abs(got - ref) / scale) <= 1e-14
+    assert np.max(np.abs(one_point(ml3, z) - diag) / diag) <= 1e-14
+
+
+def test_mittag_leffler_window_kernel_matches_closed_forms():
+    # the term window of every lam against the closed forms of lam = 1
+    # (the bulk kernel) and lam = 2 (erfcx), on the kernel's scale
+    pts = random_points(40)
+    z, w = pts[:20], pts[20:]
+    for lam, spec in ((1.0, BULK), (2.0, ML2)):
+        got, bound = _ml_kernel(lam, z, w)
+        scale = np.sqrt(one_point(spec, z) * one_point(spec, w))
+        assert np.max(np.abs(got - limit_kernel(spec, z, w)) / scale) <= 1e-14
+        assert np.max(bound) <= 1e-17
+        diag = _ml_kernel(lam, z, z)[0]
+        assert np.all(diag.imag == 0.0)
+        assert_allclose(diag.real, one_point(spec, z), rtol=1e-14)
+
+
+@pytest.mark.parametrize("lam", [1.5, 3.0, 7.0])
+def test_mittag_leffler_one_point_near_the_origin(lam):
+    # the peak term is taken as lam a^j e^-mu / Gamma((j+1)/lam) below
+    # Loader's range, so no two large logs cancel as |z| -> 0
+    mpmath = pytest.importorskip("mpmath")
+    rs = np.array([1e-100, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.5])
+    with mpmath.workdps(40):
+        lm = mpmath.mpf(lam)
+        ref = np.array([float(mpmath.fsum(lm * mpmath.mpf(r) ** (2 * j) / mpmath.gamma((j + 1) / lm)
+                                          for j in range(80)) * mpmath.exp(-mpmath.mpf(r) ** (2 * lm)))
+                        for r in rs])
+    assert np.max(np.abs(one_point(LimitKernelSpec.mittag_leffler(lam), rs) / ref - 1.0)) <= 1e-15
+
+
+def test_mittag_leffler_kernel_finite_where_M_overflows():
+    # lam = 3 at |z|^6 = 5832: M_3 leaves the double range, R does not
+    ml3 = LimitKernelSpec.mittag_leffler(3.0)
+    r = np.array([3.0, 3.0 * math.sqrt(2.0), 5.0])
+    values = one_point(ml3, r)
+    assert np.all(np.isfinite(values))
+    # R(r) = 9 r^4 (1 + O(r^-6)) far out: the density of the equilibrium measure
+    assert_allclose(values, 9.0 * r**4, rtol=1e-2)
 
 
 def test_constant_profile_kernel():

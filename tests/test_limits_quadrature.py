@@ -3,12 +3,13 @@ Ward-equation residuals, Gram positivity, inequalities, and tail bounds."""
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_less
 
-from plasma_kernel import limits
+from plasma_kernel import finite_n, limits
 from plasma_kernel.limits import (
     LimitKernelSpec,
     QuadratureConfig,
@@ -57,6 +58,16 @@ def test_mass_one_hard_edge(z):
 @pytest.mark.parametrize("z", [0.0, 0.5, 1.0 + 0.5j])
 def test_mass_one_mittag_leffler(z):
     assert abs(mass_one_residual(ML2, z)) <= 1e-10
+
+
+@pytest.mark.parametrize("lam", [1.25, 1.5, 3.0, 4.5])
+def test_mass_one_mittag_leffler_every_lam(lam):
+    # the radial rule sits where |rho^lam - r^lam| <= r_max, so a narrow
+    # density far out (lam = 4.5, |z| = 2.5) is resolved too
+    zs = np.array([0.0, 0.3, 0.9, 1.0 + 0.5j, 2.5j])
+    spec = LimitKernelSpec.mittag_leffler(lam)
+    assert np.max(np.abs(mass_one_residual(spec, zs))) <= 1e-14
+    assert np.max(np.abs(mass_one_residual(spec, zs, QuadratureConfig().doubled()))) <= 1e-14
 
 
 def test_mass_one_constant_profile_defect():
@@ -152,8 +163,9 @@ def _unfolded_ml_cauchy(z, quad):
 
 @pytest.mark.parametrize("n_angular", [128, 127], ids=["even", "odd"])
 def test_mittag_leffler_cauchy_rotation_and_fold(n_angular):
-    # C(z) = e^{-i arg z} c(|z|), c from the folded rule at |z|, against
-    # the unfolded rule centred at z itself
+    # C(z) = e^{-i arg z} c(|z|), c from the angular reduction at |z|,
+    # against a polar rule centred at z itself: every angle, no rotation to
+    # the real axis and no fold
     quad = QuadratureConfig(n_angular=n_angular)
     zs = np.array([0.5 + 0.4j, -0.7 + 0.2j, -0.3 - 0.9j, 1.1 - 0.6j])
     ref = np.array([_unfolded_ml_cauchy(z, quad) for z in zs])
@@ -161,11 +173,109 @@ def test_mittag_leffler_cauchy_rotation_and_fold(n_angular):
 
 
 def test_mittag_leffler_cauchy_is_real_on_the_real_axis():
+    # the reduction gives c real; at a real point the polar rule's imaginary
+    # part is rounding, and its real part is c (the rule's unscaled M_2
+    # overflows at r = 2.5)
     rs = np.array([0.0, 0.3, 1.2, 2.5])
     for quad in (QuadratureConfig(), QuadratureConfig(n_angular=127)):
         c = cauchy_transform(ML2, rs, quad)
         assert np.all(c.imag == 0.0)
+        ref = np.array([_unfolded_ml_cauchy(complex(r), quad) for r in rs[:3]])
+        assert np.max(np.abs(ref.imag)) <= 1e-14
+        assert np.max(np.abs(c[:3] - ref)) <= 1e-14
     assert cauchy_transform(ML2, 1.2).imag == 0.0
+
+
+def _mp_ml_cauchy(mpmath, lam, r):
+    """c(r) of the Mittag-Leffler kernel from its definition, at the working
+    precision: ``(1/(r R)) sum_j [P_j sum_{l<=j} s_l - Q_j sum_{l>j} s_l]``
+    over the 12 standard deviations of the terms around their peak.  For
+    rational lam = p/q, ``P((j+1+p)/lam, x) = P((j+1)/lam, x) - sum_{i<q}
+    x^(a+i) e^-x / Gamma(a+i+1)``, a = (j+1)/lam (DLMF 8.8.5), so only the
+    first p shapes call ``gammainc``."""
+    frac = Fraction(lam).limit_denominator(100)
+    period, step = frac.numerator, frac.denominator
+    lam, r = mpmath.mpf(frac.numerator) / frac.denominator, mpmath.mpf(r)
+    if r == 0:
+        return mpmath.mpf(0)
+    x = r ** (2 * lam)
+    sd = float(lam * mpmath.sqrt(max(x, 1)))
+    peak = int(lam * x)
+    js = range(max(0, peak - int(12 * sd) - 40), peak + int(12 * sd) + 40)
+    shape = [(j + 1) / lam for j in js]
+    s = [lam * mpmath.exp(2 * j * mpmath.log(r) - x - mpmath.loggamma(a))
+         for j, a in zip(js, shape)]
+    p = []
+    for k, a in enumerate(shape):
+        if k < period:
+            p.append(mpmath.gammainc(a, 0, x, regularized=True))
+        else:
+            b = shape[k - period]
+            p.append(p[k - period] - mpmath.fsum(
+                mpmath.exp((b + i) * mpmath.log(x) - x - mpmath.loggamma(b + i + 1))
+                for i in range(step)))
+    total, below, acc = mpmath.fsum(s), mpmath.mpf(0), []
+    for sk, pk in zip(s, p):
+        below += sk
+        acc.append(pk * below - (1 - pk) * (total - below))
+    return mpmath.fsum(acc) / (r * total)
+
+
+ORACLE_RADII = [0.0, 1e-3, 0.3, 0.9, 1.5, 2.5]
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 3.0, 4.5])
+def test_mittag_leffler_cauchy_against_mpmath(lam):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = np.array([float(_mp_ml_cauchy(mpmath, lam, r)) for r in ORACLE_RADII])
+    got = cauchy_transform(LimitKernelSpec.mittag_leffler(lam), ORACLE_RADII)
+    assert np.all(got.imag == 0.0) and got[0] == 0.0
+    assert np.max(np.abs(got.real - ref)) <= 1e-14
+
+
+def test_mittag_leffler_cauchy_vanishes_at_lam_one():
+    # lam = 1 is the bulk kernel: P_j is the Poisson tail sum_{l>j} s_l / R,
+    # so every summand of the reduction cancels
+    rs = np.concatenate([[0.0, 1e-3], np.linspace(0.05, 6.0, 120)])
+    c = cauchy_transform(LimitKernelSpec.mittag_leffler(1.0), rs)
+    assert np.max(np.abs(c)) <= 1e-15
+
+
+def test_mittag_leffler_integrals_at_tiny_radii():
+    # where r^(2 lam) underflows, c = kappa r + O(r^3) with |kappa| < 1.03
+    # is 0 within the reported 2r; mass-one stays at rounding
+    rs = np.array([1e-100, 1e-170, 5e-324])
+    for lam in (2.0, 3.0, 10.0):
+        spec = LimitKernelSpec.mittag_leffler(lam)
+        c, bound = finite_n._ml_cauchy(lam, rs)
+        assert np.all(c == 0.0) and np.all(bound == 2.0 * rs)
+        assert np.all(cauchy_transform(spec, rs) == 0.0)
+        assert np.max(np.abs(mass_one_residual(spec, rs))) <= 1e-15
+    # kappa = 1/Gamma(1 + 1/lam) - Gamma(1/lam)/Gamma(2/lam) once r^(2 lam) is
+    # representable: -0.64 at lam = 2
+    c = cauchy_transform(ML2, 1e-80)
+    assert c.real == pytest.approx(-(math.gamma(0.5) - 1.0 / math.gamma(1.5)) * 1e-80, rel=1e-14)
+
+
+@pytest.mark.parametrize("lam,r", [(1.5, 2.5), (3.0, 1.5), (4.5, 1.5)])
+def test_mittag_leffler_cauchy_tail_bound_holds(monkeypatch, lam, r):
+    # every window width, down to ones that drop most of the mass, reports a
+    # bound on the error of c that it makes (plus 2e-15 of rounding), within
+    # a factor 10 once the window holds most of it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = float(_mp_ml_cauchy(mpmath, lam, r))
+    c, bound = finite_n._ml_cauchy(lam, np.array([r]))
+    assert bound[0] <= 1e-17 and abs(c[0] - ref) <= 1e-14
+    monkeypatch.setattr(finite_n, "_TAIL_TOL", math.inf)  # keep the first window
+    for width in (1, 2, 4, 8, 16, 32, 64, 128):
+        monkeypatch.setattr(finite_n, "_half_width",
+                            lambda pot, n, mu, uncapped=False: np.full(mu.shape, width))
+        c, bound = finite_n._ml_cauchy(lam, np.array([r]))
+        err = abs(c[0] - ref)
+        assert err <= bound[0] + 2e-15, (width, err, bound[0])
+        assert bound[0] <= 10.0 * err + 1e-14 or bound[0] > 1.0, (width, err, bound[0])
 
 
 def test_mittag_leffler_mass_one_is_radial_and_at_rounding():

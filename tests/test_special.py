@@ -21,8 +21,6 @@ from plasma_kernel.special import (
     hard_edge_H_scaled,
     hermite_prob,
     hermite_scaled_pair,
-    lower_inc_gamma,
-    lower_inc_gamma_log,
     mittag_leffler_M,
     mittag_leffler_kernel_eval,
     plasma_F,
@@ -401,65 +399,6 @@ def test_mittag_leffler_nonconvergence_guard():
 def test_mittag_leffler_domain_guard():
     with pytest.raises(ValueError):
         mittag_leffler_M(0.5, 1.0)
-
-
-# --------------------------------------------------------------------------
-# lower incomplete gamma
-# --------------------------------------------------------------------------
-
-
-def test_lower_inc_gamma_closed_forms():
-    # documented contract: relative error <= 1e-12
-    assert_allclose(lower_inc_gamma(1, 0.3), 0.259181779318282126, rtol=1e-12)
-    assert_allclose(lower_inc_gamma(3, 2.0), 0.646647167633873081, rtol=1e-12)
-    assert_allclose(lower_inc_gamma(5, 200.0), 24.0, rtol=1e-12)
-    assert_allclose(lower_inc_gamma(3, 3.0) / 27.0, 0.0427266606572708507,
-                    rtol=1e-12)
-
-
-def test_lower_inc_gamma_log_large_arguments():
-    # log gamma(200000, 200000), frozen from an independent log-space oracle
-    assert_allclose(lower_inc_gamma_log(200000, 200000.0),
-                    2241208.652456012578691, rtol=1e-14)
-
-
-def test_lower_inc_gamma_monotone_in_x():
-    values = [lower_inc_gamma(4, x) for x in (0.5, 1.0, 2.0, 5.0, 50.0)]
-    assert np.all(np.diff(values) > 0)
-    assert values[-1] == pytest.approx(math.gamma(4), rel=1e-12)
-
-
-def _mp_lower_inc_gamma_log(s, x):
-    """``log gamma(s, x)`` at 40 digits; above the mean as Gamma(s) - Gamma(s, x)."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        if x < s:
-            return mpmath.log(mpmath.gammainc(s, 0, x))
-        return mpmath.log(mpmath.gamma(s) - mpmath.gammainc(s, x, mpmath.inf))
-
-
-@pytest.mark.parametrize("s", [1, 10, 1000, 10**6])
-def test_lower_inc_gamma_log_against_mpmath(s):
-    # documented envelope: |error of the log| <= 1e-14 max(1, |log gamma|),
-    # on both sides of the mean; gamma itself to 1e-12 relative where finite
-    r = math.sqrt(s)
-    for x in (1e-300, 1e-3, 0.5 * s, s - 5 * r, s - r, s - 0.5, s,
-              s + 0.5, s + r, s + 5 * r, 2.0 * s, 1e4 * s):
-        if x <= 0.0:
-            continue
-        ref = float(_mp_lower_inc_gamma_log(s, float(x)))
-        value = lower_inc_gamma_log(s, float(x))
-        assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref)), (s, x)
-        if abs(ref) < 700.0:
-            assert_allclose(lower_inc_gamma(s, float(x)), math.exp(ref), rtol=1e-12)
-
-
-def test_lower_inc_gamma_log_far_above_the_mean():
-    # the summation range no longer grows with x: x = 1e12 used to ask for
-    # an array of 1e12 Poisson terms
-    assert lower_inc_gamma_log(1, 1e12) == 0.0
-    ref = float(_mp_lower_inc_gamma_log(10**6, 1e12))
-    assert abs(lower_inc_gamma_log(10**6, 1e12) - ref) <= 1e-14 * abs(ref)
 
 
 def test_gauss_legendre_rules_are_cached_read_only():
