@@ -10,35 +10,27 @@ seeded Monte Carlo sampler — all exposed through one batch CLI.
 __version__ = "0.1.0"
 
 from .special import (  # noqa: F401
-    ERFC_ENVELOPE_RADIUS,
     HERMITE_MAX_DEGREE,
     QuadratureNotConverged,
     SeriesNotConverged,
     conv_indicator,
     erfc_cpx,
-    erfc_envelope_ok,
     erfcx_cpx,
     gauss_gamma,
     hard_edge_H,
     hermite_prob,
     hermite_scaled,
-    hermite_scaled_pair,
     mittag_leffler_M,
     mittag_leffler_kernel_eval,
     plasma_F,
 )
 from .finite_n import (  # noqa: F401
     KERNEL_MAX_N,
-    DivisionNearZero,
     Potential,
     RescaleFrame,
-    bulk_approx_kernel,
-    cocycle_fix,
     droplet_radius,
     exp_section,
     kernel_finite_n,
-    poly_norm_sq,
-    psi_ratio,
     rescaled_kernel,
 )
 from .limits import (  # noqa: F401

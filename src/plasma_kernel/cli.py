@@ -29,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .finite_n import (
-    DivisionNearZero,
     Potential,
     RescaleFrame,
     _check_kernel_n,
@@ -100,7 +99,6 @@ class NonFiniteResult(Exception):
 _NUMERIC_ERRORS = (
     SeriesNotConverged,
     QuadratureNotConverged,
-    DivisionNearZero,
     ZeroIntensity,
     NonHermitianInput,
     BudgetExceeded,
@@ -174,10 +172,11 @@ def parse_pot(text: str) -> Potential:
 
 def parse_quad(text: str) -> QuadratureConfig:
     try:
-        r_max, nr, na = text.split(",")
-        return QuadratureConfig(float(r_max), int(nr), int(na))
+        r_max, nr = text.split(",")
+        r_max, nr = float(r_max), int(nr)
     except ValueError:
-        raise ValueError(f"quad must be r_max,nr,na, got {text!r}")
+        raise ValueError(f"quad must be r_max,nr, got {text!r}")
+    return QuadratureConfig(r_max, nr)
 
 
 def _parse_points(text: str, seed: int):
@@ -671,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         "positivity", "polarized"))
     p_ver.add_argument("--spec", default="free-boundary")
     p_ver.add_argument("--grid", default=None)
-    p_ver.add_argument("--quad", default=None, help="r_max,nr,na")
+    p_ver.add_argument("--quad", default=None, help="r_max,nr")
     p_ver.add_argument("--fd-step", type=float, default=1e-3)
     p_ver.add_argument("--points", default=None,
                        help="comma-separated complex points or random:N "

@@ -2,8 +2,7 @@
 
 Covers the Ginibre potential ``|z|^2``, the power potentials ``|z|^(2 lam)``,
 and the hard-edge Ginibre ensemble (potential +inf outside the unit disc),
-together with rescaling frames, cocycle normalization, the bulk
-approximation kernel, and exponential-series sections.
+together with rescaling frames and exponential-series sections.
 
 A kernel value sums only the O(sqrt(n)) terms around its largest one (see
 :func:`kernel_finite_n`) and reports a rigorous bound on the rest.  Against
@@ -26,25 +25,16 @@ import numpy as np
 from scipy.special import gamma, gammainc, gammaincc, gammaln
 
 __all__ = [
-    "DivisionNearZero",
     "SeriesNotConverged",
     "Potential",
     "RescaleFrame",
     "droplet_radius",
-    "poly_norm_sq",
     "kernel_finite_n",
     "rescaled_kernel",
-    "cocycle_fix",
-    "bulk_approx_kernel",
-    "psi_ratio",
     "exp_section",
 ]
 
 KERNEL_MAX_N = 2**20
-
-
-class DivisionNearZero(Exception):
-    """A kernel ratio was requested where the denominator underflows."""
 
 
 class SeriesNotConverged(Exception):
@@ -150,7 +140,12 @@ def _check_kernel_n(n) -> None:
 
 
 def _log_norm(pot: Potential, n: int, j):
-    """``log ||zeta^j||^2`` for integer ``j`` (scalar or array) in weight nQ."""
+    """``log ||zeta^j||^2`` for integer ``j`` (scalar or array) in weight nQ.
+
+    Ginibre: ``j! / n^(j+1)``; power(lam): ``Gamma((j+1)/lam) / (lam
+    n^((j+1)/lam))``; hard edge: ``gamma(j+1, n) / n^(j+1)``.  In log space
+    because the values underflow doubles long before j reaches n.
+    """
     j = np.asarray(j, dtype=float)
     log_n = math.log(n)
     if pot.kind == "power":
@@ -162,18 +157,6 @@ def _log_norm(pot: Potential, n: int, j):
         # it at or above the mean, where it keeps full accuracy
         out = out + np.log(gammainc(j + 1.0, n))
     return out
-
-
-def poly_norm_sq(pot: Potential, n: int, j: int) -> float:
-    """``log`` of the squared monomial norm ``||zeta^j||^2`` in weight nQ.
-
-    Ginibre: ``j! / n^(j+1)``; power(lam): ``Gamma((j+1)/lam) / (lam
-    n^((j+1)/lam))``; hard edge: ``gamma(j+1, n) / n^(j+1)``.  Returned in
-    log space because the values underflow doubles long before j reaches n.
-    """
-    if not 0 <= j < n:
-        raise ValueError(f"need 0 <= j < n, got j={j}, n={n}")
-    return float(_log_norm(pot, n, j))
 
 
 # C. Loader, "Fast and Accurate Computation of Binomial Probabilities"
@@ -544,43 +527,6 @@ def rescaled_kernel(pot: Potential, frame: RescaleFrame, z, w, *,
                                return_bound=True)
     k, bound = _unflatten(shape, k / frame.zoom**2, bound)
     return (k, bound) if return_bound else k
-
-
-def cocycle_fix(n: int, z: complex, w: complex) -> complex:
-    """Conjugated boundary cocycle ``exp(-i sqrt(n) Im(z - w))``.
-
-    Multiplying ``rescaled_kernel`` by this unimodular factor makes it
-    directly comparable to the limit kernels (which are cocycle-fixed).
-    """
-    return cmath.exp(-1j * math.sqrt(n) * (z - w).imag)
-
-
-def bulk_approx_kernel(n: int, frame: RescaleFrame, z: complex, w: complex) -> complex:
-    """Rescaled bulk approximation ``K_n^#`` for the Ginibre potential.
-
-    Uses the Hermitian extension ``A(zeta, eta) = zeta conj(eta)`` of
-    ``|zeta|^2``, which is exact (quadratic) for Ginibre:
-    ``K_n^# = n exp(n A - n Q/2 - n Q/2)``, rescaled by ``1/zoom^2``.
-    """
-    zeta = frame.to_global(z)
-    eta = frame.to_global(w)
-    expo = n * (zeta * eta.conjugate() - 0.5 * abs(zeta) ** 2 - 0.5 * abs(eta) ** 2)
-    return n * cmath.exp(expo) / frame.zoom**2
-
-
-def psi_ratio(frame: RescaleFrame, z: complex, w: complex) -> complex:
-    """Ratio ``Psi_n = rescaled_kernel / bulk_approx_kernel`` (Ginibre).
-
-    Raises
-    ------
-    DivisionNearZero
-        If the bulk approximation underflows below 1e-300.
-    """
-    pot = Potential.ginibre()
-    denom = bulk_approx_kernel(frame.n, frame, z, w)
-    if abs(denom) < 1e-300:
-        raise DivisionNearZero(f"bulk approximation underflows at ({z}, {w})")
-    return rescaled_kernel(pot, frame, z, w) / denom
 
 
 def exp_section(n: int, x):

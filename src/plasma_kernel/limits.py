@@ -151,22 +151,25 @@ class LimitKernelSpec:
 class QuadratureConfig:
     """Node budget for the plane integrals.
 
-    ``n_radial=96`` / ``n_angular=128`` are the defaults.  The
-    translation-invariant kernels take ``round(32 n_radial / 96)``
+    The translation-invariant kernels take ``round(32 n_radial / 96)``
     Gauss-Legendre nodes per panel, two panels per window, and nothing else
     from here: their windows are fixed by the Gaussian tail bound next to
     ``_CUT``.  The Mittag-Leffler mass-one rule has ``n_radial`` polished
     nodes in ``|w|`` where ``||w|^lam - |z|^lam| <= r_max``; outside, its
     density has a factor ``exp(-(|w|^lam - |z|^lam)^2) < e^-64``.
-    ``n_angular`` drives nothing.
     """
 
     r_max: float = 8.0
     n_radial: int = 96
-    n_angular: int = 128
+
+    def __post_init__(self):
+        if not (math.isfinite(self.r_max) and self.r_max > 0.0):
+            raise ValueError(f"quad r_max must be finite and positive, got {self.r_max}")
+        if self.n_radial < 1:
+            raise ValueError(f"quad n_radial must be at least 1, got {self.n_radial}")
 
     def doubled(self) -> "QuadratureConfig":
-        return QuadratureConfig(self.r_max, 2 * self.n_radial, 2 * self.n_angular)
+        return QuadratureConfig(self.r_max, 2 * self.n_radial)
 
 
 # --------------------------------------------------------------------------
@@ -624,20 +627,6 @@ def _central_diff(values, fd_step):
     return sum(c * v for c, v in zip(stencil, values))
 
 
-def _dbar_cauchy(spec, z, quad, fd_step):
-    """``dbar C`` at flat ``z`` by the full 2-D stencil: the eight Cauchy
-    transforms of every point in one call."""
-    steps = np.array([s * fd_step * d for d in (1.0, 1j) for s in _FD_OFFSETS])
-    cs = cauchy_transform(spec, z[:, None] + steps, quad).T
-    return 0.5 * (_central_diff(cs[:4], fd_step) + 1j * _central_diff(cs[4:], fd_step))
-
-
-# Mittag-Leffler points nearer 0 than this many fd_step take the full
-# stencil of _dbar_cauchy: the radial one reaches r - 2 fd_step and divides
-# by r
-_ML_RADIAL_MIN = 3.0
-
-
 def ward_point_residual(spec: LimitKernelSpec, z: complex,
                         quad: QuadratureConfig = _DEFAULT_QUAD,
                         fd_step: float = 1e-3) -> complex:
@@ -647,7 +636,10 @@ def ward_point_residual(spec: LimitKernelSpec, z: complex,
     is the uncollapsed reference for :func:`ward_residual`.
     """
     z = np.array([complex(z)])
-    return (_dbar_cauchy(spec, z, quad, fd_step) - _ward_rhs(spec, z))[0].item()
+    steps = np.array([s * fd_step * d for d in (1.0, 1j) for s in _FD_OFFSETS])
+    cs = cauchy_transform(spec, z[:, None] + steps, quad).T
+    dbar = 0.5 * (_central_diff(cs[:4], fd_step) + 1j * _central_diff(cs[4:], fd_step))
+    return (dbar - _ward_rhs(spec, z))[0].item()
 
 
 def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAULT_QUAD,
@@ -674,8 +666,9 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
     :func:`cauchy_transform`), so ``dbar C = (c'(r) + c(r)/r) / 2`` at
     ``r = |z|``, with c' the central difference of c at ``r + k fd_step``,
     k = -2..2, all in one call, and the residual is spread over every point
-    of that radius.  Points with ``|z| < 3 fd_step`` take the full stencil
-    of :func:`ward_point_residual`, in one more call.
+    of that radius.  Along the line through 0 and z, ``e^{i arg z} C(t
+    e^{i arg z}) = sgn(t) c(|t|)``, so nodes below 0 take ``-c(|node|)``;
+    at ``r = 0``, ``c/r`` is ``c'(0)`` and ``dbar C = c'(0)``.
 
     Hard-edge points must satisfy ``Re z <= -2 fd_step`` so stencils never
     cross the domain boundary.
@@ -688,22 +681,12 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
         cs = cauchy_transform(spec, xs[:, None] + fd_step * np.array(_FD_OFFSETS), quad)
         dbar = 0.5 * _central_diff(cs.real.T, fd_step)
     else:
-        rs = np.abs(pts)
-        xs, at = np.unique(np.where(rs < _ML_RADIAL_MIN * fd_step, pts, rs),
-                           return_inverse=True)
-        near = np.abs(xs) < _ML_RADIAL_MIN * fd_step
-        r = xs.real[~near]
-        nodes = r[:, None] + fd_step * np.arange(-2.0, 3.0)
-        c = _ml_cauchy(spec.lam, nodes.ravel())[0].reshape(nodes.shape).T
-        dbar = np.empty(xs.shape, dtype=complex)
-        dbar[~near] = 0.5 * (_central_diff(c[[0, 1, 3, 4]], fd_step) + c[2] / r)
-        if np.any(near):
-            dbar[near] = _dbar_cauchy(spec, xs[near], quad, fd_step)
-    res = dbar - _ward_rhs(spec, xs)
-    # np.hypot is libm's hypot, as abs() of a Python complex is; np.abs may
-    # round differently, and where the full stencil is taken these equal
-    # abs(ward_point_residual(...)) bitwise
-    return _shaped(np.hypot(res.real, res.imag)[at], shape)
+        xs, at = np.unique(np.abs(pts), return_inverse=True)
+        nodes = xs[:, None] + fd_step * np.arange(-2.0, 3.0)
+        c = np.sign(nodes) * _ml_cauchy(spec.lam, np.abs(nodes).ravel())[0].reshape(nodes.shape)
+        dc = _central_diff(c.T[[0, 1, 3, 4]], fd_step)
+        dbar = 0.5 * (dc + np.divide(c[:, 2], xs, out=dc.copy(), where=xs > 0))
+    return _shaped(np.abs(dbar - _ward_rhs(spec, xs))[at], shape)
 
 
 # --------------------------------------------------------------------------

@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 BUDGET_LIMIT = 10**9
-DEFAULT_BIN_WIDTH = 0.1  # limit curves vary on unit scale; bias <= 0.005
 # probability margin of the inversion band: about 200x the worst backward
 # error of gammaincinv on 2e5 random (a <= 2^14, u) pairs (5.2e-15 to 5.4e-15)
 BAND_EPS = 1e-12

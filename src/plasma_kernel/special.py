@@ -20,14 +20,13 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erfc, erfcx
 
-from .finite_n import WINDOW_MAX_TERMS, SeriesNotConverged, _ml_kernel
+from .finite_n import SeriesNotConverged, _ml_kernel
 
 __all__ = [
     "SeriesNotConverged",
     "QuadratureNotConverged",
     "erfc_cpx",
     "erfcx_cpx",
-    "erfc_envelope_ok",
     "plasma_F",
     "plasma_F_scaled",
     "gauss_gamma",
@@ -37,7 +36,6 @@ __all__ = [
     "hard_edge_H_scaled",
     "hermite_prob",
     "hermite_scaled",
-    "hermite_scaled_pair",
     "mittag_leffler_M",
     "mittag_leffler_kernel_eval",
     "mittag_leffler_kernel_scaled",
@@ -46,8 +44,6 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-ERFC_ENVELOPE_RADIUS = 30.0
 
 
 class QuadratureNotConverged(Exception):
@@ -88,11 +84,6 @@ def erfc_cpx(z):
     """
     zz, scalar = _as_complex_array(z)
     return _restore(erfc(zz), scalar)
-
-
-def erfc_envelope_ok(z):
-    """True where the erfc accuracy envelope ``|z| <= 30`` holds."""
-    return np.abs(np.asarray(z, dtype=complex)) <= ERFC_ENVELOPE_RADIUS
 
 
 # --------------------------------------------------------------------------
@@ -394,22 +385,12 @@ def hermite_scaled(n, z):
     return p
 
 
-def hermite_scaled_pair(n, z):
-    """Return ``(p_{n-1}(z), p_n(z))`` of :func:`hermite_scaled`, n >= 1."""
-    if n < 1:
-        raise ValueError(f"pair iteration needs n >= 1, got {n}")
-    p = hermite_scaled(n, z)
-    if np.ndim(z) == 0:
-        return complex(p[n - 1]), complex(p[n])
-    return p[n - 1], p[n]
-
-
 # --------------------------------------------------------------------------
 # Mittag-Leffler function
 # --------------------------------------------------------------------------
 
 
-def mittag_leffler_M(lam, z, max_terms=WINDOW_MAX_TERMS):
+def mittag_leffler_M(lam, z):
     """Generalized Mittag-Leffler function ``lam * sum z^j / Gamma((j+1)/lam)``.
 
     The Mittag-Leffler kernel's term window at ``z conj w = z``, ``|w| =
@@ -420,8 +401,7 @@ def mittag_leffler_M(lam, z, max_terms=WINDOW_MAX_TERMS):
     Raises
     ------
     SeriesNotConverged
-        If a window needs more than ``max_terms`` terms, or where
-        ``|z|^lam > 705``: there ``M_lam(|z|)`` leaves the double range.
+        Where ``|z|^lam > 705``: there ``M_lam(|z|)`` leaves the double range.
     """
     if not 1.0 <= lam <= 10.0:
         raise ValueError(f"lambda must lie in [1, 10], got {lam}")
@@ -429,7 +409,7 @@ def mittag_leffler_M(lam, z, max_terms=WINDOW_MAX_TERMS):
     mag, root = np.abs(zz), np.sqrt(np.abs(zz))
     if np.any(mag**lam > 705.0):
         raise SeriesNotConverged(f"M_(lam={lam}) overflows at |z| = {mag.max():.6g}")
-    k = _ml_kernel(lam, (zz / np.where(root > 0, root, 1)).ravel(), root.ravel(), max_terms)[0]
+    k = _ml_kernel(lam, (zz / np.where(root > 0, root, 1)).ravel(), root.ravel())[0]
     return _restore(k.reshape(zz.shape) * np.exp(mag**lam), scalar)
 
 
@@ -459,18 +439,19 @@ def mittag_leffler_kernel_scaled(lam, z, log_scale):
     ``E = erfcx(-z) e^s``, taken on ``Re z >= 0`` as ``2 exp(z^2 + s) -
     erfcx(z) e^s`` (the reflection ``erfcx(-z) = 2 e^(z^2) - erfcx(z)``,
     with ``|erfcx(z)| <= 1`` there): for a kernel ``Re(z^2) + s <= 0``, so
-    nothing overflows.  Other ``lam`` multiply ``M_lam`` by ``e^s``.
+    nothing overflows.  Other ``lam`` raise ``ValueError``: they have no
+    closed form, and their kernels come from ``finite_n._ml_kernel``.
     """
+    if lam not in (1.0, 2.0):
+        raise ValueError(f"no closed form for lambda = {lam}; only lambda in {{1, 2}} has one")
     zz, scalar = _as_complex_array(z)
     s = np.broadcast_to(np.asarray(log_scale, dtype=float), zz.shape)
     if lam == 1.0:
         return _restore(np.exp(zz + s), scalar)
     g = np.exp(s)
-    if lam == 2.0:
-        right = zz.real >= 0.0
-        e = np.empty(zz.shape, dtype=complex)
-        zr = zz[right]
-        e[right] = 2.0 * np.exp(zr * zr + s[right]) - erfcx(zr) * g[right]
-        e[~right] = erfcx(-zz[~right]) * g[~right]
-        return _restore(2.0 / SQRT_PI * g + 2.0 * zz * e, scalar)
-    return _restore(mittag_leffler_M(lam, zz) * g, scalar)
+    right = zz.real >= 0.0
+    e = np.empty(zz.shape, dtype=complex)
+    zr = zz[right]
+    e[right] = 2.0 * np.exp(zr * zr + s[right]) - erfcx(zr) * g[right]
+    e[~right] = erfcx(-zz[~right]) * g[~right]
+    return _restore(2.0 / SQRT_PI * g + 2.0 * zz * e, scalar)

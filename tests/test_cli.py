@@ -68,10 +68,11 @@ def test_parse_pot_forms():
 
 
 def test_parse_quad():
-    quad = parse_quad("6,48,64")
-    assert (quad.r_max, quad.n_radial, quad.n_angular) == (6.0, 48, 64)
-    with pytest.raises(ValueError):
-        parse_quad("6,48")
+    quad = parse_quad("6,48")
+    assert (quad.r_max, quad.n_radial) == (6.0, 48)
+    for text in ("6", "6,48,64", "6,4.5", "x,48"):
+        with pytest.raises(ValueError, match="r_max,nr"):
+            parse_quad(text)
 
 
 def test_threshold_lookup():
@@ -174,6 +175,24 @@ def test_positivity_points_are_a_random_count(tmp_path, capsys, points, named):
 def test_kernel_n_out_of_range_is_named(tmp_path, capsys, argv, bad):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"need 1 <= n <= 1048576, got {bad}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("spec,quad,named", [
+    ("ml:2", "-1,96", "r_max must be finite and positive, got -1.0"),
+    ("ml:2", "0,96", "r_max must be finite and positive, got 0.0"),
+    ("ml:2", "inf,96", "r_max must be finite and positive, got inf"),
+    ("free-boundary", "nan,96", "r_max must be finite and positive, got nan"),
+    ("ml:2", "8,0", "n_radial must be at least 1, got 0"),
+    ("free-boundary", "8,-3", "n_radial must be at least 1, got -3"),
+    ("ml:2", "8,96,1", "quad must be r_max,nr, got '8,96,1'"),
+], ids=["negative", "zero", "inf", "nan", "no-nodes", "negative-nodes", "three-fields"])
+def test_bad_quad_is_usage_error(tmp_path, capsys, spec, quad, named):
+    # a rule that cannot integrate is a usage error, not a verdict
+    argv = ["verify", "mass-one", "--spec", spec, "--quad", quad, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and "PASS" not in captured.out
     assert not list(tmp_path.iterdir())
 
 

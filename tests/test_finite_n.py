@@ -12,16 +12,12 @@ from scipy.special import gammainc
 from plasma_kernel import finite_n
 from plasma_kernel.finite_n import (
     KERNEL_MAX_N,
-    DivisionNearZero,
     Potential,
     RescaleFrame,
-    bulk_approx_kernel,
-    cocycle_fix,
+    _log_norm,
     droplet_radius,
     exp_section,
     kernel_finite_n,
-    poly_norm_sq,
-    psi_ratio,
     rescaled_kernel,
 )
 
@@ -76,14 +72,15 @@ def test_droplet_radii():
 
 
 def test_poly_norm_sq_ginibre():
-    assert poly_norm_sq(GINIBRE, 4, 2) == pytest.approx(
+    # log ||zeta^j||^2 = log(j! / n^(j+1))
+    assert _log_norm(GINIBRE, 4, 2) == pytest.approx(
         math.log(2.0 / 4.0**3), rel=1e-14
     )
 
 
 def test_poly_norm_sq_power():
     # Gamma((j+1)/lam) / (lam n^((j+1)/lam))
-    val = poly_norm_sq(POWER2, 3, 1)
+    val = _log_norm(POWER2, 3, 1)
     assert val == pytest.approx(math.log(1.0 / (2.0 * 3.0)), rel=1e-13)
 
 
@@ -100,7 +97,7 @@ def test_poly_norm_sq_hard_edge_matches_poisson_sum():
             surv = 1 - cdf * mpmath.exp(-n)
             ref = float(mpmath.loggamma(j + 1) + mpmath.log(surv)
                         - (j + 1) * mpmath.log(n))
-        assert_allclose(poly_norm_sq(HARD, n, j), ref, rtol=1e-12)
+        assert_allclose(_log_norm(HARD, n, j), ref, rtol=1e-12)
 
 
 def test_poly_norm_sq_hard_edge_at_largest_n():
@@ -121,14 +118,7 @@ def test_poly_norm_sq_hard_edge_at_largest_n():
             lower = 1 - cdf
             ref = mpmath.loggamma(j + 1) + mpmath.log(lower) - (j + 1) * mpmath.log(n)
         assert abs(gammainc(j + 1.0, n) / float(lower) - 1.0) <= 5e-15
-        assert_allclose(poly_norm_sq(HARD, n, j), float(ref), rtol=1e-14)
-
-
-def test_poly_norm_sq_guards():
-    with pytest.raises(ValueError):
-        poly_norm_sq(GINIBRE, 4, 4)
-    with pytest.raises(ValueError):
-        poly_norm_sq(GINIBRE, 4, -1)
+        assert_allclose(_log_norm(HARD, n, j), float(ref), rtol=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -423,28 +413,6 @@ def test_frame_factories():
 def test_rescaled_bulk_density_near_one():
     frame = RescaleFrame.bulk(GINIBRE, 256)
     assert_allclose(rescaled_kernel(GINIBRE, frame, 0.0, 0.0).real, 1.0, atol=1e-3)
-
-
-def test_cocycle_unimodular():
-    for z, w in zip(random_complex(5, 2.0), random_complex(5, 2.0)):
-        c = cocycle_fix(64, complex(z), complex(w))
-        assert abs(abs(c) - 1.0) <= 1e-15
-        assert_allclose(c * cocycle_fix(64, complex(w), complex(z)), 1.0, rtol=1e-14)
-
-
-def test_psi_ratio_diagonal():
-    # on the diagonal the bulk approximation is exactly n/zoom^2 = 1
-    frame = RescaleFrame.boundary(GINIBRE, 64)
-    assert_allclose(bulk_approx_kernel(64, frame, 0.3j, 0.3j).real, 1.0, rtol=1e-13)
-    psi = psi_ratio(frame, 0.0, 0.0)
-    assert_allclose(psi.real, 0.48337601249617351, rtol=1e-12)
-    assert abs(psi.imag) <= 1e-13
-
-
-def test_psi_ratio_underflow_guard():
-    frame = RescaleFrame.bulk(GINIBRE, 16)
-    with pytest.raises(DivisionNearZero):
-        psi_ratio(frame, 0.0, 40.0)
 
 
 # --------------------------------------------------------------------------

@@ -148,17 +148,17 @@ def test_cauchy_node_doubling_mittag_leffler():
     assert abs(c1 - c2) <= 1e-10
 
 
-def _unfolded_ml_cauchy(z, quad):
+def _unfolded_ml_cauchy(z, n_angular, quad=QuadratureConfig()):
     """C(z) for ML2 on the full polar rule centred at z: every angle
     ``2 pi k / n_angular``, no rotation to the real axis and no fold."""
     x, w = _leggauss(quad.n_radial, polish=True)
     rho, w_rho = 0.5 * quad.r_max * (x + 1.0), 0.5 * quad.r_max * w
-    phi = 2.0 * math.pi * np.arange(quad.n_angular) / quad.n_angular
+    phi = 2.0 * math.pi * np.arange(n_angular) / n_angular
     t = z + rho[:, None] * np.exp(1j * phi)
     m = mittag_leffler_kernel_eval(2.0, z * np.conj(t))
     m_diag = mittag_leffler_kernel_eval(2.0, abs(z) ** 2).real
     dens = np.abs(m) ** 2 * np.exp(-np.abs(t) ** 4) / m_diag
-    return -np.sum(dens * np.exp(-1j * phi) * w_rho[:, None]) * 2.0 / quad.n_angular
+    return -np.sum(dens * np.exp(-1j * phi) * w_rho[:, None]) * 2.0 / n_angular
 
 
 @pytest.mark.parametrize("n_angular", [128, 127], ids=["even", "odd"])
@@ -166,10 +166,9 @@ def test_mittag_leffler_cauchy_rotation_and_fold(n_angular):
     # C(z) = e^{-i arg z} c(|z|), c from the angular reduction at |z|,
     # against a polar rule centred at z itself: every angle, no rotation to
     # the real axis and no fold
-    quad = QuadratureConfig(n_angular=n_angular)
     zs = np.array([0.5 + 0.4j, -0.7 + 0.2j, -0.3 - 0.9j, 1.1 - 0.6j])
-    ref = np.array([_unfolded_ml_cauchy(z, quad) for z in zs])
-    assert np.max(np.abs(cauchy_transform(ML2, zs, quad) - ref)) <= 1e-14
+    ref = np.array([_unfolded_ml_cauchy(z, n_angular) for z in zs])
+    assert np.max(np.abs(cauchy_transform(ML2, zs) - ref)) <= 1e-14
 
 
 def test_mittag_leffler_cauchy_is_real_on_the_real_axis():
@@ -177,10 +176,10 @@ def test_mittag_leffler_cauchy_is_real_on_the_real_axis():
     # part is rounding, and its real part is c (the rule's unscaled M_2
     # overflows at r = 2.5)
     rs = np.array([0.0, 0.3, 1.2, 2.5])
-    for quad in (QuadratureConfig(), QuadratureConfig(n_angular=127)):
-        c = cauchy_transform(ML2, rs, quad)
-        assert np.all(c.imag == 0.0)
-        ref = np.array([_unfolded_ml_cauchy(complex(r), quad) for r in rs[:3]])
+    c = cauchy_transform(ML2, rs)
+    assert np.all(c.imag == 0.0)
+    for n_angular in (128, 127):
+        ref = np.array([_unfolded_ml_cauchy(complex(r), n_angular) for r in rs[:3]])
         assert np.max(np.abs(ref.imag)) <= 1e-14
         assert np.max(np.abs(c[:3] - ref)) <= 1e-14
     assert cauchy_transform(ML2, 1.2).imag == 0.0
@@ -293,7 +292,7 @@ def test_cauchy_decays_deep_in_bulk():
 def test_empirical_convergence_order_at_least_four():
     # halving both node counts must raise the error by >= 2^4
     z = 0.3 + 0.1j
-    coarse = QuadratureConfig(r_max=8.0, n_radial=48, n_angular=64)
+    coarse = QuadratureConfig(r_max=8.0, n_radial=48)
     fine = QuadratureConfig()
     e_mass = (abs(mass_one_residual(FB, z, coarse)),
               abs(mass_one_residual(FB, z, fine)))

@@ -8,21 +8,20 @@ from numpy.testing import assert_allclose
 
 from plasma_kernel import special
 from plasma_kernel.special import (
-    ERFC_ENVELOPE_RADIUS,
     HERMITE_MAX_DEGREE,
     QuadratureNotConverged,
     SeriesNotConverged,
     conv_indicator,
     erfc_cpx,
-    erfc_envelope_ok,
     erfcx_cpx,
     gauss_gamma,
     hard_edge_H,
     hard_edge_H_scaled,
     hermite_prob,
-    hermite_scaled_pair,
+    hermite_scaled,
     mittag_leffler_M,
     mittag_leffler_kernel_eval,
+    mittag_leffler_kernel_scaled,
     plasma_F,
 )
 
@@ -57,7 +56,7 @@ def test_erfcx_against_faddeeva_small():
 
 
 def test_erfcx_against_faddeeva_envelope():
-    z = random_complex(400, ERFC_ENVELOPE_RADIUS)
+    z = random_complex(400, 30.0)  # the documented envelope |z| <= 30
     # where Re z < 0 and Re z^2 is huge the true value ~ 2 e^{z^2} overflows
     # doubles on every route; compare only representable values
     z = z[np.abs((z * z).real) < 650.0]
@@ -76,11 +75,6 @@ def test_erfc_real_axis_value():
 def test_erfc_reflection():
     z = random_complex(100, 6.0)
     assert_allclose(erfc_cpx(z) + erfc_cpx(-z), 2.0, rtol=0, atol=1e-12)
-
-
-def test_erfc_envelope_flag():
-    assert erfc_envelope_ok(3 + 4j)
-    assert not erfc_envelope_ok(25 + 25j)
 
 
 # --------------------------------------------------------------------------
@@ -323,11 +317,11 @@ def test_hermite_prob_degree_guard():
 def test_hermite_scaled_pair_matches_direct():
     # p_n = h_n / sqrt(n!) stays bounded where h_n overflows
     for n in (3, 10, 40):
-        p_prev, p = hermite_scaled_pair(n, 1.2)
+        p = hermite_scaled(n, 1.2)[n].real
         direct = complex(hermite_prob(n, 1.2)).real / math.sqrt(math.factorial(n))
         assert_allclose(p, direct, rtol=1e-11)
     # frozen high-order product from the churn-series oracle
-    _, p80 = hermite_scaled_pair(80, 1.2)
+    p80 = hermite_scaled(80, 1.2)[80].real
     assert_allclose(p80 * p80, 0.01008415442, rtol=1e-9)
 
 
@@ -392,8 +386,19 @@ def test_mittag_leffler_against_mpmath_series(lam):
 
 
 def test_mittag_leffler_nonconvergence_guard():
-    with pytest.raises(SeriesNotConverged):
-        mittag_leffler_M(1.0, 30.0, max_terms=10)
+    # M_lam(|z|) leaves the double range once |z|^lam > 705
+    assert np.isfinite(complex(mittag_leffler_M(1.0, 705.0)))
+    for lam, z in ((1.0, 706.0), (1.0, -706.0), (3.0, 8.91j), (3.0, [0.5, 9.0])):
+        with pytest.raises(SeriesNotConverged, match="overflows"):
+            mittag_leffler_M(lam, z)
+
+
+def test_mittag_leffler_kernel_scaled_needs_a_closed_form():
+    # lam outside {1, 2} has no closed form; its kernels take finite_n's window
+    assert mittag_leffler_kernel_scaled(2.0, 0.0, 0.0) == pytest.approx(2.0 / math.sqrt(math.pi))
+    for lam in (1.5, 3.0):
+        with pytest.raises(ValueError, match=f"lambda = {lam}"):
+            mittag_leffler_kernel_scaled(lam, 0.5, -0.25)
 
 
 def test_mittag_leffler_domain_guard():

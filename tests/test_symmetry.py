@@ -67,21 +67,24 @@ def test_ward_driver_spreads_over_equal_real_parts():
 
 
 def test_ward_driver_spreads_over_equal_radii():
-    # one value per distinct |z|, in every quadrant; points nearer 0 than
-    # 3 fd_step keep the full stencil, all in one call
+    # one value per distinct |z|, in every quadrant, down to 0: stencil nodes
+    # below 0 take -c(|node|), and at 0 dbar C = c'(0)
+    fd_step = 1e-3
+    near = [0.0, 0.5 * fd_step, 2.0 * fd_step * 1j, 0.002 + 0.001j, -0.0015 - 0.001j,
+            0.0027j, 5e-4, 1e-5j]
     pts = [0.6 + 0.8j, -0.6 + 0.8j, -0.6 - 0.8j, 0.6 - 0.8j, 0.8 + 0.6j,
-           0.3 + 0.4j, -0.4 - 0.3j, 0.002 + 0.001j, -0.0015 - 0.001j, 0.0027j]
-    values = ward_residual(ML2, pts)
+           0.3 + 0.4j, -0.4 - 0.3j] + near
+    values = ward_residual(ML2, pts, fd_step=fd_step)
     assert len(set(values[:5].tolist())) == 1
     assert values[5] == values[6] != values[0]
-    for z, value in zip(pts[7:], values[7:]):
-        assert value == abs(ward_point_residual(ML2, z))
+    assert values[9] == ward_residual(ML2, -2.0 * fd_step, fd_step=fd_step)
+    for z, value in zip(near, values[7:]):
+        assert abs(value - abs(ward_point_residual(ML2, z, fd_step=fd_step))) <= 1e-12
 
 
-@pytest.mark.parametrize("quad", [QuadratureConfig(), QuadratureConfig(8.0, 24, 16)],
-                         ids=["default", "8-24-16"])
+@pytest.mark.parametrize("quad", [QuadratureConfig(), QuadratureConfig(8.0, 24)],
+                         ids=["default", "8-24"])
 def test_ward_driver_batch_equals_single_points(quad):
-    # the coarse rule puts several radii into one block of the polar rule
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.2, 1.5, 8) * np.exp(1j * (np.pi / 4 + np.pi / 2 * np.arange(8)))
     values = ward_residual(ML2, pts, quad)
