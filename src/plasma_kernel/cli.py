@@ -18,6 +18,7 @@ floats use 17 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -193,15 +194,11 @@ def _parse_points(text: str, seed: int):
 # --------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, table) -> None:
+    """``header``, then the rows of the float array ``table`` in one format call."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + line * len(table) % tuple(table.ravel().tolist()))
 
 
 def _canonical(obj):
@@ -253,11 +250,12 @@ def _write_artifacts(args, stem: str, header, rows, command: str,
                      config: dict, results: dict) -> None:
     """Write ``stem.csv`` and ``stem.json`` into ``--out``, or nothing if a
     number in the rows or the results is not finite."""
-    values = np.concatenate([np.ravel(np.asarray(rows, dtype=float)), _floats(results)])
+    table = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    values = np.concatenate([table.ravel(), _floats(results)])
     bad = values[~np.isfinite(values)]
     if bad.size:
         raise NonFiniteResult(f"{stem}: a result is {bad[0]}; nothing written")
-    _write_csv(_out_path(args, f"{stem}.csv"), header, rows)
+    _write_csv(_out_path(args, f"{stem}.csv"), header, table)
     _write_json(_out_path(args, f"{stem}.json"), command, config, results)
 
 
@@ -294,10 +292,7 @@ def cmd_eval(args) -> int:
         config = {"mode": "finite", "pot": args.finite, "n": args.n,
                   "frame": args.frame, "grid": args.grid}
 
-    rows = [
-        (float(z.real), float(z.imag), float(v.real), float(v.imag))
-        for z, v in zip(zs.ravel(), values.ravel())
-    ]
+    rows = np.stack([zs.real, zs.imag, values.real, values.imag], axis=-1)
     real_vals = values.real
     results = {
         "points": int(values.size),
@@ -578,11 +573,7 @@ def cmd_sample(args) -> int:
         raise ValueError("sample frame must be boundary or singularity")
 
     est, se = hist.estimates(), hist.stderrs()
-    rows = list(zip(
-        (float(c) for c in hist.bin_centers()),
-        (float(e) for e in est),
-        (float(s) for s in se),
-    ))
+    rows = np.column_stack([hist.bin_centers(), est, se])
     dev = np.abs(est - one_point(spec, hist.bin_centers()))
     config = {"pot": args.pot, "n": args.n, "trials": args.trials,
               "seed": args.seed, "frame": args.frame, "bins": args.bins,
@@ -645,7 +636,10 @@ def _allow_negative_values(parser: argparse.ArgumentParser) -> None:
             _allow_negative_values(choice_parser)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and shared by every later
+    ``main`` call, so nothing may change it; ``--config`` builds its own."""
     parser = argparse.ArgumentParser(
         prog="plasma-kernel",
         description="Correlation-kernel evaluation and verification toolkit",
@@ -670,7 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
         "positivity", "polarized"))
     p_ver.add_argument("--spec", default="free-boundary")
     p_ver.add_argument("--grid", default=None)
-    p_ver.add_argument("--quad", default=None, help="r_max,nr")
+    p_ver.add_argument("--quad", default=None,
+                       help="r_max,nr; read by translation-invariant ward, mass-one and "
+                            "polarized and by Mittag-Leffler mass-one, recorded and "
+                            "ignored by the others")
     p_ver.add_argument("--fd-step", type=float, default=1e-3)
     p_ver.add_argument("--points", default=None,
                        help="comma-separated complex points or random:N "
@@ -720,11 +717,13 @@ def _config_value(action, key, value):
     return value
 
 
-def _apply_config_file(args, parser, argv):
+def _apply_config_file(args, argv):
     """Re-parse ``argv`` with the ``--config`` JSON as the subcommand's
-    defaults, so every flag given on the command line wins."""
+    defaults, so every flag given on the command line wins.  The defaults go
+    to a fresh parser, never to the shared one."""
     if not getattr(args, "config", None):
         return args
+    parser = build_parser.__wrapped__()
     # argparse has no public accessor for a subcommand's parser
     subparsers = next(a for a in parser._actions  # noqa: SLF001
                       if isinstance(a, argparse._SubParsersAction))  # noqa: SLF001
@@ -751,7 +750,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_USAGE
     try:
-        args = _apply_config_file(args, parser, argv)
+        args = _apply_config_file(args, argv)
         if args.command == "eval":
             return cmd_eval(args)
         if args.command == "verify":

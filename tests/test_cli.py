@@ -380,6 +380,25 @@ def test_config_file_unknown_key(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_shared_parser_is_never_changed_by_a_request(tmp_path, capsys):
+    # one parser serves every main call in a process; a --config file, a
+    # mutually exclusive group and a usage error must leave it as it was
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    for extra, seed in ((["--config", str(cfg)], 7), ([], 0)):
+        out = tmp_path / f"seed{seed}"
+        assert main(["verify", "inequalities", *extra, "--out", str(out)]) == 0
+        assert json.loads(next(out.glob("*.json")).read_text())["seed"] == seed
+    for mode in (["--limit", "bulk"], ["--finite", "ginibre"]):
+        assert main(["eval", *mode, "--grid", "0:0:1", "--out", str(tmp_path / "e")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--limit", "bulk", "--finite", "ginibre"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert main(["verify", "eighth", "--out", str(tmp_path / "eighth")]) == 0
+
+
 def test_sample_artifacts(tmp_path):
     assert main(["sample", "--pot", "ginibre", "--n", "64", "--trials", "40",
                  "--bins", "20", "--window", "-3:1", "--out",
