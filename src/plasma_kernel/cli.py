@@ -102,7 +102,6 @@ _NUMERIC_ERRORS = (
     QuadratureNotConverged,
     ZeroIntensity,
     NonHermitianInput,
-    BudgetExceeded,
     InversionCheckFailed,
     NonFiniteResult,
 )
@@ -763,7 +762,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -21,11 +21,12 @@ it.  Each radius is ``r(P^{-1}(a_j, q_j))`` with ``q_j`` the index's
 table holds ``P(a_j, X(e_k))`` at every bin edge ``e_0 = lo, ..., e_bins =
 hi``.  Index j can land in ``[lo, hi)`` only if ``q_j`` lies in its band
 ``[P(a_j, X(lo)) - eps, P(a_j, X(hi)) + eps]`` (``eps = BAND_EPS``).  Every
-trial still draws all n uniforms from its ``(seed, trial)`` stream and keeps
-the indices inside the band.  A kept draw more than ``eps`` from every edge
-probability takes the bin between the two edge probabilities around it; a
-draw within ``eps`` of one is inverted and binned from its radius, exactly
-as :func:`sample_radii` (the full-inversion reference) would.
+trial still draws all n uniforms and keeps the indices inside the band.  A
+kept draw more than ``eps`` from every edge probability takes the bin
+between the two edge probabilities around it, found by a binary search over
+its index's row of the table; a draw within ``eps`` of one is inverted and
+binned from its radius, exactly as :func:`sample_radii` (the full-inversion
+reference) would.
 
 The premise: the inverse's backward error ``|P(a, P^{-1}(a, q)) - q|`` is
 below ``eps``.  Then a draw more than ``eps`` from every edge probability
@@ -38,9 +39,10 @@ or the run is refused (:class:`InversionCheckFailed`).  ``gammaincinv``'s
 backward error passes that check for n up to 2^22 and fails it from about
 n = 2^23 on.
 
-Trials run one block after another in one thread.  At the sizes sampled
-most of a trial is the set-up of its own random stream, which runs in
-Python, so a thread pool over the trials did not pay.
+A run draws from one PCG64 stream seeded with ``seed``: trial k is its
+draws ``k n .. (k+1) n - 1``.  ``advance`` jumps to a block's first trial,
+and one call draws the whole block, so a trial drawn alone equals its row
+in any block.  Trials run one block after another in one thread.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class SampleConfig:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.n * self.trials > BUDGET_LIMIT:
             raise BudgetExceeded(
-                f"n*trials = {self.n * self.trials} exceeds {BUDGET_LIMIT}"
+                f"n*trials = {self.n * self.trials} exceeds the sampling "
+                f"budget of {BUDGET_LIMIT}"
             )
 
 
@@ -180,14 +183,20 @@ def _radii_from_uniforms(pot: Potential, n: int, u: np.ndarray) -> np.ndarray:
     return _radii(pot, n, a, q)
 
 
-def _trial_uniforms(cfg: SampleConfig, trial: int) -> np.ndarray:
-    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,))
-    return np.random.default_rng(seq).random(cfg.n)
+def _uniforms(cfg: SampleConfig, start: int, stop: int) -> np.ndarray:
+    """The n uniforms of trials ``start..stop-1``, one row per trial.
+
+    A run has one PCG64 stream seeded with ``cfg.seed``; trial k is its
+    draws ``k n .. (k+1) n - 1``, reached with ``advance``."""
+    bits = np.random.PCG64(cfg.seed)
+    bits.advance(start * cfg.n)
+    return np.random.Generator(bits).random((stop - start, cfg.n))
 
 
 def sample_radii(cfg: SampleConfig, trial: int) -> np.ndarray:
     """Sorted eigenvalue moduli of one trial: a pure function of (seed, trial)."""
-    return np.sort(_radii_from_uniforms(cfg.pot, cfg.n, _trial_uniforms(cfg, trial)))
+    u = _uniforms(cfg, trial, trial + 1)[0]
+    return np.sort(_radii_from_uniforms(cfg.pot, cfg.n, u))
 
 
 def _histogram_counts(values: np.ndarray, lo: float, hi: float, bins: int,
@@ -204,11 +213,13 @@ def _histogram_counts(values: np.ndarray, lo: float, hi: float, bins: int,
 class _Band:
     """Per-index Gamma probabilities at the bin edges of a window.
 
-    Row k of ``p`` holds ``P(a_j, X(e_k))`` at edge ``e_k``, nondecreasing
-    in k.  Index j's radius lands in ``lo <= zoom (r - r0) < hi`` only if its
-    probability ``q_j`` lies in ``[q_lo_j, q_hi_j]``, the outer rows widened
-    by ``BAND_EPS``; ``q_scale`` is ``P(a, n)`` for the hard edge (``q = u
-    P(a, n)``) and None otherwise.
+    Row j of ``p`` holds ``P(a_j, X(e_k))`` at edges ``e_0 .. e_bins`` in
+    columns ``0 .. bins``, nondecreasing in k, then ``+inf`` up to a
+    power-of-two width for the binary search.  Index j's radius lands in
+    ``lo <= zoom (r - r0) < hi`` only if its probability ``q_j`` lies in
+    ``[q_lo_j, q_hi_j]``, the outer edges widened by ``BAND_EPS``;
+    ``q_scale`` is ``P(a, n)`` for the hard edge (``q = u P(a, n)``) and
+    None otherwise.
     """
 
     a: np.ndarray
@@ -227,7 +238,7 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
     ``x -> zoom (r(x) - r0)`` is increasing and ``X(v) = n (r0 + v /
     zoom)^(2 lam)`` inverts it (lam = 1 but for power potentials), so the
     table is ``P(a, X(e_k))`` and the band ``[P(a, X(lo)) - eps, P(a, X(hi))
-    + eps]``.  A row whose outer edges lie within ``2 eps`` keeps ``P(a,
+    + eps]``.  An index whose outer edges lie within ``2 eps`` keeps ``P(a,
     X(lo))`` in its inner columns: each draw of its band sits within ``eps``
     of an outer edge and is inverted.  The running maximum over the edges
     only guards the order against rounding.  The check inverts every band
@@ -240,13 +251,14 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
     lam = pot.lam if pot.kind == "power" else 1.0
     with np.errstate(over="ignore"):  # an edge beyond every radius maps to inf
         x = n * np.maximum(r0 + np.linspace(lo, hi, bins + 1) / zoom, 0.0) ** (2.0 * lam)
-    p = np.tile(gammainc(a, x[0]), (bins + 1, 1))
-    p[-1] = gammainc(a, x[-1])
-    wide = p[-1] - p[0] > 2.0 * BAND_EPS
-    p[1:-1, wide] = gammainc(a[wide], x[1:-1, None])
-    p = np.maximum.accumulate(p, axis=0)
-    q_lo = p[0] - BAND_EPS
-    q_hi = p[-1] + BAND_EPS
+    p = np.full((n, 1 << bins.bit_length()), np.inf)  # width: a power of two > bins
+    p[:, :bins] = gammainc(a, x[0])[:, None]
+    p[:, bins] = gammainc(a, x[-1])
+    wide = p[:, bins] - p[:, 0] > 2.0 * BAND_EPS
+    p[wide, 1:bins] = gammainc(a[wide, None], x[1:-1])
+    np.maximum.accumulate(p, axis=1, out=p)
+    q_lo = p[:, 0] - BAND_EPS
+    q_hi = p[:, bins] + BAND_EPS
     cut_lo = q_lo > 0.0
     cut_hi = q_hi < (1.0 if q_scale is None else q_scale)
     a_e = np.concatenate([a[cut_lo], a[cut_hi]])
@@ -266,35 +278,44 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
     """Histogram of ``zoom (r - r0)`` over all trials, with per-bin squared
     counts.  Each trial draws all n uniforms and keeps the indices inside
     the window's band.  A kept draw's bin is the number of edge
-    probabilities more than ``eps`` below it, less one; a draw within
+    probabilities more than ``eps`` below it, less one, found by a
+    branchless binary search over its row of the edge table; a draw within
     ``eps`` of an edge probability is inverted and binned from its radius.
-    Trials run in blocks of about ``BLOCK_POINTS`` uniforms, and the edges
-    in a loop, so temporaries stay O(points)."""
+    Trials run in blocks of about ``BLOCK_POINTS`` uniforms, so temporaries
+    stay O(points)."""
     lo, hi, bins = _hist_window(hist)
     pot, n = cfg.pot, cfg.n
     band = _window_band(pot, n, zoom, r0, lo, hi, bins)
+    table, width = band.p.ravel(), band.p.shape[1]
     out = Histogram1D(lo, hi, bins, trials=cfg.trials,
                       counts_sq=np.zeros(bins, dtype=np.int64),
                       inverted=band.checked,
                       band_backward_error=band.backward_error)
     step = max(1, BLOCK_POINTS // n)
     for start in range(0, cfg.trials, step):
-        block = range(start, min(start + step, cfg.trials))
-        u = np.stack([_trial_uniforms(cfg, t) for t in block])
+        stop = min(start + step, cfg.trials)
+        u = _uniforms(cfg, start, stop)
         q = u if band.q_scale is None else u * band.q_scale
-        rows, cols = np.nonzero((q >= band.q_lo) & (q <= band.q_hi))
-        q = q[rows, cols]
+        kept = np.flatnonzero((q >= band.q_lo) & (q <= band.q_hi))
+        rows, cols = np.divmod(kept, n)
+        q = q.ravel()[kept]
         q_eps = q - BAND_EPS
-        # kept draws lie in the band, so 0 <= above <= bins, and a draw
-        # with above == 0 sits within eps of the lower edge
-        above = np.zeros(q.size, dtype=np.int64)
-        for edge in band.p[:-1]:
-            above += q_eps > edge[cols]
-        near = q >= band.p[above, cols] - BAND_EPS
-        far = rows[~near] * bins + above[~near] - 1
-        h = np.bincount(far, minlength=len(block) * bins).reshape(len(block), bins)
+        # pos - base counts the edges of the draw's row below q_eps.  The
+        # top edge is below it only by rounding, so the count is capped at
+        # bins.  Kept draws lie in the band, so a draw with no edge below
+        # q_eps sits within eps of the lower edge
+        base = cols * width
+        pos = base.copy()
+        half = width // 2
+        while half:
+            pos += half * (q_eps > table[pos + (half - 1)])
+            half //= 2
+        np.minimum(pos, base + bins, out=pos)
+        near = q >= table[pos] - BAND_EPS
+        far = rows[~near] * bins + (pos - base)[~near] - 1
+        h = np.bincount(far, minlength=(stop - start) * bins).reshape(-1, bins)
         values = zoom * (_radii(pot, n, band.a[cols[near]], q[near]) - r0)
-        h += _histogram_counts(values, lo, hi, bins, rows[near], len(block))
+        h += _histogram_counts(values, lo, hi, bins, rows[near], stop - start)
         out.counts += h.sum(axis=0)
         out.counts_sq += (h * h).sum(axis=0)
         out.inverted += values.size

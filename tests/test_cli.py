@@ -432,11 +432,26 @@ def test_bad_histogram_window_is_usage_error(tmp_path, capsys, monkeypatch,
     def no_sampling(*args):
         raise AssertionError("sampled before the window was checked")
 
-    monkeypatch.setattr(sampler, "_trial_uniforms", no_sampling)
+    monkeypatch.setattr(sampler, "_uniforms", no_sampling)
     assert main(["sample", "--n", "64", "--trials", "10", "--out",
                  str(tmp_path)] + flags) == 2
     assert named in capsys.readouterr().err
     assert not list(tmp_path.glob("*.json"))
+
+
+def test_sample_over_budget_is_usage_error(tmp_path, capsys, monkeypatch):
+    # a request beyond the n*trials budget is refused before any trial is
+    # drawn: a usage error, not a numeric one
+    def no_sampling(*args):
+        raise AssertionError("sampled before the budget was checked")
+
+    monkeypatch.setattr(sampler, "_uniforms", no_sampling)
+    assert main(["sample", "--n", "4096", "--trials", "400000", "--out",
+                 str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "n*trials = 1638400000 exceeds the sampling budget of 1000000000" in err
+    assert "numeric" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_sample_reports_inversion_shortcut(tmp_path):

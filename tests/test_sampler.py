@@ -14,13 +14,14 @@ from plasma_kernel import sampler
 from plasma_kernel.finite_n import Potential, RescaleFrame
 from plasma_kernel.sampler import (
     BAND_EPS,
+    BLOCK_POINTS,
     BUDGET_LIMIT,
     BudgetExceeded,
     Histogram1D,
     SampleConfig,
     _histogram_counts,
     _radii_from_uniforms,
-    _trial_uniforms,
+    _uniforms,
     boundary_profile,
     bulk_singularity_profile,
     sample_radii,
@@ -56,6 +57,27 @@ def test_radii_deterministic_per_trial():
     assert not np.array_equal(sample_radii(cfg, 3), sample_radii(cfg, 4))
     other = SampleConfig(GINIBRE, 64, 10, seed=124)
     assert not np.array_equal(sample_radii(cfg, 3), sample_radii(other, 3))
+
+
+@pytest.mark.parametrize("n,trials,ks", [
+    (1024, 200, (0, 63, 64, 199)),
+    (2**17, 3, (0, 1, 2)),
+], ids=["n1024", "n2^17"])
+def test_trial_drawn_alone_equals_its_row_in_a_block(n, trials, ks):
+    # trial k is draws k n .. (k+1) n - 1 of the run's one stream: drawn
+    # alone it equals its row of the sampler's block, at n = 1024 the first
+    # row, a block's last and the next block's first, and the run's last;
+    # above BLOCK_POINTS every block is one trial
+    cfg = SampleConfig(GINIBRE, n, trials, seed=5)
+    step = max(1, BLOCK_POINTS // n)
+    assert step == (64 if n == 1024 else 1)
+    for k in ks:
+        start = k - k % step
+        block = _uniforms(cfg, start, min(start + step, trials))
+        alone = _uniforms(cfg, k, k + 1)[0]
+        assert_array_equal(alone, block[k - start])
+        assert_array_equal(np.sort(_radii_from_uniforms(GINIBRE, n, alone)),
+                           sample_radii(cfg, k))
 
 
 def test_radii_sorted_positive():
@@ -199,7 +221,7 @@ def _full_inversion_counts(cfg, zoom, r0, lo, hi, bins):
     c = np.zeros(bins, dtype=np.int64)
     c2 = np.zeros(bins, dtype=np.int64)
     for t in range(cfg.trials):
-        r = _radii_from_uniforms(cfg.pot, cfg.n, _trial_uniforms(cfg, t))
+        r = _radii_from_uniforms(cfg.pot, cfg.n, _uniforms(cfg, t, t + 1)[0])
         h = _histogram_counts(zoom * (r - r0), lo, hi, bins)[0]
         c += h
         c2 += h * h
@@ -212,8 +234,16 @@ def _full_inversion_counts(cfg, zoom, r0, lo, hi, bins):
     (Potential.hard_edge(), (-2.0, -0.5, 6)),
     (Potential.power(2.0), (0.9, 1.3, 2)),
     (GINIBRE, (-3.0, 1e300, 4)),
+    (GINIBRE, (-3.0, 1.0, 1)),
+    (Potential.hard_edge(), (-3.0, 1.0, 2)),
+    (GINIBRE, (-3.0, 1.0, 3)),
+    (Potential.hard_edge(), (-3.0, 1.0, 8)),
+    (GINIBRE, (-3.0, 1.0, 64)),
+    (Potential.hard_edge(), (-3.0, 1.0, 65)),
 ], ids=["ginibre", "hard-edge", "hard-edge-inner", "power2-singularity",
-        "edge-beyond-every-radius"])
+        "edge-beyond-every-radius", "ginibre-bins1", "hard-edge-bins2",
+        "ginibre-bins3", "hard-edge-bins8", "ginibre-bins64",
+        "hard-edge-bins65"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_windowed_counts_match_full_inversion(pot, window, seed):
     # the band drops only indices that cannot land in the window, and the
@@ -305,20 +335,21 @@ def test_draws_on_edge_probabilities_are_inverted(monkeypatch, pot):
     n, trials, window = 64, 6, (-3.0, 1.0, 8)
     zoom = RescaleFrame.boundary(pot, n).zoom
     band = sampler._window_band(pot, n, zoom, 1.0, *window)
-    j0 = int(np.argmax(band.p[-1] - band.p[0]))
+    j0 = int(np.argmax(band.p[:, 8] - band.p[:, 0]))
     offsets = (0.0, BAND_EPS / 2, -BAND_EPS / 2)
-    real_uniforms = sampler._trial_uniforms
+    real_uniforms = sampler._uniforms
 
-    def on_edges(cfg, trial):
-        u = real_uniforms(cfg, trial)
-        for i, off in enumerate(offsets):
-            j, k = j0 + i - 1, 1 + (i + trial) % 5  # edges -2.5 .. -0.5
-            q = band.p[k, j] + off
-            u[j] = q if band.q_scale is None else q / band.q_scale[j]
+    def on_edges(cfg, start, stop):
+        u = real_uniforms(cfg, start, stop)
+        for trial, row in zip(range(start, stop), u):
+            for i, off in enumerate(offsets):
+                j, k = j0 + i - 1, 1 + (i + trial) % 5  # edges -2.5 .. -0.5
+                q = band.p[j, k] + off
+                row[j] = q if band.q_scale is None else q / band.q_scale[j]
         return u
 
-    monkeypatch.setattr(sampler, "_trial_uniforms", on_edges)
-    monkeypatch.setitem(globals(), "_trial_uniforms", on_edges)  # the reference's
+    monkeypatch.setattr(sampler, "_uniforms", on_edges)
+    monkeypatch.setitem(globals(), "_uniforms", on_edges)  # the reference's
     cfg = SampleConfig(pot, n, trials, seed=17)
     hist, _, _ = _profile(cfg, window)
     counts, counts_sq = _full_inversion_counts(cfg, zoom, 1.0, *window)
