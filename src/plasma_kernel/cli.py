@@ -130,6 +130,8 @@ def parse_grid(text: str) -> np.ndarray:
         a, b, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ValueError(f"grid must be a:b:step, got {text!r}")
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError(f"grid a, b and step must be finite, got {text!r}")
     if step <= 0 or b < a:
         raise ValueError(f"need a <= b and step > 0 in {text!r}")
     count = int(round((b - a) / step)) + 1
@@ -321,10 +323,10 @@ def _make_frame(pot: Potential, n: int, frame_name: str) -> RescaleFrame:
 # --------------------------------------------------------------------------
 
 
-def _ward_default_points(spec: LimitKernelSpec, axis, fd_step):
+def _ward_default_points(spec: LimitKernelSpec, axis):
     pts = (axis[None, :] + 1j * axis[:, None]).ravel()
     if spec.kind == "hard_edge":
-        pts = pts[pts.real <= -2.0 * fd_step + 1e-15]
+        pts = pts[pts.real < 0.0]
     if spec.kind == "mittag_leffler":
         pts = pts[(np.abs(pts) <= 1.5 + 1e-12) & (np.abs(pts) > 1e-12)]
     return [complex(p) for p in pts]
@@ -344,11 +346,11 @@ def _verify_ward(args, spec, quad) -> tuple:
         ys = parse_grid("-1:1:0.5")
         pts = [complex(x, y) for y in ys for x in xs]
     else:
-        pts = _ward_default_points(spec, axis, args.fd_step)
+        pts = _ward_default_points(spec, axis)
     if not pts:
         raise ValueError(f"ward grid {args.grid!r} keeps no points for {args.spec}")
 
-    vals = ward_residual(spec, pts, quad, args.fd_step)
+    vals = ward_residual(spec, pts, quad)
     rows = [(z.real, z.imag, float(v)) for z, v in zip(pts, vals)]
     sup = float(vals.max())
     return rows, {"sup_norm": sup, "points": len(pts)}, sup
@@ -474,7 +476,7 @@ def cmd_verify(args) -> int:
     tol = threshold_for(equation, spec.kind)
     passed = sup <= tol
     config = {"equation": equation, "spec": args.spec, "grid": args.grid,
-              "quad": args.quad, "fd_step": args.fd_step, "seed": args.seed,
+              "quad": args.quad, "seed": args.seed,
               "points": args.points, "sets": args.sets,
               "complementary": bool(args.complementary), "n": args.n}
     results = dict(results)
@@ -667,7 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="r_max,nr; read by translation-invariant ward, mass-one and "
                             "polarized and by Mittag-Leffler mass-one, recorded and "
                             "ignored by the others")
-    p_ver.add_argument("--fd-step", type=float, default=1e-3)
     p_ver.add_argument("--points", default=None,
                        help="comma-separated complex points or random:N "
                             "(positivity: random:N only, 1 <= N <= 32)")

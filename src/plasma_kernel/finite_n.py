@@ -56,8 +56,8 @@ class Potential:
     def __post_init__(self):
         if self.kind not in ("ginibre", "power", "hard_edge"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "power" and self.lam < 1.0:
-            raise ValueError(f"power potential needs lam >= 1, got {self.lam}")
+        if self.kind == "power" and not (math.isfinite(self.lam) and self.lam >= 1.0):
+            raise ValueError(f"power potential needs a finite lam >= 1, got {self.lam}")
 
     @classmethod
     def ginibre(cls) -> "Potential":

@@ -134,12 +134,14 @@ class LimitKernelSpec:
 
     @classmethod
     def mittag_leffler(cls, lam: float) -> "LimitKernelSpec":
-        if lam < 1.0:
-            raise ValueError(f"need lam >= 1, got {lam}")
+        if not (math.isfinite(lam) and lam >= 1.0):
+            raise ValueError(f"need a finite lam >= 1, got {lam}")
         return cls("mittag_leffler", lam=float(lam))
 
     @classmethod
     def constant_profile(cls, level: float = 0.5) -> "LimitKernelSpec":
+        if not math.isfinite(level):
+            raise ValueError(f"need a finite level, got {level}")
         return cls("constant", level=float(level))
 
     @property
@@ -433,37 +435,50 @@ def _blocks(n_points, nodes_per_point):
 
 
 def _ti_cauchy_numerator(profile: _Profile, x, quad: QuadratureConfig):
-    """``R(x) C(x)`` for the translation-invariant kernels, flat real ``x``.
+    """``N = R(x) C(x)`` and ``dN/dc`` for the translation-invariant kernels,
+    flat real ``x``.
 
     With ``c = 2x``, ``phi``/``Phi`` the standard normal density/CDF and
     ``d = profile.re_max``,
 
-        R C = iint_{t<s} m(t) m(s) [phi(t-c) Phi(c-s)
-                                    - phi(s-c) (Phi(t-c) - Phi(t-2d))] dt ds.
+        N = iint_{t<s} m(t) m(s) [phi(t-c) Phi(c-s)
+                                  - phi(s-c) (Phi(t-c) - Phi(t-2d))] dt ds.
 
     The s-window of each piece of the support is centred on its point
-    nearest to c, where the integrand peaks; the t-rule runs up to s.
+    nearest to c, where the integrand peaks; the t-rule runs up to s.  Only
+    ``phi(.-c)`` and ``Phi(.-c)`` depend on c, and the bounds do not, so
+    ``dN/dc`` is the integral of
+
+        m(t) m(s) [(t-c) phi(t-c) Phi(c-s) + 2 phi(t-c) phi(s-c)
+                   - (s-c) phi(s-c) (Phi(t-c) - Phi(t-2d))]
+
+    on the same nodes.
     """
     n = _panel_nodes(quad)
-    out = np.empty(x.shape)
+    out, d_out = np.empty(x.shape), np.empty(x.shape)
     for blk in _blocks(x.size, (2 * n) ** 2):
         c = 2.0 * x[blk]
         cs, ct = c[:, None], c[:, None, None]
-        total = 0.0
+        total = d_total = 0.0
         for lo_s, hi_s in profile.pieces:
             peak = np.clip(c, lo_s, hi_s)
             s, ws = _window(np.maximum(lo_s, peak - _CUT), peak, np.minimum(hi_s, peak + _CUT), n)
-            a = b = 0.0  # integrals over t < s against phi(t-c) and the Phi's
+            # integrals over t < s against phi(t-c), (t-c) phi(t-c) and the Phi's
+            a = da = b = 0.0
             for lo_t, hi_t in profile.pieces:
                 top = np.minimum(hi_t, s)
                 t, wt = _window(np.maximum(lo_t, np.minimum(cs, top) - _CUT), cs, top, n)
                 mt = profile.m(t) * wt
-                a = a + np.sum(mt * _gauss(t - ct), axis=-1)
+                gt = _gauss(t - ct)
+                a = a + np.sum(mt * gt, axis=-1)
+                da = da + np.sum(mt * (t - ct) * gt, axis=-1)
                 b = b + np.sum(mt * (ndtr(t - ct) - ndtr(t - 2.0 * profile.re_max)), axis=-1)
-            total = total + np.sum(ws * profile.m(s) * (ndtr(cs - s) * a - _gauss(s - cs) * b),
-                                   axis=-1)
-        out[blk] = total
-    return out
+            ms, cdf, gs = ws * profile.m(s), ndtr(cs - s), _gauss(s - cs)
+            total = total + np.sum(ms * (cdf * a - gs * b), axis=-1)
+            d_total = d_total + np.sum(ms * (cdf * da + 2.0 * gs * a - (s - cs) * gs * b),
+                                       axis=-1)
+        out[blk], d_out[blk] = total, d_total
+    return out, d_out
 
 
 def _ti_reproducing(profile: _Profile, z, w, quad: QuadratureConfig):
@@ -540,7 +555,7 @@ def cauchy_transform(spec: LimitKernelSpec, z, quad: QuadratureConfig = _DEFAULT
         out = np.exp(-1j * np.angle(z)) * _ml_cauchy(spec.lam, np.abs(z))[0]
     else:
         r = _intensity(spec, z)
-        out = (_ti_cauchy_numerator(_profile_for(spec), z.real, quad) / r).astype(complex)
+        out = (_ti_cauchy_numerator(_profile_for(spec), z.real, quad)[0] / r).astype(complex)
     return _shaped(out, shape)
 
 
@@ -568,7 +583,16 @@ def polarized_mass_one_residual(spec: LimitKernelSpec, z, w,
     return _shaped(lhs - limit_kernel(spec, w, z), shape)
 
 
-def laplacian_log_R(spec: LimitKernelSpec, z, fd_step: float = 1e-3):
+# Step of the finite differences Ward's equation keeps: the radial stencil of
+# the Mittag-Leffler c and the 5-point (1/4) Lap log R for lam not in {1, 2}.
+# Both stay independent of the term window: its own sums satisfy Ward's
+# equation term by term (r c = sum_j P_j - E[l], (1/4) Lap log R = Var(l)/r^2
+# - lam^2 r^(2 lam - 2)), so derivatives taken from them would make the
+# residual an identity.
+_FD_STEP = 1e-3
+
+
+def laplacian_log_R(spec: LimitKernelSpec, z):
     """``(1/4) * (standard Laplacian) of log R`` at z, elementwise.
 
     Analytic for translation-invariant kernels (where it reduces to
@@ -582,10 +606,10 @@ def laplacian_log_R(spec: LimitKernelSpec, z, fd_step: float = 1e-3):
     in the scaled terms ``a = (2/sqrt(pi)) e^{-x^2}``, ``b = erfc(-x)`` and
     ``R = M e^{-x^2} = a + 2xb``: every term is positive and finite, also
     where ``erfcx(-x)`` overflows.  Other ``lam`` take 4th-order central
-    finite differences.  That stencil weights log R by up to
-    ``30 / (12 fd_step^2)``, 2.5e6 at the default 1e-3, so one ulp of R
-    moves the value by about 3e-10: their Ward residuals below about 1e-9
-    are rounding.
+    finite differences with step ``_FD_STEP``.  That stencil weights log R
+    by up to ``30 / (12 _FD_STEP^2)``, 2.5e6, so one ulp of R moves the
+    value by about 3e-10: their Ward residuals below about 1e-9 are
+    rounding.
     """
     shape, (z,) = _flat(z)
     if spec.translation_invariant:
@@ -603,10 +627,10 @@ def laplacian_log_R(spec: LimitKernelSpec, z, fd_step: float = 1e-3):
         b = 2.0 * ndtr(math.sqrt(2.0) * x)  # erfc(-x)
         r = a + 2.0 * x * b
         return _shaped(2.0 * (x + b / r) * a / r, shape)
-    coeff = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * fd_step**2)
+    coeff = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * _FD_STEP**2)
     steps = np.array([-2, -1, 0, 1, 2], dtype=float)
-    lxx = sum(c * np.log(one_point(spec, z + s * fd_step)) for c, s in zip(coeff, steps))
-    lyy = sum(c * np.log(one_point(spec, z + 1j * s * fd_step)) for c, s in zip(coeff, steps))
+    lxx = sum(c * np.log(one_point(spec, z + s * _FD_STEP)) for c, s in zip(coeff, steps))
+    lyy = sum(c * np.log(one_point(spec, z + 1j * s * _FD_STEP)) for c, s in zip(coeff, steps))
     return _shaped(0.25 * (lxx + lyy), shape)
 
 
@@ -629,11 +653,12 @@ def _central_diff(values, fd_step):
 
 def ward_point_residual(spec: LimitKernelSpec, z: complex,
                         quad: QuadratureConfig = _DEFAULT_QUAD,
-                        fd_step: float = 1e-3) -> complex:
+                        fd_step: float = _FD_STEP) -> complex:
     """Ward-equation residual ``dbar C - (R - 1 - Lap log R)`` at one point.
 
-    Takes the full 2-D stencil (eight Cauchy transforms) at every point; it
-    is the uncollapsed reference for :func:`ward_residual`.
+    Takes the full 2-D stencil (eight Cauchy transforms of step ``fd_step``)
+    at every point; it is the finite-difference reference for
+    :func:`ward_residual`.
     """
     z = np.array([complex(z)])
     steps = np.array([s * fd_step * d for d in (1.0, 1j) for s in _FD_OFFSETS])
@@ -642,49 +667,43 @@ def ward_point_residual(spec: LimitKernelSpec, z: complex,
     return (dbar - _ward_rhs(spec, z))[0].item()
 
 
-def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAULT_QUAD,
-                  fd_step: float = 1e-3):
+def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAULT_QUAD):
     """Ward-equation residual magnitudes ``|dbar C - (R - 1 - Lap log R)|``.
 
     ``points`` may have any shape; the result has that shape, or is a Python
     float for a scalar point, and the caller's array is left as it was.
-    ``dbar`` is taken by 4th-order central differences of the Cauchy
-    transform.
 
     For the translation-invariant kernels both sides of Ward's equation
-    depend on ``Re z`` alone: the reduced rule of :func:`cauchy_transform`
-    and the right-hand side read ``Re z`` only.  So C is evaluated in one
-    array call on a 4-point x-stencil per distinct real part,
-    ``dbar C = C_x / 2`` (the y-derivative is exactly 0), and the residual
-    is spread over every point with that real part; the tests compare this
-    collapse with :func:`ward_point_residual` off the axis.  The stencil
-    weights C by up to ``18 / (12 fd_step)``, 1500 at the default 1e-3, and
-    the reduced C is accurate to about 2e-16, so residuals of a few 1e-13
-    are rounding.
+    depend on ``Re z`` alone, and ``C = N / R`` with ``c = 2 Re z``, so
+    ``dbar C = C_x / 2 = (N' R - N R') / R^2`` with c-derivatives: N and N'
+    from one reduced rule per distinct real part
+    (:func:`_ti_cauchy_numerator`), ``R' = profile.diag_d1(c)``.  The
+    residual is spread over every point with that real part; the tests
+    compare it with :func:`ward_point_residual` off the axis.  Where the
+    intensity vanishes (the hard edge at ``Re z >= 0``) it raises
+    :class:`ZeroIntensity`.
 
     For the Mittag-Leffler kernels ``C(z) = e^{-i arg z} c(|z|)`` (see
     :func:`cauchy_transform`), so ``dbar C = (c'(r) + c(r)/r) / 2`` at
-    ``r = |z|``, with c' the central difference of c at ``r + k fd_step``,
-    k = -2..2, all in one call, and the residual is spread over every point
-    of that radius.  Along the line through 0 and z, ``e^{i arg z} C(t
-    e^{i arg z}) = sgn(t) c(|t|)``, so nodes below 0 take ``-c(|node|)``;
-    at ``r = 0``, ``c/r`` is ``c'(0)`` and ``dbar C = c'(0)``.
-
-    Hard-edge points must satisfy ``Re z <= -2 fd_step`` so stencils never
-    cross the domain boundary.
+    ``r = |z|``, with c' the 4th-order central difference of c at
+    ``r + k _FD_STEP``, k = -2..2, all in one call, and the residual is
+    spread over every point of that radius.  Along the line through 0 and
+    z, ``e^{i arg z} C(t e^{i arg z}) = sgn(t) c(|t|)``, so nodes below 0
+    take ``-c(|node|)``; at ``r = 0``, ``c/r`` is ``c'(0)`` and
+    ``dbar C = c'(0)``.
     """
     shape, (pts,) = _flat(points)
-    if spec.kind == "hard_edge" and np.any(pts.real > -2.0 * fd_step + 1e-15):
-        raise ValueError("hard-edge points must satisfy Re z <= -2 fd_step")
     if spec.translation_invariant:
         xs, at = np.unique(pts.real, return_inverse=True)
-        cs = cauchy_transform(spec, xs[:, None] + fd_step * np.array(_FD_OFFSETS), quad)
-        dbar = 0.5 * _central_diff(cs.real.T, fd_step)
+        r = _intensity(spec, xs)
+        profile = _profile_for(spec)
+        num, d_num = _ti_cauchy_numerator(profile, xs, quad)
+        dbar = (d_num * r - num * profile.diag_d1(2.0 * xs)) / (r * r)
     else:
         xs, at = np.unique(np.abs(pts), return_inverse=True)
-        nodes = xs[:, None] + fd_step * np.arange(-2.0, 3.0)
+        nodes = xs[:, None] + _FD_STEP * np.arange(-2.0, 3.0)
         c = np.sign(nodes) * _ml_cauchy(spec.lam, np.abs(nodes).ravel())[0].reshape(nodes.shape)
-        dc = _central_diff(c.T[[0, 1, 3, 4]], fd_step)
+        dc = _central_diff(c.T[[0, 1, 3, 4]], _FD_STEP)
         dbar = 0.5 * (dc + np.divide(c[:, 2], xs, out=dc.copy(), where=xs > 0))
     return _shaped(np.abs(dbar - _ward_rhs(spec, xs))[at], shape)
 

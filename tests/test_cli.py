@@ -1,9 +1,11 @@
 """Command-line interface: parsing, exit codes, artifact layout, and
 byte-level reproducibility."""
 
+import argparse
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -175,6 +177,32 @@ def test_positivity_points_are_a_random_count(tmp_path, capsys, points, named):
 def test_kernel_n_out_of_range_is_named(tmp_path, capsys, argv, bad):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"need 1 <= n <= 1048576, got {bad}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["eval", "--limit", "bulk", "--grid", "0:inf:1"], "0:inf:1"),
+    (["verify", "ward", "--grid=-inf:0:1"], "-inf:0:1"),
+    (["converge", "--grid", "-3:inf:0.25"], "-3:inf:0.25"),
+    (["converge", "--grid", "-3:3:nan"], "-3:3:nan"),
+], ids=["eval", "verify", "converge", "converge-nan-step"])
+def test_non_finite_grid_is_usage_error(tmp_path, capsys, argv, text):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"grid a, b and step must be finite, got {text!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["eval", "--limit", "ml:inf", "--grid", "0:1:1"], "finite lam >= 1, got inf"),
+    (["eval", "--limit", "ml:nan", "--grid", "0:0:1"], "finite lam >= 1, got nan"),
+    (["eval", "--limit", "constant:nan", "--grid", "0:0:1"], "finite level, got nan"),
+    (["verify", "mass-one", "--spec", "constant:inf"], "finite level, got inf"),
+    (["eval", "--finite", "power:nan", "--grid", "0:0:1"], "finite lam >= 1, got nan"),
+    (["eval", "--finite", "power:inf", "--grid", "0:0:1"], "finite lam >= 1, got inf"),
+], ids=["ml-inf", "ml-nan", "constant-nan", "constant-inf", "power-nan", "power-inf"])
+def test_non_finite_shape_is_usage_error(tmp_path, capsys, argv, named):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -365,19 +393,22 @@ def test_config_file_values_go_through_the_flag_type(tmp_path, capsys):
 
 def test_config_file_numeric_value_applies(tmp_path):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"fd_step": 0.002, "sets": 3}))
+    cfg.write_text(json.dumps({"n": 40, "sets": 3}))
     out = tmp_path / "o"
     assert main(["verify", "ward", "--spec", "bulk", "--grid", "0:0:1", "--config", str(cfg),
                  "--out", str(out)]) == 0
     config = json.loads(next(out.glob("*.json")).read_text())["config"]
-    assert config["fd_step"] == 0.002 and config["sets"] == 3
+    assert config["n"] == 40 and config["sets"] == 3
 
 
-def test_config_file_unknown_key(tmp_path):
+def test_config_file_unknown_key(tmp_path, capsys):
+    # the finite-difference step is a constant, so fd_step is no option
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"no_such_option": 1}))
-    assert main(["verify", "eighth", "--config", str(cfg),
-                 "--out", str(tmp_path)]) == 2
+    for key in ("no_such_option", "fd_step"):
+        cfg.write_text(json.dumps({key: 1}))
+        assert main(["verify", "eighth", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_shared_parser_is_never_changed_by_a_request(tmp_path, capsys):
@@ -494,6 +525,20 @@ def _readme_commands():
     section = text.split("## Command line", 1)[1]
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("plasma-kernel")]
+
+
+def test_readme_flags_are_parser_options():
+    # every backticked --flag in the README is an option the CLI accepts
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"--[a-z][a-z-]*", " ".join(re.findall(r"`([^`\n]+)`", text))))
+    parser = build_parser()
+    parsers = [parser] + [sub for action in parser._actions  # noqa: SLF001
+                          if isinstance(action, argparse._SubParsersAction)  # noqa: SLF001
+                          for sub in action.choices.values()]
+    options = {opt for p in parsers for action in p._actions  # noqa: SLF001
+               for opt in action.option_strings}
+    assert len(documented) >= 10
+    assert documented <= options, sorted(documented - options)
 
 
 def test_readme_command_block_runs_as_documented(tmp_path):

@@ -40,8 +40,9 @@ def random_complex(count, radius):
 
 
 def test_potential_validation():
-    with pytest.raises(ValueError):
-        Potential.power(0.0)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite lam >= 1"):
+            Potential.power(lam)
     with pytest.raises(ValueError):
         Potential("nope")
 

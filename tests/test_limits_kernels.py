@@ -59,8 +59,12 @@ def test_spec_factories():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        LimitKernelSpec.mittag_leffler(0.5)
+    for lam in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite lam >= 1"):
+            LimitKernelSpec.mittag_leffler(lam)
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite level"):
+            LimitKernelSpec.constant_profile(level)
     with pytest.raises(ValueError):
         LimitKernelSpec.free_boundary(((1.0, -1.0),))
     with pytest.raises(ValueError):

@@ -510,9 +510,47 @@ def test_ward_residual_scalar_point_gives_float():
 
 
 def test_ward_hard_edge_grid_guard():
+    # the intensity vanishes from Re z = 0 on, as in every plane integral;
+    # any point left of it is in the domain, however close
     axis = -1.0 + 0.5 * np.arange(3)
-    with pytest.raises(ValueError, match="Re z <= -2 fd_step"):
+    with pytest.raises(ZeroIntensity, match="vanishes at 0j"):
         ward_residual(HE, axis[None, :] + 1j * axis[:, None])
+    assert ward_residual(HE, [-1e-4 + 0.5j])[0] <= 1e-12
+
+
+def test_ward_dbar_against_mpmath_half_line():
+    # dbar C = C_x / 2 = (N' R - N R') / R^2 in c = 2x, N' from the reduced
+    # rule's own nodes, against the derivative of the closed form
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.round(np.arange(-3.0, 3.0 + 1e-9, 0.1), 12)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.diff(lambda u: _mp_half_line_cauchy(mpmath, u), x) / 2)
+                        for x in xs])
+    profile = limits._profile_for(FB)
+    num, d_num = limits._ti_cauchy_numerator(profile, xs, QuadratureConfig())
+    r = profile.diag(2.0 * xs)
+    dbar = (d_num * r - num * profile.diag_d1(2.0 * xs)) / (r * r)
+    assert np.max(np.abs(dbar - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("spec,z", [(FB, 0.5 + 0.2j), (HE, -0.8 + 0.4j), (GAP, 0.0)],
+                         ids=["fb", "he", "gap"])
+def test_ward_stencil_reference_converges_at_fourth_order(spec, z):
+    # the full stencil's distance to the exact dbar C is its O(h^4) truncation,
+    # so it grows 16-fold per doubling of the step
+    exact = ward_residual(spec, z)
+    gaps = [abs(abs(ward_point_residual(spec, z, fd_step=h)) - exact)
+            for h in (0.01, 0.02, 0.04)]
+    assert 15.0 <= gaps[1] / gaps[0] <= 17.0
+    assert 15.0 <= gaps[2] / gaps[1] <= 17.0
+
+
+@pytest.mark.parametrize("spec,z", [(CONST, 0.3 - 0.2j), (GAP, 0.0)], ids=["const", "gap"])
+def test_ward_failures_match_the_stencil_reference(spec, z):
+    # kernels that are not Ward solutions keep the residual the stencil gives
+    ref = abs(ward_point_residual(spec, z))
+    assert ref > 0.1
+    assert abs(ward_residual(spec, z) - ref) <= 1e-9 * ref
 
 
 def test_ward_distinguishes_disconnected_union():

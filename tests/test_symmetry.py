@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from plasma_kernel import limits
 from plasma_kernel.cli import main
 from plasma_kernel.limits import (
     LimitKernelSpec,
@@ -53,9 +54,9 @@ def test_cauchy_real_and_y_invariant(spec, x):
                                     (ML2, 0.7 + 0.2j), (ML1, -0.4 + 0.9j)],
                          ids=["fb", "he", "ml2", "ml1"])
 def test_ward_driver_matches_full_stencil_off_axis(spec, z):
-    # the |z| collapse of the Mittag-Leffler kernels takes c' on the radial
-    # stencil, the full stencil takes C_x and C_y: equal up to the O(h^4)
-    # terms of two different stencils
+    # ward_residual takes dbar C exactly for the translation-invariant kernels
+    # and by the radial stencil of c for Mittag-Leffler, the full stencil
+    # takes C_x and C_y: equal up to the O(h^4) terms of the stencils
     values = ward_residual(spec, [z])
     assert abs(values[0] - abs(ward_point_residual(spec, z))) <= 1e-12
 
@@ -69,15 +70,15 @@ def test_ward_driver_spreads_over_equal_real_parts():
 def test_ward_driver_spreads_over_equal_radii():
     # one value per distinct |z|, in every quadrant, down to 0: stencil nodes
     # below 0 take -c(|node|), and at 0 dbar C = c'(0)
-    fd_step = 1e-3
+    fd_step = limits._FD_STEP
     near = [0.0, 0.5 * fd_step, 2.0 * fd_step * 1j, 0.002 + 0.001j, -0.0015 - 0.001j,
             0.0027j, 5e-4, 1e-5j]
     pts = [0.6 + 0.8j, -0.6 + 0.8j, -0.6 - 0.8j, 0.6 - 0.8j, 0.8 + 0.6j,
            0.3 + 0.4j, -0.4 - 0.3j] + near
-    values = ward_residual(ML2, pts, fd_step=fd_step)
+    values = ward_residual(ML2, pts)
     assert len(set(values[:5].tolist())) == 1
     assert values[5] == values[6] != values[0]
-    assert values[9] == ward_residual(ML2, -2.0 * fd_step, fd_step=fd_step)
+    assert values[9] == ward_residual(ML2, -2.0 * fd_step)
     for z, value in zip(near, values[7:]):
         assert abs(value - abs(ward_point_residual(ML2, z, fd_step=fd_step))) <= 1e-12
 
