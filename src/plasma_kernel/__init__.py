@@ -20,7 +20,6 @@ from .special import (  # noqa: F401
     hard_edge_H,
     hermite_prob,
     hermite_scaled,
-    mittag_leffler_M,
     mittag_leffler_kernel_eval,
     plasma_F,
 )

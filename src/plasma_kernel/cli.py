@@ -181,6 +181,10 @@ def parse_quad(text: str) -> QuadratureConfig:
     return QuadratureConfig(r_max, nr)
 
 
+def _quad(args) -> QuadratureConfig:
+    return parse_quad(args.quad) if args.quad else QuadratureConfig()
+
+
 def _parse_points(text: str, seed: int):
     if text.startswith("random:"):
         count = int(text.split(":", 1)[1])
@@ -332,7 +336,11 @@ def _ward_default_points(spec: LimitKernelSpec, axis):
     return [complex(p) for p in pts]
 
 
-def _verify_ward(args, spec, quad) -> tuple:
+def _verify_ward(args, spec) -> tuple:
+    if spec.kind == "mittag_leffler" and args.quad is not None:
+        # c comes from an exact angular sum (finite_n._ml_cauchy)
+        raise ValueError(f"verify ward --spec {args.spec} reads no --quad, got {args.quad!r}")
+    quad = _quad(args)
     if args.grid:
         axis = parse_grid(args.grid)
     elif spec.kind == "hard_edge":
@@ -356,7 +364,7 @@ def _verify_ward(args, spec, quad) -> tuple:
     return rows, {"sup_norm": sup, "points": len(pts)}, sup
 
 
-def _verify_mass_one(args, spec, quad) -> tuple:
+def _verify_mass_one(args, spec) -> tuple:
     defaults = {
         "bulk": "0,1+1j",
         "free_boundary": "0,1,-1+1j,-2",
@@ -367,7 +375,7 @@ def _verify_mass_one(args, spec, quad) -> tuple:
     pts = _parse_points(args.points or defaults[spec.kind], args.seed)
     if not pts:
         raise ValueError(f"mass-one point set {args.points!r} keeps no points")
-    vals = mass_one_residual(spec, pts, quad)
+    vals = mass_one_residual(spec, pts, _quad(args))
     rows = [(z.real, z.imag, float(abs(v))) for z, v in zip(pts, vals)]
     sup = max(abs(v) for v in vals)
     results = {"sup_norm": float(sup), "residuals": [float(v) for v in vals]}
@@ -379,9 +387,9 @@ def _verify_mass_one(args, spec, quad) -> tuple:
     return rows, results, float(sup)
 
 
-def _verify_series(args) -> tuple:
-    xs = parse_grid(args.grid) if args.grid else parse_grid("-4:4:0.5")
-    n_terms = args.n or 80
+def _verify_series(args, spec) -> tuple:
+    xs = parse_grid(args.grid)
+    n_terms = args.n
     res = np.maximum(np.abs(mass_one_series_residual(xs, n_terms)),
                      np.abs(hermite_identity_residual(2.0 * xs, n_terms)))
     rows = [(float(x), 0.0, float(r)) for x, r in zip(xs, res)]
@@ -391,7 +399,7 @@ def _verify_series(args) -> tuple:
                   "n_terms": n_terms}, float(sup)
 
 
-def _verify_eighth(args) -> tuple:
+def _verify_eighth(args, spec) -> tuple:
     val = eighth_formula()
     shifted = eighth_formula(shift=0.5)
     dev = abs(val - 0.125)
@@ -405,7 +413,7 @@ def _verify_eighth(args) -> tuple:
     }, float(dev)
 
 
-def _verify_inequalities(args) -> tuple:
+def _verify_inequalities(args, spec) -> tuple:
     margins, results = inequality_suite(seed=args.seed)
     violation = max(0.0, -results["min_margin"])
     rows = [(float(i), 0.0, float(m)) for i, m in enumerate(margins)]
@@ -416,7 +424,7 @@ def _verify_inequalities(args) -> tuple:
 def _verify_positivity(args, spec) -> tuple:
     if args.sets < 1:
         raise ValueError(f"positivity needs --sets >= 1, got {args.sets}")
-    kind, _, text = (args.points or "random:8").partition(":")
+    kind, _, text = args.points.partition(":")
     if kind != "random":
         raise ValueError(f"positivity draws its points: --points must be random:N, "
                          f"got {args.points!r}")
@@ -438,7 +446,7 @@ def _verify_positivity(args, spec) -> tuple:
                   "complementary": bool(args.complementary)}, float(violation)
 
 
-def _verify_polarized(args, spec, quad) -> tuple:
+def _verify_polarized(args, spec) -> tuple:
     pairs = {
         "free_boundary": [(0.5 + 0.0j, -0.3 + 0.4j), (0.0j, 1.0 + 0.0j)],
         "hard_edge": [(-0.5 + 0.0j, -1.0 - 0.5j), (-0.3 + 0.2j, -1.5 + 0.0j)],
@@ -446,39 +454,47 @@ def _verify_polarized(args, spec, quad) -> tuple:
     if pairs is None:
         raise ValueError("polarized verification needs free-boundary or hard-edge spec")
     zs, ws = np.array(pairs).T
-    res = np.abs(polarized_mass_one_residual(spec, zs, ws, quad))
+    res = np.abs(polarized_mass_one_residual(spec, zs, ws, _quad(args)))
     rows = [(z.real, z.imag, float(r)) for z, r in zip(zs, res)]
     sup = float(res.max())
     return rows, {"sup_norm": sup, "pairs": len(pairs)}, sup
 
 
+_QUAD = {"help": "r_max,nr of the plane quadrature"}
+
+# Each verify equation's check and the options it reads besides --spec and
+# the common ones.  Its parser takes these and no others, and its JSON config
+# records them.
+_EQUATIONS = {
+    "ward": (_verify_ward, {
+        "grid": {"help": "a:b:step of the real and imaginary parts (default per spec)"},
+        "quad": _QUAD}),
+    "mass-one": (_verify_mass_one, {
+        "points": {"help": "comma-separated complex points or random:N"},
+        "quad": _QUAD}),
+    "series": (_verify_series, {
+        "grid": {"default": "-4:4:0.5", "help": "a:b:step of real points"},
+        "n": {"type": int, "default": 80, "help": "series truncation order"}}),
+    "eighth": (_verify_eighth, {}),
+    "inequalities": (_verify_inequalities, {}),
+    "positivity": (_verify_positivity, {
+        "points": {"default": "random:8", "help": "random:N, 1 <= N <= 32"},
+        "sets": {"type": int, "default": 100},
+        "complementary": {"action": "store_true"}}),
+    "polarized": (_verify_polarized, {"quad": _QUAD}),
+}
+
+
 def cmd_verify(args) -> int:
     spec = parse_spec(args.spec)
-    quad = parse_quad(args.quad) if args.quad else QuadratureConfig()
     equation = args.equation
-    if equation == "ward":
-        rows, results, sup = _verify_ward(args, spec, quad)
-    elif equation == "mass-one":
-        rows, results, sup = _verify_mass_one(args, spec, quad)
-    elif equation == "series":
-        rows, results, sup = _verify_series(args)
-    elif equation == "eighth":
-        rows, results, sup = _verify_eighth(args)
-    elif equation == "inequalities":
-        rows, results, sup = _verify_inequalities(args)
-    elif equation == "positivity":
-        rows, results, sup = _verify_positivity(args, spec)
-    elif equation == "polarized":
-        rows, results, sup = _verify_polarized(args, spec, quad)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown equation {equation!r}")
+    check, options = _EQUATIONS[equation]
+    rows, results, sup = check(args, spec)
 
     tol = threshold_for(equation, spec.kind)
     passed = sup <= tol
-    config = {"equation": equation, "spec": args.spec, "grid": args.grid,
-              "quad": args.quad, "seed": args.seed,
-              "points": args.points, "sets": args.sets,
-              "complementary": bool(args.complementary), "n": args.n}
+    config = {"equation": equation, "spec": args.spec, "seed": args.seed,
+              **{name: getattr(args, name) for name in options}}
     results = dict(results)
     results.update({"threshold": tol, "passed": bool(passed)})
     _write_artifacts(args, f"verify_{equation}_{_slug(args.spec)}", ("x", "y", "residual"),
@@ -660,23 +676,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval)
 
     p_ver = sub.add_parser("verify", help="residual checks vs thresholds")
-    p_ver.add_argument("equation", choices=(
-        "ward", "mass-one", "series", "eighth", "inequalities",
-        "positivity", "polarized"))
-    p_ver.add_argument("--spec", default="free-boundary")
-    p_ver.add_argument("--grid", default=None)
-    p_ver.add_argument("--quad", default=None,
-                       help="r_max,nr; read by translation-invariant ward, mass-one and "
-                            "polarized and by Mittag-Leffler mass-one, recorded and "
-                            "ignored by the others")
-    p_ver.add_argument("--points", default=None,
-                       help="comma-separated complex points or random:N "
-                            "(positivity: random:N only, 1 <= N <= 32)")
-    p_ver.add_argument("--sets", type=int, default=100)
-    p_ver.add_argument("--complementary", action="store_true")
-    p_ver.add_argument("--n", type=int, default=None,
-                       help="series truncation order (default 80)")
-    _add_common(p_ver)
+    equations = p_ver.add_subparsers(dest="equation", required=True)
+    for equation, (_, options) in _EQUATIONS.items():
+        p_eq = equations.add_parser(equation)
+        p_eq.add_argument("--spec", default="free-boundary")
+        for name, kwargs in options.items():
+            p_eq.add_argument(f"--{name}", **kwargs)
+        _add_common(p_eq)
 
     p_con = sub.add_parser("converge", help="finite-n convergence tables")
     p_con.add_argument("--pot", default="ginibre")
@@ -705,7 +711,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_value(action, key, value):
     """A ``--config`` value as the flag would parse it: through the action's
     ``type`` and ``choices``.  argparse checks neither on defaults that are
-    not strings, so a JSON number would skip them."""
+    not strings, so a JSON number would skip them.  A null stands for an
+    unset flag, so only a flag without a default value takes it."""
+    if value is None and action.default is not None:
+        raise ValueError(f"config key {key!r}: null, but the flag needs a value")
     try:
         if action.type is not None and value is not None:
             value = action.type(value if isinstance(value, str) else json.dumps(value))
@@ -717,6 +726,12 @@ def _config_value(action, key, value):
     return value
 
 
+def _subparser(parser, name):
+    # argparse has no public accessor for a subcommand's parser
+    return next(a for a in parser._actions  # noqa: SLF001
+                if isinstance(a, argparse._SubParsersAction)).choices[name]  # noqa: SLF001
+
+
 def _apply_config_file(args, argv):
     """Re-parse ``argv`` with the ``--config`` JSON as the subcommand's
     defaults, so every flag given on the command line wins.  The defaults go
@@ -724,10 +739,9 @@ def _apply_config_file(args, argv):
     if not getattr(args, "config", None):
         return args
     parser = build_parser.__wrapped__()
-    # argparse has no public accessor for a subcommand's parser
-    subparsers = next(a for a in parser._actions  # noqa: SLF001
-                      if isinstance(a, argparse._SubParsersAction))  # noqa: SLF001
-    sub = subparsers.choices[args.command]
+    sub = _subparser(parser, args.command)
+    if args.command == "verify":
+        sub = _subparser(sub, args.equation)
     actions = {a.dest: a for a in sub._actions}  # noqa: SLF001
     with open(args.config) as fh:
         overrides = {}

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincc, gammaln
 
+from .special import SeriesNotConverged, _flat, _shaped
+
 __all__ = [
-    "SeriesNotConverged",
     "Potential",
     "RescaleFrame",
     "droplet_radius",
@@ -35,10 +36,6 @@ __all__ = [
 ]
 
 KERNEL_MAX_N = 2**20
-
-
-class SeriesNotConverged(Exception):
-    """A term window needs more terms than its budget allows."""
 
 
 @dataclass(frozen=True)
@@ -443,8 +440,8 @@ def kernel_finite_n(pot: Potential, n: int, zeta, eta, *, return_bound: bool = F
     ``sum |t_j|`` (itself at most ``sqrt(K(zeta, zeta) K(eta, eta))``).
     """
     _check_kernel_n(n)
-    shape, zeta, eta = _flat_pair(zeta, eta)
-    out, bound = _unflatten(shape, *_kernel(pot, n, zeta, eta))
+    shape, (zeta, eta) = _flat(zeta, eta)
+    out, bound = (_shaped(a, shape) for a in _kernel(pot, n, zeta, eta))
     return (out, bound) if return_bound else out
 
 
@@ -497,22 +494,6 @@ def _ml_cauchy(lam: float, r):
     return c, bound
 
 
-def _flat_pair(z, w):
-    """Broadcast shape of ``z`` and ``w`` and both as flat complex arrays.
-
-    Scalars go through the same array arithmetic as array elements, so a
-    point gives the same bits whether it comes alone or in an array.
-    """
-    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
-    return z.shape, z.ravel(), w.ravel()
-
-
-def _unflatten(shape, values, bound):
-    if shape == ():
-        return complex(values[0]), float(bound[0])
-    return values.reshape(shape), bound.reshape(shape)
-
-
 def rescaled_kernel(pot: Potential, frame: RescaleFrame, z, w, *,
                     return_bound: bool = False):
     """Kernel in frame coordinates: ``K_n(zeta(z), eta(w)) / zoom^2``.
@@ -522,10 +503,10 @@ def rescaled_kernel(pot: Potential, frame: RescaleFrame, z, w, *,
     diagonal ``rescaled_kernel(z, z)`` is the rescaled one-point function
     R_n(z), real and nonnegative.
     """
-    shape, z, w = _flat_pair(z, w)
+    shape, (z, w) = _flat(z, w)
     k, bound = kernel_finite_n(pot, frame.n, frame.to_global(z), frame.to_global(w),
                                return_bound=True)
-    k, bound = _unflatten(shape, k / frame.zoom**2, bound)
+    k, bound = _shaped(k / frame.zoom**2, shape), _shaped(bound, shape)
     return (k, bound) if return_bound else k
 
 
@@ -543,9 +524,10 @@ def exp_section(n: int, x):
     """
     if not 1 <= n <= 10**6:
         raise ValueError(f"need 1 <= n <= 1e6, got {n}")
-    mu = n + math.sqrt(n) * np.asarray(x, dtype=float)
+    shape, (x,) = _flat(x, dtype=float)
+    mu = n + math.sqrt(n) * x
     neg = mu <= 0.0
-    out = np.array(gammaincc(n, np.where(neg, 1.0, mu)))
+    out = gammaincc(n, np.where(neg, 1.0, mu))
     if np.any(neg):
         # tiny-n corner (|x| <= 4 forces n <= 16), where Q(n, mu) is
         # undefined: direct alternating sum
@@ -555,4 +537,4 @@ def exp_section(n: int, x):
             term *= m / j
             acc += term
         out[neg] = acc * np.exp(-m)
-    return float(out) if out.ndim == 0 else out
+    return _shaped(out, shape)

@@ -45,7 +45,9 @@ from scipy.special import ndtr
 
 from .finite_n import _ml_cauchy, _ml_kernel
 from .special import (
+    _flat,
     _leggauss,
+    _shaped,
     conv_indicator,
     conv_indicator_scaled,
     gauss_gamma,
@@ -140,8 +142,9 @@ class LimitKernelSpec:
 
     @classmethod
     def constant_profile(cls, level: float = 0.5) -> "LimitKernelSpec":
-        if not math.isfinite(level):
-            raise ValueError(f"need a finite level, got {level}")
+        # level <= 0 is no intensity: every Berezin quantity would divide by it
+        if not (math.isfinite(level) and level > 0.0):
+            raise ValueError(f"need a positive finite level, got {level}")
         return cls("constant", level=float(level))
 
     @property
@@ -190,7 +193,7 @@ class _Profile:
     pieces = _FULL_LINE
     re_max = math.inf
 
-    def scaled(self, v):  # Phi(v) exp(-Im(v)^2 / 2)
+    def scaled(self, v):  # Phi(v) exp(-Im(v)^2 / 2), complex array v
         raise NotImplementedError
 
     def m(self, t):  # real t on the pieces
@@ -211,7 +214,6 @@ class _IntervalProfile(_Profile):
         self.pieces = intervals
 
     def scaled(self, v):
-        v = np.atleast_1d(np.asarray(v, dtype=complex))
         return sum(conv_indicator_scaled(v, interval) for interval in self.pieces)
 
     def m(self, t):
@@ -243,7 +245,7 @@ class _HardEdgeProfile(_Profile):
     re_max = 0.0
 
     def scaled(self, v):
-        return np.atleast_1d(hard_edge_H_scaled(np.asarray(v, dtype=complex)))
+        return hard_edge_H_scaled(v)
 
     def m(self, t):  # 1/F(t), between 1 and 2 on t <= 0
         return 1.0 / ndtr(-t)
@@ -263,7 +265,6 @@ class _ConstantProfile(_Profile):
         self.level = level
 
     def scaled(self, v):
-        v = np.atleast_1d(np.asarray(v, dtype=complex))
         return self.level * np.exp(-0.5 * v.imag**2).astype(complex)
 
     def m(self, t):
@@ -292,21 +293,6 @@ def _profile_for(spec: LimitKernelSpec) -> _Profile:
 # --------------------------------------------------------------------------
 # kernel values
 # --------------------------------------------------------------------------
-
-
-def _flat(*points):
-    """Common shape of the broadcast ``points`` and a flat complex copy of each.
-
-    The kernels work elementwise on these, so an array call gives each point
-    the bits of a call on that point alone.
-    """
-    arrays = np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in points))
-    return arrays[0].shape, [np.ravel(a) for a in arrays]
-
-
-def _shaped(out, shape):
-    """``out`` in ``shape``, or as a Python scalar when ``shape`` is ()."""
-    return out.reshape(shape) if shape else out[0].item()
 
 
 def _intensity(spec: LimitKernelSpec, z):
@@ -732,14 +718,14 @@ def mass_one_series_residual(x, n_terms: int):
     """
     if not 0 <= n_terms <= SERIES_MAX_N:
         raise ValueError(f"need 0 <= N <= {SERIES_MAX_N}, got {n_terms}")
-    s = 2.0 * np.asarray(x, dtype=float)
+    shape, (x,) = _flat(x, dtype=float)
+    s = 2.0 * x
     f = plasma_F(s).real
     # float_power is libm's pow, as the ** of a Python float
     g2 = np.float_power(gauss_gamma(s).real, 2)
     p = _hermite_rows(n_terms, s)
     tail = np.sum(p[..., :-1] ** 2 / np.arange(1, n_terms + 1), axis=-1)
-    residual = f - f * f - g2 * tail
-    return float(residual) if np.ndim(x) == 0 else residual
+    return _shaped(f - f * f - g2 * tail, shape)
 
 
 def hermite_identity_residual(s, n_terms: int):
@@ -747,14 +733,13 @@ def hermite_identity_residual(s, n_terms: int):
     terms, elementwise over an array ``s``."""
     if not 0 <= n_terms <= SERIES_MAX_N:
         raise ValueError(f"need 0 <= N <= {SERIES_MAX_N}, got {n_terms}")
-    ss = np.asarray(s, dtype=float)
+    shape, (ss,) = _flat(s, dtype=float)
     f = plasma_F(ss).real
     g = gauss_gamma(ss).real
     lhs = -f * g  # n = 0 term F F'
     p = _hermite_rows(n_terms, ss)
     cross = np.sum(p[..., :-1] * p[..., 1:] / np.sqrt(np.arange(1, n_terms + 1)), axis=-1)
-    lhs = lhs - g * g * cross - (-0.5 * g)
-    return float(lhs) if np.ndim(s) == 0 else lhs
+    return _shaped(lhs - g * g * cross - (-0.5 * g), shape)
 
 
 def telescoping_sum(s: float, n_terms: int) -> float:

@@ -3,13 +3,15 @@
 Provides the complementary error function on the complex plane, the plasma
 function ``F`` (Gaussian convolved with a half-line indicator), indicator
 convolutions for general intervals, the hard-edge plasma function ``H``,
-probabilists' Hermite polynomials and the generalized Mittag-Leffler
-function.
+probabilists' Hermite polynomials and the closed-form Mittag-Leffler
+kernel values for lambda in {1, 2}.
 
 Every function is a pure function of its arguments and accepts scalars or
-numpy arrays of complex values.  Overflow-free *scaled* variants (multiplied
-by ``exp(-Im(z)**2 / 2)``) are exposed for kernel values far from the real
-axis, where the plain functions overflow.
+numpy arrays of complex values: an array gives that shape back, a scalar a
+Python scalar (``_flat`` and ``_shaped``, which the other modules share).
+Overflow-free *scaled* variants (multiplied by ``exp(-Im(z)**2 / 2)``) are
+exposed for kernel values far from the real axis, where the plain functions
+overflow.  The module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc, erfcx
-
-from .finite_n import SeriesNotConverged, _ml_kernel
 
 __all__ = [
     "SeriesNotConverged",
@@ -36,7 +36,6 @@ __all__ = [
     "hard_edge_H_scaled",
     "hermite_prob",
     "hermite_scaled",
-    "mittag_leffler_M",
     "mittag_leffler_kernel_eval",
     "mittag_leffler_kernel_scaled",
 ]
@@ -46,17 +45,29 @@ SQRT_PI = math.sqrt(math.pi)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+class SeriesNotConverged(Exception):
+    """A term window needs more terms than its budget allows."""
+
+
 class QuadratureNotConverged(Exception):
     """An adaptive quadrature exceeded its refinement budget."""
 
 
-def _as_complex_array(z):
-    arr = np.asarray(z, dtype=complex)
-    return np.atleast_1d(arr), arr.ndim == 0
+def _flat(*points, dtype=complex):
+    """Broadcast shape of ``points`` and each as a flat array of ``dtype``.
+
+    Scalars go through the same array arithmetic as array elements, so a
+    point gives the same bits whether it comes alone or in an array.
+    """
+    arrays = [np.asarray(p, dtype=dtype) for p in points]
+    if len(arrays) > 1:  # broadcast_arrays costs ~3 us, even on one array
+        arrays = np.broadcast_arrays(*arrays)
+    return arrays[0].shape, [a.ravel() for a in arrays]
 
 
-def _restore(out, scalar):
-    return complex(out[0]) if scalar else out
+def _shaped(out, shape):
+    """``out`` in ``shape``, or its one value as a Python scalar when ``shape`` is ()."""
+    return out.reshape(shape) if shape else out[0].item()
 
 
 def erfcx_cpx(z):
@@ -68,8 +79,8 @@ def erfcx_cpx(z):
     envelope |z| <= 30.  For ``Re z < 0`` the value ~ ``2 exp(z^2)``
     overflows honestly (to inf) once ``Re(z^2) > 709``.
     """
-    zz, scalar = _as_complex_array(z)
-    return _restore(erfcx(zz), scalar)
+    shape, (zz,) = _flat(z)
+    return _shaped(erfcx(zz), shape)
 
 
 def erfc_cpx(z):
@@ -82,8 +93,8 @@ def erfc_cpx(z):
     absolute error is controlled.  Entire in z; real inputs give real
     outputs.
     """
-    zz, scalar = _as_complex_array(z)
-    return _restore(erfc(zz), scalar)
+    shape, (zz,) = _flat(z)
+    return _shaped(erfc(zz), shape)
 
 
 # --------------------------------------------------------------------------
@@ -99,8 +110,8 @@ def plasma_F(z):
     that convolution (``Re z in [-4, 4.5]``, ``|Im z| <= 3``) the relative
     error is at most 2e-15 (the tests bound it by 1e-13).
     """
-    zz, scalar = _as_complex_array(z)
-    return _restore(0.5 * erfc_cpx(zz / SQRT2), scalar)
+    shape, (zz,) = _flat(z)
+    return _shaped(0.5 * erfc_cpx(zz / SQRT2), shape)
 
 
 def plasma_F_scaled(z):
@@ -109,19 +120,19 @@ def plasma_F_scaled(z):
     ``|plasma_F_scaled(z)| <= max(F(Re z), 1)`` everywhere, which is what
     kernel values need far from the real axis.
     """
-    zz, scalar = _as_complex_array(z)
+    shape, (zz,) = _flat(z)
     # F(z) = 1 - F(-z): the left half plane takes the reflected argument
     left = ~(zz.real >= 0)
     v = np.where(left, -zz, zz)
     out = 0.5 * erfcx(v / SQRT2) * np.exp(-0.5 * v.real**2) * np.exp(-1j * v.real * v.imag)
     out[left] = np.exp(-0.5 * zz[left].imag ** 2) - out[left]
-    return _restore(out, scalar)
+    return _shaped(out, shape)
 
 
 def gauss_gamma(z):
     """Standard Gaussian kernel ``exp(-z^2/2) / sqrt(2 pi)``."""
-    zz, scalar = _as_complex_array(z)
-    return _restore(INV_SQRT_2PI * np.exp(-0.5 * zz * zz), scalar)
+    shape, (zz,) = _flat(z)
+    return _shaped(INV_SQRT_2PI * np.exp(-0.5 * zz * zz), shape)
 
 
 # --------------------------------------------------------------------------
@@ -141,10 +152,10 @@ def conv_indicator(z, interval):
     lo, hi = interval
     if not lo < hi:
         raise ValueError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
-    zz, scalar = _as_complex_array(z)
+    shape, (zz,) = _flat(z)
     upper = np.ones(zz.shape, dtype=complex) if math.isinf(hi) else plasma_F(zz - hi)
     lower = np.zeros(zz.shape, dtype=complex) if math.isinf(lo) else plasma_F(zz - lo)
-    return _restore(upper - lower, scalar)
+    return _shaped(upper - lower, shape)
 
 
 def conv_indicator_scaled(z, interval):
@@ -152,7 +163,7 @@ def conv_indicator_scaled(z, interval):
     lo, hi = interval
     if not lo < hi:
         raise ValueError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
-    zz, scalar = _as_complex_array(z)
+    shape, (zz,) = _flat(z)
     if math.isinf(hi):
         upper = np.exp(-0.5 * zz.imag**2).astype(complex)
     else:
@@ -161,7 +172,7 @@ def conv_indicator_scaled(z, interval):
         lower = np.zeros(zz.shape, dtype=complex)
     else:
         lower = plasma_F_scaled(zz - lo)
-    return _restore(upper - lower, scalar)
+    return _shaped(upper - lower, shape)
 
 
 # --------------------------------------------------------------------------
@@ -278,7 +289,7 @@ def hard_edge_H_scaled(z, deriv=0):
     ``deriv=k`` returns the k-th derivative times the same scaling (only
     supported on the quadrature branch, which covers ``|Im z| < 21``).
     """
-    zz, scalar = _as_complex_array(z)
+    shape, (zz,) = _flat(z)
     out = np.empty(zz.shape, dtype=complex)
     x, y = zz.real, zz.imag
     asym = (np.abs(y) >= _H_ASYMPTOTIC_IM) & (y * y >= x * x + 46.0) & (deriv == 0)
@@ -310,7 +321,7 @@ def hard_edge_H_scaled(z, deriv=0):
             acc += a_k * p
             p *= inv
         out[asym] = g * acc
-    return _restore(out, scalar)
+    return _shaped(out, shape)
 
 
 def hard_edge_H(z, deriv=0):
@@ -334,9 +345,9 @@ def hard_edge_H(z, deriv=0):
         If |Im z| exceeds the node budget of the quadrature rule in the
         region where the asymptotic branch does not apply.
     """
-    zz, scalar = _as_complex_array(z)
+    shape, (zz,) = _flat(z)
     out = hard_edge_H_scaled(zz, deriv=deriv) * np.exp(0.5 * zz.imag**2)
-    return _restore(out, scalar)
+    return _shaped(out, shape)
 
 
 # --------------------------------------------------------------------------
@@ -355,14 +366,14 @@ def hermite_prob(n, z):
     """
     if n < 0 or n > HERMITE_MAX_DEGREE:
         raise ValueError(f"degree must lie in [0, {HERMITE_MAX_DEGREE}], got {n}")
-    zz, scalar = _as_complex_array(z)
+    shape, (zz,) = _flat(z)
     if n == 0:
-        return _restore(np.ones(zz.shape, dtype=complex), scalar)
+        return _shaped(np.ones(zz.shape, dtype=complex), shape)
     h_prev = np.ones(zz.shape, dtype=complex)
     h = zz.copy()
     for j in range(2, n + 1):
         h_prev, h = h, zz * h - (j - 1) * h_prev
-    return _restore(h, scalar)
+    return _shaped(h, shape)
 
 
 def hermite_scaled(n, z):
@@ -386,47 +397,14 @@ def hermite_scaled(n, z):
 
 
 # --------------------------------------------------------------------------
-# Mittag-Leffler function
+# Mittag-Leffler closed forms
 # --------------------------------------------------------------------------
 
 
-def mittag_leffler_M(lam, z):
-    """Generalized Mittag-Leffler function ``lam * sum z^j / Gamma((j+1)/lam)``.
-
-    The Mittag-Leffler kernel's term window at ``z conj w = z``, ``|w| =
-    sqrt|z|``, times ``exp(|z|^lam)``: the error is a few rounding units of
-    ``M_lam(|z|) (1 + |z|^lam)``, so cancelling terms lose ``log10(M_lam(|z|)
-    / |M_lam(z)|)`` digits (lam = 3 loses 15 at z = -3).
-
-    Raises
-    ------
-    SeriesNotConverged
-        Where ``|z|^lam > 705``: there ``M_lam(|z|)`` leaves the double range.
-    """
-    if not 1.0 <= lam <= 10.0:
-        raise ValueError(f"lambda must lie in [1, 10], got {lam}")
-    zz, scalar = _as_complex_array(z)
-    mag, root = np.abs(zz), np.sqrt(np.abs(zz))
-    if np.any(mag**lam > 705.0):
-        raise SeriesNotConverged(f"M_(lam={lam}) overflows at |z| = {mag.max():.6g}")
-    k = _ml_kernel(lam, (zz / np.where(root > 0, root, 1)).ravel(), root.ravel())[0]
-    return _restore(k.reshape(zz.shape) * np.exp(mag**lam), scalar)
-
-
 def mittag_leffler_kernel_eval(lam, z):
-    """Mittag-Leffler values for kernel work, via closed forms when exact.
-
-    ``lam=1`` is ``exp``; ``lam=2`` uses
-    ``M_2(z) = 2/sqrt(pi) + 2 z erfcx(-z) `` (exact, cancellation-free).
-    Other ``lam`` take :func:`mittag_leffler_M`, subject to its
-    cancellation envelope.
-    """
-    zz, scalar = _as_complex_array(z)
-    if lam == 1.0:
-        return _restore(np.exp(zz), scalar)
-    if lam == 2.0:
-        return _restore(2.0 / SQRT_PI + 2.0 * zz * erfcx_cpx(-zz), scalar)
-    return mittag_leffler_M(lam, z)
+    """``M_lam(z)`` for ``lam`` in {1, 2}: :func:`mittag_leffler_kernel_scaled`
+    at ``log_scale = 0``, so ``exp(z)`` and ``2/sqrt(pi) + 2 z erfcx(-z)``."""
+    return mittag_leffler_kernel_scaled(lam, z, 0.0)
 
 
 def mittag_leffler_kernel_scaled(lam, z, log_scale):
@@ -444,14 +422,14 @@ def mittag_leffler_kernel_scaled(lam, z, log_scale):
     """
     if lam not in (1.0, 2.0):
         raise ValueError(f"no closed form for lambda = {lam}; only lambda in {{1, 2}} has one")
-    zz, scalar = _as_complex_array(z)
-    s = np.broadcast_to(np.asarray(log_scale, dtype=float), zz.shape)
+    shape, (zz,) = _flat(z)
+    s = np.broadcast_to(np.asarray(log_scale, dtype=float), shape).ravel()
     if lam == 1.0:
-        return _restore(np.exp(zz + s), scalar)
+        return _shaped(np.exp(zz + s), shape)
     g = np.exp(s)
     right = zz.real >= 0.0
     e = np.empty(zz.shape, dtype=complex)
     zr = zz[right]
     e[right] = 2.0 * np.exp(zr * zr + s[right]) - erfcx(zr) * g[right]
     e[~right] = erfcx(-zz[~right]) * g[~right]
-    return _restore(2.0 / SQRT_PI * g + 2.0 * zz * e, scalar)
+    return _shaped(2.0 / SQRT_PI * g + 2.0 * zz * e, shape)

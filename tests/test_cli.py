@@ -2,6 +2,7 @@
 byte-level reproducibility."""
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -115,7 +116,12 @@ def test_verify_eighth_passes(tmp_path):
     assert main(["verify", "eighth", "--out", str(tmp_path)]) == 0
     payload = json.loads(next(tmp_path.glob("*.json")).read_text())
     assert payload["results"]["passed"] is True
-    assert payload["config"]["complementary"] is False
+    # the config records what the equation reads, and eighth reads no option
+    assert payload["config"] == {"equation": "eighth", "seed": 0, "spec": "free-boundary"}
+    out = tmp_path / "positivity"
+    assert main(["verify", "positivity", "--sets", "2", "--out", str(out)]) == 0
+    config = json.loads(next(out.glob("*.json")).read_text())["config"]
+    assert config["complementary"] is False and config["points"] == "random:8"
 
 
 def test_verify_series_fails_honestly(tmp_path, capsys):
@@ -197,9 +203,13 @@ def test_non_finite_grid_is_usage_error(tmp_path, capsys, argv, text):
     (["eval", "--limit", "ml:nan", "--grid", "0:0:1"], "finite lam >= 1, got nan"),
     (["eval", "--limit", "constant:nan", "--grid", "0:0:1"], "finite level, got nan"),
     (["verify", "mass-one", "--spec", "constant:inf"], "finite level, got inf"),
+    (["eval", "--limit", "constant:-1", "--grid", "0:0:1"], "positive finite level, got -1.0"),
+    (["verify", "mass-one", "--spec", "constant:0", "--points", "0"],
+     "positive finite level, got 0.0"),
     (["eval", "--finite", "power:nan", "--grid", "0:0:1"], "finite lam >= 1, got nan"),
     (["eval", "--finite", "power:inf", "--grid", "0:0:1"], "finite lam >= 1, got inf"),
-], ids=["ml-inf", "ml-nan", "constant-nan", "constant-inf", "power-nan", "power-inf"])
+], ids=["ml-inf", "ml-nan", "constant-nan", "constant-inf", "constant-negative",
+        "constant-zero", "power-nan", "power-inf"])
 def test_non_finite_shape_is_usage_error(tmp_path, capsys, argv, named):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert named in capsys.readouterr().err
@@ -221,6 +231,39 @@ def test_bad_quad_is_usage_error(tmp_path, capsys, spec, quad, named):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert named in captured.err and "PASS" not in captured.out
+    assert not list(tmp_path.iterdir())
+
+
+# the options each verify equation reads besides --spec and the common ones,
+# and a valid value of each option
+_READS = {
+    "ward": {"--grid", "--quad"},
+    "mass-one": {"--points", "--quad"},
+    "series": {"--grid", "--n"},
+    "eighth": set(),
+    "inequalities": set(),
+    "positivity": {"--points", "--sets", "--complementary"},
+    "polarized": {"--quad"},
+}
+_VALUES = {"--grid": ["0:0:1"], "--quad": ["8,96"], "--points": ["0"], "--sets": ["3"],
+           "--complementary": [], "--n": ["40"]}
+_UNREAD = [(["verify", eq, flag, *_VALUES[flag]], flag)
+           for eq, reads in _READS.items() for flag in _VALUES if flag not in reads]
+assert len(_UNREAD) == 32
+
+
+@pytest.mark.parametrize("argv,flag", _UNREAD + [
+    (["verify", "ward", "--spec", "ml:2", "--quad", "4,24"], "--quad"),
+], ids=[f"{argv[1]}{flag}" for argv, flag in _UNREAD] + ["ward-ml--quad"])
+def test_verify_refuses_options_it_does_not_read(tmp_path, capsys, argv, flag):
+    # an option the check would ignore is a usage error that names it, not
+    # a value recorded in the config and its hash
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+    except SystemExit as exc:  # argparse's own refusal
+        code = exc.code
+    assert code == 2
+    assert flag in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -389,26 +432,37 @@ def test_config_file_values_go_through_the_flag_type(tmp_path, capsys):
     assert main(["eval", "--limit", "bulk", "--grid", "0:0:1", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 2
     assert "config key 'frame': invalid choice 'nope'" in capsys.readouterr().err
+    # null leaves a flag unset, which only a flag without a default can be
+    for equation, key in (("positivity", "sets"), ("series", "n"), ("series", "grid")):
+        cfg.write_text(json.dumps({key: None}))
+        assert main(["verify", equation, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config key {key!r}: null" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    cfg.write_text(json.dumps({"points": None, "seed": 1}))
+    assert main(["verify", "mass-one", "--spec", "bulk", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_config_file_numeric_value_applies(tmp_path):
     cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"n": 40, "sets": 3}))
-    out = tmp_path / "o"
-    assert main(["verify", "ward", "--spec", "bulk", "--grid", "0:0:1", "--config", str(cfg),
-                 "--out", str(out)]) == 0
-    config = json.loads(next(out.glob("*.json")).read_text())["config"]
-    assert config["n"] == 40 and config["sets"] == 3
+    for equation, key, value, code in (("series", "n", 40, 1), ("positivity", "sets", 3, 0)):
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / equation
+        assert main(["verify", equation, "--config", str(cfg), "--out", str(out)]) == code
+        assert json.loads(next(out.glob("*.json")).read_text())["config"][key] == value
 
 
 def test_config_file_unknown_key(tmp_path, capsys):
-    # the finite-difference step is a constant, so fd_step is no option
+    # the finite-difference step is a constant, so fd_step is no option, and
+    # eighth and ward read neither quad nor sets
     cfg = tmp_path / "run.json"
-    for key in ("no_such_option", "fd_step"):
+    for equation, key in (("eighth", "no_such_option"), ("eighth", "fd_step"),
+                          ("eighth", "quad"), ("ward", "sets")):
         cfg.write_text(json.dumps({key: 1}))
-        assert main(["verify", "eighth", "--config", str(cfg),
+        assert main(["verify", equation, "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_shared_parser_is_never_changed_by_a_request(tmp_path, capsys):
@@ -527,15 +581,20 @@ def _readme_commands():
     return [line for line in block.splitlines() if line.startswith("plasma-kernel")]
 
 
+def _parsers(parser):
+    """``parser`` and every subcommand parser below it, the verify equations' too."""
+    yield parser
+    for action in parser._actions:  # noqa: SLF001
+        if isinstance(action, argparse._SubParsersAction):  # noqa: SLF001
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
 def test_readme_flags_are_parser_options():
     # every backticked --flag in the README is an option the CLI accepts
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     documented = set(re.findall(r"--[a-z][a-z-]*", " ".join(re.findall(r"`([^`\n]+)`", text))))
-    parser = build_parser()
-    parsers = [parser] + [sub for action in parser._actions  # noqa: SLF001
-                          if isinstance(action, argparse._SubParsersAction)  # noqa: SLF001
-                          for sub in action.choices.values()]
-    options = {opt for p in parsers for action in p._actions  # noqa: SLF001
+    options = {opt for p in _parsers(build_parser()) for action in p._actions  # noqa: SLF001
                for opt in action.option_strings}
     assert len(documented) >= 10
     assert documented <= options, sorted(documented - options)
@@ -551,3 +610,18 @@ def test_readme_command_block_runs_as_documented(tmp_path):
             argv[argv.index("--out") + 1] = str(tmp_path / str(i))
         expected = 1 if "exits 1" in comment else 0
         assert main(argv) == expected, line
+
+
+def test_every_benchmark_request_parses(monkeypatch):
+    # perfbench/workloads.py builds the benchmark's command lines and its
+    # worker appends --threads and --out: the parser must take every one
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    requests = [req for name in workloads.NAMES for smoke in (False, True)
+                for seed in (1, 2) for req in workloads.build(name, seed, smoke)]
+    assert len(requests) == 2 * 37
+    for req in requests:
+        build_parser().parse_args([*req.argv, "--threads", "2", "--out", "x"])

@@ -1,7 +1,9 @@
 """The public names: every ``__all__`` entry exists, and every name the
 package re-exports is the object of the module that defines it."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +33,14 @@ def test_package_reexports_resolve():
         # constants need not be in __all__; functions and classes must be
         if callable(obj):
             assert any(name in m.__all__ for m in owners), name
+
+
+def test_special_imports_nothing_from_the_package():
+    # the layering is special <- finite_n <- limits <- cli
+    tree = ast.parse(Path(special.__file__).read_text())
+    modules = ["." * node.level + (node.module or "") for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert "numpy" in modules
+    assert [name for name in modules if name.startswith((".", "plasma_kernel"))] == []

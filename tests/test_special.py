@@ -7,10 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from plasma_kernel import special
+from plasma_kernel.finite_n import _ml_kernel
 from plasma_kernel.special import (
     HERMITE_MAX_DEGREE,
     QuadratureNotConverged,
-    SeriesNotConverged,
     conv_indicator,
     erfc_cpx,
     erfcx_cpx,
@@ -19,7 +19,6 @@ from plasma_kernel.special import (
     hard_edge_H_scaled,
     hermite_prob,
     hermite_scaled,
-    mittag_leffler_M,
     mittag_leffler_kernel_eval,
     mittag_leffler_kernel_scaled,
     plasma_F,
@@ -104,7 +103,7 @@ def test_gauss_gamma_values():
     erfc_cpx,
     plasma_F,
     hard_edge_H,
-    lambda z: mittag_leffler_M(1.7, z),
+    lambda z: _window_M(1.7, z),
 ])
 def test_schwarz_reflection(func):
     z = random_complex(100, 4.0)
@@ -330,24 +329,31 @@ def test_hermite_scaled_pair_matches_direct():
 # --------------------------------------------------------------------------
 
 
+def _window_M(lam, z):
+    """``M_lam(z) = lam sum z^j / Gamma((j+1)/lam)`` from the term window of
+    the Mittag-Leffler kernel that the commands use, ``finite_n._ml_kernel``:
+    ``K(z / sqrt|z|, sqrt|z|) e^(|z|^lam)``.  The error is a few rounding
+    units of ``M_lam(|z|) (1 + |z|^lam)``."""
+    z = complex(z)
+    root = math.sqrt(abs(z))
+    k = _ml_kernel(lam, np.array([z / root if root else 0j]), np.array([root]))[0]
+    return complex(k[0]) * math.exp(abs(z) ** lam)
+
+
 def test_mittag_leffler_trivial_values():
-    assert_allclose(complex(mittag_leffler_M(1.0, 1.0)), math.e, rtol=1e-13)
-    assert_allclose(complex(mittag_leffler_M(2.0, 0.0)), 2.0 / math.sqrt(math.pi),
-                    rtol=1e-14)
+    assert_allclose(_window_M(1.0, 1.0), math.e, rtol=1e-13)
+    assert_allclose(_window_M(2.0, 0.0), 2.0 / math.sqrt(math.pi), rtol=1e-14)
     lam = 3.5
-    assert_allclose(complex(mittag_leffler_M(lam, 0.0)),
-                    lam / math.gamma(1.0 / lam), rtol=1e-13)
+    assert_allclose(_window_M(lam, 0.0), lam / math.gamma(1.0 / lam), rtol=1e-13)
 
 
 def test_mittag_leffler_against_closed_form():
-    # lam = 2 has the closed form 2/sqrt(pi) + 2 z erfcx(-z) used by the
-    # kernel path; the raw series must agree with it
-    assert_allclose(complex(mittag_leffler_M(2.0, 1.7)), 122.491229247581464,
-                    rtol=1e-12)
+    # lam = 2 has the closed form 2/sqrt(pi) + 2 z erfcx(-z); the window
+    # sum of the kernel path must agree with it
+    assert_allclose(_window_M(2.0, 1.7), 122.491229247581464, rtol=1e-12)
     for z in (0.3 + 0.4j, 2.0 - 1.0j, 4.0 + 0.0j):
-        series = complex(mittag_leffler_M(2.0, z))
         closed = complex(mittag_leffler_kernel_eval(2.0, z))
-        assert_allclose(series, closed, rtol=1e-11)
+        assert_allclose(_window_M(2.0, z), closed, rtol=1e-11)
 
 
 def test_mittag_leffler_kernel_eval_lam1_is_exp():
@@ -381,16 +387,8 @@ def test_mittag_leffler_against_mpmath_series(lam):
     points.append(-2.0 + 0.5j)  # and one point with Re z < 0
     for z in points:
         scale = _mp_mittag_leffler(lam, abs(z)).real
-        err = abs(complex(mittag_leffler_M(lam, z)) - _mp_mittag_leffler(lam, z))
+        err = abs(_window_M(lam, z) - _mp_mittag_leffler(lam, z))
         assert err <= 1e-13 * scale, (z, err / scale)
-
-
-def test_mittag_leffler_nonconvergence_guard():
-    # M_lam(|z|) leaves the double range once |z|^lam > 705
-    assert np.isfinite(complex(mittag_leffler_M(1.0, 705.0)))
-    for lam, z in ((1.0, 706.0), (1.0, -706.0), (3.0, 8.91j), (3.0, [0.5, 9.0])):
-        with pytest.raises(SeriesNotConverged, match="overflows"):
-            mittag_leffler_M(lam, z)
 
 
 def test_mittag_leffler_kernel_scaled_needs_a_closed_form():
@@ -399,11 +397,6 @@ def test_mittag_leffler_kernel_scaled_needs_a_closed_form():
     for lam in (1.5, 3.0):
         with pytest.raises(ValueError, match=f"lambda = {lam}"):
             mittag_leffler_kernel_scaled(lam, 0.5, -0.25)
-
-
-def test_mittag_leffler_domain_guard():
-    with pytest.raises(ValueError):
-        mittag_leffler_M(0.5, 1.0)
 
 
 def test_gauss_legendre_rules_are_cached_read_only():
