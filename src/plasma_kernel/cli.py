@@ -138,6 +138,14 @@ def parse_grid(text: str) -> np.ndarray:
     return a + step * np.arange(count)
 
 
+def parse_window(text: str) -> tuple:
+    try:
+        lo, hi = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ValueError(f"window must be lo:hi, got {text!r}")
+    return lo, hi
+
+
 def parse_spec(text: str) -> LimitKernelSpec:
     name, _, arg = text.partition(":")
     name = name.replace("_", "-")
@@ -573,21 +581,15 @@ def cmd_sample(args) -> int:
     cfg = SampleConfig(pot=pot, n=args.n, trials=args.trials, seed=args.seed)
     # the target is R of the limit: M_lam(s^2) e^(-s^(2 lam)), F(2x) or H(2x) 1{x<0}
     if args.frame == "singularity":
-        lo, hi = (0.0, 4.0)
-        if args.window:
-            lo, hi = (float(p) for p in args.window.split(":"))
+        lo, hi = parse_window(args.window or "0:4")
         spec = LimitKernelSpec.mittag_leffler(pot.lam if pot.kind == "power" else 1.0)
         hist = bulk_singularity_profile(cfg, (lo, hi, args.bins))
-    elif args.frame == "boundary":
-        lo, hi = (-3.0, 1.0)
-        if args.window:
-            lo, hi = (float(p) for p in args.window.split(":"))
+    else:
+        lo, hi = parse_window(args.window or "-3:1")
         spec = (LimitKernelSpec.hard_edge() if pot.kind == "hard_edge"
                 else LimitKernelSpec.free_boundary())
         frame = _make_frame(pot, args.n, "boundary")
         hist = boundary_profile(cfg, frame, (lo, hi, args.bins))
-    else:
-        raise ValueError("sample frame must be boundary or singularity")
 
     est, se = hist.estimates(), hist.stderrs()
     rows = np.column_stack([hist.bin_centers(), est, se])
@@ -603,6 +605,7 @@ def cmd_sample(args) -> int:
         "bins": int(hist.bins),
         "inverted": int(hist.inverted),
         "band_backward_error": float(hist.band_backward_error),
+        "band_rows": int(hist.band_rows),
     }
     _write_artifacts(args, f"sample_{_slug(args.pot)}-n{args.n}_{args.frame}",
                      ("bin_center", "estimate", "stderr"), rows, "sample", config, results)
@@ -732,6 +735,15 @@ def _subparser(parser, name):
                 if isinstance(a, argparse._SubParsersAction)).choices[name]  # noqa: SLF001
 
 
+def _command_parser(parser, args):
+    """The parser of the parsed command: the root's, the subcommand's or, for
+    ``verify``, the equation's."""
+    if args.command is None:
+        return parser
+    sub = _subparser(parser, args.command)
+    return _subparser(sub, args.equation) if args.command == "verify" else sub
+
+
 def _apply_config_file(args, argv):
     """Re-parse ``argv`` with the ``--config`` JSON as the subcommand's
     defaults, so every flag given on the command line wins.  The defaults go
@@ -739,9 +751,7 @@ def _apply_config_file(args, argv):
     if not getattr(args, "config", None):
         return args
     parser = build_parser.__wrapped__()
-    sub = _subparser(parser, args.command)
-    if args.command == "verify":
-        sub = _subparser(sub, args.equation)
+    sub = _command_parser(parser, args)
     actions = {a.dest: a for a in sub._actions}  # noqa: SLF001
     with open(args.config) as fh:
         overrides = {}
@@ -756,7 +766,11 @@ def _apply_config_file(args, argv):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reports every sub-parser's leftovers from the root; refuse them
+    # from the parser that would have read them, so its usage line is shown
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        _command_parser(parser, args).error(f"unrecognized arguments: {' '.join(extra)}")
     if args.show_thresholds:
         _show_thresholds()
         return EXIT_PASS

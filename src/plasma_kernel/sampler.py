@@ -17,27 +17,46 @@ ones, and makes every output a pure function of ``(seed, trial)``.
 A profile needs only the bin of each radius, and bins it without inverting
 it.  Each radius is ``r(P^{-1}(a_j, q_j))`` with ``q_j`` the index's
 (scaled) uniform, ``zoom (r - r0)`` increases with ``q_j``, and ``X(v) = n
-(r0 + v / zoom)^(2 lam)`` inverts that map.  So once per run a forward
-table holds ``P(a_j, X(e_k))`` at every bin edge ``e_0 = lo, ..., e_bins =
-hi``.  Index j can land in ``[lo, hi)`` only if ``q_j`` lies in its band
-``[P(a_j, X(lo)) - eps, P(a_j, X(hi)) + eps]`` (``eps = BAND_EPS``).  Every
-trial still draws all n uniforms and keeps the indices inside the band.  A
-kept draw more than ``eps`` from every edge probability takes the bin
-between the two edge probabilities around it, found by a binary search over
-its index's row of the table; a draw within ``eps`` of one is inverted and
-binned from its radius, exactly as :func:`sample_radii` (the full-inversion
-reference) would.
+(r0 + v / zoom)^(2 lam)`` inverts that map.  ``P(a, x)`` decreases in the
+shape ``a``, so a bisection with O(log n) scalar ``gammainc`` calls finds
+the indices that can reach the window: from ``j0``, the first index with
+``P(a_j, X(lo)) < 1 - eps/2``, up to ``j1``, the first with ``P(a_j, X(hi))
+<= eps/2`` (``eps = BAND_EPS``; the halves are a rounding margin).  In a
+boundary frame there are O(sqrt n) of them.  Once per run a forward table
+holds ``P(a_j, X(e_k))`` for these rows at every bin edge ``e_0 = lo, ...,
+e_bins = hi``, and row j can land in ``[lo, hi)`` only if ``q_j`` lies in
+its band ``[P(a_j, X(lo)) - eps, P(a_j, X(hi)) + eps]``.  The narrow indices
+share one wider band: ``q >= 1 - 2 eps`` below ``j0``, whose bands start
+above ``1 - 3 eps / 2``, and ``q <= 2 eps`` from ``j1`` on, whose bands end
+below ``3 eps / 2``.  At the hard edge both are tested in u: ``q = u P(a_j,
+n) <= u``, and ``q <= 2 eps`` implies ``u <= 2 eps / P(a_{n-1}, n)`` since
+``P(a_j, n) >= P(a_{n-1}, n)``.  Every trial still draws all n uniforms and
+keeps the indices inside their band.  A kept draw of a table row more than
+``eps`` from every edge probability takes the bin between the two edge
+probabilities around it, found by a binary search over its row; a draw
+within ``eps`` of one, and every kept draw of a narrow index, is inverted
+and binned from its radius, exactly as :func:`sample_radii` (the
+full-inversion reference) would.
 
 The premise: the inverse's backward error ``|P(a, P^{-1}(a, q)) - q|`` is
 below ``eps``.  Then a draw more than ``eps`` from every edge probability
 inverts strictly inside the bin the table gives it, with a margin of about
 1e-13 relative in x, far above the rounding of r, of ``zoom (r - r0)`` and
-of the bin index; so every count equals that of the full inversion.  Once
-per run the band's cutting edges are inverted to measure the premise: their
-backward error must stay below ``eps`` and their values outside the window,
-or the run is refused (:class:`InversionCheckFailed`).  ``gammaincinv``'s
-backward error passes that check for n up to 2^22 and fails it from about
-n = 2^23 on.
+of the bin index; and a draw outside its band, shared or not, inverts
+outside the window.  So every count equals that of the full inversion.
+Once per run the check inverts the band's cutting edges to measure the
+premise: every cutting edge of a table row, and each shared threshold at
+the two extreme shapes of its indices only (``1 - 2 eps`` at indices 0 and
+``j0 - 1``, ``2 eps`` at ``j1`` and ``n - 1``).  Their backward error must
+stay below ``eps`` and their values outside the window, or the run is
+refused (:class:`InversionCheckFailed`).  For the values the fixed set is
+enough: ``P^{-1}(a, q)`` increases in ``a``, so ``1 - 2 eps`` inverts below
+``X(lo)`` at every index below ``j0`` once it does at ``j0 - 1``, and ``2
+eps`` inverts above ``X(hi)`` at every index from ``j1`` on once it does at
+``j1``.  The backward error is measured at the shapes that bound the
+narrow indices' range, not at each of them.  ``gammaincinv``'s backward
+error passes that check for n up to 2^22 and fails it from about n = 2^23
+on.
 
 A run draws from one PCG64 stream seeded with ``seed``: trial k is its
 draws ``k n .. (k+1) n - 1``.  ``advance`` jumps to a block's first trial,
@@ -49,6 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import bisect
 import math
 import numpy as np
 from scipy.special import gammainc, gammaincinv
@@ -122,8 +142,10 @@ class Histogram1D:
     trials: int = 0
     counts_sq: np.ndarray = None  # per-bin sum over trials of count^2
     scale: np.ndarray = None      # per-bin Jacobian divisor (1 if plain density)
-    inverted: int = 0             # inverse-CDF evaluations: band check + near-edge draws
+    inverted: int = 0             # inverse-CDF evaluations: band check + near-edge
+                                  # and narrow-index draws
     band_backward_error: float = 0.0  # worst backward error at the band edges
+    band_rows: int = 0            # indices j0 .. j1 - 1 with a row of the edge table
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -156,9 +178,9 @@ class Histogram1D:
         return np.sqrt(var / t) / (self.bin_width * scale)
 
 
-def _shapes(pot: Potential, n: int) -> np.ndarray:
-    """Gamma shapes ``a_j`` of the radial laws, j = 0..n-1."""
-    shape = np.arange(1, n + 1, dtype=float)
+def _shapes(pot: Potential, j) -> np.ndarray:
+    """Gamma shapes ``a_j`` of the radial laws of the indices ``j``."""
+    shape = np.asarray(j, dtype=float) + 1.0
     return shape / pot.lam if pot.kind == "power" else shape
 
 
@@ -171,16 +193,13 @@ def _radius_of(pot: Potential, n: int, x: np.ndarray) -> np.ndarray:
     return np.sqrt(x / n)
 
 
-def _radii(pot: Potential, n: int, a: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Radii of the indices with shapes ``a`` at Gamma probabilities ``q``."""
-    return _radius_of(pot, n, gammaincinv(a, q))
-
-
-def _radii_from_uniforms(pot: Potential, n: int, u: np.ndarray) -> np.ndarray:
-    """Radii for indices j = 0..n-1 from one uniform per index (unsorted)."""
-    a = _shapes(pot, n)
+def _radii_from_uniforms(pot: Potential, n: int, u: np.ndarray,
+                         j: np.ndarray = None) -> np.ndarray:
+    """Radii of the indices ``j`` (default 0..n-1) from one uniform each
+    (unsorted)."""
+    a = _shapes(pot, np.arange(n) if j is None else j)
     q = u * gammainc(a, float(n)) if pot.kind == "hard_edge" else u
-    return _radii(pot, n, a, q)
+    return _radius_of(pot, n, gammaincinv(a, q))
 
 
 def _uniforms(cfg: SampleConfig, start: int, stop: int) -> np.ndarray:
@@ -209,20 +228,27 @@ def _histogram_counts(values: np.ndarray, lo: float, hi: float, bins: int,
     return np.bincount(flat, minlength=nrows * bins).reshape(nrows, bins)
 
 
+# the band that the narrow indices share: below j0 and from j1 on
+Q_BELOW = 1.0 - 2.0 * BAND_EPS
+Q_ABOVE = 2.0 * BAND_EPS
+
+
 @dataclass(frozen=True)
 class _Band:
-    """Per-index Gamma probabilities at the bin edges of a window.
+    """Gamma probabilities at the bin edges of a window, for the indices
+    ``j0 .. j0 + len(p) - 1`` that can reach it, and every index's band.
 
-    Row j of ``p`` holds ``P(a_j, X(e_k))`` at edges ``e_0 .. e_bins`` in
-    columns ``0 .. bins``, nondecreasing in k, then ``+inf`` up to a
-    power-of-two width for the binary search.  Index j's radius lands in
-    ``lo <= zoom (r - r0) < hi`` only if its probability ``q_j`` lies in
-    ``[q_lo_j, q_hi_j]``, the outer edges widened by ``BAND_EPS``;
-    ``q_scale`` is ``P(a, n)`` for the hard edge (``q = u P(a, n)``) and
+    Row i of ``p`` holds ``P(a_j, X(e_k))`` of index ``j = j0 + i`` at edges
+    ``e_0 .. e_bins`` in columns ``0 .. bins``, nondecreasing in k, then
+    ``+inf`` up to a power-of-two width for the binary search.  Index j's
+    draw is kept when ``u_j q_scale_j`` lies in ``[q_lo_j, q_hi_j]``: for a
+    row of ``p`` its band, the outer edges widened by ``BAND_EPS``, and for
+    a narrow index the shared band.  ``q_scale`` is ``P(a_j, n)`` on the
+    rows of ``p`` and 1 elsewhere for the hard edge (``q = u P(a, n)``), and
     None otherwise.
     """
 
-    a: np.ndarray
+    j0: int
     q_scale: np.ndarray | None
     p: np.ndarray
     q_lo: np.ndarray
@@ -233,64 +259,87 @@ class _Band:
 
 def _window_band(pot: Potential, n: int, zoom: float, r0: float,
                  lo: float, hi: float, bins: int) -> _Band:
-    """The edge table and band of every index, checked once.
+    """The edge table and bands of the indices that can reach the window,
+    the shared band of the others, checked once.
 
     ``x -> zoom (r(x) - r0)`` is increasing and ``X(v) = n (r0 + v /
     zoom)^(2 lam)`` inverts it (lam = 1 but for power potentials), so the
     table is ``P(a, X(e_k))`` and the band ``[P(a, X(lo)) - eps, P(a, X(hi))
-    + eps]``.  An index whose outer edges lie within ``2 eps`` keeps ``P(a,
-    X(lo))`` in its inner columns: each draw of its band sits within ``eps``
-    of an outer edge and is inverted.  The running maximum over the edges
-    only guards the order against rounding.  The check inverts every band
-    edge that cuts off some probability: its backward error must stay below
-    ``eps`` and its value must fall outside the window, or the run is
-    refused with :class:`InversionCheckFailed`.
+    + eps]``.  Bisection finds the table's rows ``j0 .. j1 - 1``; the shared
+    band is ``[1 - 2 eps, inf)`` below them and ``(-inf, 2 eps]`` above
+    (module docstring).  A row whose outer edges lie within ``2 eps`` keeps
+    ``P(a, X(lo))`` in its inner columns: each draw of its band sits within
+    ``eps`` of an outer edge and is inverted.  The running maximum over the
+    edges only guards the order against rounding.  The check inverts every
+    band edge of a row that cuts off some probability, and each shared
+    threshold at the two extreme shapes of its indices: its backward error
+    must stay below ``eps`` and its value must fall outside the window, or
+    the run is refused with :class:`InversionCheckFailed`.
     """
-    a = _shapes(pot, n)
-    q_scale = gammainc(a, float(n)) if pot.kind == "hard_edge" else None
     lam = pot.lam if pot.kind == "power" else 1.0
     with np.errstate(over="ignore"):  # an edge beyond every radius maps to inf
         x = n * np.maximum(r0 + np.linspace(lo, hi, bins + 1) / zoom, 0.0) ** (2.0 * lam)
-    p = np.full((n, 1 << bins.bit_length()), np.inf)  # width: a power of two > bins
+    j0 = bisect.bisect_left(range(n), True, key=lambda j: (
+        gammainc(_shapes(pot, j), x[0]) < 1.0 - BAND_EPS / 2))
+    j1 = bisect.bisect_left(range(n), True, lo=j0, key=lambda j: (
+        gammainc(_shapes(pot, j), x[-1]) <= BAND_EPS / 2))
+    a = _shapes(pot, np.arange(j0, j1))
+    p = np.full((j1 - j0, 1 << bins.bit_length()), np.inf)  # width: a power of two > bins
     p[:, :bins] = gammainc(a, x[0])[:, None]
     p[:, bins] = gammainc(a, x[-1])
     wide = p[:, bins] - p[:, 0] > 2.0 * BAND_EPS
     p[wide, 1:bins] = gammainc(a[wide, None], x[1:-1])
     np.maximum.accumulate(p, axis=1, out=p)
-    q_lo = p[:, 0] - BAND_EPS
-    q_hi = p[:, bins] + BAND_EPS
-    cut_lo = q_lo > 0.0
-    cut_hi = q_hi < (1.0 if q_scale is None else q_scale)
-    a_e = np.concatenate([a[cut_lo], a[cut_hi]])
-    q_e = np.concatenate([q_lo[cut_lo], q_hi[cut_hi]])
+    q_lo = np.full(n, -np.inf)
+    q_hi = np.full(n, Q_ABOVE)
+    q_lo[:j0], q_hi[:j0] = Q_BELOW, np.inf
+    q_lo[j0:j1] = p[:, 0] - BAND_EPS
+    q_hi[j0:j1] = p[:, bins] + BAND_EPS
+    q_scale = None
+    if pot.kind == "hard_edge":
+        q_scale = np.ones(n)
+        q_scale[j0:j1] = gammainc(a, float(n))
+        q_hi[j1:] = Q_ABOVE / gammainc(_shapes(pot, n - 1), float(n))
+    rows_lo, rows_hi = q_lo[j0:j1], q_hi[j0:j1]
+    cut_lo = rows_lo > 0.0
+    cut_hi = rows_hi < (1.0 if q_scale is None else q_scale[j0:j1])
+    below = sorted({0, j0 - 1}) if j0 else []
+    above = sorted({j1, n - 1}) if j1 < n else []
+    a_e = np.concatenate([a[cut_lo], _shapes(pot, below), a[cut_hi], _shapes(pot, above)])
+    q_e = np.concatenate([rows_lo[cut_lo], np.full(len(below), Q_BELOW),
+                          rows_hi[cut_hi], np.full(len(above), Q_ABOVE)])
     x_e = gammaincinv(a_e, q_e)
     err = float(np.max(np.abs(gammainc(a_e, x_e) - q_e), initial=0.0))
     v_e = zoom * (_radius_of(pot, n, x_e) - r0)
-    k = int(cut_lo.sum())
+    k = int(cut_lo.sum()) + len(below)
     if not err < BAND_EPS or np.any(v_e[:k] >= lo) or np.any(v_e[k:] < hi):
         raise InversionCheckFailed(
             f"inverse Gamma CDF misses the {BAND_EPS:g} band margin at n={n}: "
             f"backward error {err:.2e} at the band edges")
-    return _Band(a, q_scale, p, q_lo, q_hi, int(a_e.size), err)
+    return _Band(j0, q_scale, p, q_lo, q_hi, int(a_e.size), err)
 
 
 def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
     """Histogram of ``zoom (r - r0)`` over all trials, with per-bin squared
     counts.  Each trial draws all n uniforms and keeps the indices inside
-    the window's band.  A kept draw's bin is the number of edge
-    probabilities more than ``eps`` below it, less one, found by a
-    branchless binary search over its row of the edge table; a draw within
-    ``eps`` of an edge probability is inverted and binned from its radius.
-    Trials run in blocks of about ``BLOCK_POINTS`` uniforms, so temporaries
-    stay O(points)."""
+    their band.  A kept draw's bin is the number of edge probabilities more
+    than ``eps`` below it, less one, found by a branchless binary search
+    over its row of the edge table; a draw within ``eps`` of an edge
+    probability, or of a narrow index, is inverted and binned from its
+    radius.  Trials run in blocks of about ``BLOCK_POINTS`` uniforms, so
+    temporaries stay O(points)."""
     lo, hi, bins = _hist_window(hist)
     pot, n = cfg.pot, cfg.n
     band = _window_band(pot, n, zoom, r0, lo, hi, bins)
-    table, width = band.p.ravel(), band.p.shape[1]
+    rows_p, width = band.p.shape
+    # the narrow indices search one extra row of -inf, so each of their
+    # kept draws counts as near an edge and is inverted
+    table = np.vstack([band.p, np.full(width, -np.inf)]).ravel()
     out = Histogram1D(lo, hi, bins, trials=cfg.trials,
                       counts_sq=np.zeros(bins, dtype=np.int64),
                       inverted=band.checked,
-                      band_backward_error=band.backward_error)
+                      band_backward_error=band.backward_error,
+                      band_rows=rows_p)
     step = max(1, BLOCK_POINTS // n)
     for start in range(0, cfg.trials, step):
         stop = min(start + step, cfg.trials)
@@ -304,7 +353,9 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
         # top edge is below it only by rounding, so the count is capped at
         # bins.  Kept draws lie in the band, so a draw with no edge below
         # q_eps sits within eps of the lower edge
-        base = cols * width
+        table_row = cols - band.j0
+        table_row[(table_row < 0) | (table_row >= rows_p)] = rows_p
+        base = table_row * width
         pos = base.copy()
         half = width // 2
         while half:
@@ -314,7 +365,8 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
         near = q >= table[pos] - BAND_EPS
         far = rows[~near] * bins + (pos - base)[~near] - 1
         h = np.bincount(far, minlength=(stop - start) * bins).reshape(-1, bins)
-        values = zoom * (_radii(pot, n, band.a[cols[near]], q[near]) - r0)
+        r = _radii_from_uniforms(pot, n, u.ravel()[kept[near]], cols[near])
+        values = zoom * (r - r0)
         h += _histogram_counts(values, lo, hi, bins, rows[near], stop - start)
         out.counts += h.sum(axis=0)
         out.counts_sq += (h * h).sum(axis=0)

@@ -267,6 +267,18 @@ def test_verify_refuses_options_it_does_not_read(tmp_path, capsys, argv, flag):
     assert not list(tmp_path.iterdir())
 
 
+def test_refused_flag_shows_the_equation_usage(tmp_path, capsys):
+    # argparse gathers every sub-parser's leftovers at the root; the refusal
+    # comes from the equation's parser, whose usage line lists what it reads
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "ward", "--spec", "ml:2", "--sets", "3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: plasma-kernel verify ward [-h] [--spec SPEC]")
+    assert "verify ward: error: unrecognized arguments: --sets 3" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_spec_is_usage_error(tmp_path):
     assert main(["verify", "mass-one", "--spec", "nonsense",
                  "--out", str(tmp_path)]) == 2
@@ -510,7 +522,10 @@ def test_sample_artifact_names_carry_n(tmp_path):
 @pytest.mark.parametrize("flags,named", [
     (["--bins", "0"], "at least one bin"),
     (["--window", "0:nan"], "finite lo < hi"),
-], ids=["no-bins", "nan-window"])
+    (["--window", "1:2:3"], "window must be lo:hi, got '1:2:3'"),
+    (["--window", "1"], "window must be lo:hi, got '1'"),
+    (["--window", "a:b"], "window must be lo:hi, got 'a:b'"),
+], ids=["no-bins", "nan-window", "three-values", "one-value", "not-numbers"])
 def test_bad_histogram_window_is_usage_error(tmp_path, capsys, monkeypatch,
                                              flags, named):
     # refused before the first trial is drawn, with a named error
@@ -553,6 +568,7 @@ def test_sample_reports_inversion_shortcut(tmp_path):
     res = json.loads(texts[0])["results"]
     assert 0 < res["inverted"] < 1024 * 20 // 4
     assert 0.0 <= res["band_backward_error"] < 1e-12
+    assert 0 < res["band_rows"] < 1024
 
 
 def test_converge_sections(tmp_path):

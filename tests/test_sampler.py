@@ -358,6 +358,72 @@ def test_draws_on_edge_probabilities_are_inverted(monkeypatch, pot):
     assert hist.inverted == band.checked + len(offsets) * trials
 
 
+@pytest.mark.parametrize("pot,window,side", [
+    (GINIBRE, (-3.0, 1.0, 40), "below"),
+    (Potential.hard_edge(), (-3.0, 1.0, 40), "below"),
+    (Potential.power(2.0), (0.9, 1.3, 2), "above"),
+], ids=["ginibre-below-j0", "hard-edge-below-j0", "power2-above-j1"])
+def test_draws_on_shared_thresholds_are_inverted(monkeypatch, pot, window, side):
+    # per trial, three narrow indices get a uniform on their shared threshold
+    # (1 - 2 eps below j0, 2 eps from j1 on) and eps/2 inside and outside it:
+    # the two in the band take the inverse, and the counts stay those of the
+    # full inversion
+    n, trials = 256, 6
+    if pot.kind == "power":
+        zoom, r0 = n ** (1.0 / (2.0 * pot.lam)), 0.0
+    else:
+        zoom, r0 = RescaleFrame.boundary(pot, n).zoom, 1.0
+    band = sampler._window_band(pot, n, zoom, r0, *window)
+    j1 = band.j0 + len(band.p)
+    if side == "below":
+        js, inside, threshold = range(band.j0 - 3, band.j0), 1.0, band.q_lo
+        assert np.all(threshold[js] == 1.0 - 2.0 * BAND_EPS)
+    else:
+        js, inside, threshold = range(j1, j1 + 3), -1.0, band.q_hi
+        assert np.all(threshold[js] == 2.0 * BAND_EPS)
+    offsets = (0.0, inside * BAND_EPS / 2, -inside * BAND_EPS / 2)
+    real_uniforms = sampler._uniforms
+
+    def on_thresholds(cfg, start, stop):
+        u = real_uniforms(cfg, start, stop)
+        for trial, row in zip(range(start, stop), u):
+            for i, off in enumerate(offsets):
+                j = js[(i + trial) % 3]
+                row[j] = threshold[j] + off
+        return u
+
+    monkeypatch.setattr(sampler, "_uniforms", on_thresholds)
+    monkeypatch.setitem(globals(), "_uniforms", on_thresholds)  # the reference's
+    cfg = SampleConfig(pot, n, trials, seed=19)
+    hist, _, _ = _profile(cfg, window)
+    counts, counts_sq = _full_inversion_counts(cfg, zoom, r0, *window)
+    assert_array_equal(hist.counts, counts)
+    assert_array_equal(hist.counts_sq, counts_sq)
+    assert hist.inverted == band.checked + 2 * trials
+
+
+def test_band_work_grows_with_the_window_not_n(monkeypatch):
+    # n = 2^20, one trial: only the O(sqrt n) indices that can reach the
+    # window get a row of the edge table, band edges to check and draws to
+    # invert, and the counts stay those of the full inversion
+    n, window = 2**20, (-3.0, 1.0, 40)
+    cfg = SampleConfig(GINIBRE, n, 1, seed=6)
+    frame = RescaleFrame.boundary(GINIBRE, n)
+    counts = _histogram_counts(frame.zoom * (sample_radii(cfg, 0) - 1.0), *window)[0]
+    points = []
+
+    def counting(a, q):
+        points.append(np.size(a))
+        return gammaincinv(a, q)
+
+    monkeypatch.setattr(sampler, "gammaincinv", counting)
+    hist = boundary_profile(cfg, frame, window)
+    assert_array_equal(hist.counts, counts)
+    assert sum(points) == hist.inverted
+    assert sum(points) < 32 * math.sqrt(n)
+    assert hist.band_rows < 16 * math.sqrt(n)
+
+
 def test_edge_table_counts_match_full_inversion_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
