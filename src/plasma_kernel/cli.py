@@ -193,13 +193,17 @@ def _quad(args) -> QuadratureConfig:
     return parse_quad(args.quad) if args.quad else QuadratureConfig()
 
 
-def _parse_points(text: str, seed: int):
+def _random_points(rng, shape) -> np.ndarray:
+    """Points of ``shape`` with parts uniform on [-2, 2), drawn point by point
+    in C order: a stack of sets draws what its sets drawn one by one do."""
+    return rng.uniform(-2.0, 2.0, size=(*shape, 2)).view(complex)[..., 0]
+
+
+def _parse_points(text: str, seed: int) -> np.ndarray:
     if text.startswith("random:"):
         count = int(text.split(":", 1)[1])
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-2.0, 2.0, size=(count, 2))
-        return [complex(x, y) for x, y in pts]
-    return [complex(p) for p in text.split(",")]
+        return _random_points(np.random.default_rng(seed), (count,))
+    return np.array([complex(p) for p in text.split(",")])
 
 
 # --------------------------------------------------------------------------
@@ -256,7 +260,7 @@ def _floats(obj) -> list:
         obj = list(obj.values())
     if isinstance(obj, (list, tuple)):
         return [x for v in obj for x in _floats(v)]
-    return [float(obj)] if isinstance(obj, (float, np.floating)) else []
+    return [obj] if isinstance(obj, float) else []
 
 
 def _write_artifacts(args, stem: str, header, rows, command: str,
@@ -264,7 +268,7 @@ def _write_artifacts(args, stem: str, header, rows, command: str,
     """Write ``stem.csv`` and ``stem.json`` into ``--out``, or nothing if a
     number in the rows or the results is not finite."""
     table = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    values = np.concatenate([table.ravel(), _floats(results)])
+    values = np.concatenate([table.ravel(), _floats(_canonical(results))])
     bad = values[~np.isfinite(values)]
     if bad.size:
         raise NonFiniteResult(f"{stem}: a result is {bad[0]}; nothing written")
@@ -335,41 +339,25 @@ def _make_frame(pot: Potential, n: int, frame_name: str) -> RescaleFrame:
 # --------------------------------------------------------------------------
 
 
-def _ward_default_points(spec: LimitKernelSpec, axis):
-    pts = (axis[None, :] + 1j * axis[:, None]).ravel()
-    if spec.kind == "hard_edge":
-        pts = pts[pts.real < 0.0]
-    if spec.kind == "mittag_leffler":
-        pts = pts[(np.abs(pts) <= 1.5 + 1e-12) & (np.abs(pts) > 1e-12)]
-    return [complex(p) for p in pts]
-
-
 def _verify_ward(args, spec) -> tuple:
     if spec.kind == "mittag_leffler" and args.quad is not None:
         # c comes from an exact angular sum (finite_n._ml_cauchy)
         raise ValueError(f"verify ward --spec {args.spec} reads no --quad, got {args.quad!r}")
-    quad = _quad(args)
-    if args.grid:
-        axis = parse_grid(args.grid)
-    elif spec.kind == "hard_edge":
-        axis = None
-    elif spec.kind == "mittag_leffler":
-        axis = parse_grid("-1.25:1.25:0.5")
-    else:
-        axis = parse_grid("-2:2:0.5")
-    if axis is None:
-        xs = parse_grid("-2:-0.2:0.3")
-        ys = parse_grid("-1:1:0.5")
-        pts = [complex(x, y) for y in ys for x in xs]
-    else:
-        pts = _ward_default_points(spec, axis)
-    if not pts:
+    # --grid on both axes, or the spec's default real and imaginary axes;
+    # the points go row by row of imaginary part, inside the spec's domain
+    re, im = (args.grid,) * 2 if args.grid else {
+        "hard_edge": ("-2:-0.2:0.3", "-1:1:0.5"),
+        "mittag_leffler": ("-1.25:1.25:0.5",) * 2}.get(spec.kind, ("-2:2:0.5",) * 2)
+    pts = (parse_grid(re)[None, :] + 1j * parse_grid(im)[:, None]).ravel()
+    if spec.kind == "hard_edge":
+        pts = pts[pts.real < 0.0]
+    if spec.kind == "mittag_leffler":
+        pts = pts[(np.abs(pts) <= 1.5 + 1e-12) & (np.abs(pts) > 1e-12)]
+    if not pts.size:
         raise ValueError(f"ward grid {args.grid!r} keeps no points for {args.spec}")
-
-    vals = ward_residual(spec, pts, quad)
-    rows = [(z.real, z.imag, float(v)) for z, v in zip(pts, vals)]
+    vals = ward_residual(spec, pts, _quad(args))
     sup = float(vals.max())
-    return rows, {"sup_norm": sup, "points": len(pts)}, sup
+    return pts, vals, {"sup_norm": sup, "points": pts.size}, sup
 
 
 def _verify_mass_one(args, spec) -> tuple:
@@ -381,18 +369,18 @@ def _verify_mass_one(args, spec) -> tuple:
         "constant": "0.3",
     }
     pts = _parse_points(args.points or defaults[spec.kind], args.seed)
-    if not pts:
+    if not pts.size:
         raise ValueError(f"mass-one point set {args.points!r} keeps no points")
     vals = mass_one_residual(spec, pts, _quad(args))
-    rows = [(z.real, z.imag, float(abs(v))) for z, v in zip(pts, vals)]
-    sup = max(abs(v) for v in vals)
-    results = {"sup_norm": float(sup), "residuals": [float(v) for v in vals]}
+    res = np.abs(vals)
+    sup = float(res.max())
+    results = {"sup_norm": sup, "residuals": vals}
     if spec.kind == "constant":
         # counterexample: the profile is not a boundary profile, and the
         # mass-one equation must miss by exactly level - 1
-        sup = max(abs(v - (spec.level - 1.0)) for v in vals)
+        sup = float(np.max(np.abs(vals - (spec.level - 1.0))))
         results["expected_defect"] = spec.level - 1.0
-    return rows, results, float(sup)
+    return pts, res, results, sup
 
 
 def _verify_series(args, spec) -> tuple:
@@ -400,20 +388,18 @@ def _verify_series(args, spec) -> tuple:
     n_terms = args.n
     res = np.maximum(np.abs(mass_one_series_residual(xs, n_terms)),
                      np.abs(hermite_identity_residual(2.0 * xs, n_terms)))
-    rows = [(float(x), 0.0, float(r)) for x, r in zip(xs, res)]
     tele = telescoping_sum(1.2, n_terms)
     sup = max(float(np.max(res, initial=0.0)), abs(tele - 1.0))
-    return rows, {"sup_norm": float(sup), "telescoping": float(tele),
-                  "n_terms": n_terms}, float(sup)
+    return xs + 0j, res, {"sup_norm": float(sup), "telescoping": float(tele),
+                          "n_terms": n_terms}, float(sup)
 
 
 def _verify_eighth(args, spec) -> tuple:
     val = eighth_formula()
     shifted = eighth_formula(shift=0.5)
     dev = abs(val - 0.125)
-    rows = [(0.0, 0.0, float(dev)), (0.5, 0.0, float(abs(shifted - 0.125)))]
     print(f"eighth formula: {val:.12f} (target 0.125), shifted a=0.5: {shifted:.12f}")
-    return rows, {
+    return np.array([0.0, 0.5 + 0j]), np.array([dev, abs(shifted - 0.125)]), {
         "sup_norm": float(dev),
         "value": float(val),
         "shifted_value": float(shifted),
@@ -424,9 +410,13 @@ def _verify_eighth(args, spec) -> tuple:
 def _verify_inequalities(args, spec) -> tuple:
     margins, results = inequality_suite(seed=args.seed)
     violation = max(0.0, -results["min_margin"])
-    rows = [(float(i), 0.0, float(m)) for i, m in enumerate(margins)]
     results["sup_norm"] = float(violation)
-    return rows, results, float(violation)
+    return np.arange(margins.size) + 0j, margins, results, float(violation)
+
+
+# Gram matrix entries per block of positivity sets: 64 KB of complex128 per
+# temporary, so the peak memory of a request does not grow with --sets
+_GRAM_BLOCK = 1 << 12
 
 
 def _verify_positivity(args, spec) -> tuple:
@@ -440,18 +430,17 @@ def _verify_positivity(args, spec) -> tuple:
     if not 1 <= count <= 32:
         raise ValueError(f"positivity needs random:N with 1 <= N <= 32, got N = {count}")
     rng = np.random.default_rng(args.seed)
-    worst = math.inf
-    rows = []
-    for k in range(args.sets):
-        pts = rng.uniform(-2.0, 2.0, size=(count, 2))
-        zs = [complex(x, y) for x, y in pts]
-        eig = gram_min_eig(spec, zs, complementary=args.complementary)
-        worst = min(worst, eig)
-        rows.append((float(k), 0.0, float(eig)))
+    # the stream gives each set of a block the points it would get drawn alone
+    step = max(1, _GRAM_BLOCK // (count * count))
+    eigs = np.concatenate([
+        gram_min_eig(spec, _random_points(rng, (min(step, args.sets - k), count)),
+                     complementary=args.complementary)
+        for k in range(0, args.sets, step)])
+    worst = float(eigs.min())
     violation = max(0.0, -worst)
-    return rows, {"sup_norm": float(violation), "min_eigenvalue": float(worst),
-                  "sets": args.sets, "points_per_set": count,
-                  "complementary": bool(args.complementary)}, float(violation)
+    return np.arange(args.sets) + 0j, eigs, {
+        "sup_norm": violation, "min_eigenvalue": worst, "sets": args.sets,
+        "points_per_set": count, "complementary": bool(args.complementary)}, violation
 
 
 def _verify_polarized(args, spec) -> tuple:
@@ -463,9 +452,8 @@ def _verify_polarized(args, spec) -> tuple:
         raise ValueError("polarized verification needs free-boundary or hard-edge spec")
     zs, ws = np.array(pairs).T
     res = np.abs(polarized_mass_one_residual(spec, zs, ws, _quad(args)))
-    rows = [(z.real, z.imag, float(r)) for z, r in zip(zs, res)]
     sup = float(res.max())
-    return rows, {"sup_norm": sup, "pairs": len(pairs)}, sup
+    return zs, res, {"sup_norm": sup, "pairs": len(pairs)}, sup
 
 
 _QUAD = {"help": "r_max,nr of the plane quadrature"}
@@ -497,7 +485,8 @@ def cmd_verify(args) -> int:
     spec = parse_spec(args.spec)
     equation = args.equation
     check, options = _EQUATIONS[equation]
-    rows, results, sup = check(args, spec)
+    # points (an abscissa or an index is x + 0j) and residuals as arrays
+    pts, residual, results, sup = check(args, spec)
 
     tol = threshold_for(equation, spec.kind)
     passed = sup <= tol
@@ -506,7 +495,7 @@ def cmd_verify(args) -> int:
     results = dict(results)
     results.update({"threshold": tol, "passed": bool(passed)})
     _write_artifacts(args, f"verify_{equation}_{_slug(args.spec)}", ("x", "y", "residual"),
-                     rows, "verify", config, results)
+                     np.column_stack([pts.real, pts.imag, residual]), "verify", config, results)
     print(f"verify {equation} [{args.spec}]: sup residual {sup:.6e} "
           f"{'<=' if passed else '>'} threshold {tol:g} -> "
           f"{'PASS' if passed else 'FAIL'}")
@@ -529,7 +518,7 @@ def cmd_converge(args) -> int:
             s = exp_section(n, xs)
             dev_f = float(np.max(np.abs(s - f)))
             dev_wopp = float(np.max(np.abs(s - f_wopp)))
-            rows.extend((float(n), float(x), float(v)) for x, v in zip(xs, s))
+            rows.append(np.column_stack([np.full(xs.size, n), xs, s]))
             table[str(n)] = {"sup_dev_vs_F": dev_f,
                              "sup_dev_vs_F_exp_quarter": dev_wopp}
             print(f"sections n={n}: sup |section - F(x)| = {dev_f:.6f}, "
@@ -555,7 +544,7 @@ def cmd_converge(args) -> int:
         frame = _make_frame(pot, n, args.frame)
         r_n, tails = rescaled_kernel(pot, frame, zs, zs, return_bound=True)
         sup = float(np.max(np.abs(r_n.real - limit)))
-        rows.extend((float(n), float(x), float(r)) for x, r in zip(xs, r_n.real))
+        rows.append(np.column_stack([np.full(xs.size, n), xs, r_n.real]))
         tail = max(tail, float(tails.max()))
         sups[str(n)] = sup
         print(f"converge {args.pot} {args.frame} n={n}: sup |R_n - R| = {sup:.6f}")
@@ -632,10 +621,7 @@ def _thread_count(text: str) -> int:
 
 def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory for CSV/JSON")
-    # a string default goes through the type too, so a bad environment value
-    # is a usage error when the subcommand is parsed
-    sub.add_argument("--threads", type=_thread_count,
-                     default=os.environ.get("PLASMA_KERNEL_THREADS", "1"),
+    sub.add_argument("--threads", type=_thread_count, default=1,
                      help="accepted and validated; nothing runs threads")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--config", default=None,
@@ -779,22 +765,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         args = _apply_config_file(args, argv)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "converge":
-            return cmd_converge(args)
-        if args.command == "sample":
-            return cmd_sample(args)
-        parser.error(f"unknown command {args.command!r}")
+        return {"eval": cmd_eval, "verify": cmd_verify, "converge": cmd_converge,
+                "sample": cmd_sample}[args.command](args)
     except _NUMERIC_ERRORS as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -614,9 +614,11 @@ def laplacian_log_R(spec: LimitKernelSpec, z):
         r = a + 2.0 * x * b
         return _shaped(2.0 * (x + b / r) * a / r, shape)
     coeff = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * _FD_STEP**2)
-    steps = np.array([-2, -1, 0, 1, 2], dtype=float)
-    lxx = sum(c * np.log(one_point(spec, z + s * _FD_STEP)) for c, s in zip(coeff, steps))
-    lyy = sum(c * np.log(one_point(spec, z + 1j * s * _FD_STEP)) for c, s in zip(coeff, steps))
+    steps = _FD_STEP * np.arange(-2.0, 3.0)
+    # the ten stencil points in one call: rows 0-4 step along x, 5-9 along y
+    logs = np.log(one_point(spec, z + np.concatenate([steps, 1j * steps])[:, None]))
+    lxx = sum(c * v for c, v in zip(coeff, logs[:5]))
+    lyy = sum(c * v for c, v in zip(coeff, logs[5:]))
     return _shaped(0.25 * (lxx + lyy), shape)
 
 
@@ -687,11 +689,17 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
         dbar = (d_num * r - num * profile.diag_d1(2.0 * xs)) / (r * r)
     else:
         xs, at = np.unique(np.abs(pts), return_inverse=True)
-        nodes = xs[:, None] + _FD_STEP * np.arange(-2.0, 3.0)
-        c = np.sign(nodes) * _ml_cauchy(spec.lam, np.abs(nodes).ravel())[0].reshape(nodes.shape)
-        dc = _central_diff(c.T[[0, 1, 3, 4]], _FD_STEP)
-        dbar = 0.5 * (dc + np.divide(c[:, 2], xs, out=dc.copy(), where=xs > 0))
+        dbar = _ml_dbar_cauchy(spec.lam, xs)
     return _shaped(np.abs(dbar - _ward_rhs(spec, xs))[at], shape)
+
+
+def _ml_dbar_cauchy(lam: float, r):
+    """``dbar C = (c'(r) + c(r)/r) / 2`` of the Mittag-Leffler kernel at flat
+    ``r >= 0``, c' by the radial stencil of :func:`ward_residual`."""
+    nodes = r[:, None] + _FD_STEP * np.arange(-2.0, 3.0)
+    c = np.sign(nodes) * _ml_cauchy(lam, np.abs(nodes).ravel())[0].reshape(nodes.shape)
+    dc = _central_diff(c.T[[0, 1, 3, 4]], _FD_STEP)
+    return 0.5 * (dc + np.divide(c[:, 2], r, out=dc.copy(), where=r > 0))
 
 
 # --------------------------------------------------------------------------
@@ -798,31 +806,36 @@ def tail_bounds_report(spec: LimitKernelSpec, x_grid) -> tuple:
     }
 
 
-def gram_min_eig(spec: LimitKernelSpec, points, complementary: bool = False) -> float:
-    """Minimum eigenvalue of the Gram matrix ``[K(z_i, z_j)]``.
+def gram_min_eig(spec: LimitKernelSpec, points, complementary: bool = False):
+    """Minimum eigenvalue of the Gram matrix ``[K(z_i, z_j)]`` of each point set.
 
+    ``points`` has shape ``(..., N)``, a stack of sets of N points, and the
+    result has its leading shape; a scalar or 1-D input is one set and gives
+    a Python float.  A set's value does not depend on the stack it comes in.
     With ``complementary=True`` uses ``G(z,w) (1 - Psi(z,w))`` instead,
     where ``Psi = K/G`` (defined for the bulk/free-boundary kernels).
 
     Raises
     ------
     NonHermitianInput
-        If the assembled matrix deviates from Hermitian by more than 1e-10.
+        If an assembled matrix deviates from Hermitian by more than 1e-10.
     """
-    z = np.ravel(np.asarray(points, dtype=complex))
-    if not 1 <= z.size <= 32:
-        raise ValueError(f"gram_min_eig needs 1 to 32 points, got {z.size}")
+    z = np.atleast_1d(np.asarray(points, dtype=complex))
+    if not 1 <= z.shape[-1] <= 32:
+        raise ValueError(f"gram_min_eig needs 1 to 32 points, got {z.shape[-1]}")
     if complementary and spec.kind not in ("bulk", "free_boundary"):
         raise ValueError("complementary kernel defined for bulk/free-boundary specs")
-    m = limit_kernel(spec, z[:, None], z[None, :])
+    zi, zj = z[..., :, None], z[..., None, :]
+    m = limit_kernel(spec, zi, zj)
     if complementary:
         # the bulk profile is exactly exp(-Im(v)^2 / 2), so G - K = G (1 - Psi)
-        m = limit_kernel(LimitKernelSpec.ginibre_bulk(), z[:, None], z[None, :]) - m
-    asym = float(np.max(np.abs(m - m.conj().T)))
+        m = limit_kernel(LimitKernelSpec.ginibre_bulk(), zi, zj) - m
+    m_h = np.swapaxes(m, -1, -2).conj()
+    asym = float(np.max(np.abs(m - m_h), initial=0.0))
     if asym > 1e-10:
         raise NonHermitianInput(f"Gram matrix asymmetry {asym:.3e} exceeds 1e-10")
-    m = 0.5 * (m + m.conj().T)
-    return float(np.linalg.eigvalsh(m)[0])
+    eig = np.linalg.eigvalsh(0.5 * (m + m_h))[..., 0]
+    return float(eig) if z.ndim == 1 else eig
 
 
 def inequality_suite(x_grid=None, z_points=None, n_pairs: int = 200,

@@ -86,6 +86,8 @@ __all__ = [
 ]
 
 BUDGET_LIMIT = 10**9
+# float64 entries of the edge table, 64 MB: n = 2^20 at 40 bins needs 0.86 M
+TABLE_BUDGET = 1 << 23
 # probability margin of the inversion band: about 200x the worst backward
 # error of gammaincinv on 2e5 random (a <= 2^14, u) pairs (5.2e-15 to 5.4e-15)
 BAND_EPS = 1e-12
@@ -95,7 +97,7 @@ BLOCK_POINTS = 2**16
 
 
 class BudgetExceeded(Exception):
-    """n * trials exceeds the sampling budget guard."""
+    """n * trials, or the edge table, exceeds its budget."""
 
 
 class InversionCheckFailed(Exception):
@@ -274,7 +276,8 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
     band edge of a row that cuts off some probability, and each shared
     threshold at the two extreme shapes of its indices: its backward error
     must stay below ``eps`` and its value must fall outside the window, or
-    the run is refused with :class:`InversionCheckFailed`.
+    the run is refused with :class:`InversionCheckFailed`.  A table of more
+    than ``TABLE_BUDGET`` entries is refused before it is built.
     """
     lam = pot.lam if pot.kind == "power" else 1.0
     with np.errstate(over="ignore"):  # an edge beyond every radius maps to inf
@@ -283,8 +286,12 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
         gammainc(_shapes(pot, j), x[0]) < 1.0 - BAND_EPS / 2))
     j1 = bisect.bisect_left(range(n), True, lo=j0, key=lambda j: (
         gammainc(_shapes(pot, j), x[-1]) <= BAND_EPS / 2))
+    width = 1 << bins.bit_length()  # a power of two > bins
+    if (j1 - j0) * width > TABLE_BUDGET:
+        raise BudgetExceeded(f"{bins} bins need an edge table of {j1 - j0} x {width} = "
+                             f"{(j1 - j0) * width} entries, over the budget of {TABLE_BUDGET}")
     a = _shapes(pot, np.arange(j0, j1))
-    p = np.full((j1 - j0, 1 << bins.bit_length()), np.inf)  # width: a power of two > bins
+    p = np.full((j1 - j0, width), np.inf)
     p[:, :bins] = gammainc(a, x[0])[:, None]
     p[:, bins] = gammainc(a, x[-1])
     wide = p[:, bins] - p[:, 0] > 2.0 * BAND_EPS

@@ -5,7 +5,6 @@ import argparse
 import importlib.util
 import json
 import math
-import os
 import re
 import shlex
 import subprocess
@@ -293,20 +292,6 @@ def test_unparseable_flag_exits_two():
     assert proc.returncode == 2
 
 
-def test_bad_thread_environment_exits_two(tmp_path):
-    # the environment default is parsed like the flag: a usage error that
-    # names the value, not a traceback
-    env = {**os.environ, "PLASMA_KERNEL_THREADS": "two"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "plasma_kernel.cli", "verify", "eighth",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 2
-    assert "'two'" in proc.stderr and "Traceback" not in proc.stderr
-    assert not list(tmp_path.iterdir())
-
-
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_thread_count_below_one_exits_two(tmp_path, capsys, threads):
     with pytest.raises(SystemExit) as exc:
@@ -554,6 +539,21 @@ def test_sample_over_budget_is_usage_error(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_sample_over_table_budget_is_usage_error(tmp_path, capsys, monkeypatch):
+    # 1e6 bins would need a 381 x 2^20 edge table at n = 1024, 3.2 GB of
+    # float64: refused after the bisection, before the table or any trial
+    def no_sampling(*args):
+        raise AssertionError("sampled before the table budget was checked")
+
+    monkeypatch.setattr(sampler, "_uniforms", no_sampling)
+    assert main(["sample", "--n", "1024", "--trials", "10", "--bins", "1000000",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("1000000 bins need an edge table of 381 x 1048576 = 399507456 entries, "
+            f"over the budget of {sampler.TABLE_BUDGET}") in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_sample_reports_inversion_shortcut(tmp_path):
     # the shortcut's work and check are reported, identically at every
     # thread count
@@ -569,6 +569,32 @@ def test_sample_reports_inversion_shortcut(tmp_path):
     assert 0 < res["inverted"] < 1024 * 20 // 4
     assert 0.0 <= res["band_backward_error"] < 1e-12
     assert 0 < res["band_rows"] < 1024
+
+
+@pytest.mark.parametrize("spec,count,complementary", [
+    ("bulk", 32, False), ("free-boundary", 16, True), ("ml:2", 32, False)])
+def test_positivity_blocks_write_the_per_set_loop(tmp_path, spec, count, complementary):
+    # the sets are drawn and checked a block at a time; a count that crosses
+    # two block boundaries gives the rows and results of one set at a time
+    sets = 5 * (cli._GRAM_BLOCK // count**2) // 2
+    flags = ["--complementary"] if complementary else []
+    assert main(["verify", "positivity", "--spec", spec, "--points", f"random:{count}",
+                 "--sets", str(sets), "--seed", "11", "--out", str(tmp_path)] + flags) == 0
+    rng = np.random.default_rng(11)
+    kernel = parse_spec(spec)
+    eigs = []
+    for _ in range(sets):
+        xy = rng.uniform(-2.0, 2.0, size=(count, 2))
+        eigs.append(cli.gram_min_eig(kernel, [complex(x, y) for x, y in xy],
+                                     complementary=complementary))
+    stem = tmp_path / f"verify_positivity_{cli._slug(spec)}"
+    lines = (stem.with_suffix(".csv")).read_text().splitlines()
+    assert lines[0] == "x,y,residual" and len(lines) == sets + 1
+    assert lines[1:] == [f"{k:.17g},0,{e:.17g}" for k, e in enumerate(eigs)]
+    res = json.loads(stem.with_suffix(".json").read_text())["results"]
+    worst = min(eigs)
+    assert res["min_eigenvalue"] == worst and res["sup_norm"] == max(0.0, -worst)
+    assert (res["sets"], res["points_per_set"]) == (sets, count)
 
 
 def test_converge_sections(tmp_path):

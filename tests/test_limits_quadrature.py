@@ -18,6 +18,7 @@ from plasma_kernel.limits import (
     eighth_formula,
     gram_min_eig,
     inequality_suite,
+    laplacian_log_R,
     mass_one_residual,
     polarized_mass_one_residual,
     tail_bounds_report,
@@ -231,6 +232,88 @@ def test_mittag_leffler_cauchy_against_mpmath(lam):
     got = cauchy_transform(LimitKernelSpec.mittag_leffler(lam), ORACLE_RADII)
     assert np.all(got.imag == 0.0) and got[0] == 0.0
     assert np.max(np.abs(got.real - ref)) <= 1e-14
+
+
+# Independent oracles of the two Mittag-Leffler stencils at _FD_STEP = h, at
+# radii away from the |z|^3 kink of R at 0 (lam = 1.5).  Each bound is the
+# stencil's rounding floor plus twice its truncation term at the centre, which
+# covers the unknown intermediate point within 2h.  With weights w_k, the
+# computed inputs f_k and the 40-digit f at the exact nodes x_k = r + k h, the
+# floor is sum_k |w_k| (|f_k - f(x_k)| + 4 eps |f(x_k)|): the inputs' errors,
+# node rounding included, then the products and the sum.
+STENCIL_RADII = (0.3, 0.9, 1.5)
+EPS = np.finfo(float).eps
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_ml_coefficients(mpmath, lam, prec):
+    """``lam / Gamma((j+1)/lam)`` for j < 400 at ``prec`` bits; for x <= 4 and
+    lam <= 3 the terms past j = 400 are below 1e-70."""
+    with mpmath.workprec(prec):
+        lam = mpmath.mpf(lam)
+        return tuple(lam / mpmath.gamma((j + 1) / lam) for j in range(400))
+
+
+def _mp_log_R(mpmath, lam, r):
+    """log R(r) = log(M_lam(r^2)) - r^(2 lam), M_lam(x) = lam sum_j x^j /
+    Gamma((j+1)/lam), at the working precision."""
+    x = r * r
+    coeffs = _mp_ml_coefficients(mpmath, lam, mpmath.mp.prec)
+    return mpmath.log(mpmath.polyval(coeffs[::-1], x)) - x ** mpmath.mpf(lam)
+
+
+@pytest.mark.parametrize("lam", [1.5, 3.0])
+def test_mittag_leffler_laplacian_stencil_against_mpmath(lam):
+    # (1/4) Lap log R of a radial f(r) = log R at z = r: (f'' + f'/r) / 4.  The
+    # 5-point stencil of a second derivative misses by (h^4 / 90) f^(6)(xi)
+    mpmath = pytest.importorskip("mpmath")
+    h = limits._FD_STEP
+    coeff = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h * h)
+    offsets = h * np.arange(-2.0, 3.0)
+    got = laplacian_log_R(LimitKernelSpec.mittag_leffler(lam), np.array(STENCIL_RADII))
+    with mpmath.workdps(40):
+        def f(r):
+            return _mp_log_R(mpmath, lam, r)
+
+        for r, value in zip(STENCIL_RADII, got):
+            r_mp = mpmath.mpf(r)
+            ref = float((mpmath.diff(f, r_mp, 2) + mpmath.diff(f, r_mp, 1) / r_mp) / 4)
+            nodes = np.concatenate([r + offsets, r + 1j * offsets])
+            steps = [k * mpmath.mpf(h) for k in range(-2, 3)]
+            exact = np.array([float(f(r_mp + s)) for s in steps]
+                             + [float(f(mpmath.sqrt(r_mp**2 + s**2))) for s in steps])
+            ours = np.log(limits.one_point(LimitKernelSpec.mittag_leffler(lam), nodes))
+            weights = 0.25 * np.abs(np.concatenate([coeff, coeff]))
+            rounding = np.sum(weights * (np.abs(ours - exact) + 4.0 * EPS * np.abs(exact)))
+            d6_x = mpmath.diff(f, r_mp, 6)
+            d6_y = mpmath.diff(lambda y: f(mpmath.sqrt(r_mp**2 + y**2)), 0, 6)
+            truncation = 2.0 * h**4 / 90.0 * float(abs(d6_x) + abs(d6_y)) / 4.0
+            assert abs(value - ref) <= rounding + truncation, (r, value - ref, rounding)
+
+
+@pytest.mark.parametrize("lam", [1.5, 3.0])
+def test_mittag_leffler_radial_stencil_against_mpmath(lam):
+    # dbar C = (c' + c/r) / 2 with c' from the 4-point central difference of
+    # c, which misses by (h^4 / 30) c^(5)(xi)
+    mpmath = pytest.importorskip("mpmath")
+    h = limits._FD_STEP
+    stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    rs = np.array(STENCIL_RADII)
+    got = limits._ml_dbar_cauchy(lam, rs)
+    with mpmath.workdps(40):
+        def c(r):
+            return _mp_ml_cauchy(mpmath, lam, r)
+
+        for r, value in zip(rs, got):
+            r_mp = mpmath.mpf(r)
+            ref = float((mpmath.diff(c, r_mp, 1) + c(r_mp) / r_mp) / 2)
+            nodes = r + h * np.arange(-2.0, 3.0)
+            exact = np.array([float(c(r_mp + k * mpmath.mpf(h))) for k in range(-2, 3)])
+            ours = finite_n._ml_cauchy(lam, nodes)[0]
+            weights = 0.5 * (np.abs(stencil) + np.array([0.0, 0.0, 1.0 / r, 0.0, 0.0]))
+            rounding = np.sum(weights * (np.abs(ours - exact) + 4.0 * EPS * np.abs(exact)))
+            truncation = 2.0 * h**4 / 30.0 * float(abs(mpmath.diff(c, r_mp, 5))) / 2.0
+            assert abs(value - ref) <= rounding + truncation, (r, value - ref, rounding)
 
 
 def test_mittag_leffler_cauchy_vanishes_at_lam_one():
@@ -596,6 +679,29 @@ def test_gram_guards():
         gram_min_eig(FB, [])
     with pytest.raises(ValueError):
         gram_min_eig(ML2, np.zeros(4, dtype=complex), complementary=True)
+
+
+@pytest.mark.parametrize("spec,complementary", [
+    (FB, False), (FB, True), (LimitKernelSpec.mittag_leffler(1.5), False)],
+    ids=["plain", "complementary", "ml1.5"])
+def test_gram_stack_is_bitwise_the_single_sets(spec, complementary):
+    # a 2-D input is a stack of sets, not one set of all its points
+    sets = 40 if spec.kind == "free_boundary" else 4
+    pts = rng.uniform(-2, 2, (sets, 8)) + 1j * rng.uniform(-2, 2, (sets, 8))
+    stacked = gram_min_eig(spec, pts, complementary=complementary)
+    single = np.array([gram_min_eig(spec, p, complementary=complementary) for p in pts])
+    assert stacked.shape == (sets,)
+    assert np.array_equal(stacked.view(np.uint64), single.view(np.uint64))
+
+
+def test_gram_stack_shapes():
+    pts = rng.uniform(-2, 2, (2, 3, 8)) + 1j * rng.uniform(-2, 2, (2, 3, 8))
+    eig = gram_min_eig(FB, pts)
+    assert eig.shape == (2, 3)
+    assert eig[1, 2] == gram_min_eig(FB, pts[1, 2])
+    assert type(gram_min_eig(FB, pts[0, 0])) is float
+    assert type(gram_min_eig(FB, [0.5j])) is float
+    assert gram_min_eig(FB, 0.5j) == gram_min_eig(FB, [0.5j])
 
 
 # --------------------------------------------------------------------------
