@@ -92,6 +92,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+# Rows a request may ask for, checked before anything of that size is built:
+# grid points (the product of both axes for eval and ward), --sets, random:N
+# and converge's n-list times its grid.  A 1024 x 1024 eval grid fits.
+ROW_BUDGET = 1 << 20
+
 
 class NonFiniteResult(Exception):
     """A result to be written is NaN or infinite."""
@@ -125,6 +130,13 @@ def _show_thresholds() -> None:
 # --------------------------------------------------------------------------
 
 
+def _rows(count):
+    """``count``, refused when more than ``ROW_BUDGET`` rows."""
+    if count > ROW_BUDGET:
+        raise ValueError(f"the request asks for {count} rows, over the budget of {ROW_BUDGET}")
+    return count
+
+
 def parse_grid(text: str) -> np.ndarray:
     try:
         a, b, step = (float(p) for p in text.split(":"))
@@ -134,8 +146,16 @@ def parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid a, b and step must be finite, got {text!r}")
     if step <= 0 or b < a:
         raise ValueError(f"need a <= b and step > 0 in {text!r}")
-    count = int(round((b - a) / step)) + 1
-    return a + step * np.arange(count)
+    span = (b - a) / step  # inf where a tiny step overflows it
+    count = int(round(span)) + 1 if math.isfinite(span) else math.inf
+    return a + step * np.arange(_rows(count))
+
+
+def _plane(re: str, im: str) -> np.ndarray:
+    """The points ``x + iy`` of grids ``re`` and ``im``, one row per ``y``."""
+    x, y = parse_grid(re), parse_grid(im)
+    _rows(x.size * y.size)
+    return x[None, :] + 1j * y[:, None]
 
 
 def parse_window(text: str) -> tuple:
@@ -201,7 +221,7 @@ def _random_points(rng, shape) -> np.ndarray:
 
 def _parse_points(text: str, seed: int) -> np.ndarray:
     if text.startswith("random:"):
-        count = int(text.split(":", 1)[1])
+        count = _rows(int(text.split(":", 1)[1]))
         return _random_points(np.random.default_rng(seed), (count,))
     return np.array([complex(p) for p in text.split(",")])
 
@@ -291,8 +311,7 @@ def _slug(text: str) -> str:
 
 
 def cmd_eval(args) -> int:
-    axis = parse_grid(args.grid)
-    zs = axis[None, :] + 1j * axis[:, None]
+    zs = _plane(args.grid, args.grid)
     extra = {}
     if args.limit:
         spec = parse_spec(args.limit)
@@ -348,7 +367,7 @@ def _verify_ward(args, spec) -> tuple:
     re, im = (args.grid,) * 2 if args.grid else {
         "hard_edge": ("-2:-0.2:0.3", "-1:1:0.5"),
         "mittag_leffler": ("-1.25:1.25:0.5",) * 2}.get(spec.kind, ("-2:2:0.5",) * 2)
-    pts = (parse_grid(re)[None, :] + 1j * parse_grid(im)[:, None]).ravel()
+    pts = _plane(re, im).ravel()
     if spec.kind == "hard_edge":
         pts = pts[pts.real < 0.0]
     if spec.kind == "mittag_leffler":
@@ -422,6 +441,7 @@ _GRAM_BLOCK = 1 << 12
 def _verify_positivity(args, spec) -> tuple:
     if args.sets < 1:
         raise ValueError(f"positivity needs --sets >= 1, got {args.sets}")
+    _rows(args.sets)
     kind, _, text = args.points.partition(":")
     if kind != "random":
         raise ValueError(f"positivity draws its points: --points must be random:N, "
@@ -509,8 +529,9 @@ def cmd_verify(args) -> int:
 
 def cmd_converge(args) -> int:
     n_list = [int(p) for p in args.n_list.split(",")]
+    xs = parse_grid(args.grid or ("-2:2:0.25" if args.sections else "-3:3:0.25"))
+    _rows(len(n_list) * xs.size)
     if args.sections:
-        xs = parse_grid(args.grid) if args.grid else parse_grid("-2:2:0.25")
         f = plasma_F(xs).real
         f_wopp = f * np.exp(xs * xs / 4.0)
         rows, table = [], {}
@@ -532,7 +553,6 @@ def cmd_converge(args) -> int:
         _check_kernel_n(n)
     pot = parse_pot(args.pot)
     spec = parse_spec(args.spec)
-    xs = parse_grid(args.grid) if args.grid else parse_grid("-3:3:0.25")
     if spec.kind == "hard_edge":
         xs = xs[xs < 0.0]
     if not xs.size:

@@ -215,25 +215,41 @@ def _poisson(x, mu, g):
     return out
 
 
-def _hard_edge_mass(n: int, j):
-    """``gammainc(j+1, n)`` for integer arrays ``j`` in ``[0, n]``.
+class _MassTable:
+    """``gammainc(j + 1, n)`` over one run of consecutive indices, for the
+    hard edge's window ratios.  A block of windows whose indices meet the
+    run extends it, evaluating only its new indices; one that does not
+    starts a new run.  Blocks go in order of their peaks and a redo round
+    only widens windows, so a kernel call evaluates each index its windows
+    read about once, and never all of ``[0, n]`` unless its windows do."""
 
-    A window's indices form a short range, so the function is evaluated
-    once per index of that range; the values are the same either way.
-    """
-    lo = int(j.min())
-    span = int(j.max()) - lo + 1
-    if span <= j.size:
-        return gammainc(np.arange(lo, lo + span) + 1.0, n)[j - lo]
-    return gammainc(j + 1.0, n)
+    def __init__(self, n: int):
+        self.n, self.lo, self.mass = n, 0, np.zeros(0)
+
+    def ratio(self, j):
+        """``gammainc(j + 1, n) / gammainc(j + 2, n)`` for rows ``j`` of
+        consecutive indices in ``[0, n - 1]``, rising or falling."""
+        ends = j[:, [0, -1]]
+        lo, hi, top = int(ends.min()), int(ends.max()) + 2, self.lo + self.mass.size
+        if hi < self.lo or lo > top:
+            self.lo = top = lo
+            self.mass = np.zeros(0)
+        if lo < self.lo or hi > top:
+            self.mass = np.concatenate([gammainc(np.arange(lo, self.lo) + 1.0, self.n), self.mass,
+                                        gammainc(np.arange(top, hi) + 1.0, self.n)])
+            self.lo = min(lo, self.lo)
+            self.next_ratio = self.mass[:-1] / self.mass[1:]
+        return self.next_ratio[j - self.lo]
 
 
-def _ratio(pot: Potential, n: int, j, mu):
+def _ratio(pot: Potential, n: int, j, mu, masses: _MassTable = None):
     """Term ratio ``|t_(j+1) / t_j|`` for integer arrays ``j`` in ``[0, n-1]``.
 
     ``mu = n |zeta conj(eta)|^lam``.  Ginibre: ``mu/(j+1)``; power(lam):
     ``mu^(1/lam) Gamma(s) / Gamma(s + 1/lam)`` with ``s = (j+1)/lam``; the
-    hard edge multiplies the Ginibre ratio by ``gamma(j+1, n)/gamma(j+2, n)``.
+    hard edge multiplies the Ginibre ratio by ``gamma(j+1, n)/gamma(j+2, n)``,
+    read from ``masses`` when given (rows of consecutive ``j``), else
+    evaluated at each ``j``.
     """
     lam = pot.lam
     if lam == 1.0:
@@ -243,36 +259,45 @@ def _ratio(pot: Potential, n: int, j, mu):
         s = (j + 1.0) * h
         x0 = np.maximum(s - 1.0, _LOADER_MIN_X)
         # log Gamma(s+h) - log Gamma(s) through Stirling's form, so the ~1e7
-        # log-gammas never meet in a difference
-        big = (h * np.log(mu / x0) - (x0 + h + 0.5) * np.log1p(h / x0) + h
-               - (_stirlerr(x0 + h) - _stirlerr(x0)))
+        # log-gammas never meet in a difference; at a subnormal mu, mu / x0
+        # can round to 0, and the log's -inf gives the ratio's limit 0
+        with np.errstate(divide="ignore"):
+            big = (h * np.log(mu / x0) - (x0 + h + 0.5) * np.log1p(h / x0) + h
+                   - (_stirlerr(x0 + h) - _stirlerr(x0)))
         small = h * np.log(mu) - (gammaln(s + h) - gammaln(s))
         r = np.exp(np.where(s - 1.0 >= _LOADER_MIN_X, big, small))
     if pot.kind == "hard_edge":
-        mass = _hard_edge_mass(n, np.concatenate([j.ravel(), j.ravel() + 1]))
-        r = r * (mass[: j.size] / mass[j.size:]).reshape(j.shape)
+        r = r * (gammainc(j + 1.0, n) / gammainc(j + 2.0, n) if masses is None
+                 else masses.ratio(j))
     return r
 
 
 def _peak(pot: Potential, n: int, mu, uncapped: bool = False):
-    """Index of the largest term: the first ``j`` whose ratio is below 1.
+    """Index of the largest term: the first ``j`` whose ratio is below 1, at
+    most ``n - 1`` unless ``uncapped``.
 
-    The log terms are concave in ``j``, so the ratio falls with ``j`` and a
-    bisection over ``[0, n-1]`` (uncapped: up to the first ``ceil(lam (mu +
-    1)) 2^k`` whose ratio is below 1) finds the argmax exactly.
+    The log terms are concave in ``j``, so the ratio falls with ``j``.  The
+    search starts at ``floor(lam mu)``, the peak itself for Ginibre up to
+    rounding and near it otherwise, gallops away from it with doubling steps
+    until the ratio crosses 1, and bisects the bracket it found.
     """
-    lo = np.zeros(mu.shape, dtype=np.int64)
-    hi = np.full(mu.shape, n - 1, dtype=np.int64)
-    if uncapped:
-        hi = np.ceil(pot.lam * (mu + 1.0)).astype(np.int64)
-        while np.any(rises := _ratio(pot, n, hi, mu) >= 1.0):
-            hi[rises] *= 2
-    while np.any(lo < hi):
-        act = lo < hi
-        mid = (lo[act] + hi[act]) // 2
-        falls = _ratio(pot, n, mid, mu[act]) < 1.0
-        hi[act] = np.where(falls, mid, hi[act])
-        lo[act] = np.where(falls, lo[act], mid + 1)
+    top = 1 << 62 if uncapped else n - 1  # uncapped: past every term budget
+    with np.errstate(over="ignore"):
+        guess = np.minimum(np.floor(pot.lam * mu), top).astype(np.int64)
+    falls = (guess >= top) | (_ratio(pot, n, guess, mu) < 1.0)
+    # the peak lies in [lo, hi]: down from a falling guess, up from a rising one
+    lo, hi = np.where(falls, 0, guess + 1), np.where(falls, guess, top)
+    galloping, step = np.ones(mu.shape, dtype=bool), 1
+    while np.any(act := lo < hi):
+        # a gallop ends where the ratio crosses 1 or past the bracket's end
+        probe = np.where(falls, hi - step, lo - 1 + step)
+        galloping &= (lo <= probe) & (probe < hi)
+        probe = np.where(galloping, probe, (lo + hi) // 2)[act]
+        below = _ratio(pot, n, probe, mu[act]) < 1.0
+        hi[act] = np.where(below, probe, hi[act])
+        lo[act] = np.where(below, lo[act], probe + 1)
+        galloping[act] &= below == falls[act]
+        step *= 2
     return lo
 
 
@@ -285,32 +310,46 @@ def _half_width(pot: Potential, n: int, mu, uncapped: bool = False):
     return 32 * np.ceil((8.6 * sd + 24.0) / 32.0).astype(np.int64)
 
 
-def _terms(pot: Potential, n: int, mu, peak, w: int, uncapped: bool = False):
-    """``(t, rho_down, rho_up)``: the terms ``t_(peak+k) / t_peak``, k = -w..w,
-    of each row on its own, 0 outside ``[0, n-1]`` (uncapped: ``j < 0``), and
-    the first ratio past each end of the window, 0 where the range ends."""
+def _terms(pot: Potential, n: int, mu, peak, w: int):
+    """``(t, rho_down, rho_up)`` without the cap ``j < n``: the terms
+    ``t_(peak+k) / t_peak``, k = -w..w, each row on its own and 0 where ``j <
+    0``, and the first ratio past each end of the window, 0 where ``j < 0``."""
+    # each term on its own: ratio products carry their rounding along
+    j = peak[:, None] + np.arange(-w, w + 1)
+    lo = max(int(peak.min()) - w, 0)  # Gamma once per index of the block
+    xs = (np.arange(lo, int(peak.max()) + w + 1) + 1.0) / pot.lam - 1.0
+    at, m = np.maximum(j, lo) - lo, np.broadcast_to(mu[:, None], j.shape)
+    t = np.where(j >= 0, _poisson(xs[at], m, gamma(np.minimum(xs, 150.0) + 1.0)[at]), 0.0)
+    low = peak - w - 1
+    rho_down = np.where(low >= 0, 1.0 / _ratio(pot, n, np.maximum(low, 0), mu), 0.0)
+    return t / t[:, w:w + 1], rho_down, _ratio(pot, n, peak + w, mu)
+
+
+def _sides(pot: Potential, n: int, mu, peak, w: int, uncapped: bool, masses):
+    """``(up, down, rho_down, rho_up)``: the terms ``t_(peak+k) / t_peak`` and
+    ``t_(peak-k) / t_peak`` for k = 1..w, 0 outside the index range, and the
+    first ratio past each end of the window, 0 where the range ends.
+    Capped, the range is ``[0, n-1]`` and each side is the cumulative product
+    of the ratios away from the peak; uncapped, it is ``j >= 0`` and the
+    terms come from :func:`_terms`."""
     if uncapped:
-        # each term on its own: ratio products carry their rounding along
-        j = peak[:, None] + np.arange(-w, w + 1)
-        lo = max(int(peak.min()) - w, 0)  # Gamma once per index of the block
-        xs = (np.arange(lo, int(peak.max()) + w + 1) + 1.0) / pot.lam - 1.0
-        at, m = np.maximum(j, lo) - lo, np.broadcast_to(mu[:, None], j.shape)
-        t = np.where(j >= 0, _poisson(xs[at], m, gamma(np.minimum(xs, 150.0) + 1.0)[at]), 0.0)
-        low = peak - w - 1
-        rho_down = np.where(low >= 0, 1.0 / _ratio(pot, n, np.maximum(low, 0), mu), 0.0)
-        return t / t[:, w:w + 1], rho_down, _ratio(pot, n, peak + w, mu)
+        t, rho_down, rho_up = _terms(pot, n, mu, peak, w)
+        return t[:, w + 1:], t[:, w - 1::-1], rho_down, rho_up
     # ratios only as far as some row of the block stays inside [0, n-1]
     top, bottom = min(w, n - 1 - int(peak.min())), min(w, int(peak.max()))
     j = peak[:, None] + np.arange(-bottom - 1, top + 1)
-    r = _ratio(pot, n, np.clip(j, 0, n - 1), mu[:, None])
-    # ratios leaving [0, n-1] are zero: the sum ends there
-    up = np.where(j[:, bottom + 1:] < n - 1, r[:, bottom + 1:], 0.0)
-    down = np.where(j[:, bottom::-1] >= 0, 1.0 / r[:, bottom::-1], 0.0)
-    t = np.zeros((peak.size, 2 * w + 1))
-    t[:, w] = 1.0
-    t[:, w + 1:w + 1 + top] = np.cumprod(up[:, :top], axis=1)
-    t[:, w - bottom:w] = np.cumprod(down[:, :bottom], axis=1)[:, ::-1]
-    return t, down[:, w] if bottom == w else 0.0, up[:, w] if top == w else 0.0
+    r = _ratio(pot, n, np.maximum(np.minimum(j, n - 1), 0), mu[:, None], masses)
+    # the sum ends where [0, n-1] does: the ratio up from n-1 is 0, and the
+    # inverse ratio down from 0 is 1 / inf = 0
+    if int(peak.max()) + top >= n - 1:
+        r[j >= n - 1] = 0.0
+    if int(peak.min()) <= bottom:
+        r[j < 0] = np.inf
+    r_up, r_down = r[:, bottom + 1:], 1.0 / r[:, bottom::-1]
+    up, down = np.zeros((2, peak.size, w))
+    np.cumprod(r_up[:, :top], axis=1, out=up[:, :top])
+    np.cumprod(r_down[:, :bottom], axis=1, out=down[:, :bottom])
+    return up, down, r_down[:, w] if bottom == w else 0.0, r_up[:, w] if top == w else 0.0
 
 
 def _tail(last, rho):
@@ -320,15 +359,15 @@ def _tail(last, rho):
         return np.where(rho < 1.0, last * rho / (1.0 - rho), np.inf)
 
 
-def _window(pot: Potential, n: int, mu, theta, peak, w: int, uncapped: bool = False):
+def _window(pot: Potential, n: int, mu, theta, peak, w: int, uncapped: bool = False,
+            masses: _MassTable = None):
     """``(re, im, bound)`` of ``sum_k t_(peak+k) e^(i k theta) / t_peak`` over
     k = -w..w, the bound relative to the kept ``sum |t| / t_peak``."""
-    t, rho_down, rho_up = _terms(pot, n, mu, peak, w, uncapped)
-    t_up, t_down = t[:, w + 1:], t[:, w - 1::-1]
+    t_up, t_down, rho_down, rho_up = _sides(pot, n, mu, peak, w, uncapped, masses)
     both = t_up + t_down
     kept = 1.0 + both.sum(axis=1)
     bound = _tail(t_up[:, -1], rho_up) + _tail(t_down[:, -1], rho_down)
-    if not np.any(theta):
+    if not theta.any():
         return kept, np.zeros(len(peak)), bound / kept
     # t_(peak+k) e^(ik theta) + t_(peak-k) e^(-ik theta), summed over k >= 1
     phase = np.arange(1, w + 1) * theta[:, None]
@@ -361,10 +400,14 @@ def _sum_windows(pot: Potential, n: int, mu, reduce, budget=None):
         for w in np.unique(width[todo]):
             group = todo[width[todo] == w]
             group = group[np.argsort(peak[group], kind="stable")]
-            rows = max(1, _BLOCK // (2 * int(w) + 2))
-            for b in range(0, group.size, rows):
-                sel = group[b:b + rows]
-                values[sel], bound[sel] = reduce(sel, peak[sel], int(w))
+            w, b = int(w), 0
+            while b < group.size:
+                # a row's entries: its window, cut where j < n ends above the
+                # block's lowest peak
+                top = w if uncapped else min(w, n - 1 - int(peak[group[b]]))
+                sel = group[b:b + max(1, _BLOCK // (w + top + 2))]
+                b += sel.size
+                values[sel], bound[sel] = reduce(sel, peak[sel], w)
                 redo.append(sel[bound[sel] > _TAIL_TOL])
         todo = np.concatenate(redo)
         width[todo] *= 2
@@ -398,12 +441,14 @@ def _kernel(pot: Potential, n: int, zeta, eta, budget=None, square: bool = False
     # arg(zeta conj(eta)); zero on the diagonal, which the rounded product may miss
     theta = np.where(zeta[idx] == eta[idx], 0.0, np.angle(zeta[idx] * eta[idx].conjugate()))
 
+    masses = _MassTable(n) if pot.kind == "hard_edge" else None
+
     def reduce(sel, peak, w):
-        if square:
+        if square:  # only without the cap (Mittag-Leffler)
             # past the window every term is below 1, so its square is too
-            t, rho_down, rho_up = _terms(pot, n, mu[sel], peak, w, uncapped)
+            t, rho_down, rho_up = _terms(pot, n, mu[sel], peak, w)
             return (t * t).sum(axis=1), _tail(t[:, -1], rho_up) + _tail(t[:, 0], rho_down)
-        re, im, rel_tail = _window(pot, n, mu[sel], theta[sel], peak, w, uncapped)
+        re, im, rel_tail = _window(pot, n, mu[sel], theta[sel], peak, w, uncapped, masses)
         return re + 1j * im, rel_tail
 
     peak, sums, bound[idx] = _sum_windows(pot, n, mu, reduce, budget)
@@ -466,7 +511,7 @@ def _ml_cauchy(lam: float, r):
     mu = (rr * rr) ** lam
 
     def reduce(sel, peak, w):
-        s, rho_down, rho_up = _terms(Potential.power(lam), 1, mu[sel], peak, w, True)
+        s, rho_down, rho_up = _terms(Potential.power(lam), 1, mu[sel], peak, w)
         # shape 0 (P = 1, Q = 0) where j < 0, and s = 0 there
         shape, x = np.maximum(peak[:, None] + np.arange(1 - w, w + 2), 0) / lam, mu[sel]
         # P_j below_j and Q_j above_j nearly cancel at the peak: the running

@@ -295,6 +295,17 @@ def _profile_for(spec: LimitKernelSpec) -> _Profile:
 # --------------------------------------------------------------------------
 
 
+def _distinct(values):
+    """``(distinct, at)`` with ``distinct[at] == values`` for a flat float
+    array, by hashing: ``np.unique`` would sort, and the first sort of a
+    process maps about 0.3 MB of numpy's sort kernels into a command that
+    sorts nothing else (``sample``)."""
+    keys = values.tolist()
+    slot = {v: k for k, v in enumerate(dict.fromkeys(keys))}
+    return (np.fromiter(slot, float, len(slot)),
+            np.fromiter(map(slot.__getitem__, keys), np.intp, len(keys)))
+
+
 def _intensity(spec: LimitKernelSpec, z):
     """``one_point(spec, z)``, refusing points where the intensity vanishes."""
     r = one_point(spec, z)
@@ -333,22 +344,26 @@ def limit_kernel(spec: LimitKernelSpec, z, w):
 def one_point(spec: LimitKernelSpec, z):
     """One-point function R(z) = K(z, z), real and nonnegative, elementwise.
 
-    The hard-edge intensity is 0 wherever ``Re z >= 0``.
+    Each distinct value of R is evaluated once: per distinct ``Re z`` for the
+    translation-invariant kernels, per distinct ``|z|`` for Mittag-Leffler
+    ones.  The hard-edge intensity is 0 wherever ``Re z >= 0``.
     """
     shape, (z,) = _flat(z)
     if spec.kind == "mittag_leffler":
         # M_lam(r^2) e^(-r^(2 lam)) with the growth cancelled exactly: for
         # lam = 2 this is (2/sqrt(pi)) e^(-r^4) + 2 r^2 erfc(-r^2)
-        lam, r2 = spec.lam, np.abs(z) ** 2
+        lam = spec.lam
+        r, at = _distinct(np.abs(z))  # R is radial
         if lam in (1.0, 2.0):
-            out = np.real(mittag_leffler_kernel_scaled(lam, r2, -(r2**lam)))
+            r2 = r**2
+            out = np.real(mittag_leffler_kernel_scaled(lam, r2, -(r2**lam)))[at]
         else:
-            r, at = np.unique(np.abs(z), return_inverse=True)  # R is radial
             out = np.real(_ml_kernel(lam, r, r)[0])[at]
     else:
         out = np.zeros(z.shape)
         keep = z.real < 0.0 if spec.kind == "hard_edge" else slice(None)
-        out[keep] = _profile_for(spec).diag(2.0 * z.real[keep])
+        s, at = _distinct(2.0 * z.real[keep])  # R depends on Re z
+        out[keep] = _profile_for(spec).diag(s)[at]
     return _shaped(out, shape)
 
 

@@ -91,13 +91,14 @@ TABLE_BUDGET = 1 << 23
 # probability margin of the inversion band: about 200x the worst backward
 # error of gammaincinv on 2e5 random (a <= 2^14, u) pairs (5.2e-15 to 5.4e-15)
 BAND_EPS = 1e-12
-# uniforms per block of trials: a block's temporaries stay O(points) while
-# each numpy call still spans many trials
+# uniforms (or bin counts, if a trial has more bins than uniforms) per block
+# of trials: a block's temporaries stay O(points) while each numpy call still
+# spans many trials
 BLOCK_POINTS = 2**16
 
 
 class BudgetExceeded(Exception):
-    """n * trials, or the edge table, exceeds its budget."""
+    """n * trials, the bin edges or the edge table exceed their budget."""
 
 
 class InversionCheckFailed(Exception):
@@ -333,8 +334,8 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
     than ``eps`` below it, less one, found by a branchless binary search
     over its row of the edge table; a draw within ``eps`` of an edge
     probability, or of a narrow index, is inverted and binned from its
-    radius.  Trials run in blocks of about ``BLOCK_POINTS`` uniforms, so
-    temporaries stay O(points)."""
+    radius.  Trials run in blocks of about ``BLOCK_POINTS`` uniforms or bin
+    counts, whichever a trial has more of, so temporaries stay O(points)."""
     lo, hi, bins = _hist_window(hist)
     pot, n = cfg.pot, cfg.n
     band = _window_band(pot, n, zoom, r0, lo, hi, bins)
@@ -347,7 +348,7 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
                       inverted=band.checked,
                       band_backward_error=band.backward_error,
                       band_rows=rows_p)
-    step = max(1, BLOCK_POINTS // n)
+    step = max(1, BLOCK_POINTS // max(n, bins))
     for start in range(0, cfg.trials, step):
         stop = min(start + step, cfg.trials)
         u = _uniforms(cfg, start, stop)
@@ -389,6 +390,9 @@ def _hist_window(hist) -> tuple:
         raise ValueError(f"histogram window needs finite lo < hi, got {lo}:{hi}")
     if bins < 1:
         raise ValueError(f"histogram needs at least one bin, got {bins}")
+    if bins + 1 > TABLE_BUDGET:
+        raise BudgetExceeded(f"{bins} bins need {bins + 1} edges, over the table budget "
+                             f"of {TABLE_BUDGET}")
     return lo, hi, bins
 
 

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,30 @@ def test_non_finite_grid_is_usage_error(tmp_path, capsys, argv, text):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert f"grid a, b and step must be finite, got {text!r}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,count", [
+    (["eval", "--limit", "bulk", "--grid", "0:1e13:1"], 10**13 + 1),
+    (["eval", "--limit", "bulk", "--grid", "0:1e300:1e-300"], math.inf),
+    (["eval", "--finite", "ginibre", "--grid", "0:1024:1"], 1025**2),
+    (["verify", "ward", "--spec", "bulk", "--grid", "0:1100:1"], 1101**2),
+    (["verify", "series", "--grid", "0:1e9:1"], 10**9 + 1),
+    (["verify", "positivity", "--spec", "bulk", "--sets", "100000000000000"], 10**14),
+    (["verify", "mass-one", "--points", "random:100000000000"], 10**11),
+    (["converge", "--n-list", "64,256", "--grid", "0:600000:1"], 2 * 600001),
+    (["converge", "--sections", "--n-list", "64,256,1024", "--grid", "0:400000:1"],
+     3 * 400001),
+], ids=["eval-axis", "eval-overflowing-step", "eval-both-axes", "ward-both-axes", "series",
+        "positivity-sets", "mass-one-random", "converge", "converge-sections"])
+def test_request_over_row_budget_is_usage_error(tmp_path, capsys, argv, count):
+    # refused before anything of that size is built: at once, naming the
+    # count and the budget, writing nothing
+    t0 = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert f"asks for {count} rows, over the budget of {cli.ROW_BUDGET}" in err
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -552,6 +577,17 @@ def test_sample_over_table_budget_is_usage_error(tmp_path, capsys, monkeypatch):
     assert ("1000000 bins need an edge table of 381 x 1048576 = 399507456 entries, "
             f"over the budget of {sampler.TABLE_BUDGET}") in err
     assert not list(tmp_path.iterdir())
+
+
+def test_sample_over_edge_budget_is_refused_at_once(tmp_path, capsys):
+    # 1e9 bins: the edges alone would take 8 GB, refused before they are built
+    t0 = time.perf_counter()
+    assert main(["sample", "--n", "64", "--trials", "10", "--bins", "1000000000",
+                 "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert (f"1000000000 bins need 1000000001 edges, over the table budget of "
+            f"{sampler.TABLE_BUDGET}") in capsys.readouterr().err
+    assert not tmp_path.exists() or not list(tmp_path.iterdir())
 
 
 def test_sample_reports_inversion_shortcut(tmp_path):

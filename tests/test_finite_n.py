@@ -324,6 +324,131 @@ def test_tail_bound_covers_the_terms_left_out(pot):
         assert reported <= 1e-17
 
 
+def _bisect_peak(pot, n, mu, uncapped=False):
+    """Reference peak: the full-range bisection over [0, n-1], or without the
+    cap over [0, hi] with hi the first ceil(lam (mu + 1)) 2^k whose ratio is
+    below 1."""
+    lo = np.zeros(mu.shape, dtype=np.int64)
+    hi = np.full(mu.shape, n - 1, dtype=np.int64)
+    if uncapped:
+        hi = np.ceil(pot.lam * (mu + 1.0)).astype(np.int64)
+        while np.any(rises := finite_n._ratio(pot, n, hi, mu) >= 1.0):
+            hi[rises] *= 2
+    while np.any(lo < hi):
+        act = lo < hi
+        mid = (lo[act] + hi[act]) // 2
+        falls = finite_n._ratio(pot, n, mid, mu[act]) < 1.0
+        hi[act] = np.where(falls, mid, hi[act])
+        lo[act] = np.where(falls, lo[act], mid + 1)
+    return lo
+
+
+def _mu_sweep(lam, top):
+    """mu over (0, top]: near 0, integers, lam mu an integer and one ulp to
+    either side, a log-spaced and a uniform sweep."""
+    ints = np.unique(np.r_[1:40, np.geomspace(40, top, 60).round()])
+    exact = ints / lam
+    return np.concatenate([
+        [5e-324, 1e-300, 1e-100, 1e-12, 1e-3, 0.5, 0.999999],
+        ints, exact, np.nextafter(exact, 0.0), np.nextafter(exact, np.inf),
+        np.geomspace(1e-6, top, 200), rng.uniform(0.0, top, 200)])
+
+
+@pytest.mark.parametrize("pot", [GINIBRE, Potential.power(1.5), Potential.power(3.0), HARD],
+                         ids=lambda p: f"{p.kind}-{p.lam:g}")
+@pytest.mark.parametrize("n", [1, 7, 2**10, 2**16, 2**20])
+def test_peak_search_matches_full_range_bisection(pot, n):
+    # the guess floor(lam mu), the gallop and the short bisection give the
+    # peak the bisection over [0, n-1] gives, mu past the cap n included
+    mu = np.concatenate([_mu_sweep(pot.lam, 4.0 * n), [2.0 * n, 1e3 * n, 1e300]])
+    assert_array_equal(finite_n._peak(pot, n, mu), _bisect_peak(pot, n, mu))
+
+
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.0])
+def test_uncapped_peak_search_matches_doubling_bisection(lam):
+    pot = Potential.power(lam)
+    mu = _mu_sweep(lam, 1e6)
+    assert_array_equal(finite_n._peak(pot, 1, mu, uncapped=True),
+                       _bisect_peak(pot, 1, mu, uncapped=True))
+
+
+def _term_array_window(pot, n, mu, theta, peak, w):
+    """Reference capped window sum: the (2w + 1)-term array of each row, built
+    from the clipped ratios and their reversed cumulative products."""
+    top, bottom = min(w, n - 1 - int(peak.min())), min(w, int(peak.max()))
+    j = peak[:, None] + np.arange(-bottom - 1, top + 1)
+    r = finite_n._ratio(pot, n, np.clip(j, 0, n - 1), mu[:, None])
+    up = np.where(j[:, bottom + 1:] < n - 1, r[:, bottom + 1:], 0.0)
+    down = np.where(j[:, bottom::-1] >= 0, 1.0 / r[:, bottom::-1], 0.0)
+    t = np.zeros((peak.size, 2 * w + 1))
+    t[:, w] = 1.0
+    t[:, w + 1:w + 1 + top] = np.cumprod(up[:, :top], axis=1)
+    t[:, w - bottom:w] = np.cumprod(down[:, :bottom], axis=1)[:, ::-1]
+    rho_down, rho_up = down[:, w] if bottom == w else 0.0, up[:, w] if top == w else 0.0
+    t_up, t_down = t[:, w + 1:], t[:, w - 1::-1]
+    both = t_up + t_down
+    kept = 1.0 + both.sum(axis=1)
+    bound = finite_n._tail(t_up[:, -1], rho_up) + finite_n._tail(t_down[:, -1], rho_down)
+    phase = np.arange(1, w + 1) * theta[:, None]
+    re = 1.0 + (both * np.cos(phase)).sum(axis=1)
+    im = np.where(theta == 0.0, 0.0, ((t_up - t_down) * np.sin(phase)).sum(axis=1))
+    return re, im, bound / kept
+
+
+@pytest.mark.parametrize("pot", [GINIBRE, Potential.power(1.5), Potential.power(3.0), HARD],
+                         ids=lambda p: f"{p.kind}-{p.lam:g}")
+def test_capped_window_sums_match_the_term_array_bitwise(pot):
+    # the sums from the two cumulative products, with the hard-edge masses
+    # from one table per call, are bitwise the term array's, blocks cut short
+    # at either end of [0, n-1] included
+    for n in (1, 7, 300, 2**16):
+        mu = np.sort(np.r_[1e-3, 0.7, 5.0, rng.uniform(0.0, 1.3 * n, 9), n, 1.5 * n])
+        theta = np.r_[0.0, rng.uniform(-3.0, 3.0, mu.size - 1)]
+        peak = finite_n._peak(pot, n, mu)
+        masses = finite_n._MassTable(n) if pot is HARD else None
+        for w in (1, 3, 32, 200):
+            for sel in (np.arange(mu.size), np.arange(mu.size - 3, mu.size), np.arange(2),
+                        np.arange(1)):
+                got = finite_n._window(pot, n, mu[sel], theta[sel], peak[sel], w, False, masses)
+                ref = _term_array_window(pot, n, mu[sel], theta[sel], peak[sel], w)
+                for a, b in zip(got, ref):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (n, w, sel)
+
+
+def test_hard_edge_masses_once_per_index_of_the_windows(monkeypatch):
+    # eval --finite hard-edge --n 16384 on a boundary grid: each gammainc
+    # point is a peak search probe, a window index (evaluated once per call,
+    # over the union of the windows' ranges) or a peak's own mass
+    n = 2**14
+    frame = RescaleFrame.boundary(HARD, n)
+    axis = -2.432 + 0.25 * np.arange(9)
+    zeta = frame.to_global((axis[None, :] + 1j * axis[:, None]).ravel())
+    mu = n * np.abs(zeta) ** 2
+    points = []
+    monkeypatch.setattr(finite_n, "gammainc",
+                        lambda a, x: points.append(np.size(a)) or gammainc(a, x))
+    finite_n._peak(HARD, n, mu)
+    searched, points[:] = sum(points), []
+    windows = []
+    window = finite_n._window
+    monkeypatch.setattr(finite_n, "_window", lambda pot, n, mu, theta, peak, w, *rest: (
+        windows.append((peak, w)) or window(pot, n, mu, theta, peak, w, *rest)))
+    kernel_finite_n(HARD, n, zeta, zeta)
+    # the masses a window reads: gammainc(j + 1, n) for j in [peak - w - 1,
+    # peak + w + 1], within [0, n]
+    read = np.zeros(n + 1, dtype=bool)
+    for peak, w in windows:
+        for p in peak:
+            read[max(p - w - 1, 0):min(p + w, n - 1) + 2] = True
+    assert sum(points) <= read.sum() + searched + zeta.size
+    assert sum(points) < 4000  # 27,485 when every block evaluated its own range
+    # two far-apart points read two short runs, not the 900,000 indices between
+    points[:] = []
+    far = np.array([0.3, 0.999])
+    kernel_finite_n(HARD, 2**20, far, far)
+    assert sum(points) < 2**16
+
+
 @pytest.mark.parametrize("n", [2**10, 2**16, 2**20])
 def test_hard_edge_log_terms_are_concave(n):
     # the bisection for the peak and the geometric tail bounds need the term

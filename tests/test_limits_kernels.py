@@ -128,6 +128,20 @@ def _ml2_series(r2):
         return float(2 * mpmath.fsum(terms) * mpmath.exp(-x * x))
 
 
+def test_one_point_evaluates_each_real_part_once(monkeypatch):
+    # eval --limit hard-edge: a 31 x 31 grid has 20 distinct Re z < 0, and
+    # each reaches hard_edge_H once; every point gets its own column's value
+    axis = -1.998 + 0.1 * np.arange(31)
+    z = axis[None, :] + 1j * axis[:, None]
+    points = []
+    monkeypatch.setattr("plasma_kernel.limits.hard_edge_H",
+                        lambda s, **kw: points.append(np.size(s)) or hard_edge_H(s, **kw))
+    got = one_point(HE, z)
+    assert sum(points) == np.unique(axis[axis < 0.0]).size == 20
+    assert np.array_equal(got, np.broadcast_to(got[0], z.shape))
+    assert np.array_equal(got[0], [one_point(HE, complex(x)) for x in axis])
+
+
 def test_mittag_leffler_one_point_is_finite_at_large_modulus():
     # M_2(r^2) overflows and e^(-r^4) underflows from r ~ 5.2 on; the exact
     # (2/sqrt(pi)) e^(-r^4) + 2 r^2 erfc(-r^2) stays finite, and R(5) = 100

@@ -80,6 +80,38 @@ def test_trial_drawn_alone_equals_its_row_in_a_block(n, trials, ks):
                            sample_radii(cfg, k))
 
 
+@pytest.mark.parametrize("block_points", [1, 300, 5000])
+def test_block_size_leaves_the_counts_alone(monkeypatch, block_points):
+    # a trial's uniforms do not depend on its block, so blocks of any size,
+    # down to one trial (the size many bins force), give the same counts
+    cfg = SampleConfig(pot=GINIBRE, n=64, trials=37, seed=5)
+    frame = RescaleFrame.boundary(GINIBRE, 64)
+    ref = boundary_profile(cfg, frame, (-3.0, 1.0, 40))
+    monkeypatch.setattr(sampler, "BLOCK_POINTS", block_points)
+    got = boundary_profile(cfg, frame, (-3.0, 1.0, 40))
+    assert got.counts.tobytes() == ref.counts.tobytes()
+    assert got.counts_sq.tobytes() == ref.counts_sq.tobytes()
+    assert got.inverted == ref.inverted
+
+
+def test_blocks_hold_trials_times_bins_within_the_budget(monkeypatch):
+    # n = 1024 at 40 bins keeps blocks of 64 trials; 100,000 bins at n = 64
+    # get one trial per block instead of 1024 (three 1024 x 100,000 int64
+    # arrays, about 2.5 GB)
+    sizes = []
+    uniforms = sampler._uniforms
+    monkeypatch.setattr(sampler, "_uniforms", lambda cfg, start, stop: (
+        sizes.append(stop - start) or uniforms(cfg, start, stop)))
+    frame = RescaleFrame.boundary(GINIBRE, 1024)
+    boundary_profile(SampleConfig(pot=GINIBRE, n=1024, trials=100, seed=1), frame,
+                     (-3.0, 1.0, 40))
+    assert sizes == [64, 36]
+    sizes.clear()
+    boundary_profile(SampleConfig(pot=GINIBRE, n=64, trials=3, seed=1),
+                     RescaleFrame.boundary(GINIBRE, 64), (-3.0, 1.0, 100_000))
+    assert sizes == [1, 1, 1]
+
+
 def test_radii_sorted_positive():
     cfg = SampleConfig(GINIBRE, 128, 1, seed=5)
     r = sample_radii(cfg, 0)

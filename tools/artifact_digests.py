@@ -1,0 +1,67 @@
+"""Digests of every benchmark request's outputs, for checking byte identity.
+
+Runs each ``perfbench/workloads.py`` request in process through
+``plasma_kernel.cli.main``, for seeds 1 and 2, full and smoke lists, and
+prints one line per request: the seed and list, the argv, the exit code, the
+SHA-256 of its standard output and the SHA-256 of each artifact it wrote.
+Two runs on one tree must print the same text (the determinism contract);
+two trees whose outputs are byte-identical print the same text too::
+
+    python3 tools/artifact_digests.py > digests.txt
+
+Needs only the standard library and the package; it imports both the
+package and the request lists from the checkout it lives in, and reads
+nothing else of ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import workloads  # noqa: E402
+from plasma_kernel import cli  # noqa: E402
+
+SEEDS = (1, 2)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_line(argv) -> str:
+    """``argv``'s exit code and the digests of its stdout and artifacts."""
+    with tempfile.TemporaryDirectory() as out:
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = cli.main([*argv, "--out", out])
+            except SystemExit as exc:  # argparse refuses the argv
+                rc = exc.code
+        files = []
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                files.append(f"{name}={_sha(fh.read())}")
+    return " | ".join([" ".join(argv), f"exit {rc}", f"stdout={_sha(sink.getvalue().encode())}",
+                       *files])
+
+
+def main() -> int:
+    for smoke in (False, True):
+        for seed in SEEDS:
+            for name in workloads.NAMES:
+                for req in workloads.build(name, seed, smoke):
+                    tag = f"{name} seed {seed} {'smoke' if smoke else 'full'}"
+                    print(f"{tag} | {digest_line(req.argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
