@@ -568,8 +568,9 @@ def cmd_converge(args) -> int:
         tail = max(tail, float(tails.max()))
         sups[str(n)] = sup
         print(f"converge {args.pot} {args.frame} n={n}: sup |R_n - R| = {sup:.6f}")
+    # a sup error of 0 divides nothing: its ratio is null
     ratios = {
-        f"{a}->{b}": sups[str(a)] / sups[str(b)]
+        f"{a}->{b}": sups[str(a)] / sups[str(b)] if sups[str(b)] else None
         for a, b in zip(n_list, n_list[1:])
     }
     _write_artifacts(args, f"converge_{_slug(args.pot)}_{args.frame}", ("n", "x", "R_n"),
@@ -591,7 +592,7 @@ def cmd_sample(args) -> int:
     # the target is R of the limit: M_lam(s^2) e^(-s^(2 lam)), F(2x) or H(2x) 1{x<0}
     if args.frame == "singularity":
         lo, hi = parse_window(args.window or "0:4")
-        spec = LimitKernelSpec.mittag_leffler(pot.lam if pot.kind == "power" else 1.0)
+        spec = LimitKernelSpec.mittag_leffler(pot.lam)
         hist = bulk_singularity_profile(cfg, (lo, hi, args.bins))
     else:
         lo, hi = parse_window(args.window or "-3:1")
@@ -766,6 +767,13 @@ def _apply_config_file(args, argv):
             if not hasattr(args, dest) or dest not in actions:
                 raise ValueError(f"unknown config key {key!r}")
             overrides[dest] = _config_value(actions[dest], key, value)
+    # a member of a mutually exclusive group on the command line sets the
+    # group: a config value for another member would survive the re-parse
+    for group in sub._mutually_exclusive_groups:  # noqa: SLF001
+        dests = [a.dest for a in group._group_actions]  # noqa: SLF001
+        if any(getattr(args, dest) != actions[dest].default for dest in dests):
+            for dest in dests:
+                overrides.pop(dest, None)
     sub.set_defaults(**overrides)
     return parser.parse_args(argv)
 

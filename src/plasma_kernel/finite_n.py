@@ -44,7 +44,8 @@ class Potential:
 
     ``kind`` is one of ``"ginibre"`` (``Q = |z|^2``), ``"power"``
     (``Q = |z|^(2 lam)``, ``lam >= 1``), or ``"hard_edge"`` (Ginibre
-    restricted to the closed unit disc).
+    restricted to the closed unit disc).  Ginibre and the hard edge have
+    ``lam = 1``, so every formula of ``Q = |z|^(2 lam)`` serves all three.
     """
 
     kind: str
@@ -55,6 +56,8 @@ class Potential:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "power" and not (math.isfinite(self.lam) and self.lam >= 1.0):
             raise ValueError(f"power potential needs a finite lam >= 1, got {self.lam}")
+        if self.kind != "power" and self.lam != 1.0:
+            raise ValueError(f"{self.kind} potential has lam = 1, got {self.lam}")
 
     @classmethod
     def ginibre(cls) -> "Potential":
@@ -70,22 +73,16 @@ class Potential:
 
     def q_value(self, zeta: complex) -> float:
         """Potential value Q(zeta) (finite branch; domain checks separate)."""
-        if self.kind == "power":
-            return abs(zeta) ** (2.0 * self.lam)
-        return abs(zeta) ** 2
+        return abs(zeta) ** (2.0 * self.lam)
 
     def delta_q(self, zeta: complex) -> float:
         """Quarter-Laplacian of Q (the density of the equilibrium measure)."""
-        if self.kind == "power":
-            return self.lam**2 * abs(zeta) ** (2.0 * self.lam - 2.0)
-        return 1.0
+        return self.lam**2 * abs(zeta) ** (2.0 * self.lam - 2.0)
 
 
 def droplet_radius(pot: Potential) -> float:
     """Radius of the circular droplet filled by the eigenvalues."""
-    if pot.kind == "power":
-        return pot.lam ** (-1.0 / (2.0 * pot.lam))
-    return 1.0
+    return pot.lam ** (-1.0 / (2.0 * pot.lam))
 
 
 @dataclass(frozen=True)
@@ -139,20 +136,16 @@ def _check_kernel_n(n) -> None:
 def _log_norm(pot: Potential, n: int, j):
     """``log ||zeta^j||^2`` for integer ``j`` (scalar or array) in weight nQ.
 
-    Ginibre: ``j! / n^(j+1)``; power(lam): ``Gamma((j+1)/lam) / (lam
-    n^((j+1)/lam))``; hard edge: ``gamma(j+1, n) / n^(j+1)``.  In log space
-    because the values underflow doubles long before j reaches n.
+    ``Gamma((j+1)/lam) / (lam n^((j+1)/lam))``, which is ``j! / n^(j+1)``
+    for Ginibre; the hard edge has ``gamma(j+1, n) / n^(j+1)``.  In log
+    space because the values underflow doubles long before j reaches n.
     """
-    j = np.asarray(j, dtype=float)
-    log_n = math.log(n)
-    if pot.kind == "power":
-        s = (j + 1.0) / pot.lam
-        return gammaln(s) - math.log(pot.lam) - s * log_n
-    out = gammaln(j + 1.0) - (j + 1.0) * log_n
+    s = (np.asarray(j, dtype=float) + 1.0) / pot.lam
+    out = gammaln(s) - math.log(pot.lam) - s * math.log(n)
     if pot.kind == "hard_edge":
-        # gamma(j+1, n) = j! P(Poisson(n) >= j+1); for j < n scipy evaluates
-        # it at or above the mean, where it keeps full accuracy
-        out = out + np.log(gammainc(j + 1.0, n))
+        # s = j+1, and gamma(j+1, n) = j! P(Poisson(n) >= j+1); for j < n
+        # scipy evaluates it at or above the mean, where it keeps full accuracy
+        out = out + np.log(gammainc(s, n))
     return out
 
 

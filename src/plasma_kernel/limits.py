@@ -9,9 +9,9 @@ positivity, and the inequality suite.
 Quadrature design
 -----------------
 Every translation-invariant profile is ``Phi = gamma * m``, the standard
-Gaussian ``gamma`` convolved with a density m on the real line: ``m = 1_E``
-for the bulk (E = R) and the free boundary, ``m = 1_{t<0} / F(t)`` at the
-hard edge and ``m = level`` for the constant profile.  Then
+Gaussian ``gamma`` convolved with a density m on the real line: ``m = level
+1_E`` for the bulk (level 1, E = R), the free boundary (level 1) and the
+constant profile (E = R), and ``m = 1_{t<0} / F(t)`` at the hard edge.  Then
 ``|K(z, w)|^2`` is a double integral over m(t) m(s) whose only dependence on
 ``Y = Im(z - w)`` is the phase ``exp(iY(t - s))``, so the integral over Y is
 exact in Fourier space: it gives ``2 pi delta(t - s)`` against 1 (mass-one
@@ -182,47 +182,27 @@ class QuadratureConfig:
 # --------------------------------------------------------------------------
 
 
-class _Profile:
-    """Boundary profile ``Phi = gamma * m``: scaled values, diagonal
-    derivatives and the density m, elementwise.
+class _IntervalProfile:
+    """Boundary profile ``Phi = level * gamma * 1_E``, E the union of
+    ``intervals``: scaled values, diagonal derivatives and the density m,
+    elementwise.  m is ``level`` on each of ``pieces`` and 0 off them; the
+    kernel lives on ``Re z < re_max``."""
 
-    ``m`` is smooth on each of ``pieces`` and 0 off them; the kernel lives on
-    ``Re z < re_max``.
-    """
-
-    pieces = _FULL_LINE
     re_max = math.inf
 
+    def __init__(self, intervals, level=1.0):
+        self.pieces, self.level = intervals, level
+
     def scaled(self, v):  # Phi(v) exp(-Im(v)^2 / 2), complex array v
-        raise NotImplementedError
+        return self.level * sum(conv_indicator_scaled(v, interval) for interval in self.pieces)
 
     def m(self, t):  # real t on the pieces
-        raise NotImplementedError
+        return np.full(np.shape(t), self.level)
 
-    def diag(self, s):  # Phi(s), real s
-        raise NotImplementedError
-
-    def diag_d1(self, s):
-        raise NotImplementedError
-
-    def diag_d2(self, s):
-        raise NotImplementedError
-
-
-class _IntervalProfile(_Profile):
-    def __init__(self, intervals):
-        self.pieces = intervals
-
-    def scaled(self, v):
-        return sum(conv_indicator_scaled(v, interval) for interval in self.pieces)
-
-    def m(self, t):
-        return np.ones(np.shape(t))
-
-    def diag(self, s):
-        return np.real(sum(conv_indicator(s, interval) for interval in self.pieces))
-
-    def _endpoint_sum(self, s, order):
+    def diag(self, s, deriv=0):
+        """``Phi`` or its ``deriv``-th derivative at real s."""
+        if not deriv:
+            return self.level * np.real(sum(conv_indicator(s, ival) for ival in self.pieces))
         # d/ds F(s-c) chains: F' = -gamma, F'' (v) = v gamma(v)
         total = 0.0
         for lo, hi in self.pieces:
@@ -230,17 +210,14 @@ class _IntervalProfile(_Profile):
                 if math.isinf(c):
                     continue
                 g = np.real(gauss_gamma(s - c))
-                total += sign * (-g if order == 1 else (s - c) * g)
-        return total
-
-    def diag_d1(self, s):
-        return self._endpoint_sum(s, 1)
-
-    def diag_d2(self, s):
-        return self._endpoint_sum(s, 2)
+                total += sign * (-g if deriv == 1 else (s - c) * g)
+        return self.level * total
 
 
-class _HardEdgeProfile(_Profile):
+class _HardEdgeProfile:
+    """Hard-edge profile ``Phi = gamma * (1_{t<0} / F) = H``, with the
+    methods of :class:`_IntervalProfile`."""
+
     pieces = _HALF_LINE
     re_max = 0.0
 
@@ -250,43 +227,19 @@ class _HardEdgeProfile(_Profile):
     def m(self, t):  # 1/F(t), between 1 and 2 on t <= 0
         return 1.0 / ndtr(-t)
 
-    def diag(self, s):
-        return np.real(hard_edge_H(s))
-
-    def diag_d1(self, s):
-        return np.real(hard_edge_H(s, deriv=1))
-
-    def diag_d2(self, s):
-        return np.real(hard_edge_H(s, deriv=2))
+    def diag(self, s, deriv=0):
+        return np.real(hard_edge_H(s, deriv=deriv))
 
 
-class _ConstantProfile(_Profile):
-    def __init__(self, level):
-        self.level = level
-
-    def scaled(self, v):
-        return self.level * np.exp(-0.5 * v.imag**2).astype(complex)
-
-    def m(self, t):
-        return np.full(np.shape(t), self.level)
-
-    def diag(self, s):
-        return np.full(np.shape(s), self.level)
-
-    def diag_d1(self, s):
-        return np.zeros(np.shape(s))
-
-    def diag_d2(self, s):
-        return np.zeros(np.shape(s))
-
-
-def _profile_for(spec: LimitKernelSpec) -> _Profile:
-    if spec.kind in ("bulk", "free_boundary"):
-        return _IntervalProfile(spec.intervals if spec.kind == "free_boundary" else _FULL_LINE)
+def _profile_for(spec: LimitKernelSpec):
+    if spec.kind == "free_boundary":
+        return _IntervalProfile(spec.intervals)
+    if spec.kind == "bulk":
+        return _IntervalProfile(_FULL_LINE)
+    if spec.kind == "constant":
+        return _IntervalProfile(_FULL_LINE, spec.level)
     if spec.kind == "hard_edge":
         return _HardEdgeProfile()
-    if spec.kind == "constant":
-        return _ConstantProfile(spec.level)
     raise ValueError(f"{spec.kind} has no translation-invariant profile")
 
 
@@ -435,7 +388,7 @@ def _blocks(n_points, nodes_per_point):
     return (slice(k, k + step) for k in range(0, n_points, step))
 
 
-def _ti_cauchy_numerator(profile: _Profile, x, quad: QuadratureConfig):
+def _ti_cauchy_numerator(profile, x, quad: QuadratureConfig):
     """``N = R(x) C(x)`` and ``dN/dc`` for the translation-invariant kernels,
     flat real ``x``.
 
@@ -482,7 +435,7 @@ def _ti_cauchy_numerator(profile: _Profile, x, quad: QuadratureConfig):
     return out, d_out
 
 
-def _ti_reproducing(profile: _Profile, z, w, quad: QuadratureConfig):
+def _ti_reproducing(profile, z, w, quad: QuadratureConfig):
     """``integral K(t, z) K(w, t) dA(t)`` elementwise over flat ``z``, ``w``.
 
     With ``c = Re z + Re w`` and ``d = profile.re_max`` this is
@@ -616,9 +569,7 @@ def laplacian_log_R(spec: LimitKernelSpec, z):
     if spec.translation_invariant:
         profile = _profile_for(spec)
         s = 2.0 * z.real
-        phi = profile.diag(s)
-        d1 = profile.diag_d1(s)
-        d2 = profile.diag_d2(s)
+        phi, d1, d2 = (profile.diag(s, deriv) for deriv in range(3))
         return _shaped((d2 * phi - d1 * d1) / (phi * phi), shape)
     if spec.lam == 1.0:
         return _shaped(np.zeros(z.shape), shape)
@@ -680,7 +631,7 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
     depend on ``Re z`` alone, and ``C = N / R`` with ``c = 2 Re z``, so
     ``dbar C = C_x / 2 = (N' R - N R') / R^2`` with c-derivatives: N and N'
     from one reduced rule per distinct real part
-    (:func:`_ti_cauchy_numerator`), ``R' = profile.diag_d1(c)``.  The
+    (:func:`_ti_cauchy_numerator`), ``R' = profile.diag(c, 1)``.  The
     residual is spread over every point with that real part; the tests
     compare it with :func:`ward_point_residual` off the axis.  Where the
     intensity vanishes (the hard edge at ``Re z >= 0``) it raises
@@ -697,13 +648,13 @@ def ward_residual(spec: LimitKernelSpec, points, quad: QuadratureConfig = _DEFAU
     """
     shape, (pts,) = _flat(points)
     if spec.translation_invariant:
-        xs, at = np.unique(pts.real, return_inverse=True)
+        xs, at = _distinct(pts.real)
         r = _intensity(spec, xs)
         profile = _profile_for(spec)
         num, d_num = _ti_cauchy_numerator(profile, xs, quad)
-        dbar = (d_num * r - num * profile.diag_d1(2.0 * xs)) / (r * r)
+        dbar = (d_num * r - num * profile.diag(2.0 * xs, 1)) / (r * r)
     else:
-        xs, at = np.unique(np.abs(pts), return_inverse=True)
+        xs, at = _distinct(np.abs(pts))
         dbar = _ml_dbar_cauchy(spec.lam, xs)
     return _shaped(np.abs(dbar - _ward_rhs(spec, xs))[at], shape)
 

@@ -183,17 +183,14 @@ class Histogram1D:
 
 def _shapes(pot: Potential, j) -> np.ndarray:
     """Gamma shapes ``a_j`` of the radial laws of the indices ``j``."""
-    shape = np.asarray(j, dtype=float) + 1.0
-    return shape / pot.lam if pot.kind == "power" else shape
+    return (np.asarray(j, dtype=float) + 1.0) / pot.lam
 
 
 def _radius_of(pot: Potential, n: int, x: np.ndarray) -> np.ndarray:
-    """Radius of the Gamma variate ``x``; increasing in ``x``."""
-    if pot.kind == "power":
-        return (x / n) ** (1.0 / (2.0 * pot.lam))
-    if pot.kind == "hard_edge":
-        return np.sqrt(np.minimum(x / n, 1.0))
-    return np.sqrt(x / n)
+    """Radius of the Gamma variate ``x``, at most 1 at the hard edge;
+    increasing in ``x``."""
+    q = np.minimum(x / n, 1.0) if pot.kind == "hard_edge" else x / n
+    return q ** (1.0 / (2.0 * pot.lam))
 
 
 def _radii_from_uniforms(pot: Potential, n: int, u: np.ndarray,
@@ -266,9 +263,8 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
     the shared band of the others, checked once.
 
     ``x -> zoom (r(x) - r0)`` is increasing and ``X(v) = n (r0 + v /
-    zoom)^(2 lam)`` inverts it (lam = 1 but for power potentials), so the
-    table is ``P(a, X(e_k))`` and the band ``[P(a, X(lo)) - eps, P(a, X(hi))
-    + eps]``.  Bisection finds the table's rows ``j0 .. j1 - 1``; the shared
+    zoom)^(2 lam)`` inverts it, so the table is ``P(a, X(e_k))`` and the
+    band ``[P(a, X(lo)) - eps, P(a, X(hi)) + eps]``.  Bisection finds the table's rows ``j0 .. j1 - 1``; the shared
     band is ``[1 - 2 eps, inf)`` below them and ``(-inf, 2 eps]`` above
     (module docstring).  A row whose outer edges lie within ``2 eps`` keeps
     ``P(a, X(lo))`` in its inner columns: each draw of its band sits within
@@ -280,9 +276,8 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
     the run is refused with :class:`InversionCheckFailed`.  A table of more
     than ``TABLE_BUDGET`` entries is refused before it is built.
     """
-    lam = pot.lam if pot.kind == "power" else 1.0
     with np.errstate(over="ignore"):  # an edge beyond every radius maps to inf
-        x = n * np.maximum(r0 + np.linspace(lo, hi, bins + 1) / zoom, 0.0) ** (2.0 * lam)
+        x = n * np.maximum(r0 + np.linspace(lo, hi, bins + 1) / zoom, 0.0) ** (2.0 * pot.lam)
     j0 = bisect.bisect_left(range(n), True, key=lambda j: (
         gammainc(_shapes(pot, j), x[0]) < 1.0 - BAND_EPS / 2))
     j1 = bisect.bisect_left(range(n), True, lo=j0, key=lambda j: (
@@ -423,8 +418,7 @@ def bulk_singularity_profile(cfg: SampleConfig, hist=(0.0, 4.0, 40)) -> Histogra
     """
     if cfg.pot.kind not in ("power", "ginibre"):
         raise ValueError("bulk singularity profiles require a power-law potential")
-    lam = cfg.pot.lam if cfg.pot.kind == "power" else 1.0
-    zoom = float(cfg.n) ** (1.0 / (2.0 * lam))
+    zoom = float(cfg.n) ** (1.0 / (2.0 * cfg.pot.lam))
     out = _accumulate(cfg, zoom, 0.0, hist)
     out.scale = 2.0 * np.maximum(out.bin_centers(), 1e-300)
     return out

@@ -423,6 +423,15 @@ def test_config_file_with_flag_override(tmp_path):
                  "hard-edge", "--points", "-0.5", "--out", str(out2)]) == 0
     payload2 = json.loads(next(out2.glob("*.json")).read_text())
     assert payload2["config"]["spec"] == "hard-edge"
+    # a flag of eval's mode group beats a config value for the other mode
+    for key, value, flags, mode in (("limit", "bulk", ["--finite", "ginibre"], "finite"),
+                                    ("finite", "ginibre", ["--limit", "bulk"], "limit")):
+        cfg.write_text(json.dumps({key: value}))
+        out3 = tmp_path / f"o-{mode}"
+        assert main(["eval", *flags, "--n", "64", "--grid", "0:0:1", "--config", str(cfg),
+                     "--out", str(out3)]) == 0
+        [payload3] = [json.loads(p.read_text()) for p in out3.glob("*.json")]
+        assert payload3["config"]["mode"] == mode
 
 
 def test_config_file_loses_to_flag_equal_to_default(tmp_path):
@@ -649,6 +658,20 @@ def test_converge_kernels(tmp_path):
     ratios = payload["results"]["ratios"]
     assert "64->256" in ratios
     assert 1.4 <= ratios["64->256"] <= 3.0  # ~sqrt(4) for a sqrt(n) law
+
+
+def test_converge_ratio_over_zero_error_is_null(tmp_path):
+    # the bulk intensity at 0 is exact at n = 1024, so its ratio has no value
+    argv = ["converge", "--pot", "ginibre", "--frame", "bulk", "--spec", "bulk",
+            "--n-list", "64,1024", "--grid", "0:0:1"]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main([*argv, "--out", str(out)]) == 0
+    results = json.loads(next(outs[0].glob("*.json")).read_text())["results"]
+    assert results["sup_errors"]["1024"] == 0.0
+    assert results["ratios"]["64->1024"] is None
+    for name in ("converge_ginibre_bulk.csv", "converge_ginibre_bulk.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def _readme_commands():

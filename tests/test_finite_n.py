@@ -45,6 +45,13 @@ def test_potential_validation():
             Potential.power(lam)
     with pytest.raises(ValueError):
         Potential("nope")
+    # Ginibre and the hard edge are lam = 1: any other lam would be read by
+    # some formulas and not by others
+    for kind in ("ginibre", "hard_edge"):
+        for lam in (3.0, 0.5, math.nan):
+            with pytest.raises(ValueError, match=kind):
+                Potential(kind, lam)
+        assert Potential(kind, 1.0) == Potential(kind)
 
 
 def test_q_value_and_density():

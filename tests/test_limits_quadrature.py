@@ -612,7 +612,7 @@ def test_ward_dbar_against_mpmath_half_line():
     profile = limits._profile_for(FB)
     num, d_num = limits._ti_cauchy_numerator(profile, xs, QuadratureConfig())
     r = profile.diag(2.0 * xs)
-    dbar = (d_num * r - num * profile.diag_d1(2.0 * xs)) / (r * r)
+    dbar = (d_num * r - num * profile.diag(2.0 * xs, 1)) / (r * r)
     assert np.max(np.abs(dbar - ref)) <= 1e-14
 
 

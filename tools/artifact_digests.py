@@ -1,9 +1,10 @@
-"""Digests of every benchmark request's outputs, for checking byte identity.
+"""Digests of the outputs of a fixed set of requests, for checking byte identity.
 
 Runs each ``perfbench/workloads.py`` request in process through
-``plasma_kernel.cli.main``, for seeds 1 and 2, full and smoke lists, and
-prints one line per request: the seed and list, the argv, the exit code, the
-SHA-256 of its standard output and the SHA-256 of each artifact it wrote.
+``plasma_kernel.cli.main``, for seeds 1 and 2, full and smoke lists, then
+each request of ``FAMILIES``, and prints one line per request: the seed and
+list (or ``families``), the argv, the exit code, the SHA-256 of its standard
+output and the SHA-256 of each artifact it wrote.
 Two runs on one tree must print the same text (the determinism contract);
 two trees whose outputs are byte-identical print the same text too::
 
@@ -30,6 +31,27 @@ import workloads  # noqa: E402
 from plasma_kernel import cli  # noqa: E402
 
 SEEDS = (1, 2)
+
+# Requests that reach the kernel families the benchmark leaves out: every limit
+# spec through each verify equation and eval, finite-n kernels of power
+# potentials, the hard edge's bulk frame and the smallest n, and converge and
+# sample off Ginibre.  The refusals among them (exit 2) are behaviour too.
+SPECS = ("bulk", "free-boundary", "free-boundary:-2,-1,1,2", "hard-edge", "constant",
+         "constant:0.7", "ml:1.5", "ml:2", "ml:3")
+FAMILIES = [
+    *(f"{request} --spec {spec}" for spec in SPECS for request in (
+        "verify ward", "verify mass-one", "verify polarized", "verify positivity --sets 5")),
+    *(f"eval --limit {spec} --grid -2:1:0.25" for spec in SPECS),
+    "eval --finite power:1.5 --n 1024 --grid -2:1:0.25",
+    "eval --finite power:3 --n 1024 --frame singularity --grid -2:1:0.25",
+    "eval --finite hard-edge --n 1024 --frame bulk --grid -2:1:0.25",
+    "eval --finite ginibre --n 1 --grid -2:1:0.25",
+    "eval --finite hard-edge --n 3 --grid -2:1:0.25",
+    "converge --pot power:2",
+    "sample --pot power:2 --n 1024 --trials 100 --bins 10",
+    "sample --pot power:3 --frame singularity --n 1024 --trials 100 --bins 10",
+    "sample --pot hard-edge --n 16384 --trials 10 --bins 10",
+]
 
 
 def _sha(data: bytes) -> str:
@@ -60,6 +82,8 @@ def main() -> int:
                 for req in workloads.build(name, seed, smoke):
                     tag = f"{name} seed {seed} {'smoke' if smoke else 'full'}"
                     print(f"{tag} | {digest_line(req.argv)}", flush=True)
+    for request in FAMILIES:
+        print(f"families | {digest_line(request.split())}", flush=True)
     return 0
 
 
