@@ -13,9 +13,6 @@ from .special import (  # noqa: F401
     HERMITE_MAX_DEGREE,
     QuadratureNotConverged,
     SeriesNotConverged,
-    conv_indicator,
-    erfc_cpx,
-    erfcx_cpx,
     gauss_gamma,
     hard_edge_H,
     hermite_prob,

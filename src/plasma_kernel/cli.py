@@ -311,6 +311,9 @@ def _slug(text: str) -> str:
 
 
 def cmd_eval(args) -> int:
+    # the group is not argparse-required, so that --config can name the mode
+    if not (args.limit or args.finite):
+        raise ValueError("one of the arguments --limit --finite is required")
     zs = _plane(args.grid, args.grid)
     extra = {}
     if args.limit:
@@ -529,6 +532,9 @@ def cmd_verify(args) -> int:
 
 def cmd_converge(args) -> int:
     n_list = [int(p) for p in args.n_list.split(",")]
+    for k, n in enumerate(n_list):
+        if n in n_list[:k]:
+            raise ValueError(f"--n-list repeats n = {n}")
     xs = parse_grid(args.grid or ("-2:2:0.25" if args.sections else "-3:3:0.25"))
     _rows(len(n_list) * xs.size)
     if args.sections:
@@ -649,9 +655,10 @@ def _add_common(sub):
                      help="JSON file of defaults; explicit flags win")
 
 
-# argparse only recognizes bare negative numbers as option values; widen the
-# matcher so grid/window strings like -3:3:0.1 are read as values, not flags.
-_VALUE_MATCHER = re.compile(r"^-\d+(\.\d+)?([:,].*)?$|^-\.\d+([:,].*)?$")
+# argparse only recognizes bare negative numbers as option values.  No flag
+# starts with a digit or a dot, so anything that does is a value: grids and
+# windows like -3:3:0.1, exponents like -2e-1 and complex points like -1-1j.
+_VALUE_MATCHER = re.compile(r"^-[\d.]")
 
 
 def _allow_negative_values(parser: argparse.ArgumentParser) -> None:
@@ -676,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_eval = sub.add_parser("eval", help="kernel one-point values on a grid")
-    group = p_eval.add_mutually_exclusive_group(required=True)
+    group = p_eval.add_mutually_exclusive_group()
     group.add_argument("--limit", help="limit spec, e.g. free-boundary, ml:2")
     group.add_argument("--finite", help="potential, e.g. ginibre, power:2")
     p_eval.add_argument("--grid", default="-3:3:0.1")
@@ -768,12 +775,15 @@ def _apply_config_file(args, argv):
                 raise ValueError(f"unknown config key {key!r}")
             overrides[dest] = _config_value(actions[dest], key, value)
     # a member of a mutually exclusive group on the command line sets the
-    # group: a config value for another member would survive the re-parse
+    # group: a config value for another member would survive the re-parse.
+    # Without one, the config may set one member, as the command line may
     for group in sub._mutually_exclusive_groups:  # noqa: SLF001
         dests = [a.dest for a in group._group_actions]  # noqa: SLF001
         if any(getattr(args, dest) != actions[dest].default for dest in dests):
             for dest in dests:
                 overrides.pop(dest, None)
+        elif len(overrides.keys() & set(dests)) > 1:
+            raise ValueError(f"config keys {', '.join(map(repr, dests))} exclude each other")
     sub.set_defaults(**overrides)
     return parser.parse_args(argv)
 

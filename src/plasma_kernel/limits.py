@@ -11,11 +11,15 @@ Quadrature design
 Every translation-invariant profile is ``Phi = gamma * m``, the standard
 Gaussian ``gamma`` convolved with a density m on the real line: ``m = level
 1_E`` for the bulk (level 1, E = R), the free boundary (level 1) and the
-constant profile (E = R), and ``m = 1_{t<0} / F(t)`` at the hard edge.  Then
-``|K(z, w)|^2`` is a double integral over m(t) m(s) whose only dependence on
-``Y = Im(z - w)`` is the phase ``exp(iY(t - s))``, so the integral over Y is
-exact in Fourier space: it gives ``2 pi delta(t - s)`` against 1 (mass-one
-and the reproducing integral) and ``2 pi sgn(u) exp(-|u| |t - s|)
+constant profile (E = R), and ``m = 1_{t<0} / F(t)`` at the hard edge.  The
+interval profile is the one place that sums over the pieces of E: ``Phi(v)
+= level sum (F(v - hi) - F(v - lo))``, with ``special.plasma_F_scaled`` for
+kernel values and ``plasma_F`` on the diagonal; an infinite end contributes
+F's limit and calls nothing.  Then ``|K(z, w)|^2`` is a double integral over
+m(t) m(s) whose only dependence on ``Y = Im(z - w)`` is the phase
+``exp(iY(t - s))``, so the integral over Y is exact in Fourier space: it
+gives ``2 pi delta(t - s)`` against 1 (mass-one and the reproducing
+integral) and ``2 pi sgn(u) exp(-|u| |t - s|)
 1[u (t - s) > 0]`` against ``1/(u + iY)``, ``u = Re(z - w)`` (Cauchy
 transform).  In the Cauchy transform the integral over u is then Gaussian
 and closes as well.  What is left is smooth, Gaussian-tailed and free of any
@@ -48,14 +52,13 @@ from .special import (
     _flat,
     _leggauss,
     _shaped,
-    conv_indicator,
-    conv_indicator_scaled,
     gauss_gamma,
     hard_edge_H,
     hard_edge_H_scaled,
     hermite_scaled,
     mittag_leffler_kernel_scaled,
     plasma_F,
+    plasma_F_scaled,
 )
 
 __all__ = [
@@ -193,8 +196,19 @@ class _IntervalProfile:
     def __init__(self, intervals, level=1.0):
         self.pieces, self.level = intervals, level
 
+    def _sum(self, f, v):
+        """``f(v - hi) - f(v - lo)`` summed piece by piece, f being F or its
+        scaled form: an infinite ``hi`` gives f's limit ``exp(-Im(v)^2 / 2)``
+        (1 on the real line, where ``diag`` takes F) and an infinite ``lo``
+        nothing."""
+        total = 0
+        for lo, hi in self.pieces:
+            upper = np.exp(-0.5 * np.imag(v) ** 2).astype(complex) if math.isinf(hi) else f(v - hi)
+            total = total + (upper if math.isinf(lo) else upper - f(v - lo))
+        return total
+
     def scaled(self, v):  # Phi(v) exp(-Im(v)^2 / 2), complex array v
-        return self.level * sum(conv_indicator_scaled(v, interval) for interval in self.pieces)
+        return self.level * self._sum(plasma_F_scaled, v)
 
     def m(self, t):  # real t on the pieces
         return np.full(np.shape(t), self.level)
@@ -202,7 +216,7 @@ class _IntervalProfile:
     def diag(self, s, deriv=0):
         """``Phi`` or its ``deriv``-th derivative at real s."""
         if not deriv:
-            return self.level * np.real(sum(conv_indicator(s, ival) for ival in self.pieces))
+            return self.level * np.real(self._sum(plasma_F, s))
         # d/ds F(s-c) chains: F' = -gamma, F'' (v) = v gamma(v)
         total = 0.0
         for lo, hi in self.pieces:

@@ -273,8 +273,9 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
     band edge of a row that cuts off some probability, and each shared
     threshold at the two extreme shapes of its indices: its backward error
     must stay below ``eps`` and its value must fall outside the window, or
-    the run is refused with :class:`InversionCheckFailed`.  A table of more
-    than ``TABLE_BUDGET`` entries is refused before it is built.
+    the run is refused with :class:`InversionCheckFailed`.  A window that no
+    index can reach (``j1 == j0``) and a table of more than ``TABLE_BUDGET``
+    entries are refused before anything is built or drawn.
     """
     with np.errstate(over="ignore"):  # an edge beyond every radius maps to inf
         x = n * np.maximum(r0 + np.linspace(lo, hi, bins + 1) / zoom, 0.0) ** (2.0 * pot.lam)
@@ -282,6 +283,9 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
         gammainc(_shapes(pot, j), x[0]) < 1.0 - BAND_EPS / 2))
     j1 = bisect.bisect_left(range(n), True, lo=j0, key=lambda j: (
         gammainc(_shapes(pot, j), x[-1]) <= BAND_EPS / 2))
+    if j1 == j0:
+        raise ValueError(f"no index can reach the window {lo:g}:{hi:g} at n={n}: each lands "
+                         f"in it with probability below {BAND_EPS / 2:g}, so every count is 0")
     width = 1 << bins.bit_length()  # a power of two > bins
     if (j1 - j0) * width > TABLE_BUDGET:
         raise BudgetExceeded(f"{bins} bins need an edge table of {j1 - j0} x {width} = "

@@ -1,10 +1,15 @@
 """Complex special functions underlying the correlation kernels.
 
-Provides the complementary error function on the complex plane, the plasma
-function ``F`` (Gaussian convolved with a half-line indicator), indicator
-convolutions for general intervals, the hard-edge plasma function ``H``,
-probabilists' Hermite polynomials and the closed-form Mittag-Leffler
-kernel values for lambda in {1, 2}.
+Provides the plasma function ``F`` (Gaussian convolved with a half-line
+indicator), the hard-edge plasma function ``H``, probabilists' Hermite
+polynomials and the closed-form Mittag-Leffler kernel values for lambda in
+{1, 2}.  The complex ``erfc`` and ``erfcx`` are scipy's own (the Faddeeva
+package of S. G. Johnson), called directly: against 40-digit mpmath on 3000
+random points their worst relative error is 2.4e-14 and 2.1e-14 for
+``|z| <= 8`` and 1.3e-13 and 1.2e-13 on ``|z| <= 30``, except near the zeros
+of erfc, where only the absolute error is controlled.  Sums of ``F`` over
+the pieces of a union of intervals belong to the profiles of
+:mod:`plasma_kernel.limits`.
 
 Every function is a pure function of its arguments and accepts scalars or
 numpy arrays of complex values: an array gives that shape back, a scalar a
@@ -25,13 +30,9 @@ from scipy.special import erfc, erfcx
 __all__ = [
     "SeriesNotConverged",
     "QuadratureNotConverged",
-    "erfc_cpx",
-    "erfcx_cpx",
     "plasma_F",
     "plasma_F_scaled",
     "gauss_gamma",
-    "conv_indicator",
-    "conv_indicator_scaled",
     "hard_edge_H",
     "hard_edge_H_scaled",
     "hermite_prob",
@@ -70,33 +71,6 @@ def _shaped(out, shape):
     return out.reshape(shape) if shape else out[0].item()
 
 
-def erfcx_cpx(z):
-    """Scaled complementary error function ``exp(z^2) erfc(z)`` on C.
-
-    ``scipy.special.erfcx`` on complex input (the Faddeeva package of
-    S. G. Johnson).  Against 40-digit mpmath values on 3000 random points
-    the worst relative error is 2.1e-14 for |z| <= 8 and 1.2e-13 on the
-    envelope |z| <= 30.  For ``Re z < 0`` the value ~ ``2 exp(z^2)``
-    overflows honestly (to inf) once ``Re(z^2) > 709``.
-    """
-    shape, (zz,) = _flat(z)
-    return _shaped(erfcx(zz), shape)
-
-
-def erfc_cpx(z):
-    """Complementary error function on the complex plane.
-
-    ``scipy.special.erfc`` on complex input (the Faddeeva package).  Against
-    40-digit mpmath values on 3000 random points the worst relative error is
-    2.4e-14 for |z| <= 8 and 1.3e-13 on the documented envelope |z| <= 30,
-    except in vanishing neighbourhoods of the zeros of erfc where only the
-    absolute error is controlled.  Entire in z; real inputs give real
-    outputs.
-    """
-    shape, (zz,) = _flat(z)
-    return _shaped(erfc(zz), shape)
-
-
 # --------------------------------------------------------------------------
 # plasma function F and the Gaussian kernel
 # --------------------------------------------------------------------------
@@ -111,7 +85,7 @@ def plasma_F(z):
     error is at most 2e-15 (the tests bound it by 1e-13).
     """
     shape, (zz,) = _flat(z)
-    return _shaped(0.5 * erfc_cpx(zz / SQRT2), shape)
+    return _shaped(0.5 * erfc(zz / SQRT2), shape)
 
 
 def plasma_F_scaled(z):
@@ -133,46 +107,6 @@ def gauss_gamma(z):
     """Standard Gaussian kernel ``exp(-z^2/2) / sqrt(2 pi)``."""
     shape, (zz,) = _flat(z)
     return _shaped(INV_SQRT_2PI * np.exp(-0.5 * zz * zz), shape)
-
-
-# --------------------------------------------------------------------------
-# indicator convolutions
-# --------------------------------------------------------------------------
-
-
-def conv_indicator(z, interval):
-    """Gaussian kernel convolved with the indicator of a real interval.
-
-    ``interval`` is an ``(lo, hi)`` pair with ``lo < hi``; either endpoint
-    may be infinite.  The value is ``F(z - hi) - F(z - lo)`` where the
-    limiting values ``F(-inf) = 1`` and ``F(+inf) = 0`` apply at infinite
-    endpoints, so ``conv_indicator(z, (-inf, 0))`` is exactly
-    ``plasma_F(z)`` (same code path).
-    """
-    lo, hi = interval
-    if not lo < hi:
-        raise ValueError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
-    shape, (zz,) = _flat(z)
-    upper = np.ones(zz.shape, dtype=complex) if math.isinf(hi) else plasma_F(zz - hi)
-    lower = np.zeros(zz.shape, dtype=complex) if math.isinf(lo) else plasma_F(zz - lo)
-    return _shaped(upper - lower, shape)
-
-
-def conv_indicator_scaled(z, interval):
-    """``conv_indicator(z, interval) exp(-Im(z)^2 / 2)``, overflow-free."""
-    lo, hi = interval
-    if not lo < hi:
-        raise ValueError(f"interval must satisfy lo < hi, got ({lo}, {hi})")
-    shape, (zz,) = _flat(z)
-    if math.isinf(hi):
-        upper = np.exp(-0.5 * zz.imag**2).astype(complex)
-    else:
-        upper = plasma_F_scaled(zz - hi)
-    if math.isinf(lo):
-        lower = np.zeros(zz.shape, dtype=complex)
-    else:
-        lower = plasma_F_scaled(zz - lo)
-    return _shaped(upper - lower, shape)
 
 
 # --------------------------------------------------------------------------

@@ -97,6 +97,19 @@ def test_parser_accepts_negative_grid_values():
     assert args.points == "-0.5,-1-1j"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "mass-one", "--spec", "hard-edge", "--points", "-1-1j"],
+    ["verify", "mass-one", "--spec", "hard-edge", "--points", "-1+1j"],
+    ["verify", "mass-one", "--spec", "hard-edge", "--points", "-2e-1"],
+    ["eval", "--limit", "bulk", "--grid", "-1e-1:0:0.1"],
+    ["sample", "--n", "64", "--trials", "10", "--window", "-3e0:1"],
+], ids=["complex-minus", "complex-plus", "exponent", "grid-exponent", "window-exponent"])
+def test_values_starting_with_minus_and_a_digit_are_values(tmp_path, argv):
+    # no flag starts with a digit or a dot, so such a value is never a flag
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("*.json"))) == 1
+
+
 # --------------------------------------------------------------------------
 # exit codes
 # --------------------------------------------------------------------------
@@ -434,6 +447,25 @@ def test_config_file_with_flag_override(tmp_path):
         assert payload3["config"]["mode"] == mode
 
 
+def test_eval_takes_its_mode_from_the_config_file(tmp_path, capsys):
+    # --limit and --finite are one mutually exclusive group that a config
+    # file may set; with neither, eval is a usage error that writes nothing
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"finite": "ginibre"}))
+    out = tmp_path / "o"
+    argv = ["eval", "--n", "64", "--grid", "0:0:1", "--out", str(out)]
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["eval_ginibre-n64-boundary.csv",
+                                                      "eval_ginibre-n64-boundary.json"]
+    empty = tmp_path / "empty"
+    assert main(argv[:-1] + [str(empty)]) == 2
+    assert "one of the arguments --limit --finite is required" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"finite": "ginibre", "limit": "bulk"}))
+    assert main(argv[:-1] + [str(empty), "--config", str(cfg)]) == 2
+    assert "config keys 'limit', 'finite' exclude each other" in capsys.readouterr().err
+    assert not empty.exists()
+
+
 def test_config_file_loses_to_flag_equal_to_default(tmp_path):
     # an explicit flag wins even when its value equals the parser default
     cfg = tmp_path / "run.json"
@@ -544,7 +576,8 @@ def test_sample_artifact_names_carry_n(tmp_path):
     (["--window", "1:2:3"], "window must be lo:hi, got '1:2:3'"),
     (["--window", "1"], "window must be lo:hi, got '1'"),
     (["--window", "a:b"], "window must be lo:hi, got 'a:b'"),
-], ids=["no-bins", "nan-window", "three-values", "one-value", "not-numbers"])
+    (["--window", "100:200", "--bins", "4"], "no index can reach the window 100:200 at n=64"),
+], ids=["no-bins", "nan-window", "three-values", "one-value", "not-numbers", "unreachable"])
 def test_bad_histogram_window_is_usage_error(tmp_path, capsys, monkeypatch,
                                              flags, named):
     # refused before the first trial is drawn, with a named error
@@ -658,6 +691,17 @@ def test_converge_kernels(tmp_path):
     ratios = payload["results"]["ratios"]
     assert "64->256" in ratios
     assert 1.4 <= ratios["64->256"] <= 3.0  # ~sqrt(4) for a sqrt(n) law
+
+
+@pytest.mark.parametrize("n_list,repeated", [
+    ("64,64", 64), ("256,64,1024,64", 64)], ids=["neighbours", "apart"])
+@pytest.mark.parametrize("sections", [False, True], ids=["kernels", "sections"])
+def test_converge_repeated_n_is_usage_error(tmp_path, capsys, n_list, repeated, sections):
+    # a ratio of an n with itself compares nothing; the order stays free
+    argv = ["converge", "--n-list", n_list, "--grid", "0:0:1", "--out", str(tmp_path)]
+    assert main(argv + ["--sections"] * sections) == 2
+    assert f"--n-list repeats n = {repeated}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_converge_ratio_over_zero_error_is_null(tmp_path):

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy.special import erfc, erfcx
+
 from plasma_kernel import special
 from plasma_kernel.finite_n import _ml_kernel
+from plasma_kernel.limits import LimitKernelSpec, _profile_for
 from plasma_kernel.special import (
     HERMITE_MAX_DEGREE,
     QuadratureNotConverged,
-    conv_indicator,
-    erfc_cpx,
-    erfcx_cpx,
+    _flat,
+    _shaped,
     gauss_gamma,
     hard_edge_H,
     hard_edge_H_scaled,
@@ -22,6 +24,7 @@ from plasma_kernel.special import (
     mittag_leffler_kernel_eval,
     mittag_leffler_kernel_scaled,
     plasma_F,
+    plasma_F_scaled,
 )
 
 rng = np.random.default_rng(20260814)
@@ -34,7 +37,8 @@ def random_complex(count, radius, min_radius=0.0):
 
 
 # --------------------------------------------------------------------------
-# complex error function
+# complex error function: scipy's erfc and erfcx, which plasma_F and
+# plasma_F_scaled call on complex input
 # --------------------------------------------------------------------------
 
 
@@ -51,7 +55,7 @@ def _mp_erfcx(z):
 def test_erfcx_against_faddeeva_small():
     z = random_complex(400, 8.0)
     ref = _mp_erfcx(z)
-    assert_allclose(erfcx_cpx(z), ref, rtol=2e-12, atol=1e-300)
+    assert_allclose(erfcx(z), ref, rtol=2e-12, atol=1e-300)
 
 
 def test_erfcx_against_faddeeva_envelope():
@@ -62,18 +66,18 @@ def test_erfcx_against_faddeeva_envelope():
     assert z.size > 100
     ref = _mp_erfcx(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        ours = erfcx_cpx(z)
+        ours = erfcx(z)
     assert_allclose(ours, ref, rtol=5e-11, atol=1e-300)
 
 
 def test_erfc_real_axis_value():
-    assert_allclose(complex(erfc_cpx(1.0)).real, 0.15729920705028522, rtol=1e-13)
-    assert complex(erfc_cpx(0.0)).real == pytest.approx(1.0, abs=1e-14)
+    assert_allclose(erfc(1.0 + 0j).real, 0.15729920705028522, rtol=1e-13)
+    assert erfc(0j).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_erfc_reflection():
     z = random_complex(100, 6.0)
-    assert_allclose(erfc_cpx(z) + erfc_cpx(-z), 2.0, rtol=0, atol=1e-12)
+    assert_allclose(erfc(z) + erfc(-z), 2.0, rtol=0, atol=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def test_gauss_gamma_values():
 
 
 @pytest.mark.parametrize("func", [
-    erfc_cpx,
+    erfc,
     plasma_F,
     hard_edge_H,
     lambda z: _window_M(1.7, z),
@@ -161,29 +165,82 @@ def test_plasma_F_against_mpmath_convolution():
     assert_allclose(plasma_F(u), ref, rtol=1e-13, atol=0.0)
 
 
-def test_conv_indicator_half_line_is_plasma_F():
-    # same code path: bitwise identical values
+# --------------------------------------------------------------------------
+# interval profiles: F summed over the pieces of E
+# --------------------------------------------------------------------------
+
+
+def _interval_profile(*pieces):
+    return _profile_for(LimitKernelSpec.free_boundary(pieces))
+
+
+def test_half_line_profile_is_plasma_F():
+    # the half line's sum is F itself, through the same code path: bitwise
     for _ in range(25):
         a = rng.uniform(-3.0, 3.0)
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        assert complex(conv_indicator(z, (-math.inf, a))) == complex(plasma_F(z - a))
+        profile = _interval_profile((-math.inf, a))
+        assert complex(profile.scaled(np.array([z]))[0]) == complex(plasma_F_scaled(z - a))
+        assert profile.diag(np.array([z.real]))[0] == complex(plasma_F(z.real - a)).real
 
 
-def test_conv_indicator_interval_values():
+def test_interval_profile_values():
     # symmetric interval at the center: 1 - 2 F(1)
-    val = complex(conv_indicator(0.0, (-1.0, 1.0))).real
+    val = _interval_profile((-1.0, 1.0)).diag(np.array([0.0]))[0]
     assert_allclose(val, 0.682689492137085897, rtol=1e-13)
-    # full line: identically 1
-    assert_allclose(complex(conv_indicator(0.7 - 0.3j, (-math.inf, math.inf))), 1.0,
-                    rtol=0, atol=1e-14)
-    # additivity over a partition of the line
-    z = 0.4 + 0.2j
-    parts = (
-        complex(conv_indicator(z, (-math.inf, -1.0)))
-        + complex(conv_indicator(z, (-1.0, 2.0)))
-        + complex(conv_indicator(z, (2.0, math.inf)))
-    )
-    assert_allclose(parts, 1.0, rtol=0, atol=1e-13)
+    # full line: identically 1, once the scaling exp(-Im(z)^2 / 2) is undone
+    z = np.array([0.7 - 0.3j])
+    bulk = _profile_for(LimitKernelSpec.ginibre_bulk())
+    assert_allclose(bulk.scaled(z) * np.exp(0.5 * z.imag**2), 1.0, rtol=0, atol=1e-14)
+    # additivity over a partition of the line, piece by piece and in one profile
+    z = np.array([0.4 + 0.2j])
+    pieces = ((-math.inf, -1.0), (-1.0, 2.0), (2.0, math.inf))
+    parts = sum(_interval_profile(piece).scaled(z) for piece in pieces)
+    for total in (parts, _interval_profile(*pieces).scaled(z)):
+        assert_allclose(total * np.exp(0.5 * z.imag**2), 1.0, rtol=0, atol=1e-13)
+
+
+def _conv_indicator(z, interval):
+    """The retired ``special.conv_indicator``, kept as the bitwise reference."""
+    lo, hi = interval
+    shape, (zz,) = _flat(z)
+    upper = np.ones(zz.shape, dtype=complex) if math.isinf(hi) else plasma_F(zz - hi)
+    lower = np.zeros(zz.shape, dtype=complex) if math.isinf(lo) else plasma_F(zz - lo)
+    return _shaped(upper - lower, shape)
+
+
+def _conv_indicator_scaled(z, interval):
+    """The retired ``special.conv_indicator_scaled``, kept as the bitwise reference."""
+    lo, hi = interval
+    shape, (zz,) = _flat(z)
+    if math.isinf(hi):
+        upper = np.exp(-0.5 * zz.imag**2).astype(complex)
+    else:
+        upper = plasma_F_scaled(zz - hi)
+    lower = np.zeros(zz.shape, dtype=complex) if math.isinf(lo) else plasma_F_scaled(zz - lo)
+    return _shaped(upper - lower, shape)
+
+
+@pytest.mark.parametrize("spec", [
+    LimitKernelSpec.ginibre_bulk(),
+    LimitKernelSpec.free_boundary(),
+    LimitKernelSpec.free_boundary(((-2.0, -1.0), (1.0, 2.0))),
+    LimitKernelSpec.constant_profile(0.7),
+], ids=["bulk", "half-line", "gapped-union", "constant-0.7"])
+def test_interval_profile_sums_keep_the_bits_of_conv_indicator(spec):
+    # scaled and diag(s, 0) give every value the bits of the per-interval
+    # sums they replace: the ends, signed zeros, far tails and large |Im|
+    profile = _profile_for(spec)
+    ends = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+    real = np.concatenate([ends, rng.uniform(-8.0, 8.0, 200), [-40.0, 40.0]])
+    plane = np.concatenate([
+        real + 0j, real + 1j * rng.uniform(-25.0, 25.0, real.size),
+        ends - 0.5j, ends + 1j * np.array([-0.0, 0.0, 3.0, -3.0, 21.0, -30.0])])
+    ref_scaled = profile.level * sum(_conv_indicator_scaled(plane, iv) for iv in profile.pieces)
+    ref_diag = profile.level * np.real(sum(_conv_indicator(real, iv) for iv in profile.pieces))
+    for ours, ref in ((profile.scaled(plane), ref_scaled), (profile.diag(real), ref_diag)):
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()
 
 
 # --------------------------------------------------------------------------

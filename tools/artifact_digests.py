@@ -51,6 +51,17 @@ FAMILIES = [
     "sample --pot power:2 --n 1024 --trials 100 --bins 10",
     "sample --pot power:3 --frame singularity --n 1024 --trials 100 --bins 10",
     "sample --pot hard-edge --n 16384 --trials 10 --bins 10",
+    # usage fixed since: the mode from a config file, a repeated n, values
+    # that start with a minus and a digit, a window no index can reach
+    'eval --n 64 --grid 0:0:1 --config {"finite":"ginibre"}',
+    "eval --n 64 --grid 0:0:1",
+    "converge --n-list 64,64 --grid 0:0:1",
+    "verify mass-one --spec hard-edge --points -1-1j",
+    "verify mass-one --spec hard-edge --points -1+1j",
+    "verify mass-one --spec hard-edge --points -2e-1",
+    "eval --limit bulk --grid -1e-1:0:0.1",
+    "sample --window -3e0:1",
+    "sample --n 64 --trials 4 --window 100:200 --bins 4",
 ]
 
 
@@ -59,12 +70,20 @@ def _sha(data: bytes) -> str:
 
 
 def digest_line(argv) -> str:
-    """``argv``'s exit code and the digests of its stdout and artifacts."""
-    with tempfile.TemporaryDirectory() as out:
+    """``argv``'s exit code and the digests of its stdout and artifacts.  A
+    ``--config`` in ``argv`` is followed by the file's JSON text, which goes
+    to a file outside ``--out``."""
+    with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as tmp:
+        run = list(argv)
+        if "--config" in run:
+            k = run.index("--config") + 1
+            run[k] = os.path.join(tmp, "config.json")
+            with open(run[k], "w") as fh:
+                fh.write(argv[k])
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
             try:
-                rc = cli.main([*argv, "--out", out])
+                rc = cli.main([*run, "--out", out])
             except SystemExit as exc:  # argparse refuses the argv
                 rc = exc.code
         files = []
