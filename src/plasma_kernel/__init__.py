@@ -57,7 +57,6 @@ from .sampler import (  # noqa: F401
     InversionCheckFailed,
     Histogram1D,
     SampleConfig,
-    boundary_profile,
-    bulk_singularity_profile,
+    radial_profile,
     sample_radii,
 )

@@ -30,9 +30,11 @@ import numpy as np
 
 from . import __version__
 from .finite_n import (
+    KERNEL_MAX_N,
     Potential,
     RescaleFrame,
-    _check_kernel_n,
+    SECTION_MAX_N,
+    _check_n,
     exp_section,
     rescaled_kernel,
 )
@@ -56,8 +58,7 @@ from .sampler import (
     BudgetExceeded,
     InversionCheckFailed,
     SampleConfig,
-    boundary_profile,
-    bulk_singularity_profile,
+    radial_profile,
 )
 from .special import (
     QuadratureNotConverged,
@@ -322,7 +323,7 @@ def cmd_eval(args) -> int:
         tag = _slug(args.limit)
         config = {"mode": "limit", "spec": args.limit, "grid": args.grid}
     else:
-        _check_kernel_n(args.n)
+        _check_n(args.n)
         pot = parse_pot(args.finite)
         frame = _make_frame(pot, args.n, args.frame)
         values, tails = rescaled_kernel(pot, frame, zs, zs, return_bound=True)
@@ -535,6 +536,7 @@ def cmd_converge(args) -> int:
     for k, n in enumerate(n_list):
         if n in n_list[:k]:
             raise ValueError(f"--n-list repeats n = {n}")
+        _check_n(n, SECTION_MAX_N if args.sections else KERNEL_MAX_N)
     xs = parse_grid(args.grid or ("-2:2:0.25" if args.sections else "-3:3:0.25"))
     _rows(len(n_list) * xs.size)
     if args.sections:
@@ -555,8 +557,6 @@ def cmd_converge(args) -> int:
                          table)
         return EXIT_PASS
 
-    for n in n_list:
-        _check_kernel_n(n)
     pot = parse_pot(args.pot)
     spec = parse_spec(args.spec)
     if spec.kind == "hard_edge":
@@ -597,15 +597,14 @@ def cmd_sample(args) -> int:
     cfg = SampleConfig(pot=pot, n=args.n, trials=args.trials, seed=args.seed)
     # the target is R of the limit: M_lam(s^2) e^(-s^(2 lam)), F(2x) or H(2x) 1{x<0}
     if args.frame == "singularity":
-        lo, hi = parse_window(args.window or "0:4")
+        window = args.window or "0:4"
         spec = LimitKernelSpec.mittag_leffler(pot.lam)
-        hist = bulk_singularity_profile(cfg, (lo, hi, args.bins))
     else:
-        lo, hi = parse_window(args.window or "-3:1")
+        window = args.window or "-3:1"
         spec = (LimitKernelSpec.hard_edge() if pot.kind == "hard_edge"
                 else LimitKernelSpec.free_boundary())
-        frame = _make_frame(pot, args.n, "boundary")
-        hist = boundary_profile(cfg, frame, (lo, hi, args.bins))
+    frame = _make_frame(pot, args.n, args.frame)
+    hist = radial_profile(cfg, frame, (*parse_window(window), args.bins))
 
     est, se = hist.estimates(), hist.stderrs()
     rows = np.column_stack([hist.bin_centers(), est, se])

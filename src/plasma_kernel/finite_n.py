@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 KERNEL_MAX_N = 2**20
+SECTION_MAX_N = 10**6
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,8 @@ class RescaleFrame:
     """Local coordinates ``z = exp(-i theta) * zoom * (zeta - p)``.
 
     ``zoom`` is ``sqrt(n * delta_q(p))`` for bulk/boundary frames and
-    ``n**(1/(2 lam))`` for bulk-singularity frames of power potentials.
+    ``n**(1/(2 lam))`` for the singularity frame at 0, which every potential
+    but the hard edge has: at lam = 1 it is the bulk frame, zoom ``sqrt(n)``.
     """
 
     p: complex
@@ -116,8 +118,10 @@ class RescaleFrame:
 
     @classmethod
     def singularity(cls, pot: Potential, n: int) -> "RescaleFrame":
-        if pot.kind != "power" or pot.lam <= 1.0:
-            raise ValueError("singularity frame needs a power potential with lam > 1")
+        if pot.kind == "hard_edge":
+            raise ValueError("singularity frame needs a potential |z|^(2 lam), not the hard edge")
+        if pot.lam == 1.0:
+            return cls.bulk(pot, n)
         return cls(p=0.0, theta=0.0, n=n, zoom=n ** (1.0 / (2.0 * pot.lam)))
 
     def to_global(self, z: complex) -> complex:
@@ -127,10 +131,11 @@ class RescaleFrame:
         return cmath.exp(-1j * self.theta) * self.zoom * (zeta - self.p)
 
 
-def _check_kernel_n(n) -> None:
-    """Refuse an ``n`` outside the kernel's supported range, naming it."""
-    if not 1 <= n <= KERNEL_MAX_N:
-        raise ValueError(f"need 1 <= n <= {KERNEL_MAX_N}, got {n}")
+def _check_n(n, top: int = KERNEL_MAX_N) -> None:
+    """Refuse an ``n`` outside ``1 .. top`` (the kernel's range by default),
+    naming it."""
+    if not 1 <= n <= top:
+        raise ValueError(f"need 1 <= n <= {top}, got {n}")
 
 
 def _log_norm(pot: Potential, n: int, j):
@@ -477,7 +482,7 @@ def kernel_finite_n(pot: Potential, n: int, zeta, eta, *, return_bound: bool = F
     bound)``, ``bound`` the mass of the terms left out relative to the kept
     ``sum |t_j|`` (itself at most ``sqrt(K(zeta, zeta) K(eta, eta))``).
     """
-    _check_kernel_n(n)
+    _check_n(n)
     shape, (zeta, eta) = _flat(zeta, eta)
     out, bound = (_shaped(a, shape) for a in _kernel(pot, n, zeta, eta))
     return (out, bound) if return_bound else out
@@ -560,8 +565,7 @@ def exp_section(n: int, x):
     shapes: 3.8e-11 absolute at x = -4.5, n = 10^6 (1.8e-13 at n = 2^19).
     Elementwise over an array ``x``; a scalar ``x`` gives a float.
     """
-    if not 1 <= n <= 10**6:
-        raise ValueError(f"need 1 <= n <= 1e6, got {n}")
+    _check_n(n, SECTION_MAX_N)
     shape, (x,) = _flat(x, dtype=float)
     mu = n + math.sqrt(n) * x
     neg = mu <= 0.0

@@ -699,7 +699,7 @@ def mass_one_series_residual(x, n_terms: int):
     """Truncation residual of the series form of the mass-one equation.
 
     For the free-boundary diagonal ``R = F(2x)`` the identity reads
-    ``R = sum_n (d^n R)^n-th-derivative^2 / n!``; with ``s = 2x`` and
+    ``F(s) - F(s)^2 = sum_{n>=1} F^(n)(s)^2 / n!``, ``s = 2x``; with
     ``F^(n)(s) = (-1)^n h_{n-1}(s) gamma(s)`` this returns
     ``F(s) - F(s)^2 - gamma(s)^2 sum_{n=1}^{N} p_{n-1}(s)^2 / n``,
     elementwise over an array ``x``.

@@ -81,8 +81,7 @@ __all__ = [
     "SampleConfig",
     "Histogram1D",
     "sample_radii",
-    "boundary_profile",
-    "bulk_singularity_profile",
+    "radial_profile",
 ]
 
 BUDGET_LIMIT = 10**9
@@ -126,59 +125,53 @@ class SampleConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Histogram1D:
-    """Binned counts plus the context needed to turn them into intensities.
+    """Binned counts of one profile run, and what turns them into intensities.
 
-    :meth:`estimates` divides the counts by ``trials * bin width * scale``.
-    With ``scale`` unset that is a density per unit length; the profiles set
-    it to the per-bin Jacobian ``2 r zoom`` that converts radial counts into
-    the rescaled planar one-point function per unit ``dA`` (area measure
-    normalized by 1/pi, the convention in which the bulk intensity is
-    exactly 1).
+    :meth:`estimates` divides the counts by ``trials * bin width * scale``,
+    with ``scale`` the per-bin Jacobian ``2 r zoom`` that converts radial
+    counts into the rescaled planar one-point function per unit ``dA``
+    (area measure normalized by 1/pi, the convention in which the bulk
+    intensity is exactly 1).
     """
 
     lo: float
     hi: float
     bins: int
-    counts: np.ndarray = None
-    trials: int = 0
-    counts_sq: np.ndarray = None  # per-bin sum over trials of count^2
-    scale: np.ndarray = None      # per-bin Jacobian divisor (1 if plain density)
-    inverted: int = 0             # inverse-CDF evaluations: band check + near-edge
-                                  # and narrow-index draws
-    band_backward_error: float = 0.0  # worst backward error at the band edges
-    band_rows: int = 0            # indices j0 .. j1 - 1 with a row of the edge table
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
-        if self.bins < 1:
-            raise ValueError("need at least one bin")
-        if self.counts is None:
-            self.counts = np.zeros(self.bins, dtype=np.int64)
+    counts: np.ndarray
+    trials: int
+    counts_sq: np.ndarray       # per-bin sum over trials of count^2
+    scale: np.ndarray           # per-bin Jacobian divisor 2 r zoom
+    inverted: int               # inverse-CDF evaluations: band check + near-edge
+                                # and narrow-index draws
+    band_backward_error: float  # worst backward error at the band edges
+    band_rows: int              # indices j0 .. j1 - 1 with a row of the edge table
 
     @property
     def bin_width(self) -> float:
         return (self.hi - self.lo) / self.bins
 
     def bin_centers(self) -> np.ndarray:
-        return self.lo + (np.arange(self.bins) + 0.5) * self.bin_width
+        return _bin_centers(self.lo, self.hi, self.bins)
 
     def estimates(self) -> np.ndarray:
-        scale = self.scale if self.scale is not None else np.ones(self.bins)
-        return self.counts / (self.trials * self.bin_width * scale)
+        return self.counts / (self.trials * self.bin_width * self.scale)
 
     def stderrs(self) -> np.ndarray:
-        """Standard error of each bin estimate from across-trial variation."""
-        scale = self.scale if self.scale is not None else np.ones(self.bins)
+        """Standard error of each bin estimate from across-trial variation
+        (from Poisson counts when there is one trial)."""
         t = self.trials
-        if self.counts_sq is None or t < 2:
-            var = self.counts.astype(float)  # Poisson fallback
-            return np.sqrt(var) / (t * self.bin_width * scale)
+        if t < 2:
+            return np.sqrt(self.counts.astype(float)) / (t * self.bin_width * self.scale)
         mean = self.counts / t
         var = np.maximum(self.counts_sq / t - mean * mean, 0.0) * t / (t - 1)
-        return np.sqrt(var / t) / (self.bin_width * scale)
+        return np.sqrt(var / t) / (self.bin_width * self.scale)
+
+
+def _bin_centers(lo: float, hi: float, bins: int) -> np.ndarray:
+    """Centres of ``bins`` equal bins of ``[lo, hi)``."""
+    return lo + (np.arange(bins) + 0.5) * ((hi - lo) / bins)
 
 
 def _shapes(pot: Potential, j) -> np.ndarray:
@@ -328,12 +321,12 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
 
 def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
     """Histogram of ``zoom (r - r0)`` over all trials, with per-bin squared
-    counts.  Each trial draws all n uniforms and keeps the indices inside
-    their band.  A kept draw's bin is the number of edge probabilities more
-    than ``eps`` below it, less one, found by a branchless binary search
-    over its row of the edge table; a draw within ``eps`` of an edge
-    probability, or of a narrow index, is inverted and binned from its
-    radius.  Trials run in blocks of about ``BLOCK_POINTS`` uniforms or bin
+    counts and the Jacobian ``2 r zoom`` at each bin centre.  Each trial
+    draws all n uniforms and keeps the indices inside their band.  A kept
+    draw's bin is the number of edge probabilities more than ``eps`` below
+    it, less one, found by a branchless binary search over its row of the
+    edge table; a draw within ``eps`` of an edge probability, or of a
+    narrow index, is inverted and binned from its radius.  Trials run in blocks of about ``BLOCK_POINTS`` uniforms or bin
     counts, whichever a trial has more of, so temporaries stay O(points)."""
     lo, hi, bins = _hist_window(hist)
     pot, n = cfg.pot, cfg.n
@@ -342,11 +335,9 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
     # the narrow indices search one extra row of -inf, so each of their
     # kept draws counts as near an edge and is inverted
     table = np.vstack([band.p, np.full(width, -np.inf)]).ravel()
-    out = Histogram1D(lo, hi, bins, trials=cfg.trials,
-                      counts_sq=np.zeros(bins, dtype=np.int64),
-                      inverted=band.checked,
-                      band_backward_error=band.backward_error,
-                      band_rows=rows_p)
+    counts = np.zeros(bins, dtype=np.int64)
+    counts_sq = np.zeros(bins, dtype=np.int64)
+    inverted = band.checked
     step = max(1, BLOCK_POINTS // max(n, bins))
     for start in range(0, cfg.trials, step):
         stop = min(start + step, cfg.trials)
@@ -375,10 +366,12 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
         r = _radii_from_uniforms(pot, n, u.ravel()[kept[near]], cols[near])
         values = zoom * (r - r0)
         h += _histogram_counts(values, lo, hi, bins, rows[near], stop - start)
-        out.counts += h.sum(axis=0)
-        out.counts_sq += (h * h).sum(axis=0)
-        out.inverted += values.size
-    return out
+        counts += h.sum(axis=0)
+        counts_sq += (h * h).sum(axis=0)
+        inverted += values.size
+    scale = 2.0 * np.maximum(r0 + _bin_centers(lo, hi, bins) / zoom, 1e-300) * zoom
+    return Histogram1D(lo, hi, bins, counts, cfg.trials, counts_sq, scale, inverted,
+                       band.backward_error, rows_p)
 
 
 def _hist_window(hist) -> tuple:
@@ -395,34 +388,21 @@ def _hist_window(hist) -> tuple:
     return lo, hi, bins
 
 
-def boundary_profile(cfg: SampleConfig, frame: RescaleFrame, hist) -> Histogram1D:
-    """Empirical rescaled one-point profile along the boundary normal.
+def radial_profile(cfg: SampleConfig, frame: RescaleFrame, hist) -> Histogram1D:
+    """Empirical rescaled one-point profile along a ray from the centre of
+    ``frame``, a frame of ``cfg.n`` centred at 0 or on the droplet boundary.
 
-    Accumulates ``zoom * (r - droplet radius)`` over all trials; the
-    estimate in each bin divides by the radial-to-planar Jacobian
-    ``2 r(x) zoom`` so it converges to the rescaled one-point function
-    (``F(2x)`` for Ginibre, ``H(2x)`` for the hard edge).
+    Accumulates ``zoom (r - |p|)`` over all trials; the estimate in each bin
+    divides by the radial-to-planar Jacobian ``2 r(x) zoom`` so it converges
+    to the rescaled one-point function: ``F(2x)`` for Ginibre and ``H(2x)``
+    for the hard edge at the boundary, ``M_lam(s^2) e^{-s^{2 lam}}`` (flat 1
+    when lam = 1) at 0 in the singularity frame.
 
     ``hist`` is the ``(lo, hi, bins)`` window.
     """
-    r0 = droplet_radius(cfg.pot)
-    if abs(abs(frame.p) - r0) > 1e-12:
-        raise ValueError("frame must be centered on the droplet boundary")
-    zoom = frame.zoom
-    out = _accumulate(cfg, zoom, r0, hist)
-    out.scale = 2.0 * np.maximum(r0 + out.bin_centers() / zoom, 1e-300) * zoom
-    return out
-
-
-def bulk_singularity_profile(cfg: SampleConfig, hist=(0.0, 4.0, 40)) -> Histogram1D:
-    """Empirical rescaled profile at a bulk singularity (zoom ``n^{1/(2 lam)}``).
-
-    Histograms ``n^{1/(2 lam)} r``; the normalized estimate targets the
-    radial intensity ``M_lam(s^2) e^{-s^{2 lam}}`` (flat 1 when lam = 1).
-    """
-    if cfg.pot.kind not in ("power", "ginibre"):
-        raise ValueError("bulk singularity profiles require a power-law potential")
-    zoom = float(cfg.n) ** (1.0 / (2.0 * cfg.pot.lam))
-    out = _accumulate(cfg, zoom, 0.0, hist)
-    out.scale = 2.0 * np.maximum(out.bin_centers(), 1e-300)
-    return out
+    if frame.n != cfg.n:
+        raise ValueError(f"frame is built for n={frame.n}, the run samples n={cfg.n}")
+    r0 = abs(frame.p)
+    if r0 and abs(r0 - droplet_radius(cfg.pot)) > 1e-12:
+        raise ValueError("frame must be centred at 0 or on the droplet boundary")
+    return _accumulate(cfg, frame.zoom, r0, hist)

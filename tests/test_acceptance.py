@@ -30,7 +30,7 @@ from plasma_kernel.limits import (
     ward_point_residual,
     ward_residual,
 )
-from plasma_kernel.sampler import SampleConfig, boundary_profile
+from plasma_kernel.sampler import SampleConfig, radial_profile
 from plasma_kernel.special import hard_edge_H, plasma_F
 
 BULK = LimitKernelSpec.ginibre_bulk()
@@ -199,7 +199,7 @@ def test_criterion_11_sampler_profiles(tmp_path):
     gin = Potential.ginibre()
     cfg = SampleConfig(gin, 1024, 4000, seed=0)
     frame = RescaleFrame.boundary(gin, 1024)
-    h1 = boundary_profile(cfg, frame, window)
+    h1 = radial_profile(cfg, frame, window)
     # the thread count exists only at the CLI: its artifact must carry the
     # library's estimates bitwise
     rc = main(["sample", "--n", "1024", "--trials", "4000", "--seed", "0",
@@ -218,7 +218,7 @@ def test_criterion_11_sampler_profiles(tmp_path):
     hard = Potential.hard_edge()
     cfg_h = SampleConfig(hard, 1024, 4000, seed=0)
     frame_h = RescaleFrame.boundary(hard, 1024)
-    hh = boundary_profile(cfg_h, frame_h, window)
+    hh = radial_profile(cfg_h, frame_h, window)
     target_h = np.array([
         complex(hard_edge_H(2 * x)).real if x < 0.0 else 0.0
         for x in centers

@@ -413,6 +413,37 @@ def test_finite_n_artifacts_report_tail_bound(tmp_path, argv):
     assert 0.0 < results["tail_bound"] <= 1e-17
 
 
+def test_ginibre_singularity_frame_is_the_bulk_frame(tmp_path):
+    # at lam = 1 both frames sit at 0 with zoom sqrt(n) = 32
+    argv = ["eval", "--finite", "ginibre", "--n", "1024", "--grid", "-2:1:0.25"]
+    for frame in ("bulk", "singularity"):
+        assert main(argv + ["--frame", frame, "--out", str(tmp_path)]) == 0
+    assert ((tmp_path / "eval_ginibre-n1024-singularity.csv").read_bytes()
+            == (tmp_path / "eval_ginibre-n1024-bulk.csv").read_bytes())
+    assert main(["converge", "--pot", "ginibre", "--frame", "singularity", "--spec", "ml:1",
+                 "--out", str(tmp_path)]) == 0
+
+
+def test_ginibre_and_power_one_sample_one_singularity_profile(tmp_path):
+    # power:1 is Ginibre's potential: the same radii in the same frame
+    for pot in ("ginibre", "power:1"):
+        assert main(["sample", "--pot", pot, "--frame", "singularity", "--n", "256",
+                     "--trials", "20", "--bins", "8", "--out", str(tmp_path)]) == 0
+    assert ((tmp_path / "sample_ginibre-n256_singularity.csv").read_bytes()
+            == (tmp_path / "sample_power-1-n256_singularity.csv").read_bytes())
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--finite", "hard-edge", "--frame", "singularity"],
+    ["converge", "--pot", "hard-edge", "--frame", "singularity", "--spec", "ml:1"],
+    ["sample", "--pot", "hard-edge", "--frame", "singularity", "--trials", "4"],
+], ids=["eval", "converge", "sample"])
+def test_hard_edge_has_no_singularity_frame(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "singularity frame needs a potential" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_artifacts_byte_identical_across_runs(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     argv = ["verify", "mass-one", "--spec", "ml:2", "--points", "0,0.5"]
@@ -681,6 +712,17 @@ def test_converge_sections(tmp_path):
     payload = json.loads(next(tmp_path.glob("*.json")).read_text())
     res = payload["results"]["256"]
     assert res["sup_dev_vs_F"] <= 0.02
+
+
+def test_converge_sections_checks_every_n_first(tmp_path, capsys):
+    # n = 64 is in range, but nothing is computed or printed before the
+    # out-of-range n is refused
+    assert main(["converge", "--sections", "--n-list", "64,2000000",
+                 "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "need 1 <= n <= 1000000, got 2000000" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_converge_kernels(tmp_path):

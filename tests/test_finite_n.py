@@ -537,8 +537,13 @@ def test_frame_factories():
     assert_allclose(bd.p, 1j, rtol=1e-12)
     sg = RescaleFrame.singularity(POWER2, 16)
     assert sg.zoom == pytest.approx(2.0)
+    # at lam = 1 the singularity frame is the bulk frame, bit for bit also at
+    # an n where n**0.5 and sqrt(n) round apart; the hard edge has none
+    assert RescaleFrame.singularity(GINIBRE, 25) == fb
+    for pot in (GINIBRE, Potential.power(1.0)):
+        assert RescaleFrame.singularity(pot, 2921) == RescaleFrame.bulk(pot, 2921)
     with pytest.raises(ValueError):
-        RescaleFrame.singularity(GINIBRE, 16)
+        RescaleFrame.singularity(Potential.hard_edge(), 16)
     with pytest.raises(ValueError):
         RescaleFrame(p=0.0, theta=0.0, n=4, zoom=0.0)
 

@@ -22,8 +22,7 @@ from plasma_kernel.sampler import (
     _histogram_counts,
     _radii_from_uniforms,
     _uniforms,
-    boundary_profile,
-    bulk_singularity_profile,
+    radial_profile,
     sample_radii,
 )
 from plasma_kernel.special import plasma_F
@@ -86,9 +85,9 @@ def test_block_size_leaves_the_counts_alone(monkeypatch, block_points):
     # down to one trial (the size many bins force), give the same counts
     cfg = SampleConfig(pot=GINIBRE, n=64, trials=37, seed=5)
     frame = RescaleFrame.boundary(GINIBRE, 64)
-    ref = boundary_profile(cfg, frame, (-3.0, 1.0, 40))
+    ref = radial_profile(cfg, frame, (-3.0, 1.0, 40))
     monkeypatch.setattr(sampler, "BLOCK_POINTS", block_points)
-    got = boundary_profile(cfg, frame, (-3.0, 1.0, 40))
+    got = radial_profile(cfg, frame, (-3.0, 1.0, 40))
     assert got.counts.tobytes() == ref.counts.tobytes()
     assert got.counts_sq.tobytes() == ref.counts_sq.tobytes()
     assert got.inverted == ref.inverted
@@ -103,12 +102,12 @@ def test_blocks_hold_trials_times_bins_within_the_budget(monkeypatch):
     monkeypatch.setattr(sampler, "_uniforms", lambda cfg, start, stop: (
         sizes.append(stop - start) or uniforms(cfg, start, stop)))
     frame = RescaleFrame.boundary(GINIBRE, 1024)
-    boundary_profile(SampleConfig(pot=GINIBRE, n=1024, trials=100, seed=1), frame,
-                     (-3.0, 1.0, 40))
+    radial_profile(SampleConfig(pot=GINIBRE, n=1024, trials=100, seed=1), frame,
+                   (-3.0, 1.0, 40))
     assert sizes == [64, 36]
     sizes.clear()
-    boundary_profile(SampleConfig(pot=GINIBRE, n=64, trials=3, seed=1),
-                     RescaleFrame.boundary(GINIBRE, 64), (-3.0, 1.0, 100_000))
+    radial_profile(SampleConfig(pot=GINIBRE, n=64, trials=3, seed=1),
+                   RescaleFrame.boundary(GINIBRE, 64), (-3.0, 1.0, 100_000))
     assert sizes == [1, 1, 1]
 
 
@@ -181,12 +180,18 @@ def test_kostlan_mean_modulus():
 # --------------------------------------------------------------------------
 
 
-def test_histogram_validation_and_centers():
+def test_histogram_validation_and_centers(monkeypatch):
+    # a bad window is refused before any draw
+    monkeypatch.setattr(sampler, "_uniforms", None)
+    cfg = SampleConfig(GINIBRE, 64, 2, seed=0)
+    frame = RescaleFrame.boundary(GINIBRE, 64)
     with pytest.raises(ValueError):
-        Histogram1D(1.0, 0.0, 10)
+        radial_profile(cfg, frame, (1.0, 0.0, 10))
     with pytest.raises(ValueError):
-        Histogram1D(0.0, 1.0, 0)
-    hist = Histogram1D(-1.0, 1.0, 4)
+        radial_profile(cfg, frame, (0.0, 1.0, 0))
+    monkeypatch.undo()
+    hist = radial_profile(cfg, frame, (-1.0, 1.0, 4))
+    assert isinstance(hist, Histogram1D)
     assert hist.bin_width == pytest.approx(0.5)
     assert_allclose(hist.bin_centers(), [-0.75, -0.25, 0.25, 0.75])
     assert hist.counts.dtype == np.int64
@@ -196,21 +201,30 @@ def test_profile_counts_conserved():
     # a window covering every transformed radius must count n per trial
     cfg = SampleConfig(GINIBRE, 64, 25, seed=3)
     frame = RescaleFrame.boundary(GINIBRE, 64)
-    hist = boundary_profile(cfg, frame, (-30.0, 30.0, 120))
+    hist = radial_profile(cfg, frame, (-30.0, 30.0, 120))
     assert int(hist.counts.sum()) == 64 * 25
 
 
 def test_boundary_profile_requires_boundary_frame():
+    # the centre is 0 or on the droplet boundary, nothing in between
     cfg = SampleConfig(GINIBRE, 64, 2, seed=0)
-    with pytest.raises(ValueError):
-        boundary_profile(cfg, RescaleFrame.bulk(GINIBRE, 64), (-3.0, 1.0, 40))
+    with pytest.raises(ValueError, match="centred at 0 or on the droplet boundary"):
+        radial_profile(cfg, RescaleFrame(p=0.5, theta=0.0, n=64, zoom=8.0), (-3.0, 1.0, 40))
+
+
+def test_profile_refuses_a_frame_of_another_n():
+    # a frame of n = 64 would bin n = 1024's radii at the wrong zoom: at
+    # estimates near 16 where the profile is at most 1
+    cfg = SampleConfig(GINIBRE, 1024, 50, seed=0)
+    with pytest.raises(ValueError, match="frame is built for n=64"):
+        radial_profile(cfg, RescaleFrame.boundary(GINIBRE, 64), (-3.0, 1.0, 8))
 
 
 def test_boundary_profile_matches_plasma_profile():
     # moderate run: every bin within 3 standard errors + bin bias of F(2x)
     cfg = SampleConfig(GINIBRE, 256, 600, seed=42)
     frame = RescaleFrame.boundary(GINIBRE, 256)
-    hist = boundary_profile(cfg, frame, (-3.0, 1.0, 40))
+    hist = radial_profile(cfg, frame, (-3.0, 1.0, 40))
     est = hist.estimates()
     err = hist.stderrs()
     target = np.array([complex(plasma_F(2 * x)).real
@@ -222,16 +236,15 @@ def test_boundary_profile_matches_plasma_profile():
 def test_singularity_profile_flat_for_ginibre():
     # lam = 1: the rescaled radial intensity is flat at 1
     cfg = SampleConfig(GINIBRE, 400, 300, seed=8)
-    hist = bulk_singularity_profile(cfg, (0.5, 3.5, 15))
+    hist = radial_profile(cfg, RescaleFrame.singularity(GINIBRE, 400), (0.5, 3.5, 15))
     est = hist.estimates()
     err = hist.stderrs()
     assert np.all(np.abs(est - 1.0) <= 3.0 * err + 0.05)
 
 
 def test_singularity_profile_rejects_hard_edge():
-    cfg = SampleConfig(Potential.hard_edge(), 64, 2, seed=0)
     with pytest.raises(ValueError):
-        bulk_singularity_profile(cfg)
+        RescaleFrame.singularity(Potential.hard_edge(), 64)
 
 
 def test_stderr_scales_like_inverse_sqrt_trials():
@@ -239,7 +252,7 @@ def test_stderr_scales_like_inverse_sqrt_trials():
     errs = []
     for trials in (50, 200):
         cfg = SampleConfig(GINIBRE, 64, trials, seed=1)
-        hist = boundary_profile(cfg, frame, (-2.0, 0.0, 10))
+        hist = radial_profile(cfg, frame, (-2.0, 0.0, 10))
         errs.append(np.median(hist.stderrs()))
     assert 1.5 <= errs[0] / errs[1] <= 2.6
 
@@ -247,6 +260,11 @@ def test_stderr_scales_like_inverse_sqrt_trials():
 # --------------------------------------------------------------------------
 # the inversion band: only radii that can land in the window are inverted
 # --------------------------------------------------------------------------
+
+
+def _frame(pot, n):
+    """The singularity frame of a power potential, else the boundary frame."""
+    return RescaleFrame.singularity(pot, n) if pot.kind == "power" else RescaleFrame.boundary(pot, n)
 
 
 def _full_inversion_counts(cfg, zoom, r0, lo, hi, bins):
@@ -282,14 +300,9 @@ def test_windowed_counts_match_full_inversion(pot, window, seed):
     # kept radii are bitwise those of the full inversion
     n, trials = 256, 30
     cfg = SampleConfig(pot, n, trials, seed)
-    if pot.kind == "power":
-        hist = bulk_singularity_profile(cfg, window)
-        zoom, r0 = n ** (1.0 / (2.0 * pot.lam)), 0.0
-    else:
-        frame = RescaleFrame.boundary(pot, n)
-        hist = boundary_profile(cfg, frame, window)
-        zoom, r0 = frame.zoom, 1.0
-    counts, counts_sq = _full_inversion_counts(cfg, zoom, r0, *window)
+    frame = _frame(pot, n)
+    hist = radial_profile(cfg, frame, window)
+    counts, counts_sq = _full_inversion_counts(cfg, frame.zoom, abs(frame.p), *window)
     assert_array_equal(hist.counts, counts)
     assert_array_equal(hist.counts_sq, counts_sq)
     assert hist.inverted < n * trials
@@ -309,8 +322,8 @@ def test_window_inverts_few_radii(monkeypatch):
     monkeypatch.setattr(sampler, "gammaincinv", counting)
     n, trials = 1024, 20
     cfg = SampleConfig(GINIBRE, n, trials, seed=4)
-    hist = boundary_profile(cfg, RescaleFrame.boundary(GINIBRE, n),
-                            (-3.0, 1.0, 40))
+    hist = radial_profile(cfg, RescaleFrame.boundary(GINIBRE, n),
+                          (-3.0, 1.0, 40))
     assert sum(points) == hist.inverted
     assert sum(points) / trials < n / 4
     assert sum(points) < 2 * n
@@ -340,22 +353,12 @@ def test_inaccurate_inverse_refuses_the_run(monkeypatch):
                         lambda a, q: gammaincinv(a, q) * (1.0 + 1e-9))
     cfg = SampleConfig(GINIBRE, 256, 2, seed=0)
     with pytest.raises(sampler.InversionCheckFailed, match="band margin"):
-        boundary_profile(cfg, RescaleFrame.boundary(GINIBRE, 256), (-3.0, 1.0, 8))
+        radial_profile(cfg, RescaleFrame.boundary(GINIBRE, 256), (-3.0, 1.0, 8))
 
 
 # --------------------------------------------------------------------------
 # the edge table: a kept draw is binned by the Gamma CDF at the bin edges
 # --------------------------------------------------------------------------
-
-
-def _profile(cfg, window):
-    """The sampled profile of ``cfg`` and its frame's ``(zoom, r0)``."""
-    pot, n = cfg.pot, cfg.n
-    if pot.kind == "power":
-        hist = bulk_singularity_profile(cfg, window)
-        return hist, n ** (1.0 / (2.0 * pot.lam)), 0.0
-    frame = RescaleFrame.boundary(pot, n)
-    return boundary_profile(cfg, frame, window), frame.zoom, 1.0
 
 
 @pytest.mark.parametrize("pot", [GINIBRE, Potential.hard_edge()],
@@ -365,8 +368,8 @@ def test_draws_on_edge_probabilities_are_inverted(monkeypatch, pot):
     # probability and eps/2 either side of one: all three take the inverse,
     # and the counts stay those of the full inversion
     n, trials, window = 64, 6, (-3.0, 1.0, 8)
-    zoom = RescaleFrame.boundary(pot, n).zoom
-    band = sampler._window_band(pot, n, zoom, 1.0, *window)
+    frame = RescaleFrame.boundary(pot, n)
+    band = sampler._window_band(pot, n, frame.zoom, 1.0, *window)
     j0 = int(np.argmax(band.p[:, 8] - band.p[:, 0]))
     offsets = (0.0, BAND_EPS / 2, -BAND_EPS / 2)
     real_uniforms = sampler._uniforms
@@ -383,8 +386,8 @@ def test_draws_on_edge_probabilities_are_inverted(monkeypatch, pot):
     monkeypatch.setattr(sampler, "_uniforms", on_edges)
     monkeypatch.setitem(globals(), "_uniforms", on_edges)  # the reference's
     cfg = SampleConfig(pot, n, trials, seed=17)
-    hist, _, _ = _profile(cfg, window)
-    counts, counts_sq = _full_inversion_counts(cfg, zoom, 1.0, *window)
+    hist = radial_profile(cfg, frame, window)
+    counts, counts_sq = _full_inversion_counts(cfg, frame.zoom, 1.0, *window)
     assert_array_equal(hist.counts, counts)
     assert_array_equal(hist.counts_sq, counts_sq)
     assert hist.inverted == band.checked + len(offsets) * trials
@@ -401,10 +404,8 @@ def test_draws_on_shared_thresholds_are_inverted(monkeypatch, pot, window, side)
     # the two in the band take the inverse, and the counts stay those of the
     # full inversion
     n, trials = 256, 6
-    if pot.kind == "power":
-        zoom, r0 = n ** (1.0 / (2.0 * pot.lam)), 0.0
-    else:
-        zoom, r0 = RescaleFrame.boundary(pot, n).zoom, 1.0
+    frame = _frame(pot, n)
+    zoom, r0 = frame.zoom, abs(frame.p)
     band = sampler._window_band(pot, n, zoom, r0, *window)
     j1 = band.j0 + len(band.p)
     if side == "below":
@@ -427,7 +428,7 @@ def test_draws_on_shared_thresholds_are_inverted(monkeypatch, pot, window, side)
     monkeypatch.setattr(sampler, "_uniforms", on_thresholds)
     monkeypatch.setitem(globals(), "_uniforms", on_thresholds)  # the reference's
     cfg = SampleConfig(pot, n, trials, seed=19)
-    hist, _, _ = _profile(cfg, window)
+    hist = radial_profile(cfg, frame, window)
     counts, counts_sq = _full_inversion_counts(cfg, zoom, r0, *window)
     assert_array_equal(hist.counts, counts)
     assert_array_equal(hist.counts_sq, counts_sq)
@@ -449,7 +450,7 @@ def test_band_work_grows_with_the_window_not_n(monkeypatch):
         return gammaincinv(a, q)
 
     monkeypatch.setattr(sampler, "gammaincinv", counting)
-    hist = boundary_profile(cfg, frame, window)
+    hist = radial_profile(cfg, frame, window)
     assert_array_equal(hist.counts, counts)
     assert sum(points) == hist.inverted
     assert sum(points) < 32 * math.sqrt(n)
@@ -474,15 +475,14 @@ def test_edge_table_counts_match_full_inversion_property():
     def check(pot_name, n, lo, width, bins, seed):
         cfg = SampleConfig(pots[pot_name], n, 4, seed)
         window = (lo, lo + width, bins)
+        frame = _frame(cfg.pot, n)
+        zoom, r0 = frame.zoom, abs(frame.p)
         try:
-            hist, zoom, r0 = _profile(cfg, window)
+            hist = radial_profile(cfg, frame, window)
         except ValueError as exc:
             # refused only where no index can reach the window, so where the
             # full inversion counts nothing
             assert "no index can reach the window" in str(exc)
-            pot = cfg.pot
-            zoom, r0 = ((n ** (1.0 / (2.0 * pot.lam)), 0.0) if pot.kind == "power"
-                        else (RescaleFrame.boundary(pot, n).zoom, 1.0))
             assert not _full_inversion_counts(cfg, zoom, r0, *window)[0].any()
             return
         counts, counts_sq = _full_inversion_counts(cfg, zoom, r0, *window)

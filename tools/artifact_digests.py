@@ -62,6 +62,13 @@ FAMILIES = [
     "eval --limit bulk --grid -1e-1:0:0.1",
     "sample --window -3e0:1",
     "sample --n 64 --trials 4 --window 100:200 --bins 4",
+    # the singularity frame at lam = 1 is the bulk frame, and the hard edge
+    # has none; converge --sections checks every n before it prints
+    "eval --finite ginibre --n 1024 --frame singularity --grid -2:1:0.25",
+    "converge --pot ginibre --frame singularity --spec ml:1",
+    "sample --pot ginibre --frame singularity --n 1024 --trials 100 --bins 10",
+    "sample --pot hard-edge --frame singularity",
+    "converge --sections --n-list 64,2000000",
 ]
 
 
