@@ -227,6 +227,16 @@ def _parse_points(text: str, seed: int) -> np.ndarray:
     return np.array([complex(p) for p in text.split(",")])
 
 
+def _in_domain(args, spec, pts, what: str) -> np.ndarray:
+    """The points of ``pts`` where ``spec``'s kernel lives (``Re z < 0`` at
+    the hard edge), refusing a request that keeps none."""
+    if spec.kind == "hard_edge":
+        pts = pts[pts.real < 0.0]
+    if not pts.size:
+        raise ValueError(f"{what} keeps no points for {args.spec}")
+    return pts
+
+
 # --------------------------------------------------------------------------
 # artifact output
 # --------------------------------------------------------------------------
@@ -325,7 +335,7 @@ def cmd_eval(args) -> int:
     else:
         _check_n(args.n)
         pot = parse_pot(args.finite)
-        frame = _make_frame(pot, args.n, args.frame)
+        frame = getattr(RescaleFrame, args.frame)(pot, args.n)
         values, tails = rescaled_kernel(pot, frame, zs, zs, return_bound=True)
         extra["tail_bound"] = float(tails.max())
         tag = f"{_slug(args.finite)}-n{args.n}-{args.frame}"
@@ -347,16 +357,6 @@ def cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-def _make_frame(pot: Potential, n: int, frame_name: str) -> RescaleFrame:
-    if frame_name == "bulk":
-        return RescaleFrame.bulk(pot, n)
-    if frame_name == "boundary":
-        return RescaleFrame.boundary(pot, n, theta=0.0)
-    if frame_name == "singularity":
-        return RescaleFrame.singularity(pot, n)
-    raise ValueError(f"unknown frame {frame_name!r}")
-
-
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
@@ -372,12 +372,9 @@ def _verify_ward(args, spec) -> tuple:
         "hard_edge": ("-2:-0.2:0.3", "-1:1:0.5"),
         "mittag_leffler": ("-1.25:1.25:0.5",) * 2}.get(spec.kind, ("-2:2:0.5",) * 2)
     pts = _plane(re, im).ravel()
-    if spec.kind == "hard_edge":
-        pts = pts[pts.real < 0.0]
     if spec.kind == "mittag_leffler":
         pts = pts[(np.abs(pts) <= 1.5 + 1e-12) & (np.abs(pts) > 1e-12)]
-    if not pts.size:
-        raise ValueError(f"ward grid {args.grid!r} keeps no points for {args.spec}")
+    pts = _in_domain(args, spec, pts, f"ward grid {args.grid!r}")
     vals = ward_residual(spec, pts, _quad(args))
     sup = float(vals.max())
     return pts, vals, {"sup_norm": sup, "points": pts.size}, sup
@@ -391,9 +388,8 @@ def _verify_mass_one(args, spec) -> tuple:
         "mittag_leffler": "0,0.5,1+0.5j",
         "constant": "0.3",
     }
-    pts = _parse_points(args.points or defaults[spec.kind], args.seed)
-    if not pts.size:
-        raise ValueError(f"mass-one point set {args.points!r} keeps no points")
+    pts = _in_domain(args, spec, _parse_points(args.points or defaults[spec.kind], args.seed),
+                     f"mass-one point set {args.points!r}")
     vals = mass_one_residual(spec, pts, _quad(args))
     res = np.abs(vals)
     sup = float(res.max())
@@ -559,15 +555,12 @@ def cmd_converge(args) -> int:
 
     pot = parse_pot(args.pot)
     spec = parse_spec(args.spec)
-    if spec.kind == "hard_edge":
-        xs = xs[xs < 0.0]
-    if not xs.size:
-        raise ValueError(f"converge grid {args.grid!r} keeps no points for {args.spec}")
+    xs = _in_domain(args, spec, xs, f"converge grid {args.grid!r}")
     zs = xs.astype(complex)
     limit = one_point(spec, zs)
     rows, sups, tail = [], {}, 0.0
     for n in n_list:
-        frame = _make_frame(pot, n, args.frame)
+        frame = getattr(RescaleFrame, args.frame)(pot, n)
         r_n, tails = rescaled_kernel(pot, frame, zs, zs, return_bound=True)
         sup = float(np.max(np.abs(r_n.real - limit)))
         rows.append(np.column_stack([np.full(xs.size, n), xs, r_n.real]))
@@ -603,7 +596,7 @@ def cmd_sample(args) -> int:
         window = args.window or "-3:1"
         spec = (LimitKernelSpec.hard_edge() if pot.kind == "hard_edge"
                 else LimitKernelSpec.free_boundary())
-    frame = _make_frame(pot, args.n, args.frame)
+    frame = getattr(RescaleFrame, args.frame)(pot, args.n)
     hist = radial_profile(cfg, frame, (*parse_window(window), args.bins))
 
     est, se = hist.estimates(), hist.stderrs()

@@ -17,7 +17,6 @@ Mittag-Leffler limit kernel and its Cauchy transform.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -88,19 +87,23 @@ def droplet_radius(pot: Potential) -> float:
 
 @dataclass(frozen=True)
 class RescaleFrame:
-    """Local coordinates ``z = exp(-i theta) * zoom * (zeta - p)``.
+    """Local coordinates ``z = zoom * (zeta - p)`` about a real centre ``p >= 0``.
 
-    ``zoom`` is ``sqrt(n * delta_q(p))`` for bulk/boundary frames and
-    ``n**(1/(2 lam))`` for the singularity frame at 0, which every potential
-    but the hard edge has: at lam = 1 it is the bulk frame, zoom ``sqrt(n)``.
+    The potentials are radial, so ``K_n(e^{i a} zeta, e^{i a} eta) =
+    K_n(zeta, eta)``: a frame about ``p e^{i a}`` reads the values of the
+    frame about ``p``, and a frame has no angle.  ``zoom`` is ``sqrt(n *
+    delta_q(p))`` for bulk/boundary frames and ``n**(1/(2 lam))`` for the
+    singularity frame at 0, which every potential but the hard edge has: at
+    lam = 1 it is the bulk frame, zoom ``sqrt(n)``.
     """
 
-    p: complex
-    theta: float
+    p: float
     n: int
     zoom: float
 
     def __post_init__(self):
+        if not self.p >= 0.0:
+            raise ValueError(f"centre must be real and >= 0, got {self.p}")
         if self.zoom <= 0.0:
             raise ValueError(f"zoom must be positive, got {self.zoom}")
 
@@ -109,12 +112,12 @@ class RescaleFrame:
         dq = pot.delta_q(0.0)
         if dq <= 0.0:
             raise ValueError("bulk frame undefined where the density vanishes")
-        return cls(p=0.0, theta=0.0, n=n, zoom=math.sqrt(n * dq))
+        return cls(p=0.0, n=n, zoom=math.sqrt(n * dq))
 
     @classmethod
-    def boundary(cls, pot: Potential, n: int, theta: float = 0.0) -> "RescaleFrame":
-        p = droplet_radius(pot) * cmath.exp(1j * theta)
-        return cls(p=p, theta=theta, n=n, zoom=math.sqrt(n * pot.delta_q(p)))
+    def boundary(cls, pot: Potential, n: int) -> "RescaleFrame":
+        p = droplet_radius(pot)
+        return cls(p=p, n=n, zoom=math.sqrt(n * pot.delta_q(p)))
 
     @classmethod
     def singularity(cls, pot: Potential, n: int) -> "RescaleFrame":
@@ -122,13 +125,13 @@ class RescaleFrame:
             raise ValueError("singularity frame needs a potential |z|^(2 lam), not the hard edge")
         if pot.lam == 1.0:
             return cls.bulk(pot, n)
-        return cls(p=0.0, theta=0.0, n=n, zoom=n ** (1.0 / (2.0 * pot.lam)))
+        return cls(p=0.0, n=n, zoom=n ** (1.0 / (2.0 * pot.lam)))
 
-    def to_global(self, z: complex) -> complex:
-        return self.p + cmath.exp(1j * self.theta) * z / self.zoom
+    def to_global(self, z):
+        return self.p + z / self.zoom
 
-    def to_local(self, zeta: complex) -> complex:
-        return cmath.exp(-1j * self.theta) * self.zoom * (zeta - self.p)
+    def to_local(self, zeta):
+        return self.zoom * (zeta - self.p)
 
 
 def _check_n(n, top: int = KERNEL_MAX_N) -> None:
@@ -379,19 +382,20 @@ _BLOCK = 1 << 14  # window entries handled at once
 WINDOW_MAX_TERMS = 1 << 16  # terms a window without the cap j < n may hold
 
 
-def _sum_windows(pot: Potential, n: int, mu, reduce, budget=None):
+def _sum_windows(pot: Potential, n: int, mu, reduce, uncapped: bool = False):
     """``(peak, values, bound)``: ``reduce(sel, peak, w)`` gives the values of
     rows ``sel`` of half width ``w`` (blocks of ~2^14 entries sorted by peak)
     and a bound on what the window leaves out; rows above 1e-17 go again at
-    twice the width.  A ``budget`` lifts the cap j < n, refusing longer windows."""
-    uncapped = budget is not None
+    twice the width.  ``uncapped`` lifts the cap j < n, refusing windows of
+    more than ``WINDOW_MAX_TERMS`` terms."""
     width = _half_width(pot, n, mu, uncapped)
     values, bound = np.zeros(mu.size, dtype=complex), np.zeros(mu.size)
     peak, todo = None, np.arange(mu.size)
     while peak is None or todo.size:
         need = 2 * int(np.max(width[todo], initial=0)) + 1
-        if uncapped and need > budget:
-            raise SeriesNotConverged(f"a term window needs {need} terms (budget {budget})")
+        if uncapped and need > WINDOW_MAX_TERMS:
+            raise SeriesNotConverged(f"a term window needs {need} terms "
+                                     f"(budget {WINDOW_MAX_TERMS})")
         if peak is None:
             peak = _peak(pot, n, mu, uncapped)
         redo = [todo[:0]]
@@ -412,10 +416,9 @@ def _sum_windows(pot: Potential, n: int, mu, reduce, budget=None):
     return peak, values, bound
 
 
-def _kernel(pot: Potential, n: int, zeta, eta, budget=None, square: bool = False):
+def _kernel(pot: Potential, n: int, zeta, eta, uncapped: bool = False, square: bool = False):
     """``(K, bound)`` of :func:`kernel_finite_n` at flat arrays, over ``j < n``
-    or, with a term budget, every ``j >= 0``; ``square`` sums the squares."""
-    uncapped = budget is not None
+    or, ``uncapped``, every ``j >= 0``; ``square`` sums the squares."""
     lam = pot.lam
     abs_z, abs_e = np.abs(zeta), np.abs(eta)
     with np.errstate(over="ignore"):
@@ -449,7 +452,7 @@ def _kernel(pot: Potential, n: int, zeta, eta, budget=None, square: bool = False
         re, im, rel_tail = _window(pot, n, mu[sel], theta[sel], peak, w, uncapped, masses)
         return re + 1j * im, rel_tail
 
-    peak, sums, bound[idx] = _sum_windows(pot, n, mu, reduce, budget)
+    peak, sums, bound[idx] = _sum_windows(pot, n, mu, reduce, uncapped)
     with np.errstate(over="ignore"):  # an infinite Gaussian exponent gives 0
         gauss = 0.5 * n * (abs_z[idx] ** lam - abs_e[idx] ** lam) ** 2
     a, x = abs_z[idx] * abs_e[idx], (peak + 1.0) / lam - 1.0
@@ -488,12 +491,12 @@ def kernel_finite_n(pot: Potential, n: int, zeta, eta, *, return_bound: bool = F
     return (out, bound) if return_bound else out
 
 
-def _ml_kernel(lam: float, z, w, budget=WINDOW_MAX_TERMS, square: bool = False):
+def _ml_kernel(lam: float, z, w, square: bool = False):
     """``(K, bound)`` of the Mittag-Leffler kernel ``M_lam(z conj w) e^{-(|z|^(2
     lam) + |w|^(2 lam))/2}`` at flat arrays: :func:`_kernel` for power(lam) at
     n = 1 without the cap, whose terms the singularity frame keeps for every
-    n.  The default budget refuses ``|z w|^lam`` past ``(3800 / lam)^2``."""
-    return _kernel(Potential.power(lam), 1, z, w, budget, square)
+    n.  ``WINDOW_MAX_TERMS`` refuses ``|z w|^lam`` past ``(3800 / lam)^2``."""
+    return _kernel(Potential.power(lam), 1, z, w, True, square)
 
 
 def _ml_cauchy(lam: float, r):
@@ -532,7 +535,7 @@ def _ml_cauchy(lam: float, r):
             err = lost / (rr[sel] * kept) + np.abs(value) * (tail_d + tail_u) / kept
         return value, np.where(np.isfinite(tail_d + tail_u), err, np.inf)
 
-    _, values, bound[idx] = _sum_windows(Potential.power(lam), 1, mu, reduce, WINDOW_MAX_TERMS)
+    _, values, bound[idx] = _sum_windows(Potential.power(lam), 1, mu, reduce, True)
     c[idx] = values.real
     return c, bound
 

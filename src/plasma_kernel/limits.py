@@ -109,7 +109,8 @@ class LimitKernelSpec:
     """Which limiting kernel to evaluate.
 
     ``kind`` is one of ``"bulk"``, ``"free_boundary"`` (with a tuple of
-    disjoint real intervals whose indicator is Gaussian-smoothed),
+    disjoint real intervals whose indicator is Gaussian-smoothed; they may
+    touch, and keep the order given),
     ``"hard_edge"``, ``"mittag_leffler"`` (with ``lam``), or ``"constant"``
     (profile identically ``level`` — a deliberate counterexample kernel).
     """
@@ -131,6 +132,12 @@ class LimitKernelSpec:
         for lo, hi in ivals:
             if not lo < hi:
                 raise ValueError(f"interval ({lo}, {hi}) is empty")
+        # the kernel's m is the indicator of the union, which each integral
+        # sums piece by piece: so the pieces may not overlap
+        ordered = sorted(ivals)
+        for a, b in zip(ordered, ordered[1:]):
+            if b[0] < a[1]:
+                raise ValueError(f"intervals {a} and {b} overlap")
         return cls("free_boundary", intervals=ivals)
 
     @classmethod
@@ -155,6 +162,9 @@ class LimitKernelSpec:
         return self.kind in ("bulk", "free_boundary", "hard_edge", "constant")
 
 
+QUAD_MAX_N_RADIAL = 768
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Node budget for the plane integrals.
@@ -165,6 +175,9 @@ class QuadratureConfig:
     ``_CUT``.  The Mittag-Leffler mass-one rule has ``n_radial`` polished
     nodes in ``|w|`` where ``||w|^lam - |z|^lam| <= r_max``; outside, its
     density has a factor ``exp(-(|w|^lam - |z|^lam)^2) < e^-64``.
+    ``n_radial`` is at most ``QUAD_MAX_N_RADIAL``: there the reduced rule
+    of one point, two panels of 256 nodes in each of its two variables,
+    fills one ``_BLOCK`` of 2^18 entries, and a block never splits a point.
     """
 
     r_max: float = 8.0
@@ -175,6 +188,9 @@ class QuadratureConfig:
             raise ValueError(f"quad r_max must be finite and positive, got {self.r_max}")
         if self.n_radial < 1:
             raise ValueError(f"quad n_radial must be at least 1, got {self.n_radial}")
+        if self.n_radial > QUAD_MAX_N_RADIAL:
+            raise ValueError(f"quad n_radial must be at most {QUAD_MAX_N_RADIAL}, "
+                             f"got {self.n_radial}")
 
     def doubled(self) -> "QuadratureConfig":
         return QuadratureConfig(self.r_max, 2 * self.n_radial)
@@ -743,26 +759,20 @@ def telescoping_sum(s: float, n_terms: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def eighth_formula(n_nodes: int = 192, shift: float = 0.0, t_max: float = 12.0) -> float:
+def eighth_formula(n_nodes: int = 192, shift: float = 0.0) -> float:
     """``integral t (F(2t - shift) - 1_{t<0}) dt`` over the real line.
 
     Splits at the indicator kink at 0; equals exactly 1/8 when
-    ``shift = 0`` and moves by ``shift^2/8`` otherwise.
+    ``shift = 0`` and moves by ``shift^2/8`` otherwise.  Integrates over
+    ``|t| <= 12 + |shift|``, past which the integrand is below ``e^-288``.
     """
     total, (x, w) = 0.0, _leggauss(n_nodes)
-    for lo, hi in ((-t_max - abs(shift), 0.0), (0.0, t_max + abs(shift))):
+    for lo, hi in ((-12.0 - abs(shift), 0.0), (0.0, 12.0 + abs(shift))):
         t, wt = 0.5 * (hi - lo) * x + 0.5 * (lo + hi), 0.5 * (hi - lo) * w
         f = np.real(plasma_F(2.0 * t - shift))
         indicator = (t < 0.0).astype(float)
         total += float(np.sum(t * (f - indicator) * wt))
     return total
-
-
-def _real_grid(x_grid) -> np.ndarray:
-    xs = np.ravel(np.asarray(x_grid, dtype=float))
-    if not xs.size:
-        raise ValueError("x_grid is empty; it needs at least one point")
-    return xs
 
 
 def tail_bounds_report(spec: LimitKernelSpec, x_grid) -> tuple:
@@ -774,7 +784,9 @@ def tail_bounds_report(spec: LimitKernelSpec, x_grid) -> tuple:
     """
     if spec.kind != "free_boundary" or spec.intervals != _HALF_LINE:
         raise ValueError("tail bounds apply to the half-line free-boundary kernel")
-    xs = _real_grid(x_grid)
+    xs = np.ravel(np.asarray(x_grid, dtype=float))
+    if not xs.size:
+        raise ValueError("x_grid is empty; it needs at least one point")
     r = one_point(spec, xs)
     ext = xs >= 0.0
     values = np.abs(r - 1.0) * np.exp(0.4 * xs * xs)
@@ -818,32 +830,27 @@ def gram_min_eig(spec: LimitKernelSpec, points, complementary: bool = False):
     return float(eig) if z.ndim == 1 else eig
 
 
-def inequality_suite(x_grid=None, z_points=None, n_pairs: int = 200,
-                     seed: int = 0) -> tuple:
+def inequality_suite(seed: int = 0) -> tuple:
     """Margins of the sharp F- and H-inequalities (all must be >= 0).
 
     Returns ``(margins, params)``: the margins of the three families below,
     concatenated in that order, and their minimum and sharpness gaps.
 
-    * ``F(x) - F(x)^2 - e^{-x^2}/4`` on a real grid (sharp at x = 0);
-    * ``e^{|z|^2} H(z + conj z) log 2 - |H(z)|^2`` for Re z < 0 (sharp as
-      z -> 0);
-    * ``e^{|z-w|^2} F(2 Re z) F(2 Re w) - |F(z + conj w)|^2`` on random
-      pairs.
+    * ``F(x) - F(x)^2 - e^{-x^2}/4`` on ``x = -5, -4.9, ..., 5`` (sharp at
+      x = 0);
+    * ``e^{|z|^2} H(z + conj z) log 2 - |H(z)|^2`` on the grid of ``Re z =
+      -3, -2.75, ..., -0.25`` and ``Im z = -3, -2.5, ..., 3`` (sharp as z -> 0);
+    * ``e^{|z-w|^2} F(2 Re z) F(2 Re w) - |F(z + conj w)|^2`` on 200 pairs
+      with parts uniform on [-2, 2), drawn from ``seed``.
     """
-    if x_grid is None:
-        x_grid = np.arange(-5.0, 5.0 + 1e-9, 0.1)
-    xs = _real_grid(x_grid)
+    n_pairs = 200
+    xs = np.arange(-5.0, 5.0 + 1e-9, 0.1)
     f = np.real(plasma_F(xs.astype(complex)))
     margins_f = f - f * f - 0.25 * np.exp(-xs * xs)
 
-    if z_points is None:
-        re = np.arange(-3.0, -0.049, 0.25)
-        im = np.arange(-3.0, 3.0 + 1e-9, 0.5)
-        z_points = (re[:, None] + 1j * im[None, :]).ravel()
-    zs = np.asarray(z_points, dtype=complex)
-    if np.any(zs.real >= 0.0):
-        raise ValueError("H-inequality points must have Re z < 0")
+    re = np.arange(-3.0, -0.049, 0.25)
+    im = np.arange(-3.0, 3.0 + 1e-9, 0.5)
+    zs = (re[:, None] + 1j * im[None, :]).ravel()
     h_at = np.atleast_1d(hard_edge_H(zs))
     h_diag = np.real(hard_edge_H(2.0 * zs.real))
     margins_h = np.exp(np.abs(zs) ** 2) * h_diag * LOG2 - np.abs(h_at) ** 2

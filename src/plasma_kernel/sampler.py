@@ -16,8 +16,8 @@ ones, and makes every output a pure function of ``(seed, trial)``.
 
 A profile needs only the bin of each radius, and bins it without inverting
 it.  Each radius is ``r(P^{-1}(a_j, q_j))`` with ``q_j`` the index's
-(scaled) uniform, ``zoom (r - r0)`` increases with ``q_j``, and ``X(v) = n
-(r0 + v / zoom)^(2 lam)`` inverts that map.  ``P(a, x)`` decreases in the
+(scaled) uniform, the frame's ``zoom (r - p)`` increases with ``q_j``, and
+``X(v) = n (p + v / zoom)^(2 lam)`` inverts that map.  ``P(a, x)`` decreases in the
 shape ``a``, so a bisection with O(log n) scalar ``gammainc`` calls finds
 the indices that can reach the window: from ``j0``, the first index with
 ``P(a_j, X(lo)) < 1 - eps/2``, up to ``j1``, the first with ``P(a_j, X(hi))
@@ -41,7 +41,7 @@ full-inversion reference) would.
 The premise: the inverse's backward error ``|P(a, P^{-1}(a, q)) - q|`` is
 below ``eps``.  Then a draw more than ``eps`` from every edge probability
 inverts strictly inside the bin the table gives it, with a margin of about
-1e-13 relative in x, far above the rounding of r, of ``zoom (r - r0)`` and
+1e-13 relative in x, far above the rounding of r, of ``zoom (r - p)`` and
 of the bin index; and a draw outside its band, shared or not, inverts
 outside the window.  So every count equals that of the full inversion.
 Once per run the check inverts the band's cutting edges to measure the
@@ -250,14 +250,15 @@ class _Band:
     backward_error: float   # worst |P(a, P^{-1}(a, q)) - q| over those edges
 
 
-def _window_band(pot: Potential, n: int, zoom: float, r0: float,
-                 lo: float, hi: float, bins: int) -> _Band:
-    """The edge table and bands of the indices that can reach the window,
-    the shared band of the others, checked once.
+def _window_band(pot: Potential, frame: RescaleFrame, lo: float, hi: float,
+                 bins: int) -> _Band:
+    """The edge table and bands of the indices that can reach the window
+    of ``frame``, the shared band of the others, checked once.
 
-    ``x -> zoom (r(x) - r0)`` is increasing and ``X(v) = n (r0 + v /
-    zoom)^(2 lam)`` inverts it, so the table is ``P(a, X(e_k))`` and the
-    band ``[P(a, X(lo)) - eps, P(a, X(hi)) + eps]``.  Bisection finds the table's rows ``j0 .. j1 - 1``; the shared
+    ``x -> frame.to_local(r(x))`` is increasing and ``X(v) = n
+    frame.to_global(v)^(2 lam)`` inverts it, so the table is ``P(a, X(e_k))``
+    and the band ``[P(a, X(lo)) - eps, P(a, X(hi)) + eps]``.  Bisection finds
+    the table's rows ``j0 .. j1 - 1``; the shared
     band is ``[1 - 2 eps, inf)`` below them and ``(-inf, 2 eps]`` above
     (module docstring).  A row whose outer edges lie within ``2 eps`` keeps
     ``P(a, X(lo))`` in its inner columns: each draw of its band sits within
@@ -270,8 +271,9 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
     index can reach (``j1 == j0``) and a table of more than ``TABLE_BUDGET``
     entries are refused before anything is built or drawn.
     """
+    n = frame.n
     with np.errstate(over="ignore"):  # an edge beyond every radius maps to inf
-        x = n * np.maximum(r0 + np.linspace(lo, hi, bins + 1) / zoom, 0.0) ** (2.0 * pot.lam)
+        x = n * np.maximum(frame.to_global(np.linspace(lo, hi, bins + 1)), 0.0) ** (2.0 * pot.lam)
     j0 = bisect.bisect_left(range(n), True, key=lambda j: (
         gammainc(_shapes(pot, j), x[0]) < 1.0 - BAND_EPS / 2))
     j1 = bisect.bisect_left(range(n), True, lo=j0, key=lambda j: (
@@ -310,7 +312,7 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
                           rows_hi[cut_hi], np.full(len(above), Q_ABOVE)])
     x_e = gammaincinv(a_e, q_e)
     err = float(np.max(np.abs(gammainc(a_e, x_e) - q_e), initial=0.0))
-    v_e = zoom * (_radius_of(pot, n, x_e) - r0)
+    v_e = frame.to_local(_radius_of(pot, n, x_e))
     k = int(cut_lo.sum()) + len(below)
     if not err < BAND_EPS or np.any(v_e[:k] >= lo) or np.any(v_e[k:] < hi):
         raise InversionCheckFailed(
@@ -319,8 +321,8 @@ def _window_band(pot: Potential, n: int, zoom: float, r0: float,
     return _Band(j0, q_scale, p, q_lo, q_hi, int(a_e.size), err)
 
 
-def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
-    """Histogram of ``zoom (r - r0)`` over all trials, with per-bin squared
+def _accumulate(cfg: SampleConfig, frame: RescaleFrame, hist) -> Histogram1D:
+    """Histogram of ``frame.to_local(r)`` over all trials, with per-bin squared
     counts and the Jacobian ``2 r zoom`` at each bin centre.  Each trial
     draws all n uniforms and keeps the indices inside their band.  A kept
     draw's bin is the number of edge probabilities more than ``eps`` below
@@ -330,7 +332,7 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
     counts, whichever a trial has more of, so temporaries stay O(points)."""
     lo, hi, bins = _hist_window(hist)
     pot, n = cfg.pot, cfg.n
-    band = _window_band(pot, n, zoom, r0, lo, hi, bins)
+    band = _window_band(pot, frame, lo, hi, bins)
     rows_p, width = band.p.shape
     # the narrow indices search one extra row of -inf, so each of their
     # kept draws counts as near an edge and is inverted
@@ -364,12 +366,12 @@ def _accumulate(cfg: SampleConfig, zoom: float, r0: float, hist) -> Histogram1D:
         far = rows[~near] * bins + (pos - base)[~near] - 1
         h = np.bincount(far, minlength=(stop - start) * bins).reshape(-1, bins)
         r = _radii_from_uniforms(pot, n, u.ravel()[kept[near]], cols[near])
-        values = zoom * (r - r0)
+        values = frame.to_local(r)
         h += _histogram_counts(values, lo, hi, bins, rows[near], stop - start)
         counts += h.sum(axis=0)
         counts_sq += (h * h).sum(axis=0)
         inverted += values.size
-    scale = 2.0 * np.maximum(r0 + _bin_centers(lo, hi, bins) / zoom, 1e-300) * zoom
+    scale = 2.0 * np.maximum(frame.to_global(_bin_centers(lo, hi, bins)), 1e-300) * frame.zoom
     return Histogram1D(lo, hi, bins, counts, cfg.trials, counts_sq, scale, inverted,
                        band.backward_error, rows_p)
 
@@ -392,7 +394,7 @@ def radial_profile(cfg: SampleConfig, frame: RescaleFrame, hist) -> Histogram1D:
     """Empirical rescaled one-point profile along a ray from the centre of
     ``frame``, a frame of ``cfg.n`` centred at 0 or on the droplet boundary.
 
-    Accumulates ``zoom (r - |p|)`` over all trials; the estimate in each bin
+    Accumulates ``zoom (r - p)`` over all trials; the estimate in each bin
     divides by the radial-to-planar Jacobian ``2 r(x) zoom`` so it converges
     to the rescaled one-point function: ``F(2x)`` for Ginibre and ``H(2x)``
     for the hard edge at the boundary, ``M_lam(s^2) e^{-s^{2 lam}}`` (flat 1
@@ -402,7 +404,6 @@ def radial_profile(cfg: SampleConfig, frame: RescaleFrame, hist) -> Histogram1D:
     """
     if frame.n != cfg.n:
         raise ValueError(f"frame is built for n={frame.n}, the run samples n={cfg.n}")
-    r0 = abs(frame.p)
-    if r0 and abs(r0 - droplet_radius(cfg.pot)) > 1e-12:
+    if frame.p and abs(frame.p - droplet_radius(cfg.pot)) > 1e-12:
         raise ValueError("frame must be centred at 0 or on the droplet boundary")
-    return _accumulate(cfg, frame.zoom, r0, hist)
+    return _accumulate(cfg, frame, hist)

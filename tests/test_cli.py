@@ -76,6 +76,9 @@ def test_parse_quad():
     for text in ("6", "6,48,64", "6,4.5", "x,48"):
         with pytest.raises(ValueError, match="r_max,nr"):
             parse_quad(text)
+    assert parse_quad("8,768").n_radial == 768
+    with pytest.raises(ValueError, match="n_radial must be at most 768, got 769"):
+        parse_quad("8,769")
 
 
 def test_threshold_lookup():
@@ -152,6 +155,32 @@ def test_verify_mass_one_constant_counterexample(tmp_path):
                  "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--limit", "free-boundary:-5,5,-5,5", "--grid", "0:0:1"],
+    ["verify", "mass-one", "--spec", "free-boundary:-5,5,-5,5", "--points", "0"],
+    ["verify", "polarized", "--spec", "free-boundary:-5,5,-5,5"],
+    ["verify", "ward", "--spec", "free-boundary:0,2,1,3", "--grid", "0:0:1"],
+], ids=["eval", "mass-one", "polarized", "ward"])
+def test_overlapping_free_boundary_intervals_are_usage_errors(tmp_path, capsys, argv):
+    # the integrals sum over the pieces of E, so overlapping pieces would count
+    # the overlap twice: an intensity near 2, and mass-one checks that pass
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "overlap" in captured.err and "PASS" not in captured.out
+    assert not list(tmp_path.iterdir())
+
+
+def test_hard_edge_mass_one_checks_the_points_inside_the_domain(tmp_path):
+    # a point with Re z >= 0 lies outside the hard edge's domain: it is left
+    # out, as verify ward and converge leave it out, and the rest is checked
+    assert main(["verify", "mass-one", "--spec", "hard-edge", "--points", "0.5,-0.5",
+                 "--out", str(tmp_path / "both")]) == 0
+    assert main(["verify", "mass-one", "--spec", "hard-edge", "--points", "-0.5",
+                 "--out", str(tmp_path / "inside")]) == 0
+    name = "verify_mass-one_hard-edge.csv"
+    assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "inside" / name).read_bytes()
+
+
 def test_verify_ward_disconnected_fails(tmp_path, capsys):
     code = main(["verify", "ward", "--spec", "free-boundary:-2,-1,1,2",
                  "--grid", "0:0:1", "--out", str(tmp_path)])
@@ -165,7 +194,9 @@ def test_verify_ward_disconnected_fails(tmp_path, capsys):
     (["converge", "--pot", "hard-edge", "--spec", "hard-edge", "--grid", "0:1:0.5"],
      "keeps no points"),
     (["verify", "mass-one", "--points", "random:0"], "keeps no points"),
-], ids=["ward", "positivity", "converge", "mass-one"])
+    (["verify", "mass-one", "--spec", "hard-edge", "--points", "0.5,0,1-1j"],
+     "keeps no points for hard-edge"),
+], ids=["ward", "positivity", "converge", "mass-one", "mass-one-hard-edge"])
 def test_empty_point_set_is_usage_error(tmp_path, capsys, argv, named):
     # a verdict over zero points would be vacuous
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -261,7 +292,9 @@ def test_non_finite_shape_is_usage_error(tmp_path, capsys, argv, named):
     ("ml:2", "8,0", "n_radial must be at least 1, got 0"),
     ("free-boundary", "8,-3", "n_radial must be at least 1, got -3"),
     ("ml:2", "8,96,1", "quad must be r_max,nr, got '8,96,1'"),
-], ids=["negative", "zero", "inf", "nan", "no-nodes", "negative-nodes", "three-fields"])
+    ("free-boundary", "8,769", "n_radial must be at most 768, got 769"),
+], ids=["negative", "zero", "inf", "nan", "no-nodes", "negative-nodes", "three-fields",
+        "over-budget"])
 def test_bad_quad_is_usage_error(tmp_path, capsys, spec, quad, named):
     # a rule that cannot integrate is a usage error, not a verdict
     argv = ["verify", "mass-one", "--spec", spec, "--quad", quad, "--out", str(tmp_path)]

@@ -166,14 +166,46 @@ def test_kernel_hermitian_and_diagonal():
 
 
 def test_kernel_rotation_covariance():
+    # the potentials are radial, so K_n(e^{ia} zeta, e^{ia} eta) = K_n(zeta,
+    # eta) in complex value: within 1e-13 of sqrt(K(zeta, zeta) K(eta, eta))
+    # (2e-14 measured).  At n = 16 the moduli agree to 1e-11 relative as well.
+    # Pairs 1 / sqrt(n) apart, where K is of the size of that scale, are
+    # checked in frame coordinates below
     for pot in (GINIBRE, POWER2, HARD):
-        alpha = rng.uniform(0.0, 2.0 * math.pi)
+        for n in (16, 1024):
+            rot = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            zeta, eta = random_complex(10, 0.9), random_complex(10, 0.9)
+            a = kernel_finite_n(pot, n, rot * zeta, rot * eta)
+            b = kernel_finite_n(pot, n, zeta, eta)
+            scale = np.sqrt(kernel_finite_n(pot, n, zeta, zeta).real
+                            * kernel_finite_n(pot, n, eta, eta).real)
+            assert np.all(np.abs(a - b) <= 1e-13 * scale)
+            if n == 16:
+                assert_allclose(np.abs(a), np.abs(b), rtol=1e-11)
+
+
+@pytest.mark.parametrize("pot,make", [
+    (GINIBRE, RescaleFrame.boundary), (POWER2, RescaleFrame.boundary),
+    (HARD, RescaleFrame.boundary), (POWER2, RescaleFrame.singularity),
+    (HARD, RescaleFrame.bulk),
+], ids=["ginibre-boundary", "power2-boundary", "hard-edge-boundary", "power2-singularity",
+        "hard-edge-bulk"])
+def test_a_rotated_frame_reads_the_frame_without_angle(pot, make):
+    # a frame about p e^{ia}, with its local axes turned by a, maps z to
+    # e^{ia} frame.to_global(z): its kernel values are those of the frame
+    # about p, within 1e-12 of sqrt(R(z) R(w)) (4.4e-14 measured at the
+    # boundary, a = 0.9)
+    n = 1024
+    frame = make(pot, n)
+    axis = np.linspace(-3.0, 1.0, 9)
+    z = (axis[None, :] + 1j * np.linspace(-2.0, 2.0, 5)[:, None]).ravel()
+    w = z[::-1]
+    ref = rescaled_kernel(pot, frame, z, w)
+    scale = np.sqrt(rescaled_kernel(pot, frame, z, z).real * rescaled_kernel(pot, frame, w, w).real)
+    for alpha in (0.9, math.pi / 2, 2.5):
         rot = cmath.exp(1j * alpha)
-        for _ in range(10):
-            zeta, eta = (complex(v) for v in random_complex(2, 0.9))
-            a = kernel_finite_n(pot, 16, rot * zeta, rot * eta)
-            b = kernel_finite_n(pot, 16, zeta, eta)
-            assert_allclose(abs(a), abs(b), rtol=1e-11)
+        got = kernel_finite_n(pot, n, rot * frame.to_global(z), rot * frame.to_global(w))
+        assert np.all(np.abs(got / frame.zoom**2 - ref) <= 1e-12 * scale)
 
 
 def test_power_one_reduces_to_ginibre():
@@ -524,17 +556,21 @@ def test_gram_matrix_positive_semidefinite():
 
 
 def test_frame_roundtrip():
-    frame = RescaleFrame.boundary(GINIBRE, 100, theta=0.7)
-    for z in random_complex(10, 3.0):
-        assert_allclose(frame.to_local(frame.to_global(complex(z))), complex(z),
+    frame = RescaleFrame.boundary(GINIBRE, 100)
+    z = random_complex(10, 3.0)
+    for k in range(z.size):
+        assert_allclose(frame.to_local(frame.to_global(complex(z[k]))), complex(z[k]),
                         rtol=1e-12, atol=1e-12)
+    # the maps are elementwise over arrays, real ones included
+    assert_allclose(frame.to_local(frame.to_global(z)), z, rtol=1e-12, atol=1e-12)
+    assert frame.to_global(np.array([-10.0, 0.0])).tolist() == [0.0, 1.0]
 
 
 def test_frame_factories():
     fb = RescaleFrame.bulk(GINIBRE, 25)
     assert fb.p == 0.0 and fb.zoom == pytest.approx(5.0)
-    bd = RescaleFrame.boundary(GINIBRE, 25, theta=math.pi / 2)
-    assert_allclose(bd.p, 1j, rtol=1e-12)
+    bd = RescaleFrame.boundary(GINIBRE, 25)
+    assert bd.p == 1.0 and bd.zoom == 5.0
     sg = RescaleFrame.singularity(POWER2, 16)
     assert sg.zoom == pytest.approx(2.0)
     # at lam = 1 the singularity frame is the bulk frame, bit for bit also at
@@ -545,7 +581,10 @@ def test_frame_factories():
     with pytest.raises(ValueError):
         RescaleFrame.singularity(Potential.hard_edge(), 16)
     with pytest.raises(ValueError):
-        RescaleFrame(p=0.0, theta=0.0, n=4, zoom=0.0)
+        RescaleFrame(p=0.0, n=4, zoom=0.0)
+    # a centre is real and >= 0: rotation invariance leaves no angle to set
+    with pytest.raises(ValueError, match="centre must be real and >= 0"):
+        RescaleFrame(p=-1.0, n=4, zoom=2.0)
 
 
 def test_rescaled_bulk_density_near_one():

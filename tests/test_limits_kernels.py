@@ -68,6 +68,14 @@ def test_spec_validation():
         LimitKernelSpec.free_boundary(((1.0, -1.0),))
     with pytest.raises(ValueError):
         LimitKernelSpec.free_boundary(())
+    # the pieces of E may touch but not overlap, whatever their order, and
+    # keep the order given
+    for ivals in (((-5.0, 5.0), (-5.0, 5.0)), ((1.0, 3.0), (0.0, 2.0)),
+                  ((-math.inf, 0.0), (-1.0, 1.0))):
+        with pytest.raises(ValueError, match="overlap"):
+            LimitKernelSpec.free_boundary(ivals)
+    touching = ((1.0, 2.0), (-1.0, 1.0), (-math.inf, -1.0))
+    assert LimitKernelSpec.free_boundary(touching).intervals == touching
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,18 @@ CONST = LimitKernelSpec.constant_profile(0.5)
 GAP = LimitKernelSpec.free_boundary(((-2.0, -1.0), (1.0, 2.0)))
 
 
+def test_quadrature_config_node_budget():
+    # at n_radial = 768 the reduced rule of one point, two panels of 256 nodes
+    # in each of two variables, fills exactly one block, which never splits a
+    # point; above it a request is refused before any node is built
+    assert (2 * limits._panel_nodes(QuadratureConfig(8.0, 768))) ** 2 == limits._BLOCK
+    assert QuadratureConfig(8.0, 384).doubled().n_radial == limits.QUAD_MAX_N_RADIAL == 768
+    with pytest.raises(ValueError, match="n_radial must be at most 768, got 769"):
+        QuadratureConfig(8.0, 769)
+    with pytest.raises(ValueError, match="at most 768, got 770"):
+        QuadratureConfig(8.0, 385).doubled()
+
+
 # --------------------------------------------------------------------------
 # mass-one equation
 # --------------------------------------------------------------------------
@@ -728,9 +740,8 @@ def test_tail_bounds_interior():
 
 
 @pytest.mark.parametrize("report", [
-    lambda grid: inequality_suite(x_grid=grid),
     lambda grid: tail_bounds_report(FB, grid),
-], ids=["inequalities", "tail_bounds"])
+], ids=["tail_bounds"])
 def test_line_reports_take_one_point_and_refuse_none(report):
     values, _ = report([0.5])
     assert np.all(np.isfinite(values))

@@ -209,7 +209,7 @@ def test_boundary_profile_requires_boundary_frame():
     # the centre is 0 or on the droplet boundary, nothing in between
     cfg = SampleConfig(GINIBRE, 64, 2, seed=0)
     with pytest.raises(ValueError, match="centred at 0 or on the droplet boundary"):
-        radial_profile(cfg, RescaleFrame(p=0.5, theta=0.0, n=64, zoom=8.0), (-3.0, 1.0, 40))
+        radial_profile(cfg, RescaleFrame(p=0.5, n=64, zoom=8.0), (-3.0, 1.0, 40))
 
 
 def test_profile_refuses_a_frame_of_another_n():
@@ -369,7 +369,7 @@ def test_draws_on_edge_probabilities_are_inverted(monkeypatch, pot):
     # and the counts stay those of the full inversion
     n, trials, window = 64, 6, (-3.0, 1.0, 8)
     frame = RescaleFrame.boundary(pot, n)
-    band = sampler._window_band(pot, n, frame.zoom, 1.0, *window)
+    band = sampler._window_band(pot, frame, *window)
     j0 = int(np.argmax(band.p[:, 8] - band.p[:, 0]))
     offsets = (0.0, BAND_EPS / 2, -BAND_EPS / 2)
     real_uniforms = sampler._uniforms
@@ -406,7 +406,7 @@ def test_draws_on_shared_thresholds_are_inverted(monkeypatch, pot, window, side)
     n, trials = 256, 6
     frame = _frame(pot, n)
     zoom, r0 = frame.zoom, abs(frame.p)
-    band = sampler._window_band(pot, n, zoom, r0, *window)
+    band = sampler._window_band(pot, frame, *window)
     j1 = band.j0 + len(band.p)
     if side == "below":
         js, inside, threshold = range(band.j0 - 3, band.j0), 1.0, band.q_lo

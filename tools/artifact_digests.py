@@ -69,6 +69,11 @@ FAMILIES = [
     "sample --pot ginibre --frame singularity --n 1024 --trials 100 --bins 10",
     "sample --pot hard-edge --frame singularity",
     "converge --sections --n-list 64,2000000",
+    # overlapping free-boundary intervals are refused; verify mass-one keeps
+    # the hard-edge points inside the domain
+    "verify mass-one --spec free-boundary:-5,5,-5,5 --points 0",
+    "verify ward --spec free-boundary:0,2,1,3 --grid 0:0:1",
+    "verify mass-one --spec hard-edge --points 0.5,-0.5",
 ]
 
 
