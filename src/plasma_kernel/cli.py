@@ -173,13 +173,10 @@ def parse_spec(text: str) -> LimitKernelSpec:
     if name in ("bulk", "ginibre-bulk"):
         return LimitKernelSpec.ginibre_bulk()
     if name == "free-boundary":
-        if not arg:
-            return LimitKernelSpec.free_boundary()
-        ends = [float(p) for p in arg.split(",")]
+        ends = [float(p) for p in arg.split(",")] if arg else [-math.inf, 0.0]
         if len(ends) % 2:
             raise ValueError("free-boundary endpoints must come in pairs")
-        ivals = tuple((ends[i], ends[i + 1]) for i in range(0, len(ends), 2))
-        return LimitKernelSpec.free_boundary(ivals)
+        return LimitKernelSpec.free_boundary(zip(ends[::2], ends[1::2]))
     if name == "hard-edge":
         return LimitKernelSpec.hard_edge()
     if name in ("ml", "mittag-leffler"):
@@ -220,20 +217,30 @@ def _random_points(rng, shape) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=(*shape, 2)).view(complex)[..., 0]
 
 
+def _random_count(text: str, lo: int, hi: int) -> int:
+    """The N of ``--points random:N``: an integer from ``lo`` to ``hi``, within ``ROW_BUDGET``."""
+    kind, _, arg = text.partition(":")
+    if kind != "random" or not arg.removeprefix("-").isdecimal():
+        raise ValueError(f"--points must be random:N, got {text!r} (N an integer)")
+    if not lo <= _rows(int(arg)) <= hi:
+        raise ValueError(f"--points random:N needs {lo} <= N <= {hi}, got N = {arg}")
+    return int(arg)
+
+
 def _parse_points(text: str, seed: int) -> np.ndarray:
     if text.startswith("random:"):
-        count = _rows(int(text.split(":", 1)[1]))
+        count = _random_count(text, 0, ROW_BUDGET)
         return _random_points(np.random.default_rng(seed), (count,))
     return np.array([complex(p) for p in text.split(",")])
 
 
-def _in_domain(args, spec, pts, what: str) -> np.ndarray:
+def _in_domain(spec, pts, what: str) -> np.ndarray:
     """The points of ``pts`` where ``spec``'s kernel lives (``Re z < 0`` at
     the hard edge), refusing a request that keeps none."""
     if spec.kind == "hard_edge":
         pts = pts[pts.real < 0.0]
     if not pts.size:
-        raise ValueError(f"{what} keeps no points for {args.spec}")
+        raise ValueError(f"{what} keeps no points for {spec.kind.replace('_', '-')}")
     return pts
 
 
@@ -267,24 +274,6 @@ def _canonical(obj):
     return obj
 
 
-def _write_json(path: str, command: str, config: dict, results: dict) -> None:
-    config = _canonical(config)
-    payload = {
-        "version": __version__,
-        "thresholds_version": THRESHOLDS_VERSION,
-        "command": command,
-        "config": config,
-        "config_hash": hashlib.sha256(
-            json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-        ).hexdigest(),
-        "seed": config.get("seed"),
-        "results": _canonical(results),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
 def _floats(obj) -> list:
     """Every float in ``obj``: a number, or nested lists, tuples and dicts."""
     if isinstance(obj, dict):
@@ -299,12 +288,27 @@ def _write_artifacts(args, stem: str, header, rows, command: str,
     """Write ``stem.csv`` and ``stem.json`` into ``--out``, or nothing if a
     number in the rows or the results is not finite."""
     table = np.asarray(rows, dtype=float).reshape(-1, len(header))
-    values = np.concatenate([table.ravel(), _floats(_canonical(results))])
+    results = _canonical(results)
+    values = np.concatenate([table.ravel(), _floats(results)])
     bad = values[~np.isfinite(values)]
     if bad.size:
         raise NonFiniteResult(f"{stem}: a result is {bad[0]}; nothing written")
     _write_csv(_out_path(args, f"{stem}.csv"), header, table)
-    _write_json(_out_path(args, f"{stem}.json"), command, config, results)
+    config = _canonical(config)
+    payload = {
+        "version": __version__,
+        "thresholds_version": THRESHOLDS_VERSION,
+        "command": command,
+        "config": config,
+        "config_hash": hashlib.sha256(
+            json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest(),
+        "seed": config.get("seed"),
+        "results": results,
+    }
+    with open(_out_path(args, f"{stem}.json"), "w") as fh:
+        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")
 
 
 def _out_path(args, name: str) -> str:
@@ -374,7 +378,7 @@ def _verify_ward(args, spec) -> tuple:
     pts = _plane(re, im).ravel()
     if spec.kind == "mittag_leffler":
         pts = pts[(np.abs(pts) <= 1.5 + 1e-12) & (np.abs(pts) > 1e-12)]
-    pts = _in_domain(args, spec, pts, f"ward grid {args.grid!r}")
+    pts = _in_domain(spec, pts, f"ward grid {args.grid!r}")
     vals = ward_residual(spec, pts, _quad(args))
     sup = float(vals.max())
     return pts, vals, {"sup_norm": sup, "points": pts.size}, sup
@@ -388,7 +392,7 @@ def _verify_mass_one(args, spec) -> tuple:
         "mittag_leffler": "0,0.5,1+0.5j",
         "constant": "0.3",
     }
-    pts = _in_domain(args, spec, _parse_points(args.points or defaults[spec.kind], args.seed),
+    pts = _in_domain(spec, _parse_points(args.points or defaults[spec.kind], args.seed),
                      f"mass-one point set {args.points!r}")
     vals = mass_one_residual(spec, pts, _quad(args))
     res = np.abs(vals)
@@ -442,13 +446,7 @@ def _verify_positivity(args, spec) -> tuple:
     if args.sets < 1:
         raise ValueError(f"positivity needs --sets >= 1, got {args.sets}")
     _rows(args.sets)
-    kind, _, text = args.points.partition(":")
-    if kind != "random":
-        raise ValueError(f"positivity draws its points: --points must be random:N, "
-                         f"got {args.points!r}")
-    count = int(text)
-    if not 1 <= count <= 32:
-        raise ValueError(f"positivity needs random:N with 1 <= N <= 32, got N = {count}")
+    count = _random_count(args.points, 1, 32)  # positivity draws its own points
     rng = np.random.default_rng(args.seed)
     # the stream gives each set of a block the points it would get drawn alone
     step = max(1, _GRAM_BLOCK // (count * count))
@@ -554,13 +552,13 @@ def cmd_converge(args) -> int:
         return EXIT_PASS
 
     pot = parse_pot(args.pot)
-    spec = parse_spec(args.spec)
-    xs = _in_domain(args, spec, xs, f"converge grid {args.grid!r}")
+    frames = [getattr(RescaleFrame, args.frame)(pot, n) for n in n_list]
+    spec = LimitKernelSpec.of_frame(pot, frames[0])
+    xs = _in_domain(spec, xs, f"converge grid {args.grid!r}")
     zs = xs.astype(complex)
     limit = one_point(spec, zs)
     rows, sups, tail = [], {}, 0.0
-    for n in n_list:
-        frame = getattr(RescaleFrame, args.frame)(pot, n)
+    for n, frame in zip(n_list, frames):
         r_n, tails = rescaled_kernel(pot, frame, zs, zs, return_bound=True)
         sup = float(np.max(np.abs(r_n.real - limit)))
         rows.append(np.column_stack([np.full(xs.size, n), xs, r_n.real]))
@@ -575,7 +573,7 @@ def cmd_converge(args) -> int:
     _write_artifacts(args, f"converge_{_slug(args.pot)}_{args.frame}", ("n", "x", "R_n"),
                      rows, "converge",
                      {"pot": args.pot, "frame": args.frame, "n_list": args.n_list,
-                      "spec": args.spec, "grid": args.grid},
+                      "grid": args.grid},
                      {"sup_errors": sups, "ratios": ratios, "tail_bound": tail})
     return EXIT_PASS
 
@@ -588,15 +586,9 @@ def cmd_converge(args) -> int:
 def cmd_sample(args) -> int:
     pot = parse_pot(args.pot)
     cfg = SampleConfig(pot=pot, n=args.n, trials=args.trials, seed=args.seed)
-    # the target is R of the limit: M_lam(s^2) e^(-s^(2 lam)), F(2x) or H(2x) 1{x<0}
-    if args.frame == "singularity":
-        window = args.window or "0:4"
-        spec = LimitKernelSpec.mittag_leffler(pot.lam)
-    else:
-        window = args.window or "-3:1"
-        spec = (LimitKernelSpec.hard_edge() if pot.kind == "hard_edge"
-                else LimitKernelSpec.free_boundary())
     frame = getattr(RescaleFrame, args.frame)(pot, args.n)
+    spec = LimitKernelSpec.of_frame(pot, frame)
+    window = args.window or ("-3:1" if frame.p else "0:4")
     hist = radial_profile(cfg, frame, (*parse_window(window), args.bins))
 
     est, se = hist.estimates(), hist.stderrs()
@@ -698,7 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--frame", default="boundary",
                        choices=("bulk", "boundary", "singularity"))
     p_con.add_argument("--n-list", default="64,256,1024")
-    p_con.add_argument("--spec", default="free-boundary")
     p_con.add_argument("--grid", default=None)
     p_con.add_argument("--sections", action="store_true",
                        help="compare edge sections of e^(nzw) instead")

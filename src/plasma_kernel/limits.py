@@ -106,19 +106,40 @@ _FULL_LINE = ((-math.inf, math.inf),)
 
 @dataclass(frozen=True)
 class LimitKernelSpec:
-    """Which limiting kernel to evaluate.
+    """Which limiting kernel to evaluate; the constructor refuses any other.
 
     ``kind`` is one of ``"bulk"``, ``"free_boundary"`` (with a tuple of
-    disjoint real intervals whose indicator is Gaussian-smoothed; they may
-    touch, and keep the order given),
-    ``"hard_edge"``, ``"mittag_leffler"`` (with ``lam``), or ``"constant"``
-    (profile identically ``level`` — a deliberate counterexample kernel).
+    non-empty real intervals that do not overlap, whose indicator is
+    Gaussian-smoothed; they may touch, and keep the order given), ``"hard_edge"``,
+    ``"mittag_leffler"`` (with a finite ``lam >= 1``), or ``"constant"``
+    (profile identically a finite ``level > 0`` — a deliberate counterexample).
     """
 
     kind: str
     intervals: tuple = _HALF_LINE
     lam: float = 1.0
-    level: float = 0.5
+    level: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("bulk", "free_boundary", "hard_edge", "mittag_leffler", "constant"):
+            raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if not self.intervals:
+            raise ValueError("need at least one interval")
+        # the kernel's m is the indicator of the union, which each integral
+        # sums piece by piece: so the pieces may not overlap
+        ordered = sorted(self.intervals)
+        for k, (lo, hi) in enumerate(ordered):
+            if not lo < hi:
+                raise ValueError(f"interval ({lo}, {hi}) is empty")
+            if k and lo < ordered[k - 1][1]:
+                raise ValueError(f"intervals {ordered[k - 1]} and {(lo, hi)} overlap")
+        if not (math.isfinite(self.lam) and self.lam >= 1.0):
+            raise ValueError(f"need a finite lam >= 1, got {self.lam}")
+        # level <= 0 is no intensity: every Berezin quantity would divide by it
+        if not (math.isfinite(self.level) and self.level > 0.0):
+            raise ValueError(f"need a positive finite level, got {self.level}")
+        if self.kind != "constant" and self.level != 1.0:
+            raise ValueError(f"a {self.kind} kernel has level 1, got {self.level}")
 
     @classmethod
     def ginibre_bulk(cls) -> "LimitKernelSpec":
@@ -126,19 +147,7 @@ class LimitKernelSpec:
 
     @classmethod
     def free_boundary(cls, intervals=_HALF_LINE) -> "LimitKernelSpec":
-        ivals = tuple((float(lo), float(hi)) for lo, hi in intervals)
-        if not ivals:
-            raise ValueError("need at least one interval")
-        for lo, hi in ivals:
-            if not lo < hi:
-                raise ValueError(f"interval ({lo}, {hi}) is empty")
-        # the kernel's m is the indicator of the union, which each integral
-        # sums piece by piece: so the pieces may not overlap
-        ordered = sorted(ivals)
-        for a, b in zip(ordered, ordered[1:]):
-            if b[0] < a[1]:
-                raise ValueError(f"intervals {a} and {b} overlap")
-        return cls("free_boundary", intervals=ivals)
+        return cls("free_boundary", tuple((float(lo), float(hi)) for lo, hi in intervals))
 
     @classmethod
     def hard_edge(cls) -> "LimitKernelSpec":
@@ -146,20 +155,23 @@ class LimitKernelSpec:
 
     @classmethod
     def mittag_leffler(cls, lam: float) -> "LimitKernelSpec":
-        if not (math.isfinite(lam) and lam >= 1.0):
-            raise ValueError(f"need a finite lam >= 1, got {lam}")
         return cls("mittag_leffler", lam=float(lam))
 
     @classmethod
     def constant_profile(cls, level: float = 0.5) -> "LimitKernelSpec":
-        # level <= 0 is no intensity: every Berezin quantity would divide by it
-        if not (math.isfinite(level) and level > 0.0):
-            raise ValueError(f"need a positive finite level, got {level}")
         return cls("constant", level=float(level))
+
+    @classmethod
+    def of_frame(cls, pot, frame) -> "LimitKernelSpec":
+        """The limit of ``pot``'s rescaled kernels in ``frame``: the free boundary
+        or hard edge at ``p > 0``, Mittag-Leffler of ``pot.lam`` (bulk at 1) at 0."""
+        if frame.p == 0.0:
+            return cls.mittag_leffler(pot.lam)
+        return cls.hard_edge() if pot.kind == "hard_edge" else cls.free_boundary()
 
     @property
     def translation_invariant(self) -> bool:
-        return self.kind in ("bulk", "free_boundary", "hard_edge", "constant")
+        return self.kind != "mittag_leffler"
 
 
 QUAD_MAX_N_RADIAL = 768
@@ -264,13 +276,9 @@ class _HardEdgeProfile:
 def _profile_for(spec: LimitKernelSpec):
     if spec.kind == "free_boundary":
         return _IntervalProfile(spec.intervals)
-    if spec.kind == "bulk":
-        return _IntervalProfile(_FULL_LINE)
-    if spec.kind == "constant":
-        return _IntervalProfile(_FULL_LINE, spec.level)
     if spec.kind == "hard_edge":
         return _HardEdgeProfile()
-    raise ValueError(f"{spec.kind} has no translation-invariant profile")
+    return _IntervalProfile(_FULL_LINE, spec.level)  # bulk (level 1) and constant
 
 
 # --------------------------------------------------------------------------
@@ -758,15 +766,17 @@ def telescoping_sum(s: float, n_terms: int) -> float:
 # 1/8-formula, tail bounds, positivity, inequalities
 # --------------------------------------------------------------------------
 
+_EIGHTH_NODES = 192  # Gauss-Legendre nodes on each side of the 1/8 integral's kink
 
-def eighth_formula(n_nodes: int = 192, shift: float = 0.0) -> float:
+
+def eighth_formula(shift: float = 0.0) -> float:
     """``integral t (F(2t - shift) - 1_{t<0}) dt`` over the real line.
 
     Splits at the indicator kink at 0; equals exactly 1/8 when
     ``shift = 0`` and moves by ``shift^2/8`` otherwise.  Integrates over
     ``|t| <= 12 + |shift|``, past which the integrand is below ``e^-288``.
     """
-    total, (x, w) = 0.0, _leggauss(n_nodes)
+    total, (x, w) = 0.0, _leggauss(_EIGHTH_NODES)
     for lo, hi in ((-12.0 - abs(shift), 0.0), (0.0, 12.0 + abs(shift))):
         t, wt = 0.5 * (hi - lo) * x + 0.5 * (lo + hi), 0.5 * (hi - lo) * w
         f = np.real(plasma_F(2.0 * t - shift))

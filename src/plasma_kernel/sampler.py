@@ -396,9 +396,8 @@ def radial_profile(cfg: SampleConfig, frame: RescaleFrame, hist) -> Histogram1D:
 
     Accumulates ``zoom (r - p)`` over all trials; the estimate in each bin
     divides by the radial-to-planar Jacobian ``2 r(x) zoom`` so it converges
-    to the rescaled one-point function: ``F(2x)`` for Ginibre and ``H(2x)``
-    for the hard edge at the boundary, ``M_lam(s^2) e^{-s^{2 lam}}`` (flat 1
-    when lam = 1) at 0 in the singularity frame.
+    to the rescaled one-point function of
+    ``limits.LimitKernelSpec.of_frame(cfg.pot, frame)``.
 
     ``hist`` is the ``(lo, hi, bins)`` window.
     """

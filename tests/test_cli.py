@@ -191,8 +191,7 @@ def test_verify_ward_disconnected_fails(tmp_path, capsys):
 @pytest.mark.parametrize("argv,named", [
     (["verify", "ward", "--spec", "hard-edge", "--grid", "0:1:0.5"], "keeps no points"),
     (["verify", "positivity", "--sets", "0"], "--sets >= 1"),
-    (["converge", "--pot", "hard-edge", "--spec", "hard-edge", "--grid", "0:1:0.5"],
-     "keeps no points"),
+    (["converge", "--pot", "hard-edge", "--grid", "0:1:0.5"], "keeps no points for hard-edge"),
     (["verify", "mass-one", "--points", "random:0"], "keeps no points"),
     (["verify", "mass-one", "--spec", "hard-edge", "--points", "0.5,0,1-1j"],
      "keeps no points for hard-edge"),
@@ -453,7 +452,7 @@ def test_ginibre_singularity_frame_is_the_bulk_frame(tmp_path):
         assert main(argv + ["--frame", frame, "--out", str(tmp_path)]) == 0
     assert ((tmp_path / "eval_ginibre-n1024-singularity.csv").read_bytes()
             == (tmp_path / "eval_ginibre-n1024-bulk.csv").read_bytes())
-    assert main(["converge", "--pot", "ginibre", "--frame", "singularity", "--spec", "ml:1",
+    assert main(["converge", "--pot", "ginibre", "--frame", "singularity",
                  "--out", str(tmp_path)]) == 0
 
 
@@ -468,7 +467,7 @@ def test_ginibre_and_power_one_sample_one_singularity_profile(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--finite", "hard-edge", "--frame", "singularity"],
-    ["converge", "--pot", "hard-edge", "--frame", "singularity", "--spec", "ml:1"],
+    ["converge", "--pot", "hard-edge", "--frame", "singularity"],
     ["sample", "--pot", "hard-edge", "--frame", "singularity", "--trials", "4"],
 ], ids=["eval", "converge", "sample"])
 def test_hard_edge_has_no_singularity_frame(tmp_path, capsys, argv):
@@ -781,7 +780,7 @@ def test_converge_repeated_n_is_usage_error(tmp_path, capsys, n_list, repeated, 
 
 def test_converge_ratio_over_zero_error_is_null(tmp_path):
     # the bulk intensity at 0 is exact at n = 1024, so its ratio has no value
-    argv = ["converge", "--pot", "ginibre", "--frame", "bulk", "--spec", "bulk",
+    argv = ["converge", "--pot", "ginibre", "--frame", "bulk",
             "--n-list", "64,1024", "--grid", "0:0:1"]
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
@@ -791,6 +790,50 @@ def test_converge_ratio_over_zero_error_is_null(tmp_path):
     assert results["ratios"]["64->1024"] is None
     for name in ("converge_ginibre_bulk.csv", "converge_ginibre_bulk.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv,last", [
+    (["--pot", "hard-edge"], 3e-3),
+    (["--pot", "ginibre", "--frame", "bulk"], 1e-12),
+    (["--pot", "hard-edge", "--frame", "bulk"], 1e-12),
+    (["--pot", "power:2", "--frame", "singularity"], 1e-12),
+], ids=["hard-edge", "ginibre-bulk", "hard-edge-bulk", "power-2-singularity"])
+def test_converge_compares_with_the_frame_limit(tmp_path, argv, last):
+    # the limit follows from --pot and --frame: H(2x) at the hard edge, the
+    # bulk kernel 1 at 0 for lam = 1 and Mittag-Leffler at the singularity,
+    # so the sup errors fall with n or stay at rounding level
+    assert main(["converge", *argv, "--n-list", "256,1024,4096", "--out", str(tmp_path)]) == 0
+    payload = json.loads(next(tmp_path.glob("*.json")).read_text())
+    assert "spec" not in payload["config"]
+    errors = [payload["results"]["sup_errors"][n] for n in ("256", "1024", "4096")]
+    assert all(b <= max(a, 1e-12) for a, b in zip(errors, errors[1:])) and errors[-1] <= last
+
+
+def test_converge_takes_no_spec(tmp_path, capsys):
+    # --pot and --frame name the limit: a --spec flag or config key is refused
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--spec", "free-boundary", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--spec" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"spec": "free-boundary"}))
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown config key 'spec'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["verify", "positivity", "--points", "random:abc"],
+     "--points must be random:N, got 'random:abc'"),
+    (["verify", "mass-one", "--points", "random:-5"],
+     "--points random:N needs 0 <= N <= 1048576, got N = -5"),
+], ids=["positivity-not-an-integer", "mass-one-negative"])
+def test_random_point_count_is_refused_naming_points(tmp_path, capsys, argv, named):
+    # one parser reads random:N for both equations, naming the flag
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert named in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def _readme_commands():

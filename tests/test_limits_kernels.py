@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from plasma_kernel.finite_n import _ml_kernel
+from plasma_kernel.finite_n import Potential, RescaleFrame, _ml_kernel
 from plasma_kernel.limits import (
     LimitKernelSpec,
     ZeroIntensity,
@@ -76,6 +76,40 @@ def test_spec_validation():
             LimitKernelSpec.free_boundary(ivals)
     touching = ((1.0, 2.0), (-1.0, 1.0), (-math.inf, -1.0))
     assert LimitKernelSpec.free_boundary(touching).intervals == touching
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"kind": "free_boundary", "intervals": ((-5.0, 5.0), (-5.0, 5.0))}, "overlap"),
+    ({"kind": "free_boundary", "intervals": ((1.0, -1.0),)}, "is empty"),
+    ({"kind": "free_boundary", "intervals": ()}, "at least one interval"),
+    ({"kind": "mittag_leffler", "lam": 0.5}, "finite lam >= 1, got 0.5"),
+    ({"kind": "constant", "level": -1.0}, "positive finite level, got -1.0"),
+    ({"kind": "nonsense"}, "unknown kernel kind 'nonsense'"),
+    ({"kind": "bulk", "level": 2.0}, "a bulk kernel has level 1, got 2.0"),
+], ids=["overlap", "empty", "no-interval", "lam", "level", "kind", "bulk-level"])
+def test_spec_constructor_refuses_what_the_factories_refuse(kwargs, message):
+    # the dataclass checks itself, so no spec skips the factories' checks
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LimitKernelSpec(**kwargs)
+
+
+def test_spec_of_frame_names_each_frame_limit():
+    pots = (Potential.ginibre(), Potential.power(2.0), Potential.power(3.0),
+            Potential.hard_edge())
+    for pot in pots:
+        boundary = LimitKernelSpec.of_frame(pot, RescaleFrame.boundary(pot, 256))
+        assert boundary == (HE if pot.kind == "hard_edge" else FB)
+        bulk_at_zero = LimitKernelSpec.mittag_leffler(pot.lam)
+        if pot.kind != "hard_edge":
+            singular = LimitKernelSpec.of_frame(pot, RescaleFrame.singularity(pot, 256))
+            assert singular == bulk_at_zero
+        if pot.lam == 1.0:
+            assert LimitKernelSpec.of_frame(pot, RescaleFrame.bulk(pot, 256)) == bulk_at_zero
+    # lam = 1 needs no bulk branch: its Mittag-Leffler kernel is the bulk one
+    x = np.linspace(-5.0, 5.0, 101)
+    plane = x[None, :] + 1j * x[:, None]
+    assert np.array_equal(one_point(LimitKernelSpec.mittag_leffler(1.0), plane),
+                          one_point(BULK, plane))
 
 
 # --------------------------------------------------------------------------

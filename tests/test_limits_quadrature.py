@@ -771,5 +771,7 @@ def test_eighth_formula_wrong_center_detects_shift():
     assert abs(eighth_formula(shift=0.5) - 0.125) > 1e-3
 
 
-def test_eighth_formula_node_consistency():
-    assert abs(eighth_formula(n_nodes=96) - eighth_formula()) <= 1e-12
+def test_eighth_formula_node_consistency(monkeypatch):
+    value = eighth_formula()
+    monkeypatch.setattr(limits, "_EIGHTH_NODES", 96)
+    assert abs(eighth_formula() - value) <= 1e-12

@@ -65,7 +65,7 @@ FAMILIES = [
     # the singularity frame at lam = 1 is the bulk frame, and the hard edge
     # has none; converge --sections checks every n before it prints
     "eval --finite ginibre --n 1024 --frame singularity --grid -2:1:0.25",
-    "converge --pot ginibre --frame singularity --spec ml:1",
+    "converge --pot ginibre --frame singularity",
     "sample --pot ginibre --frame singularity --n 1024 --trials 100 --bins 10",
     "sample --pot hard-edge --frame singularity",
     "converge --sections --n-list 64,2000000",
@@ -74,6 +74,9 @@ FAMILIES = [
     "verify mass-one --spec free-boundary:-5,5,-5,5 --points 0",
     "verify ward --spec free-boundary:0,2,1,3 --grid 0:0:1",
     "verify mass-one --spec hard-edge --points 0.5,-0.5",
+    # converge compares the hard edge with the limit its frame names
+    "converge --pot hard-edge --n-list 64,256",
+    "converge --pot hard-edge --frame bulk --n-list 64,256",
 ]
 
 
