@@ -339,8 +339,8 @@ def cmd_eval(args) -> int:
     else:
         _check_n(args.n)
         pot = parse_pot(args.finite)
-        frame = getattr(RescaleFrame, args.frame)(pot, args.n)
-        values, tails = rescaled_kernel(pot, frame, zs, zs, return_bound=True)
+        frame = RescaleFrame(pot, args.n, args.frame)
+        values, tails = rescaled_kernel(frame, zs, zs, return_bound=True)
         extra["tail_bound"] = float(tails.max())
         tag = f"{_slug(args.finite)}-n{args.n}-{args.frame}"
         config = {"mode": "finite", "pot": args.finite, "n": args.n,
@@ -552,14 +552,14 @@ def cmd_converge(args) -> int:
         return EXIT_PASS
 
     pot = parse_pot(args.pot)
-    frames = [getattr(RescaleFrame, args.frame)(pot, n) for n in n_list]
-    spec = LimitKernelSpec.of_frame(pot, frames[0])
+    frames = [RescaleFrame(pot, n, args.frame) for n in n_list]
+    spec = LimitKernelSpec.of_frame(frames[0])
     xs = _in_domain(spec, xs, f"converge grid {args.grid!r}")
     zs = xs.astype(complex)
     limit = one_point(spec, zs)
     rows, sups, tail = [], {}, 0.0
     for n, frame in zip(n_list, frames):
-        r_n, tails = rescaled_kernel(pot, frame, zs, zs, return_bound=True)
+        r_n, tails = rescaled_kernel(frame, zs, zs, return_bound=True)
         sup = float(np.max(np.abs(r_n.real - limit)))
         rows.append(np.column_stack([np.full(xs.size, n), xs, r_n.real]))
         tail = max(tail, float(tails.max()))
@@ -584,12 +584,11 @@ def cmd_converge(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    pot = parse_pot(args.pot)
-    cfg = SampleConfig(pot=pot, n=args.n, trials=args.trials, seed=args.seed)
-    frame = getattr(RescaleFrame, args.frame)(pot, args.n)
-    spec = LimitKernelSpec.of_frame(pot, frame)
+    frame = RescaleFrame(parse_pot(args.pot), args.n, args.frame)
+    spec = LimitKernelSpec.of_frame(frame)
     window = args.window or ("-3:1" if frame.p else "0:4")
-    hist = radial_profile(cfg, frame, (*parse_window(window), args.bins))
+    hist = radial_profile(SampleConfig(frame, args.trials, args.seed),
+                          (*parse_window(window), args.bins))
 
     est, se = hist.estimates(), hist.stderrs()
     rows = np.column_stack([hist.bin_centers(), est, se])

@@ -18,7 +18,8 @@ Mittag-Leffler limit kernel and its Cauchy transform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gamma, gammainc, gammaincc, gammaln
@@ -71,10 +72,6 @@ class Potential:
     def hard_edge(cls) -> "Potential":
         return cls("hard_edge")
 
-    def q_value(self, zeta: complex) -> float:
-        """Potential value Q(zeta) (finite branch; domain checks separate)."""
-        return abs(zeta) ** (2.0 * self.lam)
-
     def delta_q(self, zeta: complex) -> float:
         """Quarter-Laplacian of Q (the density of the equilibrium measure)."""
         return self.lam**2 * abs(zeta) ** (2.0 * self.lam - 2.0)
@@ -87,45 +84,44 @@ def droplet_radius(pot: Potential) -> float:
 
 @dataclass(frozen=True)
 class RescaleFrame:
-    """Local coordinates ``z = zoom * (zeta - p)`` about a real centre ``p >= 0``.
+    """Local coordinates ``z = zoom * (zeta - p)`` of ``pot``'s size-``n`` kernel.
 
-    The potentials are radial, so ``K_n(e^{i a} zeta, e^{i a} eta) =
-    K_n(zeta, eta)``: a frame about ``p e^{i a}`` reads the values of the
-    frame about ``p``, and a frame has no angle.  ``zoom`` is ``sqrt(n *
-    delta_q(p))`` for bulk/boundary frames and ``n**(1/(2 lam))`` for the
-    singularity frame at 0, which every potential but the hard edge has: at
-    lam = 1 it is the bulk frame, zoom ``sqrt(n)``.
+    A frame carries its potential and n, and derives ``p`` and ``zoom`` from
+    ``kind``: ``"bulk"`` (p = 0) and ``"boundary"`` (p the droplet radius)
+    have zoom ``sqrt(n delta_q(p))``, ``"singularity"`` has p = 0 and zoom
+    ``n**(1/(2 lam))``, every potential's but the hard edge's; at lam = 1 it
+    is the bulk frame, and stores that kind.  The potentials are radial, so
+    ``K_n(e^{i a} zeta, e^{i a} eta) = K_n(zeta, eta)``: a frame about ``p
+    e^{i a}`` reads the values of the frame about ``p``, and has no angle.
     """
 
-    p: float
+    pot: Potential
     n: int
-    zoom: float
+    kind: str
+    p: float = field(init=False)
+    zoom: float = field(init=False)
 
     def __post_init__(self):
-        if not self.p >= 0.0:
-            raise ValueError(f"centre must be real and >= 0, got {self.p}")
-        if self.zoom <= 0.0:
-            raise ValueError(f"zoom must be positive, got {self.zoom}")
-
-    @classmethod
-    def bulk(cls, pot: Potential, n: int) -> "RescaleFrame":
-        dq = pot.delta_q(0.0)
-        if dq <= 0.0:
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
+            raise ValueError(f"a frame needs an integer n >= 1, got n = {self.n!r}")
+        if self.kind not in ("bulk", "boundary", "singularity"):
+            raise ValueError(f"unknown frame kind {self.kind!r}")
+        pot = self.pot
+        if self.kind == "singularity":
+            if pot.kind == "hard_edge":
+                raise ValueError("singularity frame needs a potential |z|^(2 lam), "
+                                 "not the hard edge")
+            if pot.lam == 1.0:
+                object.__setattr__(self, "kind", "bulk")
+        p = droplet_radius(pot) if self.kind == "boundary" else 0.0
+        if self.kind == "singularity":
+            zoom = self.n ** (1.0 / (2.0 * pot.lam))
+        elif (dq := pot.delta_q(p)) > 0.0:
+            zoom = math.sqrt(self.n * dq)
+        else:
             raise ValueError("bulk frame undefined where the density vanishes")
-        return cls(p=0.0, n=n, zoom=math.sqrt(n * dq))
-
-    @classmethod
-    def boundary(cls, pot: Potential, n: int) -> "RescaleFrame":
-        p = droplet_radius(pot)
-        return cls(p=p, n=n, zoom=math.sqrt(n * pot.delta_q(p)))
-
-    @classmethod
-    def singularity(cls, pot: Potential, n: int) -> "RescaleFrame":
-        if pot.kind == "hard_edge":
-            raise ValueError("singularity frame needs a potential |z|^(2 lam), not the hard edge")
-        if pot.lam == 1.0:
-            return cls.bulk(pot, n)
-        return cls(p=0.0, n=n, zoom=n ** (1.0 / (2.0 * pot.lam)))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "zoom", zoom)
 
     def to_global(self, z):
         return self.p + z / self.zoom
@@ -540,9 +536,9 @@ def _ml_cauchy(lam: float, r):
     return c, bound
 
 
-def rescaled_kernel(pot: Potential, frame: RescaleFrame, z, w, *,
-                    return_bound: bool = False):
-    """Kernel in frame coordinates: ``K_n(zeta(z), eta(w)) / zoom^2``.
+def rescaled_kernel(frame: RescaleFrame, z, w, *, return_bound: bool = False):
+    """Kernel of ``frame``'s potential and n in its coordinates:
+    ``K_n(zeta(z), eta(w)) / zoom^2``.
 
     ``z`` and ``w`` are scalars or arrays that broadcast, as in
     :func:`kernel_finite_n`, which also explains ``return_bound``.  The
@@ -550,7 +546,7 @@ def rescaled_kernel(pot: Potential, frame: RescaleFrame, z, w, *,
     R_n(z), real and nonnegative.
     """
     shape, (z, w) = _flat(z, w)
-    k, bound = kernel_finite_n(pot, frame.n, frame.to_global(z), frame.to_global(w),
+    k, bound = kernel_finite_n(frame.pot, frame.n, frame.to_global(z), frame.to_global(w),
                                return_bound=True)
     k, bound = _shaped(k / frame.zoom**2, shape), _shaped(bound, shape)
     return (k, bound) if return_bound else k

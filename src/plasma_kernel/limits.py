@@ -113,16 +113,22 @@ class LimitKernelSpec:
     Gaussian-smoothed; they may touch, and keep the order given), ``"hard_edge"``,
     ``"mittag_leffler"`` (with a finite ``lam >= 1``), or ``"constant"``
     (profile identically a finite ``level > 0`` — a deliberate counterexample).
+    The bulk and the constant profile have the full line as their intervals,
+    every other kind but the free boundary ``t < 0``, and a lam of 1.
     """
 
     kind: str
-    intervals: tuple = _HALF_LINE
+    intervals: tuple = None  # None: the kind's own
     lam: float = 1.0
     level: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("bulk", "free_boundary", "hard_edge", "mittag_leffler", "constant"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        own = _FULL_LINE if self.kind in ("bulk", "constant") else _HALF_LINE
+        object.__setattr__(self, "intervals", own if self.intervals is None else self.intervals)
+        if self.kind != "free_boundary" and self.intervals != own:
+            raise ValueError(f"a {self.kind} kernel has the intervals {own}, got {self.intervals}")
         if not self.intervals:
             raise ValueError("need at least one interval")
         # the kernel's m is the indicator of the union, which each integral
@@ -135,6 +141,8 @@ class LimitKernelSpec:
                 raise ValueError(f"intervals {ordered[k - 1]} and {(lo, hi)} overlap")
         if not (math.isfinite(self.lam) and self.lam >= 1.0):
             raise ValueError(f"need a finite lam >= 1, got {self.lam}")
+        if self.kind != "mittag_leffler" and self.lam != 1.0:
+            raise ValueError(f"a {self.kind} kernel has lam = 1, got {self.lam}")
         # level <= 0 is no intensity: every Berezin quantity would divide by it
         if not (math.isfinite(self.level) and self.level > 0.0):
             raise ValueError(f"need a positive finite level, got {self.level}")
@@ -143,7 +151,7 @@ class LimitKernelSpec:
 
     @classmethod
     def ginibre_bulk(cls) -> "LimitKernelSpec":
-        return cls("bulk", intervals=_FULL_LINE)
+        return cls("bulk")
 
     @classmethod
     def free_boundary(cls, intervals=_HALF_LINE) -> "LimitKernelSpec":
@@ -162,12 +170,12 @@ class LimitKernelSpec:
         return cls("constant", level=float(level))
 
     @classmethod
-    def of_frame(cls, pot, frame) -> "LimitKernelSpec":
-        """The limit of ``pot``'s rescaled kernels in ``frame``: the free boundary
-        or hard edge at ``p > 0``, Mittag-Leffler of ``pot.lam`` (bulk at 1) at 0."""
-        if frame.p == 0.0:
-            return cls.mittag_leffler(pot.lam)
-        return cls.hard_edge() if pot.kind == "hard_edge" else cls.free_boundary()
+    def of_frame(cls, frame) -> "LimitKernelSpec":
+        """The limit of ``frame``'s rescaled kernels as n grows: the free boundary
+        or hard edge at the boundary, Mittag-Leffler of ``frame.pot.lam`` (bulk at 1) at 0."""
+        if frame.kind != "boundary":
+            return cls.mittag_leffler(frame.pot.lam)
+        return cls.hard_edge() if frame.pot.kind == "hard_edge" else cls.free_boundary()
 
     @property
     def translation_invariant(self) -> bool:
@@ -274,11 +282,9 @@ class _HardEdgeProfile:
 
 
 def _profile_for(spec: LimitKernelSpec):
-    if spec.kind == "free_boundary":
-        return _IntervalProfile(spec.intervals)
     if spec.kind == "hard_edge":
         return _HardEdgeProfile()
-    return _IntervalProfile(_FULL_LINE, spec.level)  # bulk (level 1) and constant
+    return _IntervalProfile(spec.intervals, spec.level)  # bulk, free boundary and constant
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,8 @@ monomial basis, so the set of eigenvalue moduli is distributed as *n
 independent* radii with densities proportional to ``r^{2j+1} e^{-n Q(r)}``.
 Sampling those radii and histogramming them in a rescaled frame gives an
 empirical one-point profile that cross-validates the analytic kernels
-without any dense eigensolver.
+without any dense eigensolver.  A run (:class:`SampleConfig`) is a frame,
+which carries the potential and n it samples, a trial count and a seed.
 
 Every radius is drawn by inverse-CDF from a single uniform: Ginibre,
 ``|z_j|^2 = P^{-1}(j+1, u) / n``; Power(lam), ``|z_j|^{2 lam} =
@@ -73,7 +74,7 @@ import math
 import numpy as np
 from scipy.special import gammainc, gammaincinv
 
-from .finite_n import Potential, RescaleFrame, droplet_radius
+from .finite_n import Potential, RescaleFrame
 
 __all__ = [
     "BudgetExceeded",
@@ -106,21 +107,21 @@ class InversionCheckFailed(Exception):
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """A reproducible sampling run: potential, matrix size, trials, seed."""
+    """A reproducible sampling run: the frame (its potential and matrix size
+    n), trials, seed."""
 
-    pot: Potential
-    n: int
+    frame: RescaleFrame
     trials: int
     seed: int
 
     def __post_init__(self):
-        if self.n < 1 or self.trials < 1:
-            raise ValueError("n and trials must be positive")
+        if self.trials < 1:
+            raise ValueError(f"need at least one trial, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if self.n * self.trials > BUDGET_LIMIT:
+        if self.frame.n * self.trials > BUDGET_LIMIT:
             raise BudgetExceeded(
-                f"n*trials = {self.n * self.trials} exceeds the sampling "
+                f"n*trials = {self.frame.n * self.trials} exceeds the sampling "
                 f"budget of {BUDGET_LIMIT}"
             )
 
@@ -200,15 +201,16 @@ def _uniforms(cfg: SampleConfig, start: int, stop: int) -> np.ndarray:
 
     A run has one PCG64 stream seeded with ``cfg.seed``; trial k is its
     draws ``k n .. (k+1) n - 1``, reached with ``advance``."""
+    n = cfg.frame.n
     bits = np.random.PCG64(cfg.seed)
-    bits.advance(start * cfg.n)
-    return np.random.Generator(bits).random((stop - start, cfg.n))
+    bits.advance(start * n)
+    return np.random.Generator(bits).random((stop - start, n))
 
 
 def sample_radii(cfg: SampleConfig, trial: int) -> np.ndarray:
     """Sorted eigenvalue moduli of one trial: a pure function of (seed, trial)."""
     u = _uniforms(cfg, trial, trial + 1)[0]
-    return np.sort(_radii_from_uniforms(cfg.pot, cfg.n, u))
+    return np.sort(_radii_from_uniforms(cfg.frame.pot, cfg.frame.n, u))
 
 
 def _histogram_counts(values: np.ndarray, lo: float, hi: float, bins: int,
@@ -250,8 +252,7 @@ class _Band:
     backward_error: float   # worst |P(a, P^{-1}(a, q)) - q| over those edges
 
 
-def _window_band(pot: Potential, frame: RescaleFrame, lo: float, hi: float,
-                 bins: int) -> _Band:
+def _window_band(frame: RescaleFrame, lo: float, hi: float, bins: int) -> _Band:
     """The edge table and bands of the indices that can reach the window
     of ``frame``, the shared band of the others, checked once.
 
@@ -271,7 +272,7 @@ def _window_band(pot: Potential, frame: RescaleFrame, lo: float, hi: float,
     index can reach (``j1 == j0``) and a table of more than ``TABLE_BUDGET``
     entries are refused before anything is built or drawn.
     """
-    n = frame.n
+    pot, n = frame.pot, frame.n
     with np.errstate(over="ignore"):  # an edge beyond every radius maps to inf
         x = n * np.maximum(frame.to_global(np.linspace(lo, hi, bins + 1)), 0.0) ** (2.0 * pot.lam)
     j0 = bisect.bisect_left(range(n), True, key=lambda j: (
@@ -321,18 +322,27 @@ def _window_band(pot: Potential, frame: RescaleFrame, lo: float, hi: float,
     return _Band(j0, q_scale, p, q_lo, q_hi, int(a_e.size), err)
 
 
-def _accumulate(cfg: SampleConfig, frame: RescaleFrame, hist) -> Histogram1D:
-    """Histogram of ``frame.to_local(r)`` over all trials, with per-bin squared
-    counts and the Jacobian ``2 r zoom`` at each bin centre.  Each trial
-    draws all n uniforms and keeps the indices inside their band.  A kept
-    draw's bin is the number of edge probabilities more than ``eps`` below
-    it, less one, found by a branchless binary search over its row of the
-    edge table; a draw within ``eps`` of an edge probability, or of a
-    narrow index, is inverted and binned from its radius.  Trials run in blocks of about ``BLOCK_POINTS`` uniforms or bin
-    counts, whichever a trial has more of, so temporaries stay O(points)."""
+def radial_profile(cfg: SampleConfig, hist) -> Histogram1D:
+    """Empirical rescaled one-point profile along a ray from the centre of
+    ``cfg.frame``, whose potential and n the run samples.
+
+    Histograms ``zoom (r - p)`` over all trials, with per-bin squared counts
+    and the Jacobian ``2 r zoom`` at each bin centre: the estimate in each
+    bin divides by it, so it converges to the rescaled one-point function
+    of ``limits.LimitKernelSpec.of_frame(cfg.frame)``.  ``hist`` is the
+    ``(lo, hi, bins)`` window.
+
+    Each trial draws all n uniforms and keeps the indices inside their
+    band.  A kept draw's bin is the number of edge probabilities more than
+    ``eps`` below it, less one, found by a branchless binary search over its
+    row of the edge table; a draw within ``eps`` of an edge probability, or
+    of a narrow index, is inverted and binned from its radius.  Trials run
+    in blocks of about ``BLOCK_POINTS`` uniforms or bin counts, whichever a
+    trial has more of, so temporaries stay O(points).
+    """
     lo, hi, bins = _hist_window(hist)
-    pot, n = cfg.pot, cfg.n
-    band = _window_band(pot, frame, lo, hi, bins)
+    frame, pot, n = cfg.frame, cfg.frame.pot, cfg.frame.n
+    band = _window_band(frame, lo, hi, bins)
     rows_p, width = band.p.shape
     # the narrow indices search one extra row of -inf, so each of their
     # kept draws counts as near an edge and is inverted
@@ -388,21 +398,3 @@ def _hist_window(hist) -> tuple:
         raise BudgetExceeded(f"{bins} bins need {bins + 1} edges, over the table budget "
                              f"of {TABLE_BUDGET}")
     return lo, hi, bins
-
-
-def radial_profile(cfg: SampleConfig, frame: RescaleFrame, hist) -> Histogram1D:
-    """Empirical rescaled one-point profile along a ray from the centre of
-    ``frame``, a frame of ``cfg.n`` centred at 0 or on the droplet boundary.
-
-    Accumulates ``zoom (r - p)`` over all trials; the estimate in each bin
-    divides by the radial-to-planar Jacobian ``2 r(x) zoom`` so it converges
-    to the rescaled one-point function of
-    ``limits.LimitKernelSpec.of_frame(cfg.pot, frame)``.
-
-    ``hist`` is the ``(lo, hi, bins)`` window.
-    """
-    if frame.n != cfg.n:
-        raise ValueError(f"frame is built for n={frame.n}, the run samples n={cfg.n}")
-    if frame.p and abs(frame.p - droplet_radius(cfg.pot)) > 1e-12:
-        raise ValueError("frame must be centred at 0 or on the droplet boundary")
-    return _accumulate(cfg, frame, hist)

@@ -128,15 +128,15 @@ def test_criterion_06_boundary_convergence():
     xs = np.arange(-3.0, 3.01, 0.25)
     sups = {}
     for n in (64, 1024):
-        frame = RescaleFrame.boundary(pot, n)
+        frame = RescaleFrame(pot, n, "boundary")
         sups[n] = max(
-            abs(rescaled_kernel(pot, frame, complex(x), complex(x)).real
+            abs(rescaled_kernel(frame, complex(x), complex(x)).real
                 - _f(2.0 * x))
             for x in xs
         )
     ratio = sups[64] / sups[1024]
     bulk_dev = abs(
-        rescaled_kernel(pot, RescaleFrame.bulk(pot, 1024), 0.0, 0.0).real - 1.0
+        rescaled_kernel(RescaleFrame(pot, 1024, "bulk"), 0.0, 0.0).real - 1.0
     )
     elapsed = time.time() - start
     ok = (sups[1024] <= 0.03 and 2.5 <= ratio <= 6.5 and bulk_dev <= 1e-3
@@ -197,9 +197,7 @@ def test_criterion_11_sampler_profiles(tmp_path):
     start = time.time()
     window = (-3.0, 1.0, 40)
     gin = Potential.ginibre()
-    cfg = SampleConfig(gin, 1024, 4000, seed=0)
-    frame = RescaleFrame.boundary(gin, 1024)
-    h1 = radial_profile(cfg, frame, window)
+    h1 = radial_profile(SampleConfig(RescaleFrame(gin, 1024, "boundary"), 4000, seed=0), window)
     # the thread count exists only at the CLI: its artifact must carry the
     # library's estimates bitwise
     rc = main(["sample", "--n", "1024", "--trials", "4000", "--seed", "0",
@@ -216,9 +214,7 @@ def test_criterion_11_sampler_profiles(tmp_path):
     gin_ok = bool(np.all(dev_gin <= env))
 
     hard = Potential.hard_edge()
-    cfg_h = SampleConfig(hard, 1024, 4000, seed=0)
-    frame_h = RescaleFrame.boundary(hard, 1024)
-    hh = radial_profile(cfg_h, frame_h, window)
+    hh = radial_profile(SampleConfig(RescaleFrame(hard, 1024, "boundary"), 4000, seed=0), window)
     target_h = np.array([
         complex(hard_edge_H(2 * x)).real if x < 0.0 else 0.0
         for x in centers

@@ -875,6 +875,16 @@ def test_readme_command_block_runs_as_documented(tmp_path):
         assert main(argv) == expected, line
 
 
+def test_readme_python_example_runs(capsys):
+    # the "Minimal example" block runs as printed; its last line sets a
+    # frame's R_n(0) beside the limit that the frame names
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Minimal example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    finite, limit = map(float, capsys.readouterr().out.splitlines()[-1].split())
+    assert limit == 0.5 and abs(finite - limit) < 0.01
+
+
 def test_every_benchmark_request_parses(monkeypatch):
     # perfbench/workloads.py builds the benchmark's command lines and its
     # worker appends --threads and --out: the parser must take every one

@@ -56,11 +56,6 @@ def test_potential_validation():
 
 def test_q_value_and_density():
     z = 0.6 - 0.3j
-    assert GINIBRE.q_value(z) == pytest.approx(abs(z) ** 2, rel=1e-15)
-    assert POWER2.q_value(z) == pytest.approx(abs(z) ** 4, rel=1e-15)
-    assert HARD.q_value(0.5j) == pytest.approx(0.25, rel=1e-15)
-    # finite branch only; the wall is enforced by the kernel's domain check
-    assert HARD.q_value(1.5) == pytest.approx(2.25, rel=1e-15)
     # quarter-Laplacian of Q
     assert GINIBRE.delta_q(z) == pytest.approx(1.0, rel=1e-15)
     assert POWER2.delta_q(z) == pytest.approx(4.0 * abs(z) ** 2, rel=1e-13)
@@ -184,24 +179,23 @@ def test_kernel_rotation_covariance():
                 assert_allclose(np.abs(a), np.abs(b), rtol=1e-11)
 
 
-@pytest.mark.parametrize("pot,make", [
-    (GINIBRE, RescaleFrame.boundary), (POWER2, RescaleFrame.boundary),
-    (HARD, RescaleFrame.boundary), (POWER2, RescaleFrame.singularity),
-    (HARD, RescaleFrame.bulk),
+@pytest.mark.parametrize("pot,kind", [
+    (GINIBRE, "boundary"), (POWER2, "boundary"), (HARD, "boundary"), (POWER2, "singularity"),
+    (HARD, "bulk"),
 ], ids=["ginibre-boundary", "power2-boundary", "hard-edge-boundary", "power2-singularity",
         "hard-edge-bulk"])
-def test_a_rotated_frame_reads_the_frame_without_angle(pot, make):
+def test_a_rotated_frame_reads_the_frame_without_angle(pot, kind):
     # a frame about p e^{ia}, with its local axes turned by a, maps z to
     # e^{ia} frame.to_global(z): its kernel values are those of the frame
     # about p, within 1e-12 of sqrt(R(z) R(w)) (4.4e-14 measured at the
     # boundary, a = 0.9)
     n = 1024
-    frame = make(pot, n)
+    frame = RescaleFrame(pot, n, kind)
     axis = np.linspace(-3.0, 1.0, 9)
     z = (axis[None, :] + 1j * np.linspace(-2.0, 2.0, 5)[:, None]).ravel()
     w = z[::-1]
-    ref = rescaled_kernel(pot, frame, z, w)
-    scale = np.sqrt(rescaled_kernel(pot, frame, z, z).real * rescaled_kernel(pot, frame, w, w).real)
+    ref = rescaled_kernel(frame, z, w)
+    scale = np.sqrt(rescaled_kernel(frame, z, z).real * rescaled_kernel(frame, w, w).real)
     for alpha in (0.9, math.pi / 2, 2.5):
         rot = cmath.exp(1j * alpha)
         got = kernel_finite_n(pot, n, rot * frame.to_global(z), rot * frame.to_global(w))
@@ -323,7 +317,7 @@ def test_kernel_against_mpmath(pot, n, z, w):
     # boundary-frame points, given to both sides as the same doubles: relative
     # error on the diagonal, and |K - K_ref| / sqrt(K(z,z) K(w,w)) off it
     mpmath = pytest.importorskip("mpmath")
-    frame = RescaleFrame.boundary(pot, n)
+    frame = RescaleFrame(pot, n, "boundary")
     zeta, eta = complex(frame.to_global(z)), complex(frame.to_global(w))
     with mpmath.workdps(40):
         ref_zz, ref_ww, ref_zw = (complex(_mp_kernel(mpmath, pot, n, a, b))
@@ -340,7 +334,7 @@ def test_tail_bound_covers_the_terms_left_out(pot):
     # the exact mass it leaves out (relative to the mass it keeps)
     mpmath = pytest.importorskip("mpmath")
     n = 2**10
-    frame = RescaleFrame.boundary(pot, n)
+    frame = RescaleFrame(pot, n, "boundary")
     for z, w in ((-1.0, -1.0), (-1.5 + 0.3j, -0.5 - 0.4j)):
         zeta, eta = complex(frame.to_global(z)), complex(frame.to_global(w))
         with mpmath.workdps(40):
@@ -459,7 +453,7 @@ def test_hard_edge_masses_once_per_index_of_the_windows(monkeypatch):
     # point is a peak search probe, a window index (evaluated once per call,
     # over the union of the windows' ranges) or a peak's own mass
     n = 2**14
-    frame = RescaleFrame.boundary(HARD, n)
+    frame = RescaleFrame(HARD, n, "boundary")
     axis = -2.432 + 0.25 * np.arange(9)
     zeta = frame.to_global((axis[None, :] + 1j * axis[:, None]).ravel())
     mu = n * np.abs(zeta) ** 2
@@ -505,11 +499,11 @@ def test_array_call_matches_pointwise_calls_bitwise():
     w = np.concatenate([pts[:6], pts[12:18]])  # half diagonal, half not
     for pot in (GINIBRE, POWER2, HARD):
         for n in (1, 7, 4096, 2**20):
-            frame = RescaleFrame.boundary(pot, n)
+            frame = RescaleFrame(pot, n, "boundary")
             zs, ws = frame.to_local(z), frame.to_local(w)
-            vals, bounds = rescaled_kernel(pot, frame, zs, ws, return_bound=True)
+            vals, bounds = rescaled_kernel(frame, zs, ws, return_bound=True)
             for k in range(z.size):
-                one, one_bound = rescaled_kernel(pot, frame, complex(zs[k]), complex(ws[k]),
+                one, one_bound = rescaled_kernel(frame, complex(zs[k]), complex(ws[k]),
                                                  return_bound=True)
                 assert np.array(one).tobytes() == vals[k].tobytes()
                 assert one_bound == bounds[k]
@@ -540,12 +534,12 @@ def test_two_point_function_vanishes_on_diagonal():
 
 
 def test_gram_matrix_positive_semidefinite():
-    frame = RescaleFrame.boundary(GINIBRE, 64)
+    frame = RescaleFrame(GINIBRE, 64, "boundary")
     pts = random_complex(6, 2.0)
     mat = np.empty((6, 6), dtype=complex)
     for i, z in enumerate(pts):
         for j, w in enumerate(pts):
-            mat[i, j] = rescaled_kernel(GINIBRE, frame, complex(z), complex(w))
+            mat[i, j] = rescaled_kernel(frame, complex(z), complex(w))
     eigs = np.linalg.eigvalsh(mat)
     assert eigs.min() >= -1e-9 * max(eigs.max(), 1.0)
 
@@ -556,7 +550,7 @@ def test_gram_matrix_positive_semidefinite():
 
 
 def test_frame_roundtrip():
-    frame = RescaleFrame.boundary(GINIBRE, 100)
+    frame = RescaleFrame(GINIBRE, 100, "boundary")
     z = random_complex(10, 3.0)
     for k in range(z.size):
         assert_allclose(frame.to_local(frame.to_global(complex(z[k]))), complex(z[k]),
@@ -567,29 +561,67 @@ def test_frame_roundtrip():
 
 
 def test_frame_factories():
-    fb = RescaleFrame.bulk(GINIBRE, 25)
+    fb = RescaleFrame(GINIBRE, 25, "bulk")
     assert fb.p == 0.0 and fb.zoom == pytest.approx(5.0)
-    bd = RescaleFrame.boundary(GINIBRE, 25)
+    bd = RescaleFrame(GINIBRE, 25, "boundary")
     assert bd.p == 1.0 and bd.zoom == 5.0
-    sg = RescaleFrame.singularity(POWER2, 16)
+    sg = RescaleFrame(POWER2, 16, "singularity")
     assert sg.zoom == pytest.approx(2.0)
     # at lam = 1 the singularity frame is the bulk frame, bit for bit also at
     # an n where n**0.5 and sqrt(n) round apart; the hard edge has none
-    assert RescaleFrame.singularity(GINIBRE, 25) == fb
+    assert RescaleFrame(GINIBRE, 25, "singularity") == fb
     for pot in (GINIBRE, Potential.power(1.0)):
-        assert RescaleFrame.singularity(pot, 2921) == RescaleFrame.bulk(pot, 2921)
+        assert RescaleFrame(pot, 2921, "singularity") == RescaleFrame(pot, 2921, "bulk")
     with pytest.raises(ValueError):
-        RescaleFrame.singularity(Potential.hard_edge(), 16)
-    with pytest.raises(ValueError):
-        RescaleFrame(p=0.0, n=4, zoom=0.0)
-    # a centre is real and >= 0: rotation invariance leaves no angle to set
-    with pytest.raises(ValueError, match="centre must be real and >= 0"):
-        RescaleFrame(p=-1.0, n=4, zoom=2.0)
+        RescaleFrame(Potential.hard_edge(), 16, "singularity")
+    with pytest.raises(ValueError, match="density vanishes"):
+        RescaleFrame(POWER2, 16, "bulk")
+
+
+def test_frame_refuses_an_unknown_kind_and_an_n_that_is_no_count():
+    with pytest.raises(ValueError, match="unknown frame kind 'edge'"):
+        RescaleFrame(GINIBRE, 16, "edge")
+    # a kernel sums j < n and a run draws n radii: n is a positive integer
+    for n in (0, -3, 64.5, 64.0):
+        with pytest.raises(ValueError, match=f"integer n >= 1, got n = {n}"):
+            RescaleFrame(GINIBRE, n, "boundary")
+    assert RescaleFrame(GINIBRE, np.int64(64), "boundary").zoom == 8.0
+
+
+def test_frame_takes_no_centre_or_zoom():
+    # p and zoom follow from the potential, n and kind: a frame cannot hold
+    # a centre off 0 and the droplet radius, nor a zoom of another n
+    for extra in ({"p": 0.5}, {"zoom": 8.0}):
+        with pytest.raises(TypeError):
+            RescaleFrame(GINIBRE, 64, "boundary", **extra)
+
+
+_FRAME_POTS = (GINIBRE, Potential.power(1.0), Potential.power(1.5), POWER2,
+               Potential.power(3.0), HARD)
+
+
+@pytest.mark.parametrize("n", [1, 25, 1024, 2921, 2**20])
+@pytest.mark.parametrize("pot", _FRAME_POTS, ids=lambda p: f"{p.kind}-{p.lam:g}")
+def test_frame_centre_and_zoom_are_the_closed_forms(pot, n):
+    # bit for bit: the boundary frame at lam**(-1/(2 lam)) with zoom
+    # sqrt(n lam^2 p^(2 lam - 2)); the bulk frame, where the density at 0 is
+    # 1, with zoom sqrt(n); the singularity frame with zoom n**(1/(2 lam)),
+    # the bulk frame at lam = 1
+    lam = pot.lam
+    radius = lam ** (-1.0 / (2.0 * lam))
+    forms = {"boundary": (radius, math.sqrt(n * (lam**2 * abs(radius) ** (2.0 * lam - 2.0))))}
+    if lam == 1.0:
+        forms["bulk"] = (0.0, math.sqrt(n * 1.0))
+    if pot.kind != "hard_edge":
+        forms["singularity"] = forms["bulk"] if lam == 1.0 else (0.0, n ** (1.0 / (2.0 * lam)))
+    for kind, (p, zoom) in forms.items():
+        frame = RescaleFrame(pot, n, kind)
+        assert (frame.p.hex(), frame.zoom.hex()) == (p.hex(), zoom.hex())
 
 
 def test_rescaled_bulk_density_near_one():
-    frame = RescaleFrame.bulk(GINIBRE, 256)
-    assert_allclose(rescaled_kernel(GINIBRE, frame, 0.0, 0.0).real, 1.0, atol=1e-3)
+    frame = RescaleFrame(GINIBRE, 256, "bulk")
+    assert_allclose(rescaled_kernel(frame, 0.0, 0.0).real, 1.0, atol=1e-3)
 
 
 # --------------------------------------------------------------------------

@@ -86,25 +86,42 @@ def test_spec_validation():
     ({"kind": "constant", "level": -1.0}, "positive finite level, got -1.0"),
     ({"kind": "nonsense"}, "unknown kernel kind 'nonsense'"),
     ({"kind": "bulk", "level": 2.0}, "a bulk kernel has level 1, got 2.0"),
-], ids=["overlap", "empty", "no-interval", "lam", "level", "kind", "bulk-level"])
+    ({"kind": "hard_edge", "lam": 3.0}, "a hard_edge kernel has lam = 1, got 3.0"),
+    ({"kind": "bulk", "intervals": ((-math.inf, 0.0),)}, "a bulk kernel has the intervals"),
+    ({"kind": "mittag_leffler", "lam": 2.0, "intervals": ((0.0, 1.0),)},
+     "a mittag_leffler kernel has the intervals"),
+], ids=["overlap", "empty", "no-interval", "lam", "level", "kind", "bulk-level",
+        "hard-edge-lam", "bulk-intervals", "ml-intervals"])
 def test_spec_constructor_refuses_what_the_factories_refuse(kwargs, message):
-    # the dataclass checks itself, so no spec skips the factories' checks
+    # the dataclass checks itself, so no spec skips the factories' checks,
+    # and it holds no field that its kind does not read
     with pytest.raises(ValueError, match=re.escape(message)):
         LimitKernelSpec(**kwargs)
+
+
+def test_spec_of_each_kind_holds_its_own_intervals():
+    # only the free boundary chooses its pieces: the bulk and the constant
+    # profile are the full line, so a spec equals the one its factory builds
+    full = ((-math.inf, math.inf),)
+    assert LimitKernelSpec("bulk") == LimitKernelSpec.ginibre_bulk() == BULK
+    assert LimitKernelSpec("constant", level=0.5) == LimitKernelSpec.constant_profile()
+    assert LimitKernelSpec.constant_profile().intervals == full == BULK.intervals
+    assert LimitKernelSpec("free_boundary") == FB
+    assert LimitKernelSpec("hard_edge") == HE and HE.intervals == ((-math.inf, 0.0),)
 
 
 def test_spec_of_frame_names_each_frame_limit():
     pots = (Potential.ginibre(), Potential.power(2.0), Potential.power(3.0),
             Potential.hard_edge())
     for pot in pots:
-        boundary = LimitKernelSpec.of_frame(pot, RescaleFrame.boundary(pot, 256))
+        boundary = LimitKernelSpec.of_frame(RescaleFrame(pot, 256, "boundary"))
         assert boundary == (HE if pot.kind == "hard_edge" else FB)
         bulk_at_zero = LimitKernelSpec.mittag_leffler(pot.lam)
         if pot.kind != "hard_edge":
-            singular = LimitKernelSpec.of_frame(pot, RescaleFrame.singularity(pot, 256))
+            singular = LimitKernelSpec.of_frame(RescaleFrame(pot, 256, "singularity"))
             assert singular == bulk_at_zero
         if pot.lam == 1.0:
-            assert LimitKernelSpec.of_frame(pot, RescaleFrame.bulk(pot, 256)) == bulk_at_zero
+            assert LimitKernelSpec.of_frame(RescaleFrame(pot, 256, "bulk")) == bulk_at_zero
     # lam = 1 needs no bulk branch: its Mittag-Leffler kernel is the bulk one
     x = np.linspace(-5.0, 5.0, 101)
     plane = x[None, :] + 1j * x[:, None]

@@ -38,23 +38,24 @@ GINIBRE = Potential.ginibre()
 
 
 def test_config_validation():
+    one = RescaleFrame(GINIBRE, 1, "boundary")
     with pytest.raises(ValueError):
-        SampleConfig(GINIBRE, 0, 1, 0)
+        SampleConfig(RescaleFrame(GINIBRE, 0, "boundary"), 1, 0)
     with pytest.raises(ValueError):
-        SampleConfig(GINIBRE, 1, 0, 0)
+        SampleConfig(one, 0, 0)
     with pytest.raises(ValueError):
-        SampleConfig(GINIBRE, 1, 1, -1)
+        SampleConfig(one, 1, -1)
     with pytest.raises(ValueError):
-        SampleConfig(GINIBRE, 1, 1, 2**64)
+        SampleConfig(one, 1, 2**64)
     with pytest.raises(BudgetExceeded):
-        SampleConfig(GINIBRE, BUDGET_LIMIT, 2, 0)
+        SampleConfig(RescaleFrame(GINIBRE, BUDGET_LIMIT, "boundary"), 2, 0)
 
 
 def test_radii_deterministic_per_trial():
-    cfg = SampleConfig(GINIBRE, 64, 10, seed=123)
+    cfg = SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), 10, seed=123)
     assert_array_equal(sample_radii(cfg, 3), sample_radii(cfg, 3))
     assert not np.array_equal(sample_radii(cfg, 3), sample_radii(cfg, 4))
-    other = SampleConfig(GINIBRE, 64, 10, seed=124)
+    other = SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), 10, seed=124)
     assert not np.array_equal(sample_radii(cfg, 3), sample_radii(other, 3))
 
 
@@ -67,7 +68,7 @@ def test_trial_drawn_alone_equals_its_row_in_a_block(n, trials, ks):
     # alone it equals its row of the sampler's block, at n = 1024 the first
     # row, a block's last and the next block's first, and the run's last;
     # above BLOCK_POINTS every block is one trial
-    cfg = SampleConfig(GINIBRE, n, trials, seed=5)
+    cfg = SampleConfig(RescaleFrame(GINIBRE, n, "boundary"), trials, seed=5)
     step = max(1, BLOCK_POINTS // n)
     assert step == (64 if n == 1024 else 1)
     for k in ks:
@@ -83,11 +84,10 @@ def test_trial_drawn_alone_equals_its_row_in_a_block(n, trials, ks):
 def test_block_size_leaves_the_counts_alone(monkeypatch, block_points):
     # a trial's uniforms do not depend on its block, so blocks of any size,
     # down to one trial (the size many bins force), give the same counts
-    cfg = SampleConfig(pot=GINIBRE, n=64, trials=37, seed=5)
-    frame = RescaleFrame.boundary(GINIBRE, 64)
-    ref = radial_profile(cfg, frame, (-3.0, 1.0, 40))
+    cfg = SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), trials=37, seed=5)
+    ref = radial_profile(cfg, (-3.0, 1.0, 40))
     monkeypatch.setattr(sampler, "BLOCK_POINTS", block_points)
-    got = radial_profile(cfg, frame, (-3.0, 1.0, 40))
+    got = radial_profile(cfg, (-3.0, 1.0, 40))
     assert got.counts.tobytes() == ref.counts.tobytes()
     assert got.counts_sq.tobytes() == ref.counts_sq.tobytes()
     assert got.inverted == ref.inverted
@@ -101,18 +101,17 @@ def test_blocks_hold_trials_times_bins_within_the_budget(monkeypatch):
     uniforms = sampler._uniforms
     monkeypatch.setattr(sampler, "_uniforms", lambda cfg, start, stop: (
         sizes.append(stop - start) or uniforms(cfg, start, stop)))
-    frame = RescaleFrame.boundary(GINIBRE, 1024)
-    radial_profile(SampleConfig(pot=GINIBRE, n=1024, trials=100, seed=1), frame,
+    radial_profile(SampleConfig(RescaleFrame(GINIBRE, 1024, "boundary"), trials=100, seed=1),
                    (-3.0, 1.0, 40))
     assert sizes == [64, 36]
     sizes.clear()
-    radial_profile(SampleConfig(pot=GINIBRE, n=64, trials=3, seed=1),
-                   RescaleFrame.boundary(GINIBRE, 64), (-3.0, 1.0, 100_000))
+    radial_profile(SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), trials=3, seed=1),
+                   (-3.0, 1.0, 100_000))
     assert sizes == [1, 1, 1]
 
 
 def test_radii_sorted_positive():
-    cfg = SampleConfig(GINIBRE, 128, 1, seed=5)
+    cfg = SampleConfig(RescaleFrame(GINIBRE, 128, "boundary"), 1, seed=5)
     r = sample_radii(cfg, 0)
     assert r.shape == (128,)
     assert np.all(np.diff(r) >= 0.0)
@@ -151,7 +150,7 @@ def test_power_law_moduli_distribution():
 
 def test_hard_edge_radii_clipped_to_disc():
     pot = Potential.hard_edge()
-    cfg = SampleConfig(pot, 256, 4, seed=9)
+    cfg = SampleConfig(RescaleFrame(pot, 256, "boundary"), 4, seed=9)
     for trial in range(4):
         assert np.all(sample_radii(cfg, trial) <= 1.0)
 
@@ -170,7 +169,7 @@ def test_monotone_coupling_across_ensembles():
 def test_kostlan_mean_modulus():
     # E r_j^2 = (j+1)/n for Ginibre: check the empirical mean of sum r_j^2,
     # which is n(n+1)/(2n); 200 trials keep the standard error tiny
-    cfg = SampleConfig(GINIBRE, 64, 200, seed=77)
+    cfg = SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), 200, seed=77)
     total = np.mean([np.sum(sample_radii(cfg, t) ** 2) for t in range(200)])
     assert_allclose(total, 65.0 / 2.0, rtol=0.02)
 
@@ -183,14 +182,13 @@ def test_kostlan_mean_modulus():
 def test_histogram_validation_and_centers(monkeypatch):
     # a bad window is refused before any draw
     monkeypatch.setattr(sampler, "_uniforms", None)
-    cfg = SampleConfig(GINIBRE, 64, 2, seed=0)
-    frame = RescaleFrame.boundary(GINIBRE, 64)
+    cfg = SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), 2, seed=0)
     with pytest.raises(ValueError):
-        radial_profile(cfg, frame, (1.0, 0.0, 10))
+        radial_profile(cfg, (1.0, 0.0, 10))
     with pytest.raises(ValueError):
-        radial_profile(cfg, frame, (0.0, 1.0, 0))
+        radial_profile(cfg, (0.0, 1.0, 0))
     monkeypatch.undo()
-    hist = radial_profile(cfg, frame, (-1.0, 1.0, 4))
+    hist = radial_profile(cfg, (-1.0, 1.0, 4))
     assert isinstance(hist, Histogram1D)
     assert hist.bin_width == pytest.approx(0.5)
     assert_allclose(hist.bin_centers(), [-0.75, -0.25, 0.25, 0.75])
@@ -199,32 +197,15 @@ def test_histogram_validation_and_centers(monkeypatch):
 
 def test_profile_counts_conserved():
     # a window covering every transformed radius must count n per trial
-    cfg = SampleConfig(GINIBRE, 64, 25, seed=3)
-    frame = RescaleFrame.boundary(GINIBRE, 64)
-    hist = radial_profile(cfg, frame, (-30.0, 30.0, 120))
+    cfg = SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), 25, seed=3)
+    hist = radial_profile(cfg, (-30.0, 30.0, 120))
     assert int(hist.counts.sum()) == 64 * 25
-
-
-def test_boundary_profile_requires_boundary_frame():
-    # the centre is 0 or on the droplet boundary, nothing in between
-    cfg = SampleConfig(GINIBRE, 64, 2, seed=0)
-    with pytest.raises(ValueError, match="centred at 0 or on the droplet boundary"):
-        radial_profile(cfg, RescaleFrame(p=0.5, n=64, zoom=8.0), (-3.0, 1.0, 40))
-
-
-def test_profile_refuses_a_frame_of_another_n():
-    # a frame of n = 64 would bin n = 1024's radii at the wrong zoom: at
-    # estimates near 16 where the profile is at most 1
-    cfg = SampleConfig(GINIBRE, 1024, 50, seed=0)
-    with pytest.raises(ValueError, match="frame is built for n=64"):
-        radial_profile(cfg, RescaleFrame.boundary(GINIBRE, 64), (-3.0, 1.0, 8))
 
 
 def test_boundary_profile_matches_plasma_profile():
     # moderate run: every bin within 3 standard errors + bin bias of F(2x)
-    cfg = SampleConfig(GINIBRE, 256, 600, seed=42)
-    frame = RescaleFrame.boundary(GINIBRE, 256)
-    hist = radial_profile(cfg, frame, (-3.0, 1.0, 40))
+    cfg = SampleConfig(RescaleFrame(GINIBRE, 256, "boundary"), 600, seed=42)
+    hist = radial_profile(cfg, (-3.0, 1.0, 40))
     est = hist.estimates()
     err = hist.stderrs()
     target = np.array([complex(plasma_F(2 * x)).real
@@ -235,8 +216,8 @@ def test_boundary_profile_matches_plasma_profile():
 
 def test_singularity_profile_flat_for_ginibre():
     # lam = 1: the rescaled radial intensity is flat at 1
-    cfg = SampleConfig(GINIBRE, 400, 300, seed=8)
-    hist = radial_profile(cfg, RescaleFrame.singularity(GINIBRE, 400), (0.5, 3.5, 15))
+    cfg = SampleConfig(RescaleFrame(GINIBRE, 400, "singularity"), 300, seed=8)
+    hist = radial_profile(cfg, (0.5, 3.5, 15))
     est = hist.estimates()
     err = hist.stderrs()
     assert np.all(np.abs(est - 1.0) <= 3.0 * err + 0.05)
@@ -244,15 +225,14 @@ def test_singularity_profile_flat_for_ginibre():
 
 def test_singularity_profile_rejects_hard_edge():
     with pytest.raises(ValueError):
-        RescaleFrame.singularity(Potential.hard_edge(), 64)
+        RescaleFrame(Potential.hard_edge(), 64, "singularity")
 
 
 def test_stderr_scales_like_inverse_sqrt_trials():
-    frame = RescaleFrame.boundary(GINIBRE, 64)
+    frame = RescaleFrame(GINIBRE, 64, "boundary")
     errs = []
     for trials in (50, 200):
-        cfg = SampleConfig(GINIBRE, 64, trials, seed=1)
-        hist = radial_profile(cfg, frame, (-2.0, 0.0, 10))
+        hist = radial_profile(SampleConfig(frame, trials, seed=1), (-2.0, 0.0, 10))
         errs.append(np.median(hist.stderrs()))
     assert 1.5 <= errs[0] / errs[1] <= 2.6
 
@@ -264,15 +244,16 @@ def test_stderr_scales_like_inverse_sqrt_trials():
 
 def _frame(pot, n):
     """The singularity frame of a power potential, else the boundary frame."""
-    return RescaleFrame.singularity(pot, n) if pot.kind == "power" else RescaleFrame.boundary(pot, n)
+    return RescaleFrame(pot, n, "singularity" if pot.kind == "power" else "boundary")
 
 
-def _full_inversion_counts(cfg, zoom, r0, lo, hi, bins):
+def _full_inversion_counts(cfg, lo, hi, bins):
+    frame = cfg.frame
     c = np.zeros(bins, dtype=np.int64)
     c2 = np.zeros(bins, dtype=np.int64)
     for t in range(cfg.trials):
-        r = _radii_from_uniforms(cfg.pot, cfg.n, _uniforms(cfg, t, t + 1)[0])
-        h = _histogram_counts(zoom * (r - r0), lo, hi, bins)[0]
+        r = _radii_from_uniforms(frame.pot, frame.n, _uniforms(cfg, t, t + 1)[0])
+        h = _histogram_counts(frame.zoom * (r - frame.p), lo, hi, bins)[0]
         c += h
         c2 += h * h
     return c, c2
@@ -299,10 +280,9 @@ def test_windowed_counts_match_full_inversion(pot, window, seed):
     # the band drops only indices that cannot land in the window, and the
     # kept radii are bitwise those of the full inversion
     n, trials = 256, 30
-    cfg = SampleConfig(pot, n, trials, seed)
-    frame = _frame(pot, n)
-    hist = radial_profile(cfg, frame, window)
-    counts, counts_sq = _full_inversion_counts(cfg, frame.zoom, abs(frame.p), *window)
+    cfg = SampleConfig(_frame(pot, n), trials, seed)
+    hist = radial_profile(cfg, window)
+    counts, counts_sq = _full_inversion_counts(cfg, *window)
     assert_array_equal(hist.counts, counts)
     assert_array_equal(hist.counts_sq, counts_sq)
     assert hist.inverted < n * trials
@@ -321,9 +301,8 @@ def test_window_inverts_few_radii(monkeypatch):
 
     monkeypatch.setattr(sampler, "gammaincinv", counting)
     n, trials = 1024, 20
-    cfg = SampleConfig(GINIBRE, n, trials, seed=4)
-    hist = radial_profile(cfg, RescaleFrame.boundary(GINIBRE, n),
-                          (-3.0, 1.0, 40))
+    cfg = SampleConfig(RescaleFrame(GINIBRE, n, "boundary"), trials, seed=4)
+    hist = radial_profile(cfg, (-3.0, 1.0, 40))
     assert sum(points) == hist.inverted
     assert sum(points) / trials < n / 4
     assert sum(points) < 2 * n
@@ -351,9 +330,9 @@ def test_inaccurate_inverse_refuses_the_run(monkeypatch):
     # check before any trial is drawn
     monkeypatch.setattr(sampler, "gammaincinv",
                         lambda a, q: gammaincinv(a, q) * (1.0 + 1e-9))
-    cfg = SampleConfig(GINIBRE, 256, 2, seed=0)
+    cfg = SampleConfig(RescaleFrame(GINIBRE, 256, "boundary"), 2, seed=0)
     with pytest.raises(sampler.InversionCheckFailed, match="band margin"):
-        radial_profile(cfg, RescaleFrame.boundary(GINIBRE, 256), (-3.0, 1.0, 8))
+        radial_profile(cfg, (-3.0, 1.0, 8))
 
 
 # --------------------------------------------------------------------------
@@ -368,8 +347,8 @@ def test_draws_on_edge_probabilities_are_inverted(monkeypatch, pot):
     # probability and eps/2 either side of one: all three take the inverse,
     # and the counts stay those of the full inversion
     n, trials, window = 64, 6, (-3.0, 1.0, 8)
-    frame = RescaleFrame.boundary(pot, n)
-    band = sampler._window_band(pot, frame, *window)
+    frame = RescaleFrame(pot, n, "boundary")
+    band = sampler._window_band(frame, *window)
     j0 = int(np.argmax(band.p[:, 8] - band.p[:, 0]))
     offsets = (0.0, BAND_EPS / 2, -BAND_EPS / 2)
     real_uniforms = sampler._uniforms
@@ -385,9 +364,9 @@ def test_draws_on_edge_probabilities_are_inverted(monkeypatch, pot):
 
     monkeypatch.setattr(sampler, "_uniforms", on_edges)
     monkeypatch.setitem(globals(), "_uniforms", on_edges)  # the reference's
-    cfg = SampleConfig(pot, n, trials, seed=17)
-    hist = radial_profile(cfg, frame, window)
-    counts, counts_sq = _full_inversion_counts(cfg, frame.zoom, 1.0, *window)
+    cfg = SampleConfig(frame, trials, seed=17)
+    hist = radial_profile(cfg, window)
+    counts, counts_sq = _full_inversion_counts(cfg, *window)
     assert_array_equal(hist.counts, counts)
     assert_array_equal(hist.counts_sq, counts_sq)
     assert hist.inverted == band.checked + len(offsets) * trials
@@ -405,8 +384,7 @@ def test_draws_on_shared_thresholds_are_inverted(monkeypatch, pot, window, side)
     # full inversion
     n, trials = 256, 6
     frame = _frame(pot, n)
-    zoom, r0 = frame.zoom, abs(frame.p)
-    band = sampler._window_band(pot, frame, *window)
+    band = sampler._window_band(frame, *window)
     j1 = band.j0 + len(band.p)
     if side == "below":
         js, inside, threshold = range(band.j0 - 3, band.j0), 1.0, band.q_lo
@@ -427,9 +405,9 @@ def test_draws_on_shared_thresholds_are_inverted(monkeypatch, pot, window, side)
 
     monkeypatch.setattr(sampler, "_uniforms", on_thresholds)
     monkeypatch.setitem(globals(), "_uniforms", on_thresholds)  # the reference's
-    cfg = SampleConfig(pot, n, trials, seed=19)
-    hist = radial_profile(cfg, frame, window)
-    counts, counts_sq = _full_inversion_counts(cfg, zoom, r0, *window)
+    cfg = SampleConfig(frame, trials, seed=19)
+    hist = radial_profile(cfg, window)
+    counts, counts_sq = _full_inversion_counts(cfg, *window)
     assert_array_equal(hist.counts, counts)
     assert_array_equal(hist.counts_sq, counts_sq)
     assert hist.inverted == band.checked + 2 * trials
@@ -440,8 +418,8 @@ def test_band_work_grows_with_the_window_not_n(monkeypatch):
     # window get a row of the edge table, band edges to check and draws to
     # invert, and the counts stay those of the full inversion
     n, window = 2**20, (-3.0, 1.0, 40)
-    cfg = SampleConfig(GINIBRE, n, 1, seed=6)
-    frame = RescaleFrame.boundary(GINIBRE, n)
+    frame = RescaleFrame(GINIBRE, n, "boundary")
+    cfg = SampleConfig(frame, 1, seed=6)
     counts = _histogram_counts(frame.zoom * (sample_radii(cfg, 0) - 1.0), *window)[0]
     points = []
 
@@ -450,7 +428,7 @@ def test_band_work_grows_with_the_window_not_n(monkeypatch):
         return gammaincinv(a, q)
 
     monkeypatch.setattr(sampler, "gammaincinv", counting)
-    hist = radial_profile(cfg, frame, window)
+    hist = radial_profile(cfg, window)
     assert_array_equal(hist.counts, counts)
     assert sum(points) == hist.inverted
     assert sum(points) < 32 * math.sqrt(n)
@@ -473,19 +451,17 @@ def test_edge_table_counts_match_full_inversion_property():
         st.integers(0, 2**32),
     )
     def check(pot_name, n, lo, width, bins, seed):
-        cfg = SampleConfig(pots[pot_name], n, 4, seed)
+        cfg = SampleConfig(_frame(pots[pot_name], n), 4, seed)
         window = (lo, lo + width, bins)
-        frame = _frame(cfg.pot, n)
-        zoom, r0 = frame.zoom, abs(frame.p)
         try:
-            hist = radial_profile(cfg, frame, window)
+            hist = radial_profile(cfg, window)
         except ValueError as exc:
             # refused only where no index can reach the window, so where the
             # full inversion counts nothing
             assert "no index can reach the window" in str(exc)
-            assert not _full_inversion_counts(cfg, zoom, r0, *window)[0].any()
+            assert not _full_inversion_counts(cfg, *window)[0].any()
             return
-        counts, counts_sq = _full_inversion_counts(cfg, zoom, r0, *window)
+        counts, counts_sq = _full_inversion_counts(cfg, *window)
         assert_array_equal(hist.counts, counts)
         assert_array_equal(hist.counts_sq, counts_sq)
 
