@@ -110,6 +110,7 @@ _NUMERIC_ERRORS = (
     NonHermitianInput,
     InversionCheckFailed,
     NonFiniteResult,
+    OverflowError,
 )
 
 

@@ -11,8 +11,8 @@ error is at most 3.5e-13 relative on the diagonal and 1.1e-13 of
 ``sqrt(K(zeta, zeta) K(eta, eta))`` off it, both at n = 2^20.  Nearly all of
 it is the rounding of ``|zeta|``, ``|eta|`` and ``arg(zeta conj(eta))``,
 which the kernel amplifies by about sqrt(n) near the droplet edge and more
-outside it.  Without the cap ``j < n`` the same window sums the
-Mittag-Leffler limit kernel and its Cauchy transform.
+outside it.  One row of terms serves the sums capped at ``j < n`` and,
+without the cap, the Mittag-Leffler limit kernel and its Cauchy transform.
 """
 
 from __future__ import annotations
@@ -131,8 +131,10 @@ class RescaleFrame:
 
 
 def _check_n(n, top: int = KERNEL_MAX_N) -> None:
-    """Refuse an ``n`` outside ``1 .. top`` (the kernel's range by default),
-    naming it."""
+    """Refuse an ``n`` that is not an integer in ``1 .. top`` (the kernel's
+    range by default), naming it."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"need an integer n, got n = {n!r}")
     if not 1 <= n <= top:
         raise ValueError(f"need 1 <= n <= {top}, got {n}")
 
@@ -299,39 +301,33 @@ def _peak(pot: Potential, n: int, mu, uncapped: bool = False):
 
 
 def _half_width(pot: Potential, n: int, mu, uncapped: bool = False):
-    """First window half width to try: the 8.6 standard deviations of the
-    term profile that a 1e-17 tail needs, in multiples of 32 so that the
-    points of one grid share a few widths (uncapped, the clip only keeps it
-    an integer)."""
-    sd = pot.lam * np.sqrt(np.clip(mu, 1.0, 1e18 if uncapped else n / pot.lam))
-    return 32 * np.ceil((8.6 * sd + 24.0) / 32.0).astype(np.int64)
+    """First window half width to try, in floats: the 8.6 standard deviations
+    of the term profile that a 1e-17 tail needs, in multiples of 32 so that
+    the points of one grid share a few widths; capped, at most KERNEL_MAX_N,
+    the longest index range (uncapped, :func:`_sum_windows` refuses it past
+    the term budget before it becomes an index)."""
+    with np.errstate(over="ignore"):  # uncapped at a huge lam: inf, past any budget
+        sd = pot.lam * np.sqrt(np.clip(mu, 1.0, 1e18 if uncapped else n / pot.lam))
+        width = 32 * np.ceil((8.6 * sd + 24.0) / 32.0)
+    return width if uncapped else np.minimum(width, KERNEL_MAX_N)
 
 
-def _terms(pot: Potential, n: int, mu, peak, w: int):
-    """``(t, rho_down, rho_up)`` without the cap ``j < n``: the terms
-    ``t_(peak+k) / t_peak``, k = -w..w, each row on its own and 0 where ``j <
-    0``, and the first ratio past each end of the window, 0 where ``j < 0``."""
-    # each term on its own: ratio products carry their rounding along
-    j = peak[:, None] + np.arange(-w, w + 1)
-    lo = max(int(peak.min()) - w, 0)  # Gamma once per index of the block
-    xs = (np.arange(lo, int(peak.max()) + w + 1) + 1.0) / pot.lam - 1.0
-    at, m = np.maximum(j, lo) - lo, np.broadcast_to(mu[:, None], j.shape)
-    t = np.where(j >= 0, _poisson(xs[at], m, gamma(np.minimum(xs, 150.0) + 1.0)[at]), 0.0)
-    low = peak - w - 1
-    rho_down = np.where(low >= 0, 1.0 / _ratio(pot, n, np.maximum(low, 0), mu), 0.0)
-    return t / t[:, w:w + 1], rho_down, _ratio(pot, n, peak + w, mu)
-
-
-def _sides(pot: Potential, n: int, mu, peak, w: int, uncapped: bool, masses):
-    """``(up, down, rho_down, rho_up)``: the terms ``t_(peak+k) / t_peak`` and
-    ``t_(peak-k) / t_peak`` for k = 1..w, 0 outside the index range, and the
-    first ratio past each end of the window, 0 where the range ends.
-    Capped, the range is ``[0, n-1]`` and each side is the cumulative product
-    of the ratios away from the peak; uncapped, it is ``j >= 0`` and the
-    terms come from :func:`_terms`."""
+def _terms(pot: Potential, n: int, mu, peak, w: int, uncapped: bool, masses: _MassTable = None):
+    """``(t, rho_down, rho_up)``: the terms ``t_(peak+k) / t_peak``, k = -w..w,
+    0 outside the index range, and the first ratio past each end, 0 where the
+    range ends.  Capped, the range is ``[0, n-1]`` and the terms are ratio
+    products away from the peak (hard-edge masses from ``masses``); uncapped,
+    it is ``j >= 0`` and, as ratio products carry their rounding along, each
+    term is evaluated on its own."""
     if uncapped:
-        t, rho_down, rho_up = _terms(pot, n, mu, peak, w)
-        return t[:, w + 1:], t[:, w - 1::-1], rho_down, rho_up
+        j = peak[:, None] + np.arange(-w, w + 1)
+        lo = max(int(peak.min()) - w, 0)  # Gamma once per index of the block
+        xs = (np.arange(lo, int(peak.max()) + w + 1) + 1.0) / pot.lam - 1.0
+        at, m = np.maximum(j, lo) - lo, np.broadcast_to(mu[:, None], j.shape)
+        t = np.where(j >= 0, _poisson(xs[at], m, gamma(np.minimum(xs, 150.0) + 1.0)[at]), 0.0)
+        low = peak - w - 1
+        rho_down = np.where(low >= 0, 1.0 / _ratio(pot, n, np.maximum(low, 0), mu), 0.0)
+        return t / t[:, w:w + 1], rho_down, _ratio(pot, n, peak + w, mu)
     # ratios only as far as some row of the block stays inside [0, n-1]
     top, bottom = min(w, n - 1 - int(peak.min())), min(w, int(peak.max()))
     j = peak[:, None] + np.arange(-bottom - 1, top + 1)
@@ -343,10 +339,11 @@ def _sides(pot: Potential, n: int, mu, peak, w: int, uncapped: bool, masses):
     if int(peak.min()) <= bottom:
         r[j < 0] = np.inf
     r_up, r_down = r[:, bottom + 1:], 1.0 / r[:, bottom::-1]
-    up, down = np.zeros((2, peak.size, w))
-    np.cumprod(r_up[:, :top], axis=1, out=up[:, :top])
-    np.cumprod(r_down[:, :bottom], axis=1, out=down[:, :bottom])
-    return up, down, r_down[:, w] if bottom == w else 0.0, r_up[:, w] if top == w else 0.0
+    t = np.zeros((peak.size, 2 * w + 1))
+    t[:, w] = 1.0
+    np.cumprod(r_up[:, :top], axis=1, out=t[:, w + 1:][:, :top])
+    np.cumprod(r_down[:, :bottom], axis=1, out=t[:, w - 1::-1][:, :bottom])
+    return t, r_down[:, w] if bottom == w else 0.0, r_up[:, w] if top == w else 0.0
 
 
 def _tail(last, rho):
@@ -356,16 +353,16 @@ def _tail(last, rho):
         return np.where(rho < 1.0, last * rho / (1.0 - rho), np.inf)
 
 
-def _window(pot: Potential, n: int, mu, theta, peak, w: int, uncapped: bool = False,
-            masses: _MassTable = None):
-    """``(re, im, bound)`` of ``sum_k t_(peak+k) e^(i k theta) / t_peak`` over
-    k = -w..w, the bound relative to the kept ``sum |t| / t_peak``."""
-    t_up, t_down, rho_down, rho_up = _sides(pot, n, mu, peak, w, uncapped, masses)
+def _window(t, rho_down, rho_up, theta):
+    """``(re, im, bound)`` of ``sum_k t_(peak+k) e^(i k theta) / t_peak`` over a
+    row of :func:`_terms`, the bound relative to the kept ``sum |t| / t_peak``."""
+    w = t.shape[1] // 2
+    t_up, t_down = t[:, w + 1:], t[:, w - 1::-1]
     both = t_up + t_down
     kept = 1.0 + both.sum(axis=1)
     bound = _tail(t_up[:, -1], rho_up) + _tail(t_down[:, -1], rho_down)
     if not theta.any():
-        return kept, np.zeros(len(peak)), bound / kept
+        return kept, np.zeros(len(t)), bound / kept
     # t_(peak+k) e^(ik theta) + t_(peak-k) e^(-ik theta), summed over k >= 1
     phase = np.arange(1, w + 1) * theta[:, None]
     re = 1.0 + (both * np.cos(phase)).sum(axis=1)
@@ -379,18 +376,19 @@ WINDOW_MAX_TERMS = 1 << 16  # terms a window without the cap j < n may hold
 
 
 def _sum_windows(pot: Potential, n: int, mu, reduce, uncapped: bool = False):
-    """``(peak, values, bound)``: ``reduce(sel, peak, w)`` gives the values of
-    rows ``sel`` of half width ``w`` (blocks of ~2^14 entries sorted by peak)
-    and a bound on what the window leaves out; rows above 1e-17 go again at
-    twice the width.  ``uncapped`` lifts the cap j < n, refusing windows of
-    more than ``WINDOW_MAX_TERMS`` terms."""
+    """``(peak, values, bound)``: ``reduce(sel, peak, *_terms(...))`` gives the
+    values of rows ``sel`` (blocks of ~2^14 entries sorted by peak) and a
+    bound on what the window leaves out; rows above 1e-17 go again at twice
+    the width.  ``uncapped`` lifts the cap j < n, refusing windows of more
+    than ``WINDOW_MAX_TERMS`` terms."""
     width = _half_width(pot, n, mu, uncapped)
+    masses = _MassTable(n) if pot.kind == "hard_edge" else None
     values, bound = np.zeros(mu.size, dtype=complex), np.zeros(mu.size)
     peak, todo = None, np.arange(mu.size)
     while peak is None or todo.size:
-        need = 2 * int(np.max(width[todo], initial=0)) + 1
+        need = 2 * np.max(width[todo], initial=0) + 1
         if uncapped and need > WINDOW_MAX_TERMS:
-            raise SeriesNotConverged(f"a term window needs {need} terms "
+            raise SeriesNotConverged(f"a term window needs {need:g} terms "
                                      f"(budget {WINDOW_MAX_TERMS})")
         if peak is None:
             peak = _peak(pot, n, mu, uncapped)
@@ -405,7 +403,8 @@ def _sum_windows(pot: Potential, n: int, mu, reduce, uncapped: bool = False):
                 top = w if uncapped else min(w, n - 1 - int(peak[group[b]]))
                 sel = group[b:b + max(1, _BLOCK // (w + top + 2))]
                 b += sel.size
-                values[sel], bound[sel] = reduce(sel, peak[sel], w)
+                values[sel], bound[sel] = reduce(
+                    sel, peak[sel], *_terms(pot, n, mu[sel], peak[sel], w, uncapped, masses))
                 redo.append(sel[bound[sel] > _TAIL_TOL])
         todo = np.concatenate(redo)
         width[todo] *= 2
@@ -438,14 +437,11 @@ def _kernel(pot: Potential, n: int, zeta, eta, uncapped: bool = False, square: b
     # arg(zeta conj(eta)); zero on the diagonal, which the rounded product may miss
     theta = np.where(zeta[idx] == eta[idx], 0.0, np.angle(zeta[idx] * eta[idx].conjugate()))
 
-    masses = _MassTable(n) if pot.kind == "hard_edge" else None
-
-    def reduce(sel, peak, w):
+    def reduce(sel, peak, t, rho_down, rho_up):
         if square:  # only without the cap (Mittag-Leffler)
             # past the window every term is below 1, so its square is too
-            t, rho_down, rho_up = _terms(pot, n, mu[sel], peak, w)
             return (t * t).sum(axis=1), _tail(t[:, -1], rho_up) + _tail(t[:, 0], rho_down)
-        re, im, rel_tail = _window(pot, n, mu[sel], theta[sel], peak, w, uncapped, masses)
+        re, im, rel_tail = _window(t, rho_down, rho_up, theta[sel])
         return re + 1j * im, rel_tail
 
     peak, sums, bound[idx] = _sum_windows(pot, n, mu, reduce, uncapped)
@@ -507,8 +503,8 @@ def _ml_cauchy(lam: float, r):
     rr = r[idx]
     mu = (rr * rr) ** lam
 
-    def reduce(sel, peak, w):
-        s, rho_down, rho_up = _terms(Potential.power(lam), 1, mu[sel], peak, w)
+    def reduce(sel, peak, s, rho_down, rho_up):
+        w = s.shape[1] // 2
         # shape 0 (P = 1, Q = 0) where j < 0, and s = 0 there
         shape, x = np.maximum(peak[:, None] + np.arange(1 - w, w + 2), 0) / lam, mu[sel]
         # P_j below_j and Q_j above_j nearly cancel at the peak: the running

@@ -385,6 +385,36 @@ def test_window_budget_is_numeric_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["eval", "--limit", "ml:1.1e18", "--grid", "0:1:1"],
+    ["eval", "--limit", "ml:1e300", "--grid", "0:1:1"],
+], ids=["ml-1.1e18", "ml-1e300"])
+def test_window_past_the_budget_is_refused_before_it_is_an_index(tmp_path, capsys, argv):
+    # half widths near 1e19 and 1e301 are refused in floats; cast to int64
+    # first, they ended in an OverflowError and an IndexError (exit 1)
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert "terms (budget 65536)" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_capped_window_wider_than_any_index_range_is_summed(tmp_path):
+    # power:1e40 at n = 64 asks for a half width of 8e20, clipped at 2^20
+    assert main(["eval", "--finite", "power:1e40", "--n", "64", "--grid", "0:0:1",
+                 "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--finite", "power:1e200", "--n", "64", "--grid", "0:0:1"],
+    ["converge", "--pot", "power:1e200", "--n-list", "64,256"],
+    ["sample", "--pot", "power:1e200", "--n", "64", "--trials", "2"],
+], ids=["eval", "converge", "sample"])
+def test_frame_past_the_float_range_is_numeric_error(tmp_path, capsys, argv):
+    # the frame's density lam^2 overflows a float at lam = 1e200
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    assert "numeric non-convergence" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
     ["eval", "--limit", "free-boundary", "--grid", "-1:1:1"],
     ["sample", "--n", "64", "--trials", "4", "--bins", "4"],
 ], ids=["eval", "sample"])

@@ -244,6 +244,15 @@ def test_kernel_size_guard():
         kernel_finite_n(GINIBRE, KERNEL_MAX_N + 1, 0.0, 0.0)
 
 
+def test_n_that_is_no_integer_is_refused_by_name():
+    # exp_section(64.5, 0) gave 0.48344, between the sections of 64 and 65,
+    # and the kernel failed with a TypeError from inside its window sums
+    with pytest.raises(ValueError, match="need an integer n, got n = 64.5"):
+        exp_section(64.5, 0.0)
+    with pytest.raises(ValueError, match="need an integer n, got n = 64.5"):
+        kernel_finite_n(GINIBRE, 64.5, 0.5, 0.5)
+
+
 # --------------------------------------------------------------------------
 # the O(sqrt(n)) window against 40-digit mpmath
 # --------------------------------------------------------------------------
@@ -349,11 +358,13 @@ def test_tail_bound_covers_the_terms_left_out(pot):
             with mpmath.workdps(40):
                 kept = mpmath.fsum(mags[lo:hi + 1])
                 left_out = float((mpmath.fsum(mags) - kept) / kept)
-            bound = finite_n._window(pot, n, mu, theta, peak, width)[2][0]
+            terms = finite_n._terms(pot, n, mu, peak, width, False)
+            bound = finite_n._window(*terms, theta)[2][0]
             assert left_out <= bound, (width, left_out, bound)
             assert bound <= 1e3 * max(left_out, 1e-300) or bound <= 1e-17
         _, reported = kernel_finite_n(pot, n, zeta, eta, return_bound=True)
-        assert reported == finite_n._window(pot, n, mu, theta, peak, first)[2][0]
+        terms = finite_n._terms(pot, n, mu, peak, first, False)
+        assert reported == finite_n._window(*terms, theta)[2][0]
         assert reported <= 1e-17
 
 
@@ -442,10 +453,39 @@ def test_capped_window_sums_match_the_term_array_bitwise(pot):
         for w in (1, 3, 32, 200):
             for sel in (np.arange(mu.size), np.arange(mu.size - 3, mu.size), np.arange(2),
                         np.arange(1)):
-                got = finite_n._window(pot, n, mu[sel], theta[sel], peak[sel], w, False, masses)
+                got = finite_n._window(*finite_n._terms(pot, n, mu[sel], peak[sel], w, False,
+                                                        masses), theta[sel])
                 ref = _term_array_window(pot, n, mu[sel], theta[sel], peak[sel], w)
                 for a, b in zip(got, ref):
                     assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (n, w, sel)
+
+
+@pytest.mark.parametrize("pot", [GINIBRE, Potential.power(1.5), POWER2, Potential.power(3.0)],
+                         ids=lambda p: f"{p.kind}-{p.lam:g}")
+def test_capped_and_uncapped_terms_are_one_row_where_the_cap_is_out_of_reach(pot):
+    # at n = 2^20 no window below reaches j = n - 1, so the capped row's ratio
+    # products and the uncapped row's terms, each evaluated on its own, agree
+    # up to the rounding the products carry over up to 3,680 steps
+    n = 2**20
+    mu = np.array([1e-3, 0.7, 5.0, 37.2, 400.0, 3000.0, 2e4])
+    peak = finite_n._peak(pot, n, mu)
+    for i, first in enumerate(finite_n._half_width(pot, n, mu).astype(int)):
+        for w in (8, 64, first):
+            row = (mu[i:i + 1], peak[i:i + 1], w)
+            t, rho_down, rho_up = finite_n._terms(pot, n, *row, False)
+            t_u, rho_down_u, rho_up_u = finite_n._terms(pot, n, *row, True)
+            big = np.maximum(t, t_u) > 1e-250
+            assert np.all(np.abs(t - t_u)[big] <= 1e-12 * t_u[big]), (mu[i], w)
+            assert_array_equal(np.broadcast_to(rho_down, 1), rho_down_u)
+            assert_array_equal(np.broadcast_to(rho_up, 1), rho_up_u)
+
+
+def test_capped_half_width_is_clipped_at_the_longest_index_range():
+    # 8.6 sqrt(n lam) is 68,800,000 at lam = 1e12 and n = 64, and 8e20 at lam
+    # = 1e40, past int64 once it was cast; no index range is longer than 2^20
+    for lam in (1e12, 1e40):
+        width = finite_n._half_width(Potential.power(lam), 64, np.array([64.0]))
+        assert_array_equal(width, [KERNEL_MAX_N])
 
 
 def test_hard_edge_masses_once_per_index_of_the_windows(monkeypatch):
@@ -463,9 +503,9 @@ def test_hard_edge_masses_once_per_index_of_the_windows(monkeypatch):
     finite_n._peak(HARD, n, mu)
     searched, points[:] = sum(points), []
     windows = []
-    window = finite_n._window
-    monkeypatch.setattr(finite_n, "_window", lambda pot, n, mu, theta, peak, w, *rest: (
-        windows.append((peak, w)) or window(pot, n, mu, theta, peak, w, *rest)))
+    terms = finite_n._terms
+    monkeypatch.setattr(finite_n, "_terms", lambda pot, n, mu, peak, w, *rest: (
+        windows.append((peak, w)) or terms(pot, n, mu, peak, w, *rest)))
     kernel_finite_n(HARD, n, zeta, zeta)
     # the masses a window reads: gammainc(j + 1, n) for j in [peak - w - 1,
     # peak + w + 1], within [0, n]
