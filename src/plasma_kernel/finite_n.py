@@ -74,7 +74,11 @@ class Potential:
 
     def delta_q(self, zeta: complex) -> float:
         """Quarter-Laplacian of Q (the density of the equilibrium measure)."""
-        return self.lam**2 * abs(zeta) ** (2.0 * self.lam - 2.0)
+        try:
+            return self.lam**2 * abs(zeta) ** (2.0 * self.lam - 2.0)
+        except OverflowError:
+            raise OverflowError(f"power potential lam = {self.lam:g}: its density "
+                                "lam^2 |zeta|^(2 lam - 2) leaves the float range") from None
 
 
 def droplet_radius(pot: Potential) -> float:
@@ -303,13 +307,13 @@ def _peak(pot: Potential, n: int, mu, uncapped: bool = False):
 def _half_width(pot: Potential, n: int, mu, uncapped: bool = False):
     """First window half width to try, in floats: the 8.6 standard deviations
     of the term profile that a 1e-17 tail needs, in multiples of 32 so that
-    the points of one grid share a few widths; capped, at most KERNEL_MAX_N,
-    the longest index range (uncapped, :func:`_sum_windows` refuses it past
-    the term budget before it becomes an index)."""
+    the points of one grid share a few widths; capped, at most n, the
+    longest index range of a size-n kernel (uncapped, :func:`_sum_windows`
+    refuses it past the term budget before it becomes an index)."""
     with np.errstate(over="ignore"):  # uncapped at a huge lam: inf, past any budget
         sd = pot.lam * np.sqrt(np.clip(mu, 1.0, 1e18 if uncapped else n / pot.lam))
         width = 32 * np.ceil((8.6 * sd + 24.0) / 32.0)
-    return width if uncapped else np.minimum(width, KERNEL_MAX_N)
+    return width if uncapped else np.minimum(width, n)
 
 
 def _terms(pot: Potential, n: int, mu, peak, w: int, uncapped: bool, masses: _MassTable = None):

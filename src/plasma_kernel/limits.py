@@ -21,11 +21,10 @@ m(t) m(s) whose only dependence on ``Y = Im(z - w)`` is the phase
 gives ``2 pi delta(t - s)`` against 1 (mass-one and the reproducing
 integral) and ``2 pi sgn(u) exp(-|u| |t - s|)
 1[u (t - s) > 0]`` against ``1/(u + iY)``, ``u = Re(z - w)`` (Cauchy
-transform).  In the Cauchy transform the integral over u is then Gaussian
-and closes as well.  What is left is smooth, Gaussian-tailed and free of any
-singularity: a Gauss-Legendre rule in tau and in ``Re t`` for the
-reproducing integral (:func:`_ti_reproducing`), and one in s and in t < s
-for the Cauchy transform (:func:`_ti_cauchy_numerator`).  Each runs over
+transform).  The integral over ``Re t`` (reproducing) or u (Cauchy) is then
+Gaussian and closes.  What is left is smooth, Gaussian-tailed and free of
+any singularity: a Gauss-Legendre rule in tau (:func:`_ti_reproducing`), and
+one in s and in t < s (:func:`_ti_cauchy_numerator`).  Each runs over
 one window of half-width ``_CUT`` per interval of the support of m, made of
 two panels of ``round(32 n_radial / 96)`` nodes that meet at the peak, so
 node-doubling configurations refine every window.  C reads ``Re z`` only,
@@ -195,9 +194,9 @@ class QuadratureConfig:
     ``_CUT``.  The Mittag-Leffler mass-one rule has ``n_radial`` polished
     nodes in ``|w|`` where ``||w|^lam - |z|^lam| <= r_max``; outside, its
     density has a factor ``exp(-(|w|^lam - |z|^lam)^2) < e^-64``.
-    ``n_radial`` is at most ``QUAD_MAX_N_RADIAL``: there the reduced rule
-    of one point, two panels of 256 nodes in each of its two variables,
-    fills one ``_BLOCK`` of 2^18 entries, and a block never splits a point.
+    ``n_radial`` is at most ``QUAD_MAX_N_RADIAL``: there the Cauchy rule of
+    one point, two panels of 256 nodes in each of its two variables, fills
+    one ``_BLOCK`` of 2^18 entries, and a block never splits a point.
     """
 
     r_max: float = 8.0
@@ -394,7 +393,7 @@ def conditional_intensity(spec: LimitKernelSpec, a, z):
 # the windows leave out at most
 #   of R C, over s:   M^2 int_{|q|>L} (Phi(q) Phi(-q) + phi(q) Psi(q)) dq,
 #           over t:   M^2 (2 Psi(-L) + phi(0) Phi(-L)),
-#   of the reproducing integral, over tau and over Re t:  2 M^2 Phi(-L) each.
+#   of the reproducing integral, over tau:  2 M^2 Phi(-L).
 # Every neglected s has |s - c| > L, and every neglected t lies below
 # min(s, c) - L.  At L = 10 and M = 2 the sum is below 4e-22
 # (tests/test_limits_quadrature.py).
@@ -482,19 +481,18 @@ def _ti_cauchy_numerator(profile, x, quad: QuadratureConfig):
 def _ti_reproducing(profile, z, w, quad: QuadratureConfig):
     """``integral K(t, z) K(w, t) dA(t)`` elementwise over flat ``z``, ``w``.
 
-    With ``c = Re z + Re w`` and ``d = profile.re_max`` this is
+    With ``c = Re z + Re w``, ``d = profile.re_max`` and ``phi``, ``Phi`` as in
+    :func:`_ti_cauchy_numerator` (whose s-windows the tau-windows copy), it is
 
-        (1/pi) exp(-(Re w - Re z)^2/2 - i (Im w Re w - Im z Re z))
-          int dtau m(tau)^2 exp(-(tau - c)^2/2 + i (Im w - Im z) tau)
-              int_{a<d} exp(-(2a - tau)^2/2) da,
+        exp(-(Re w - Re z)^2/2 - i (Im w Re w - Im z Re z))
+          int m(tau)^2 phi(tau - c) Phi(2d - tau) exp(i (Im w - Im z) tau) dtau,
 
-    where ``a = Re t``; the tau-windows are centred as in
-    :func:`_ti_cauchy_numerator`.  It is 0 where z or w lies outside the
-    domain ``Re < d``.
+    ``sqrt(pi/2) Phi(2d - tau)`` being the integral over ``a = Re t < d`` of
+    ``exp(-(2a - tau)^2/2)``.  It is 0 where z or w lies outside ``Re < d``.
     """
     n = _panel_nodes(quad)
     out = np.empty(z.shape, dtype=complex)
-    for blk in _blocks(z.size, (2 * n) ** 2):
+    for blk in _blocks(z.size, 2 * n):
         zb, wb = z[blk], w[blk]
         c = zb.real + wb.real
         dy = (wb.imag - zb.imag)[:, None]
@@ -502,14 +500,11 @@ def _ti_reproducing(profile, z, w, quad: QuadratureConfig):
         for lo, hi in profile.pieces:
             peak = np.clip(c, lo, hi)
             tau, wt = _window(np.maximum(lo, peak - _CUT), peak, np.minimum(hi, peak + _CUT), n)
-            a, wa = _window(0.5 * (tau - _CUT), 0.5 * tau,
-                            np.minimum(profile.re_max, 0.5 * (tau + _CUT)), n)
-            re_t = np.sum(wa * np.exp(-0.5 * (2.0 * a - tau[..., None]) ** 2), axis=-1)
-            dens = profile.m(tau) ** 2 * np.exp(-0.5 * (tau - c[:, None]) ** 2) * re_t
+            dens = profile.m(tau) ** 2 * _gauss(tau - c[:, None]) * ndtr(2 * profile.re_max - tau)
             total = total + np.sum(wt * dens * np.exp(1j * dy * tau), axis=-1)
         phase = wb.imag * wb.real - zb.imag * zb.real
         inside = (zb.real < profile.re_max) & (wb.real < profile.re_max)
-        out[blk] = inside * np.exp(-0.5 * (wb.real - zb.real) ** 2 - 1j * phase) * total / math.pi
+        out[blk] = inside * np.exp(-0.5 * (wb.real - zb.real) ** 2 - 1j * phase) * total
     return out
 
 

@@ -397,7 +397,7 @@ def test_window_past_the_budget_is_refused_before_it_is_an_index(tmp_path, capsy
 
 
 def test_capped_window_wider_than_any_index_range_is_summed(tmp_path):
-    # power:1e40 at n = 64 asks for a half width of 8e20, clipped at 2^20
+    # power:1e40 at n = 64 asks for a half width of 8e20, clipped at n
     assert main(["eval", "--finite", "power:1e40", "--n", "64", "--grid", "0:0:1",
                  "--out", str(tmp_path)]) == 0
 
@@ -410,7 +410,9 @@ def test_capped_window_wider_than_any_index_range_is_summed(tmp_path):
 def test_frame_past_the_float_range_is_numeric_error(tmp_path, capsys, argv):
     # the frame's density lam^2 overflows a float at lam = 1e200
     assert main(argv + ["--out", str(tmp_path)]) == 3
-    assert "numeric non-convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric non-convergence" in err
+    assert "lam = 1e+200: its density lam^2" in err
     assert not list(tmp_path.iterdir())
 
 

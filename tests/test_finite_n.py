@@ -482,10 +482,11 @@ def test_capped_and_uncapped_terms_are_one_row_where_the_cap_is_out_of_reach(pot
 
 def test_capped_half_width_is_clipped_at_the_longest_index_range():
     # 8.6 sqrt(n lam) is 68,800,000 at lam = 1e12 and n = 64, and 8e20 at lam
-    # = 1e40, past int64 once it was cast; no index range is longer than 2^20
-    for lam in (1e12, 1e40):
-        width = finite_n._half_width(Potential.power(lam), 64, np.array([64.0]))
-        assert_array_equal(width, [KERNEL_MAX_N])
+    # = 1e40, past int64 once it was cast; a size-n kernel has n indices
+    for n in (64, KERNEL_MAX_N):
+        for lam in (1e12, 1e40):
+            width = finite_n._half_width(Potential.power(lam), n, np.array([float(n)]))
+            assert_array_equal(width, [n])
 
 
 def test_hard_edge_masses_once_per_index_of_the_windows(monkeypatch):

@@ -19,7 +19,9 @@ from plasma_kernel.limits import (
     gram_min_eig,
     inequality_suite,
     laplacian_log_R,
+    limit_kernel,
     mass_one_residual,
+    one_point,
     polarized_mass_one_residual,
     tail_bounds_report,
     ward_point_residual,
@@ -38,7 +40,7 @@ GAP = LimitKernelSpec.free_boundary(((-2.0, -1.0), (1.0, 2.0)))
 
 
 def test_quadrature_config_node_budget():
-    # at n_radial = 768 the reduced rule of one point, two panels of 256 nodes
+    # at n_radial = 768 the Cauchy rule of one point, two panels of 256 nodes
     # in each of two variables, fills exactly one block, which never splits a
     # point; above it a request is refused before any node is built
     assert (2 * limits._panel_nodes(QuadratureConfig(8.0, 768))) ** 2 == limits._BLOCK
@@ -550,6 +552,33 @@ def test_polarized_pair_against_mpmath():
     assert abs(polarized_mass_one_residual(FB, z, w) - ref) <= 1e-14
 
 
+def _mp_hard_edge_kernel(mpmath, w, z):
+    """40-digit hard-edge ``K(w, z) = e^{-|w-z|^2/2} e^{i Im(w conj z)} H(v)``,
+    ``v = w + conj z``, with ``H = gamma * (1_{t<0} / F)`` by mpmath.quad."""
+    w, z = mpmath.mpc(w), mpmath.mpc(z)
+    v = w + mpmath.conj(z)
+    h = mpmath.quad(lambda t: mpmath.exp(-(v - t) ** 2 / 2) / mpmath.ncdf(-t),
+                    [-mpmath.inf, min(v.real, 0), 0]) / mpmath.sqrt(2 * mpmath.pi)
+    return mpmath.exp(-abs(w - z) ** 2 / 2 + 1j * (w * mpmath.conj(z)).imag) * h
+
+
+def test_hard_edge_reproducing_integral_against_mpmath():
+    # m^2 F = m at the hard edge, so its reproducing integral is K(w, z):
+    # mass-one next to the wall, where the factor Phi(-tau) of the closed Re t
+    # integral matters most, and far from it, then the pair of
+    # test_polarized_hard_edge
+    mpmath = pytest.importorskip("mpmath")
+    zs = np.array([-0.01, -1 - 1j])
+    z, w = -0.6 + 0.2j, -1.1 - 0.4j
+    with mpmath.workdps(40):
+        mass_ref = np.array([complex(_mp_hard_edge_kernel(mpmath, x, x)).real for x in zs])
+        pair_ref = complex(_mp_hard_edge_kernel(mpmath, w, z))
+    mass = (mass_one_residual(HE, zs) + 1.0) * one_point(HE, zs)
+    assert np.max(np.abs(mass - mass_ref)) <= 1e-14
+    pair = polarized_mass_one_residual(HE, z, w) + limit_kernel(HE, w, z)
+    assert abs(pair - pair_ref) <= 1e-14
+
+
 def test_reduced_rule_tail_bound():
     # the bound written next to limits._CUT, at the cut-off in use and the
     # largest density (m = 1/F <= 2 at the hard edge)
@@ -564,7 +593,7 @@ def test_reduced_rule_tail_bound():
         s_range = m_max**2 * (mpmath.quad(lost_s, [-mpmath.inf, -cut])
                               + mpmath.quad(lost_s, [cut, mpmath.inf]))
         t_range = m_max**2 * (2 * _psi(mpmath, -cut) + phi(0) * big_phi(-cut))
-        reproducing = 4 * m_max**2 * big_phi(-cut)
+        reproducing = 2 * m_max**2 * big_phi(-cut)
     assert s_range + t_range < 1e-17
     assert reproducing < 1e-17
 

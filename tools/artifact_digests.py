@@ -77,6 +77,10 @@ FAMILIES = [
     # converge compares the hard edge with the limit its frame names
     "converge --pot hard-edge --n-list 64,256",
     "converge --pot hard-edge --frame bulk --n-list 64,256",
+    # the hard edge's closed Re t integral next to the wall at a large rule,
+    # and a finite-n window clipped at n
+    "verify mass-one --spec hard-edge --points -0.01,-1-1j --quad 8,384",
+    "eval --finite power:1e8 --n 64 --grid -3:3:0.5",
 ]
 
 
