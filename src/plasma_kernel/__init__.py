@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .special import (  # noqa: F401
     HERMITE_MAX_DEGREE,
+    NumericError,
     QuadratureNotConverged,
     SeriesNotConverged,
     gauss_gamma,

@@ -1,6 +1,8 @@
 """Batch command-line front door.
 
-Four subcommands, all emitting diff-able CSV + JSON artifacts:
+Four subcommands, all emitting diff-able CSV + JSON artifacts.  Each, and
+each ``verify`` equation, takes ``--out``, ``--threads``, ``--config`` and
+only the flags it reads, ``--seed`` and ``--spec`` among them:
 
 * ``eval``      — one-point values of a finite-n or limiting kernel on a grid;
 * ``verify``    — residual checks (ward, mass-one, series, eighth,
@@ -40,9 +42,7 @@ from .finite_n import (
 )
 from .limits import (
     LimitKernelSpec,
-    NonHermitianInput,
     QuadratureConfig,
-    ZeroIntensity,
     eighth_formula,
     gram_min_eig,
     hermite_identity_residual,
@@ -54,17 +54,8 @@ from .limits import (
     telescoping_sum,
     ward_residual,
 )
-from .sampler import (
-    BudgetExceeded,
-    InversionCheckFailed,
-    SampleConfig,
-    radial_profile,
-)
-from .special import (
-    QuadratureNotConverged,
-    SeriesNotConverged,
-    plasma_F,
-)
+from .sampler import SampleConfig, radial_profile
+from .special import NumericError, plasma_F
 
 THRESHOLDS_VERSION = 1
 
@@ -99,19 +90,8 @@ EXIT_NUMERIC = 3
 ROW_BUDGET = 1 << 20
 
 
-class NonFiniteResult(Exception):
+class NonFiniteResult(NumericError):
     """A result to be written is NaN or infinite."""
-
-
-_NUMERIC_ERRORS = (
-    SeriesNotConverged,
-    QuadratureNotConverged,
-    ZeroIntensity,
-    NonHermitianInput,
-    InversionCheckFailed,
-    NonFiniteResult,
-    OverflowError,
-)
 
 
 def threshold_for(equation: str, spec_kind: str) -> float:
@@ -304,7 +284,6 @@ def _write_artifacts(args, stem: str, header, rows, command: str,
         "config_hash": hashlib.sha256(
             json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest(),
-        "seed": config.get("seed"),
         "results": results,
     }
     with open(_out_path(args, f"{stem}.json"), "w") as fh:
@@ -475,47 +454,53 @@ def _verify_polarized(args, spec) -> tuple:
     return zs, res, {"sup_norm": sup, "pairs": len(pairs)}, sup
 
 
+_SPEC = {"default": "free-boundary"}
+_SEED = {"type": int, "default": 0}
 _QUAD = {"help": "r_max,nr of the plane quadrature"}
 
-# Each verify equation's check and the options it reads besides --spec and
-# the common ones.  Its parser takes these and no others, and its JSON config
-# records them.
+# Each verify equation's check and the options it reads besides the common
+# ones.  Its parser takes these and no others, and its JSON config records
+# them.  An equation without --spec has the threshold row "*".
 _EQUATIONS = {
     "ward": (_verify_ward, {
+        "spec": _SPEC,
         "grid": {"help": "a:b:step of the real and imaginary parts (default per spec)"},
         "quad": _QUAD}),
     "mass-one": (_verify_mass_one, {
+        "spec": _SPEC,
         "points": {"help": "comma-separated complex points or random:N"},
-        "quad": _QUAD}),
+        "quad": _QUAD, "seed": _SEED}),
     "series": (_verify_series, {
         "grid": {"default": "-4:4:0.5", "help": "a:b:step of real points"},
         "n": {"type": int, "default": 80, "help": "series truncation order"}}),
     "eighth": (_verify_eighth, {}),
-    "inequalities": (_verify_inequalities, {}),
+    "inequalities": (_verify_inequalities, {"seed": _SEED}),
     "positivity": (_verify_positivity, {
+        "spec": _SPEC,
         "points": {"default": "random:8", "help": "random:N, 1 <= N <= 32"},
         "sets": {"type": int, "default": 100},
-        "complementary": {"action": "store_true"}}),
-    "polarized": (_verify_polarized, {"quad": _QUAD}),
+        "complementary": {"action": "store_true"}, "seed": _SEED}),
+    "polarized": (_verify_polarized, {"spec": _SPEC, "quad": _QUAD}),
 }
 
 
 def cmd_verify(args) -> int:
-    spec = parse_spec(args.spec)
     equation = args.equation
     check, options = _EQUATIONS[equation]
+    spec = parse_spec(args.spec) if "spec" in options else None
     # points (an abscissa or an index is x + 0j) and residuals as arrays
     pts, residual, results, sup = check(args, spec)
 
-    tol = threshold_for(equation, spec.kind)
+    tol = threshold_for(equation, spec.kind if spec else "*")
     passed = sup <= tol
-    config = {"equation": equation, "spec": args.spec, "seed": args.seed,
-              **{name: getattr(args, name) for name in options}}
-    results = dict(results)
-    results.update({"threshold": tol, "passed": bool(passed)})
-    _write_artifacts(args, f"verify_{equation}_{_slug(args.spec)}", ("x", "y", "residual"),
+    config = {"equation": equation, **{name: getattr(args, name) for name in options}}
+    results = {**results, "threshold": tol, "passed": bool(passed)}
+    stem, label = f"verify_{equation}", equation
+    if spec:
+        stem, label = f"{stem}_{_slug(args.spec)}", f"{equation} [{args.spec}]"
+    _write_artifacts(args, stem, ("x", "y", "residual"),
                      np.column_stack([pts.real, pts.imag, residual]), "verify", config, results)
-    print(f"verify {equation} [{args.spec}]: sup residual {sup:.6e} "
+    print(f"verify {label}: sup residual {sup:.6e} "
           f"{'<=' if passed else '>'} threshold {tol:g} -> "
           f"{'PASS' if passed else 'FAIL'}")
     return EXIT_PASS if passed else EXIT_FAIL
@@ -634,31 +619,26 @@ def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory for CSV/JSON")
     sub.add_argument("--threads", type=_thread_count, default=1,
                      help="accepted and validated; nothing runs threads")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--config", default=None,
                      help="JSON file of defaults; explicit flags win")
 
 
-# argparse only recognizes bare negative numbers as option values.  No flag
-# starts with a digit or a dot, so anything that does is a value: grids and
-# windows like -3:3:0.1, exponents like -2e-1 and complex points like -1-1j.
-_VALUE_MATCHER = re.compile(r"^-[\d.]")
+class _Parser(argparse.ArgumentParser):
+    """argparse only recognizes bare negative numbers as option values.  No
+    flag starts with a digit or a dot, so anything that does is a value: grids
+    and windows like -3:3:0.1, exponents like -2e-1 and complex points like
+    -1-1j.  Subcommand parsers take the class of their parent."""
 
-
-def _allow_negative_values(parser: argparse.ArgumentParser) -> None:
-    parser._negative_number_matcher = _VALUE_MATCHER
-    for action in parser._actions:
-        for choice_parser in getattr(action, "choices", {}).values() if isinstance(
-            action, argparse._SubParsersAction
-        ) else ():
-            _allow_negative_values(choice_parser)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use and shared by every later
     ``main`` call, so nothing may change it; ``--config`` builds its own."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plasma-kernel",
         description="Correlation-kernel evaluation and verification toolkit",
     )
@@ -680,7 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     equations = p_ver.add_subparsers(dest="equation", required=True)
     for equation, (_, options) in _EQUATIONS.items():
         p_eq = equations.add_parser(equation)
-        p_eq.add_argument("--spec", default="free-boundary")
         for name, kwargs in options.items():
             p_eq.add_argument(f"--{name}", **kwargs)
         _add_common(p_eq)
@@ -703,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("boundary", "singularity"))
     p_sam.add_argument("--bins", type=int, default=40)
     p_sam.add_argument("--window", default=None, help="lo:hi histogram window")
+    p_sam.add_argument("--seed", **_SEED)
     _add_common(p_sam)
-    _allow_negative_values(parser)
     return parser
 
 
@@ -751,12 +730,15 @@ def _apply_config_file(args, argv):
     sub = _command_parser(parser, args)
     actions = {a.dest: a for a in sub._actions}  # noqa: SLF001
     with open(args.config) as fh:
-        overrides = {}
-        for key, value in json.load(fh).items():
-            dest = key.replace("-", "_")
-            if not hasattr(args, dest) or dest not in actions:
-                raise ValueError(f"unknown config key {key!r}")
-            overrides[dest] = _config_value(actions[dest], key, value)
+        flags = json.load(fh)
+    if not isinstance(flags, dict):
+        raise ValueError(f"--config {args.config}: the file must hold a JSON object of flags")
+    overrides = {}
+    for key, value in flags.items():
+        dest = key.replace("-", "_")
+        if not hasattr(args, dest) or dest not in actions:
+            raise ValueError(f"unknown config key {key!r}")
+        overrides[dest] = _config_value(actions[dest], key, value)
     # a member of a mutually exclusive group on the command line sets the
     # group: a config value for another member would survive the re-parse.
     # Without one, the config may set one member, as the command line may
@@ -788,10 +770,10 @@ def main(argv=None) -> int:
         args = _apply_config_file(args, argv)
         return {"eval": cmd_eval, "verify": cmd_verify, "converge": cmd_converge,
                 "sample": cmd_sample}[args.command](args)
-    except _NUMERIC_ERRORS as exc:
+    except (NumericError, OverflowError) as exc:
         print(f"numeric non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError, BudgetExceeded) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

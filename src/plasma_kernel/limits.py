@@ -48,6 +48,7 @@ from scipy.special import ndtr
 
 from .finite_n import _ml_cauchy, _ml_kernel
 from .special import (
+    NumericError,
     _flat,
     _leggauss,
     _shaped,
@@ -87,11 +88,11 @@ __all__ = [
 LOG2 = math.log(2.0)
 
 
-class ZeroIntensity(Exception):
+class ZeroIntensity(NumericError):
     """A Berezin quantity was requested where the intensity vanishes."""
 
 
-class NonHermitianInput(Exception):
+class NonHermitianInput(NumericError):
     """A Gram matrix failed the Hermitian-symmetry precondition."""
 
 

@@ -75,6 +75,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincinv
 
 from .finite_n import Potential, RescaleFrame
+from .special import NumericError
 
 __all__ = [
     "BudgetExceeded",
@@ -97,11 +98,11 @@ BAND_EPS = 1e-12
 BLOCK_POINTS = 2**16
 
 
-class BudgetExceeded(Exception):
-    """n * trials, the bin edges or the edge table exceed their budget."""
+class BudgetExceeded(ValueError):
+    """n * trials, the bin edges or the edge table exceed their budget: a usage error."""
 
 
-class InversionCheckFailed(Exception):
+class InversionCheckFailed(NumericError):
     """The inverse Gamma CDF misses the band margin at a band edge."""
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from scipy.special import erfc, erfcx
 
 __all__ = [
+    "NumericError",
     "SeriesNotConverged",
     "QuadratureNotConverged",
     "plasma_F",
@@ -46,11 +47,15 @@ SQRT_PI = math.sqrt(math.pi)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-class SeriesNotConverged(Exception):
+class NumericError(Exception):
+    """A computation that gives no trustworthy number: the CLI's exit 3."""
+
+
+class SeriesNotConverged(NumericError):
     """A term window needs more terms than its budget allows."""
 
 
-class QuadratureNotConverged(Exception):
+class QuadratureNotConverged(NumericError):
     """An adaptive quadrature exceeded its refinement budget."""
 
 

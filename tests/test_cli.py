@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from plasma_kernel import cli, sampler
+from plasma_kernel import cli, limits, sampler, special
 from plasma_kernel.cli import (
     THRESHOLDS,
     build_parser,
@@ -133,7 +133,7 @@ def test_verify_eighth_passes(tmp_path):
     payload = json.loads(next(tmp_path.glob("*.json")).read_text())
     assert payload["results"]["passed"] is True
     # the config records what the equation reads, and eighth reads no option
-    assert payload["config"] == {"equation": "eighth", "seed": 0, "spec": "free-boundary"}
+    assert payload["config"] == {"equation": "eighth"}
     out = tmp_path / "positivity"
     assert main(["verify", "positivity", "--sets", "2", "--out", str(out)]) == 0
     config = json.loads(next(out.glob("*.json")).read_text())["config"]
@@ -303,8 +303,8 @@ def test_bad_quad_is_usage_error(tmp_path, capsys, spec, quad, named):
     assert not list(tmp_path.iterdir())
 
 
-# the options each verify equation reads besides --spec and the common ones,
-# and a valid value of each option
+# the options each verify equation reads besides --spec, --seed and the common
+# ones, and a valid value of each option
 _READS = {
     "ward": {"--grid", "--quad"},
     "mass-one": {"--points", "--quad"},
@@ -332,6 +332,33 @@ def test_verify_refuses_options_it_does_not_read(tmp_path, capsys, argv, flag):
     except SystemExit as exc:  # argparse's own refusal
         code = exc.code
     assert code == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# a --seed or --spec that the command would ignore: only sample, mass-one,
+# positivity and inequalities draw random numbers, and only ward, mass-one,
+# positivity and polarized read a kernel spec
+_UNREAD_SEED_OR_SPEC = [
+    (["eval", "--limit", "ml:2", "--seed", "9"], "--seed"),
+    (["converge", "--seed", "9"], "--seed"),
+    (["verify", "ward", "--seed", "9"], "--seed"),
+    (["verify", "polarized", "--seed", "9"], "--seed"),
+    (["verify", "series", "--seed", "9"], "--seed"),
+    (["verify", "series", "--spec", "hard-edge"], "--spec"),
+    (["verify", "eighth", "--seed", "9"], "--seed"),
+    (["verify", "eighth", "--spec", "ml:3"], "--spec"),
+    (["verify", "inequalities", "--spec", "bulk"], "--spec"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", _UNREAD_SEED_OR_SPEC,
+                         ids=[f"{argv[1] if argv[0] == 'verify' else argv[0]}{flag}"
+                              for argv, flag in _UNREAD_SEED_OR_SPEC])
+def test_commands_refuse_a_seed_or_spec_they_do_not_read(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -426,6 +453,21 @@ def test_non_finite_result_is_numeric_error(tmp_path, capsys, monkeypatch, argv)
     monkeypatch.setattr(cli, "one_point", lambda spec, z: np.full(np.shape(z), np.nan))
     assert main(argv + ["--out", str(tmp_path)]) == 3
     assert "a result is nan" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_exit_code_follows_the_error_base_class(tmp_path, capsys, monkeypatch):
+    # main turns every special.NumericError into exit 3 and every ValueError
+    # into exit 2, so a package error picks its exit code by its base class
+    numeric = [special.SeriesNotConverged, special.QuadratureNotConverged,
+               limits.ZeroIntensity, limits.NonHermitianInput,
+               sampler.InversionCheckFailed, cli.NonFiniteResult]
+    for error, code in [*((e, 3) for e in numeric), (sampler.BudgetExceeded, 2)]:
+        def fail(args, error=error):
+            raise error("no number")
+        monkeypatch.setattr(cli, "cmd_eval", fail)
+        assert main(["eval", "--limit", "bulk", "--out", str(tmp_path)]) == code, error
+        assert "no number" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -568,11 +610,11 @@ def test_config_file_loses_to_flag_equal_to_default(tmp_path):
     out = tmp_path / "o"
     assert main(["verify", "inequalities", "--seed", "0", "--config", str(cfg),
                  "--out", str(out)]) == 0
-    assert json.loads(next(out.glob("*.json")).read_text())["seed"] == 0
+    assert json.loads(next(out.glob("*.json")).read_text())["config"]["seed"] == 0
     out2 = tmp_path / "o2"
     assert main(["verify", "inequalities", "--config", str(cfg),
                  "--out", str(out2)]) == 0
-    assert json.loads(next(out2.glob("*.json")).read_text())["seed"] == 7
+    assert json.loads(next(out2.glob("*.json")).read_text())["config"]["seed"] == 7
 
 
 def test_config_file_values_go_through_the_flag_type(tmp_path, capsys):
@@ -599,6 +641,16 @@ def test_config_file_values_go_through_the_flag_type(tmp_path, capsys):
     cfg.write_text(json.dumps({"points": None, "seed": 1}))
     assert main(["verify", "mass-one", "--spec", "bulk", "--config", str(cfg),
                  "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"seed"', "7", "null"])
+def test_config_file_that_is_not_an_object_is_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["verify", "inequalities", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "must hold a JSON object of flags" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_numeric_value_applies(tmp_path):
@@ -632,7 +684,7 @@ def test_shared_parser_is_never_changed_by_a_request(tmp_path, capsys):
     for extra, seed in ((["--config", str(cfg)], 7), ([], 0)):
         out = tmp_path / f"seed{seed}"
         assert main(["verify", "inequalities", *extra, "--out", str(out)]) == 0
-        assert json.loads(next(out.glob("*.json")).read_text())["seed"] == seed
+        assert json.loads(next(out.glob("*.json")).read_text())["config"]["seed"] == seed
     for mode in (["--limit", "bulk"], ["--finite", "ginibre"]):
         assert main(["eval", *mode, "--grid", "0:0:1", "--out", str(tmp_path / "e")]) == 0
     with pytest.raises(SystemExit) as exc:

@@ -81,6 +81,11 @@ FAMILIES = [
     # and a finite-n window clipped at n
     "verify mass-one --spec hard-edge --points -0.01,-1-1j --quad 8,384",
     "eval --finite power:1e8 --n 64 --grid -3:3:0.5",
+    # a --spec or --seed that the command does not read, and a config file
+    # that holds no JSON object, are refused
+    "verify eighth --spec bulk",
+    "eval --limit bulk --grid 0:0:1 --seed 1",
+    "verify inequalities --config [1,2]",
 ]
 
 
