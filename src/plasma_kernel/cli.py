@@ -1,8 +1,8 @@
 """Batch command-line front door.
 
 Four subcommands, all emitting diff-able CSV + JSON artifacts.  Each, and
-each ``verify`` equation, takes ``--out``, ``--threads``, ``--config`` and
-only the flags it reads, ``--seed`` and ``--spec`` among them:
+each ``verify`` equation or ``eval``/``converge`` mode, takes ``--out``,
+``--threads``, ``--config`` and only the flags it reads:
 
 * ``eval``      — one-point values of a finite-n or limiting kernel on a grid;
 * ``verify``    — residual checks (ward, mass-one, series, eighth,
@@ -179,17 +179,19 @@ def parse_pot(text: str) -> Potential:
     raise ValueError(f"unknown potential {text!r}")
 
 
-def parse_quad(text: str) -> QuadratureConfig:
-    try:
-        r_max, nr = text.split(",")
-        r_max, nr = float(r_max), int(nr)
-    except ValueError:
-        raise ValueError(f"quad must be r_max,nr, got {text!r}")
-    return QuadratureConfig(r_max, nr)
-
-
 def _quad(args) -> QuadratureConfig:
-    return parse_quad(args.quad) if args.quad else QuadratureConfig()
+    return QuadratureConfig() if args.quad is None else QuadratureConfig(args.quad)
+
+
+def _mode_flags(args, request: str, reads: bool, **defaults) -> None:
+    """Flags that one mode of a command reads: if ``request``'s mode reads them,
+    each one left unset takes its default; if not, each one set is refused."""
+    for flag, default in defaults.items():
+        value = getattr(args, flag)
+        if value is not None and not reads:
+            raise ValueError(f"{request} reads no --{flag}, got {value!r}")
+        if value is None and reads:
+            setattr(args, flag, default)
 
 
 def _random_points(rng, shape) -> np.ndarray:
@@ -309,6 +311,7 @@ def cmd_eval(args) -> int:
     # the group is not argparse-required, so that --config can name the mode
     if not (args.limit or args.finite):
         raise ValueError("one of the arguments --limit --finite is required")
+    _mode_flags(args, f"eval --limit {args.limit}", not args.limit, n=64, frame="boundary")
     zs = _plane(args.grid, args.grid)
     extra = {}
     if args.limit:
@@ -347,9 +350,8 @@ def cmd_eval(args) -> int:
 
 
 def _verify_ward(args, spec) -> tuple:
-    if spec.kind == "mittag_leffler" and args.quad is not None:
-        # c comes from an exact angular sum (finite_n._ml_cauchy)
-        raise ValueError(f"verify ward --spec {args.spec} reads no --quad, got {args.quad!r}")
+    # the Mittag-Leffler c comes from an exact angular sum (finite_n._ml_cauchy)
+    _mode_flags(args, f"verify ward --spec {args.spec}", spec.kind != "mittag_leffler", quad=None)
     # --grid on both axes, or the spec's default real and imaginary axes;
     # the points go row by row of imaginary part, inside the spec's domain
     re, im = (args.grid,) * 2 if args.grid else {
@@ -456,7 +458,7 @@ def _verify_polarized(args, spec) -> tuple:
 
 _SPEC = {"default": "free-boundary"}
 _SEED = {"type": int, "default": 0}
-_QUAD = {"help": "r_max,nr of the plane quadrature"}
+_QUAD = {"type": int, "help": "radial nodes of the plane quadrature (default 96)"}
 
 # Each verify equation's check and the options it reads besides the common
 # ones.  Its parser takes these and no others, and its JSON config records
@@ -512,7 +514,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    n_list = [int(p) for p in args.n_list.split(",")]
+    _mode_flags(args, "converge --sections", not args.sections, pot="ginibre", frame="boundary")
+    try:
+        n_list = [int(p) for p in args.n_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
     for k, n in enumerate(n_list):
         if n in n_list[:k]:
             raise ValueError(f"--n-list repeats n = {n}")
@@ -651,9 +657,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--limit", help="limit spec, e.g. free-boundary, ml:2")
     group.add_argument("--finite", help="potential, e.g. ginibre, power:2")
     p_eval.add_argument("--grid", default="-3:3:0.1")
-    p_eval.add_argument("--n", type=int, default=64)
-    p_eval.add_argument("--frame", default="boundary",
-                        choices=("bulk", "boundary", "singularity"))
+    p_eval.add_argument("--n", type=int)
+    p_eval.add_argument("--frame", choices=("bulk", "boundary", "singularity"))
     _add_common(p_eval)
 
     p_ver = sub.add_parser("verify", help="residual checks vs thresholds")
@@ -665,9 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p_eq)
 
     p_con = sub.add_parser("converge", help="finite-n convergence tables")
-    p_con.add_argument("--pot", default="ginibre")
-    p_con.add_argument("--frame", default="boundary",
-                       choices=("bulk", "boundary", "singularity"))
+    p_con.add_argument("--pot")
+    p_con.add_argument("--frame", choices=("bulk", "boundary", "singularity"))
     p_con.add_argument("--n-list", default="64,256,1024")
     p_con.add_argument("--grid", default=None)
     p_con.add_argument("--sections", action="store_true",
@@ -699,7 +703,7 @@ def _config_value(action, key, value):
             value = action.type(value if isinstance(value, str) else json.dumps(value))
     except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
-    if action.choices is not None and value not in action.choices:
+    if action.choices is not None and value is not None and value not in action.choices:
         raise ValueError(f"config key {key!r}: invalid choice {value!r} "
                          f"(choose from {', '.join(map(str, action.choices))})")
     return value

@@ -183,29 +183,27 @@ class LimitKernelSpec:
 
 
 QUAD_MAX_N_RADIAL = 768
+_ML_R_MAX = 8.0  # the Mittag-Leffler mass-one rule's span in |w|^lam - |z|^lam
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node budget for the plane integrals.
+    """Node budget for the plane integrals: ``n_radial``, its one setting.
 
     The translation-invariant kernels take ``round(32 n_radial / 96)``
     Gauss-Legendre nodes per panel, two panels per window, and nothing else
     from here: their windows are fixed by the Gaussian tail bound next to
     ``_CUT``.  The Mittag-Leffler mass-one rule has ``n_radial`` polished
-    nodes in ``|w|`` where ``||w|^lam - |z|^lam| <= r_max``; outside, its
-    density has a factor ``exp(-(|w|^lam - |z|^lam)^2) < e^-64``.
+    nodes in ``|w|`` where ``||w|^lam - |z|^lam| <= _ML_R_MAX`` (8); outside,
+    its density has a factor ``exp(-(|w|^lam - |z|^lam)^2) < e^-64``.
     ``n_radial`` is at most ``QUAD_MAX_N_RADIAL``: there the Cauchy rule of
     one point, two panels of 256 nodes in each of its two variables, fills
     one ``_BLOCK`` of 2^18 entries, and a block never splits a point.
     """
 
-    r_max: float = 8.0
     n_radial: int = 96
 
     def __post_init__(self):
-        if not (math.isfinite(self.r_max) and self.r_max > 0.0):
-            raise ValueError(f"quad r_max must be finite and positive, got {self.r_max}")
         if self.n_radial < 1:
             raise ValueError(f"quad n_radial must be at least 1, got {self.n_radial}")
         if self.n_radial > QUAD_MAX_N_RADIAL:
@@ -213,7 +211,7 @@ class QuadratureConfig:
                              f"got {self.n_radial}")
 
     def doubled(self) -> "QuadratureConfig":
-        return QuadratureConfig(self.r_max, 2 * self.n_radial)
+        return QuadratureConfig(2 * self.n_radial)
 
 
 # --------------------------------------------------------------------------
@@ -516,7 +514,7 @@ def _ml_mass(spec: LimitKernelSpec, r, quad: QuadratureConfig):
     ``(1/R(r)) int 2 rho mean(rho) drho`` on the rule of
     :class:`QuadratureConfig`, 1 only if the ``a_l`` match the weight."""
     x, wx = _leggauss(quad.n_radial, polish=True)
-    lo, hi = np.maximum(r**spec.lam + np.c_[[-1.0, 1.0]] * quad.r_max, 0.0) ** (1 / spec.lam)
+    lo, hi = np.maximum(r**spec.lam + np.c_[[-1.0, 1.0]] * _ML_R_MAX, 0.0) ** (1 / spec.lam)
     half = 0.5 * (hi - lo)[:, None]
     rho = (lo[:, None] + half * (x + 1.0)).ravel()
     mean = _ml_kernel(spec.lam, np.repeat(r, x.size), rho, square=True)[0].real * rho

@@ -271,9 +271,11 @@ def hard_edge_H(z, deriv=0):
     ``mpmath.quad`` values, :func:`hard_edge_H_scaled` stays within 4e-14
     of ``H_s`` on ``Re z in [-10.5, 0.5]``, ``|Im z| <= 25`` (400 random
     points and a grid of points across ``|Im z| = 21``; the tests bound it
-    by 1e-13).  The error of H is that times ``exp(Im(z)^2 / 2)``, and the
-    relative error is of order one where ``|H_s|`` is near 1e-15 (at
-    -7.951+17.186i, say).  Real and strictly positive on the real axis.
+    by 1e-13), and on the asymptotic branch within 3.1e-17 out to
+    ``|Im z| <= 100`` (a grid at ``Im z`` = 30, -45, 60 and 100; the tests
+    bound it by 1e-15).  The error of H is that times ``exp(Im(z)^2 / 2)``,
+    and the relative error is of order one where ``|H_s|`` is near 1e-15
+    (at -7.951+17.186i, say).  Real and strictly positive on the real axis.
     ``deriv=k`` returns the k-th derivative.  Off the real axis H serves
     the kernel values; the plane integrals of the hard-edge kernel take
     ``1/F`` on the real line instead (see :mod:`plasma_kernel.limits`).

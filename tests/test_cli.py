@@ -23,7 +23,6 @@ from plasma_kernel.cli import (
     main,
     parse_grid,
     parse_pot,
-    parse_quad,
     parse_spec,
     threshold_for,
 )
@@ -68,17 +67,6 @@ def test_parse_pot_forms():
     assert parse_pot("hard-edge").kind == "hard_edge"
     with pytest.raises(ValueError):
         parse_pot("coulomb")
-
-
-def test_parse_quad():
-    quad = parse_quad("6,48")
-    assert (quad.r_max, quad.n_radial) == (6.0, 48)
-    for text in ("6", "6,48,64", "6,4.5", "x,48"):
-        with pytest.raises(ValueError, match="r_max,nr"):
-            parse_quad(text)
-    assert parse_quad("8,768").n_radial == 768
-    with pytest.raises(ValueError, match="n_radial must be at most 768, got 769"):
-        parse_quad("8,769")
 
 
 def test_threshold_lookup():
@@ -284,16 +272,10 @@ def test_non_finite_shape_is_usage_error(tmp_path, capsys, argv, named):
 
 
 @pytest.mark.parametrize("spec,quad,named", [
-    ("ml:2", "-1,96", "r_max must be finite and positive, got -1.0"),
-    ("ml:2", "0,96", "r_max must be finite and positive, got 0.0"),
-    ("ml:2", "inf,96", "r_max must be finite and positive, got inf"),
-    ("free-boundary", "nan,96", "r_max must be finite and positive, got nan"),
-    ("ml:2", "8,0", "n_radial must be at least 1, got 0"),
-    ("free-boundary", "8,-3", "n_radial must be at least 1, got -3"),
-    ("ml:2", "8,96,1", "quad must be r_max,nr, got '8,96,1'"),
-    ("free-boundary", "8,769", "n_radial must be at most 768, got 769"),
-], ids=["negative", "zero", "inf", "nan", "no-nodes", "negative-nodes", "three-fields",
-        "over-budget"])
+    ("ml:2", "0", "n_radial must be at least 1, got 0"),
+    ("free-boundary", "-3", "n_radial must be at least 1, got -3"),
+    ("free-boundary", "769", "n_radial must be at most 768, got 769"),
+], ids=["no-nodes", "negative-nodes", "over-budget"])
 def test_bad_quad_is_usage_error(tmp_path, capsys, spec, quad, named):
     # a rule that cannot integrate is a usage error, not a verdict
     argv = ["verify", "mass-one", "--spec", spec, "--quad", quad, "--out", str(tmp_path)]
@@ -314,7 +296,7 @@ _READS = {
     "positivity": {"--points", "--sets", "--complementary"},
     "polarized": {"--quad"},
 }
-_VALUES = {"--grid": ["0:0:1"], "--quad": ["8,96"], "--points": ["0"], "--sets": ["3"],
+_VALUES = {"--grid": ["0:0:1"], "--quad": ["96"], "--points": ["0"], "--sets": ["3"],
            "--complementary": [], "--n": ["40"]}
 _UNREAD = [(["verify", eq, flag, *_VALUES[flag]], flag)
            for eq, reads in _READS.items() for flag in _VALUES if flag not in reads]
@@ -322,7 +304,7 @@ assert len(_UNREAD) == 32
 
 
 @pytest.mark.parametrize("argv,flag", _UNREAD + [
-    (["verify", "ward", "--spec", "ml:2", "--quad", "4,24"], "--quad"),
+    (["verify", "ward", "--spec", "ml:2", "--quad", "24"], "--quad"),
 ], ids=[f"{argv[1]}{flag}" for argv, flag in _UNREAD] + ["ward-ml--quad"])
 def test_verify_refuses_options_it_does_not_read(tmp_path, capsys, argv, flag):
     # an option the check would ignore is a usage error that names it, not
@@ -361,6 +343,55 @@ def test_commands_refuse_a_seed_or_spec_they_do_not_read(tmp_path, capsys, argv,
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# a flag that only the other mode of eval or converge reads
+_OTHER_MODE = [
+    (["eval", "--limit", "ml:2", "--grid", "0:1:0.5", "--n", "7"], "--n", "7"),
+    (["eval", "--limit", "ml:2", "--grid", "0:1:0.5", "--frame", "bulk"], "--frame", "'bulk'"),
+    (["converge", "--sections", "--n-list", "64", "--grid", "0:1:0.5", "--pot", "hard-edge"],
+     "--pot", "'hard-edge'"),
+    (["converge", "--sections", "--n-list", "64", "--grid", "0:1:0.5", "--frame", "bulk"],
+     "--frame", "'bulk'"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value", _OTHER_MODE,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in _OTHER_MODE])
+def test_modes_refuse_the_other_modes_flags(tmp_path, capsys, argv, flag, value):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    request = "eval --limit ml:2" if argv[0] == "eval" else "converge --sections"
+    assert f"{request} reads no {flag}, got {value}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_mode_fills_in_its_flags_left_unset_or_null(tmp_path):
+    # a config null is an unset flag: the mode that reads it takes its default
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"n": None, "frame": None}))
+    for name, argv in (("flags", ["--n", "64", "--frame", "boundary"]), ("unset", []),
+                       ("null", ["--config", str(cfg)])):
+        assert main(["eval", "--finite", "ginibre", "--grid", "0:0:1", *argv,
+                     "--out", str(tmp_path / name)]) == 0
+    for name in ("eval_ginibre-n64-boundary.csv", "eval_ginibre-n64-boundary.json"):
+        assert len({(tmp_path / out / name).read_bytes()
+                    for out in ("flags", "unset", "null")}) == 1
+
+
+def test_quad_takes_one_node_count(tmp_path, capsys):
+    # the old r_max,nr form is argparse's refusal, naming --quad
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "mass-one", "--spec", "ml:3", "--quad", "8,96", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--quad" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    # --quad 96 is the default rule
+    for spec, stem in (("ml:3", "verify_mass-one_ml-3"), ("bulk", "verify_mass-one_bulk")):
+        for name, quad in (("set", ["--quad", "96"]), ("unset", [])):
+            assert main(["verify", "mass-one", "--spec", spec, *quad,
+                         "--out", str(tmp_path / spec / name)]) == 0
+        assert ((tmp_path / spec / "set" / f"{stem}.csv").read_bytes()
+                == (tmp_path / spec / "unset" / f"{stem}.csv").read_bytes())
 
 
 def test_refused_flag_shows_the_equation_usage(tmp_path, capsys):
@@ -578,7 +609,8 @@ def test_config_file_with_flag_override(tmp_path):
                                     ("finite", "ginibre", ["--limit", "bulk"], "limit")):
         cfg.write_text(json.dumps({key: value}))
         out3 = tmp_path / f"o-{mode}"
-        assert main(["eval", *flags, "--n", "64", "--grid", "0:0:1", "--config", str(cfg),
+        n = ["--n", "64"] if mode == "finite" else []
+        assert main(["eval", *flags, *n, "--grid", "0:0:1", "--config", str(cfg),
                      "--out", str(out3)]) == 0
         [payload3] = [json.loads(p.read_text()) for p in out3.glob("*.json")]
         assert payload3["config"]["mode"] == mode
@@ -859,6 +891,13 @@ def test_converge_repeated_n_is_usage_error(tmp_path, capsys, n_list, repeated, 
     argv = ["converge", "--n-list", n_list, "--grid", "0:0:1", "--out", str(tmp_path)]
     assert main(argv + ["--sections"] * sections) == 2
     assert f"--n-list repeats n = {repeated}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["64,abc", "", "64,"], ids=["word", "empty", "trailing-comma"])
+def test_bad_n_list_is_refused_naming_n_list(tmp_path, capsys, text):
+    assert main(["converge", "--n-list", text, "--out", str(tmp_path)]) == 2
+    assert f"--n-list must be comma-separated integers, got {text!r}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -43,12 +43,12 @@ def test_quadrature_config_node_budget():
     # at n_radial = 768 the Cauchy rule of one point, two panels of 256 nodes
     # in each of two variables, fills exactly one block, which never splits a
     # point; above it a request is refused before any node is built
-    assert (2 * limits._panel_nodes(QuadratureConfig(8.0, 768))) ** 2 == limits._BLOCK
-    assert QuadratureConfig(8.0, 384).doubled().n_radial == limits.QUAD_MAX_N_RADIAL == 768
+    assert (2 * limits._panel_nodes(QuadratureConfig(768))) ** 2 == limits._BLOCK
+    assert QuadratureConfig(384).doubled().n_radial == limits.QUAD_MAX_N_RADIAL == 768
     with pytest.raises(ValueError, match="n_radial must be at most 768, got 769"):
-        QuadratureConfig(8.0, 769)
+        QuadratureConfig(769)
     with pytest.raises(ValueError, match="at most 768, got 770"):
-        QuadratureConfig(8.0, 385).doubled()
+        QuadratureConfig(385).doubled()
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +167,8 @@ def _unfolded_ml_cauchy(z, n_angular, quad=QuadratureConfig()):
     """C(z) for ML2 on the full polar rule centred at z: every angle
     ``2 pi k / n_angular``, no rotation to the real axis and no fold."""
     x, w = _leggauss(quad.n_radial, polish=True)
-    rho, w_rho = 0.5 * quad.r_max * (x + 1.0), 0.5 * quad.r_max * w
+    r_max = 8.0  # the oracle's own radius, not the library's
+    rho, w_rho = 0.5 * r_max * (x + 1.0), 0.5 * r_max * w
     phi = 2.0 * math.pi * np.arange(n_angular) / n_angular
     t = z + rho[:, None] * np.exp(1j * phi)
     m = mittag_leffler_kernel_eval(2.0, z * np.conj(t))
@@ -389,7 +390,7 @@ def test_cauchy_decays_deep_in_bulk():
 def test_empirical_convergence_order_at_least_four():
     # halving both node counts must raise the error by >= 2^4
     z = 0.3 + 0.1j
-    coarse = QuadratureConfig(r_max=8.0, n_radial=48)
+    coarse = QuadratureConfig(n_radial=48)
     fine = QuadratureConfig()
     e_mass = (abs(mass_one_residual(FB, z, coarse)),
               abs(mass_one_residual(FB, z, fine)))

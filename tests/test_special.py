@@ -341,6 +341,16 @@ def test_hard_edge_H_scaled_against_mpmath_grid():
     assert np.max(np.abs(hard_edge_H_scaled(u.ravel()).reshape(u.shape) - ref)) <= 1e-13
 
 
+def test_hard_edge_H_scaled_asymptotic_branch_against_mpmath():
+    # far from the real axis the asymptotic branch is the accurate path: it
+    # stays within 3.1e-17 of H_s out to |Im| = 100, where the quadrature
+    # branch is off by up to 1.4e-13 (at 0.3+60i)
+    re, im = np.array([-1.0, 0.3, 0.5]), np.array([-45.0, 60.0, 100.0])
+    ref = _mp_H_scaled_grid(re, im)
+    u = re[:, None] + 1j * im[None, :]
+    assert np.max(np.abs(hard_edge_H_scaled(u.ravel()).reshape(u.shape) - ref)) <= 1e-15
+
+
 def test_hard_edge_H_refuses_past_the_rule_cap():
     # off the asymptotic branch (Im z^2 < Re z^2 + 46) |Im z| = 600 would
     # need a 4816-node rule, past the cap: refused, not truncated

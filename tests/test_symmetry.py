@@ -83,7 +83,7 @@ def test_ward_driver_spreads_over_equal_radii():
         assert abs(value - abs(ward_point_residual(ML2, z, fd_step=fd_step))) <= 1e-12
 
 
-@pytest.mark.parametrize("quad", [QuadratureConfig(), QuadratureConfig(8.0, 24)],
+@pytest.mark.parametrize("quad", [QuadratureConfig(), QuadratureConfig(24)],
                          ids=["default", "8-24"])
 def test_ward_driver_batch_equals_single_points(quad):
     rng = np.random.default_rng(3)

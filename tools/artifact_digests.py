@@ -79,13 +79,19 @@ FAMILIES = [
     "converge --pot hard-edge --frame bulk --n-list 64,256",
     # the hard edge's closed Re t integral next to the wall at a large rule,
     # and a finite-n window clipped at n
-    "verify mass-one --spec hard-edge --points -0.01,-1-1j --quad 8,384",
+    "verify mass-one --spec hard-edge --points -0.01,-1-1j --quad 384",
     "eval --finite power:1e8 --n 64 --grid -3:3:0.5",
     # a --spec or --seed that the command does not read, and a config file
     # that holds no JSON object, are refused
     "verify eighth --spec bulk",
     "eval --limit bulk --grid 0:0:1 --seed 1",
     "verify inequalities --config [1,2]",
+    # a flag of the other mode of eval or converge, the two-field --quad and
+    # an n-list that is not integers are refused
+    "eval --limit ml:2 --grid 0:1:0.5 --n 7",
+    "converge --sections --n-list 64 --grid 0:1:0.5 --pot hard-edge",
+    "verify mass-one --spec ml:3 --quad 8,96",
+    "converge --n-list 64,abc",
 ]
 
 
