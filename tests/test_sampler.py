@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from scipy.special import gammaincinv
+from scipy.special import gammainc, gammaincinv
 from scipy.stats import gamma as gamma_dist
 
 from plasma_kernel import sampler
@@ -226,6 +226,82 @@ def test_singularity_profile_flat_for_ginibre():
 def test_singularity_profile_rejects_hard_edge():
     with pytest.raises(ValueError):
         RescaleFrame(Potential.hard_edge(), 64, "singularity")
+
+
+# --------------------------------------------------------------------------
+# the exact law of the counts
+# --------------------------------------------------------------------------
+
+
+# family-wise false-alarm rate of one exact-law check, over all its bins
+LAW_ALPHA = 1e-6
+
+
+def _exact_bin_law(frame, lo, hi, bins):
+    """Per trial, each bin's expected count and its variance.
+
+    The radii are independent (Kostlan), so index j lands in bin k with
+    probability ``P(a_j, X(e_{k+1})) - P(a_j, X(e_k))``, divided by ``P(a_j,
+    n)`` at the hard edge, where ``X`` clips at n.  Summed over every index:
+    the rows of the sampler's edge table and the narrow indices, whose mass
+    is below ``BAND_EPS`` each.  Built here from ``gammainc`` alone, not from
+    the sampler's table."""
+    pot, n = frame.pot, frame.n
+    with np.errstate(over="ignore"):
+        x = n * np.maximum(frame.to_global(np.linspace(lo, hi, bins + 1)), 0.0) ** (2 * pot.lam)
+    a = (np.arange(n) + 1.0)[:, None] / pot.lam
+    if pot.kind == "hard_edge":
+        cdf = gammainc(a, np.minimum(x, n)) / gammainc(a, n)
+    else:
+        cdf = gammainc(a, x)
+    m = np.diff(cdf, axis=1)
+    return m.sum(axis=0), (m * (1.0 - m)).sum(axis=0)
+
+
+def _law_ratio(hist, frame):
+    """Worst ``|count - trials mean| / s`` over the bins, with ``s`` the
+    Bernstein bound on a sum of independent Bernoulli variables at a
+    false-alarm rate of ``LAW_ALPHA / bins`` per bin: ``P(|S - ES| >= s) <=
+    2 exp(-s^2 / (2 (var + s / 3)))``.  Above 1 the counts break their law."""
+    mean, var = _exact_bin_law(frame, hist.lo, hist.hi, hist.bins)
+    log_odds = math.log(2.0 * hist.bins / LAW_ALPHA)
+    s = log_odds / 3.0 + np.sqrt((log_odds / 3.0) ** 2 + 2.0 * log_odds * hist.trials * var)
+    return float(np.max(np.abs(hist.counts - hist.trials * mean) / s))
+
+
+LAW_CASES = {
+    "ginibre": (GINIBRE, "boundary", (-3.0, 1.0, 40)),
+    "power2-boundary": (Potential.power(2.0), "boundary", (-3.0, 1.0, 40)),
+    "power2-singularity": (Potential.power(2.0), "singularity", (0.0, 4.0, 20)),
+    "hard-edge": (Potential.hard_edge(), "boundary", (-3.0, 1.0, 40)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAW_CASES))
+def test_counts_follow_their_exact_law(case):
+    # n = 1024, 2000 trials: every bin's count lies within the Bernstein
+    # bound of its exact mean; a false alarm has probability below 1e-6
+    pot, kind, window = LAW_CASES[case]
+    frame = RescaleFrame(pot, 1024, kind)
+    hist = radial_profile(SampleConfig(frame, 2000, seed=3), window)
+    assert _law_ratio(hist, frame) <= 1.0
+
+
+def test_exact_law_sees_a_table_off_by_one_bin(monkeypatch):
+    # the sampler's edge table shifted by one bin (inner edge k takes edge
+    # k + 1's probabilities) bins the far draws one bin low: the law fails
+    window_band = sampler._window_band
+
+    def shifted(frame, lo, hi, bins):
+        band = window_band(frame, lo, hi, bins)
+        band.p[:, 1:bins] = band.p[:, 2:bins + 1]
+        return band
+
+    monkeypatch.setattr(sampler, "_window_band", shifted)
+    pot, kind, window = LAW_CASES["ginibre"]
+    frame = RescaleFrame(pot, 1024, kind)
+    hist = radial_profile(SampleConfig(frame, 2000, seed=3), window)
+    assert _law_ratio(hist, frame) > 1.0
 
 
 def test_stderr_scales_like_inverse_sqrt_trials():
