@@ -59,5 +59,4 @@ from .sampler import (  # noqa: F401
     Histogram1D,
     SampleConfig,
     radial_profile,
-    sample_radii,
 )

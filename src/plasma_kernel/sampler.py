@@ -11,58 +11,54 @@ which carries the potential and n it samples, a trial count and a seed.
 Every radius is drawn by inverse-CDF from a single uniform: Ginibre,
 ``|z_j|^2 = P^{-1}(j+1, u) / n``; Power(lam), ``|z_j|^{2 lam} =
 P^{-1}((j+1)/lam, u) / n``; hard edge, ``|z_j|^2 = P^{-1}(j+1, u P(j+1, n))
-/ n`` (the Gamma CDF conditioned on the droplet).  Using one shared uniform
-per index makes hard-edge radii coupled monotonically below the unconfined
-ones, and makes every output a pure function of ``(seed, trial)``.
+/ n`` (the Gamma CDF conditioned on the droplet).
 
 A profile needs only the bin of each radius, and bins it without inverting
 it.  Each radius is ``r(P^{-1}(a_j, q_j))`` with ``q_j`` the index's
 (scaled) uniform, the frame's ``zoom (r - p)`` increases with ``q_j``, and
-``X(v) = n (p + v / zoom)^(2 lam)`` inverts that map.  ``P(a, x)`` decreases in the
-shape ``a``, so a bisection with O(log n) scalar ``gammainc`` calls finds
-the indices that can reach the window: from ``j0``, the first index with
+``X(v) = n (p + v / zoom)^(2 lam)`` inverts that map.  ``P(a, x)`` decreases
+in the shape ``a``, so a bisection with O(log n) scalar ``gammainc`` calls
+finds the indices that can reach the window: from ``j0``, the first with
 ``P(a_j, X(lo)) < 1 - eps/2``, up to ``j1``, the first with ``P(a_j, X(hi))
-<= eps/2`` (``eps = BAND_EPS``; the halves are a rounding margin).  In a
-boundary frame there are O(sqrt n) of them.  Once per run a forward table
-holds ``P(a_j, X(e_k))`` for these rows at every bin edge ``e_0 = lo, ...,
-e_bins = hi``, and row j can land in ``[lo, hi)`` only if ``q_j`` lies in
-its band ``[P(a_j, X(lo)) - eps, P(a_j, X(hi)) + eps]``.  The narrow indices
-share one wider band: ``q >= 1 - 2 eps`` below ``j0``, whose bands start
-above ``1 - 3 eps / 2``, and ``q <= 2 eps`` from ``j1`` on, whose bands end
-below ``3 eps / 2``.  At the hard edge both are tested in u: ``q = u P(a_j,
-n) <= u``, and ``q <= 2 eps`` implies ``u <= 2 eps / P(a_{n-1}, n)`` since
-``P(a_j, n) >= P(a_{n-1}, n)``.  Every trial still draws all n uniforms and
-keeps the indices inside their band.  A kept draw of a table row more than
-``eps`` from every edge probability takes the bin between the two edge
-probabilities around it, found by a binary search over its row; a draw
-within ``eps`` of one, and every kept draw of a narrow index, is inverted
-and binned from its radius, exactly as :func:`sample_radii` (the
-full-inversion reference) would.
+<= eps/2`` (``eps = BAND_EPS``; the halves are a rounding margin), O(sqrt n)
+in a boundary frame.  Once per run a table holds ``P(a_j, X(e_k))`` for
+these rows at every bin edge ``e_0 = lo, ..., e_bins = hi``; row j can land
+in ``[lo, hi)`` only if ``q_j`` lies in its band ``[P(a_j, X(lo)) - eps,
+P(a_j, X(hi)) + eps]``.  The narrow indices share a wider band: ``q >= 1 -
+2 eps`` below ``j0`` and ``q <= 2 eps`` from ``j1`` on, tested in u at the
+hard edge (``q = u P(a_j, n) <= u``, and ``q <= 2 eps`` implies ``u <= 2 eps
+/ P(a_{n-1}, n)``).  A trial draws one uniform per table row.  A narrow
+index keeps a draw in its band with probability ``2 eps`` or ``p_above``
+(the threshold in u), so one trigger uniform per trial, against ``P_none =
+(1 - 2 eps)^j0 (1 - p_above)^(n - j1)`` (about ``1 - 2e-6`` at n = 2^20),
+decides whether :func:`_narrow_draws` draws any.  A kept row draw more than
+``eps`` from every edge probability takes the bin between the two around
+it, found by a binary search over its row; a draw within ``eps`` of an edge
+probability, and every narrow draw, is inverted and binned from its radius.
 
 The premise: the inverse's backward error ``|P(a, P^{-1}(a, q)) - q|`` is
 below ``eps``.  Then a draw more than ``eps`` from every edge probability
 inverts strictly inside the bin the table gives it, with a margin of about
 1e-13 relative in x, far above the rounding of r, of ``zoom (r - p)`` and
 of the bin index; and a draw outside its band, shared or not, inverts
-outside the window.  So every count equals that of the full inversion.
-Once per run the check inverts the band's cutting edges to measure the
-premise: every cutting edge of a table row, and each shared threshold at
-the two extreme shapes of its indices only (``1 - 2 eps`` at indices 0 and
-``j0 - 1``, ``2 eps`` at ``j1`` and ``n - 1``).  Their backward error must
-stay below ``eps`` and their values outside the window, or the run is
-refused (:class:`InversionCheckFailed`).  For the values the fixed set is
-enough: ``P^{-1}(a, q)`` increases in ``a``, so ``1 - 2 eps`` inverts below
-``X(lo)`` at every index below ``j0`` once it does at ``j0 - 1``, and ``2
-eps`` inverts above ``X(hi)`` at every index from ``j1`` on once it does at
-``j1``.  The backward error is measured at the shapes that bound the
-narrow indices' range, not at each of them.  ``gammaincinv``'s backward
-error passes that check for n up to 2^22 and fails it from about n = 2^23
-on.
+outside the window.  So every count equals that of the full inversion of
+the trial's draws.  Once per run the check inverts every cutting edge of a
+table row, and each shared threshold at the two extreme shapes of its
+indices (``1 - 2 eps`` at 0 and ``j0 - 1``, ``2 eps`` at ``j1`` and ``n -
+1``): their backward error must stay below ``eps`` and their values outside
+the window, or the run is refused (:class:`InversionCheckFailed`).
+``P^{-1}(a, q)`` increases in ``a``, so for the values the extreme shapes
+cover every narrow index; the backward error is measured at them only.
+``gammaincinv`` passes the check for n up to 2^22, and fails it from about
+n = 2^23 on.
 
 A run draws from one PCG64 stream seeded with ``seed``: trial k is its
-draws ``k n .. (k+1) n - 1``.  ``advance`` jumps to a block's first trial,
-and one call draws the whole block, so a trial drawn alone equals its row
-in any block.  Trials run one block after another in one thread.
+draws ``k (R + 1) .. (k + 1) (R + 1) - 1``, its trigger and then the
+uniforms of the ``R = j1 - j0`` table rows, so a trial's draws depend on
+the window's rows; its narrow draws come from ``SeedSequence(seed,
+spawn_key=(k,))``.  ``advance`` jumps to a block's first trial, and one call
+draws the whole block, so a trial drawn alone equals its row in any block.
+Trials run one block after another in one thread.
 """
 
 from __future__ import annotations
@@ -82,7 +78,6 @@ __all__ = [
     "InversionCheckFailed",
     "SampleConfig",
     "Histogram1D",
-    "sample_radii",
     "radial_profile",
 ]
 
@@ -145,8 +140,7 @@ class Histogram1D:
     trials: int
     counts_sq: np.ndarray       # per-bin sum over trials of count^2
     scale: np.ndarray           # per-bin Jacobian divisor 2 r zoom
-    inverted: int               # inverse-CDF evaluations: band check + near-edge
-                                # and narrow-index draws
+    inverted: int               # inverse-CDF evaluations: band check, near-edge and narrow draws
     band_backward_error: float  # worst backward error at the band edges
     band_rows: int              # indices j0 .. j1 - 1 with a row of the edge table
 
@@ -188,30 +182,19 @@ def _radius_of(pot: Potential, n: int, x: np.ndarray) -> np.ndarray:
     return q ** (1.0 / (2.0 * pot.lam))
 
 
-def _radii_from_uniforms(pot: Potential, n: int, u: np.ndarray,
-                         j: np.ndarray = None) -> np.ndarray:
-    """Radii of the indices ``j`` (default 0..n-1) from one uniform each
-    (unsorted)."""
-    a = _shapes(pot, np.arange(n) if j is None else j)
+def _radii_from_uniforms(pot: Potential, n: int, u: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Radii of the indices ``j`` from one uniform each."""
+    a = _shapes(pot, j)
     q = u * gammainc(a, float(n)) if pot.kind == "hard_edge" else u
     return _radius_of(pot, n, gammaincinv(a, q))
 
 
-def _uniforms(cfg: SampleConfig, start: int, stop: int) -> np.ndarray:
-    """The n uniforms of trials ``start..stop-1``, one row per trial.
-
-    A run has one PCG64 stream seeded with ``cfg.seed``; trial k is its
-    draws ``k n .. (k+1) n - 1``, reached with ``advance``."""
-    n = cfg.frame.n
-    bits = np.random.PCG64(cfg.seed)
-    bits.advance(start * n)
-    return np.random.Generator(bits).random((stop - start, n))
-
-
-def sample_radii(cfg: SampleConfig, trial: int) -> np.ndarray:
-    """Sorted eigenvalue moduli of one trial: a pure function of (seed, trial)."""
-    u = _uniforms(cfg, trial, trial + 1)[0]
-    return np.sort(_radii_from_uniforms(cfg.frame.pot, cfg.frame.n, u))
+def _trial_uniforms(seed: int, width: int, start: int, stop: int) -> np.ndarray:
+    """Rows of ``width`` uniforms of trials ``start..stop-1``: trial k is draws
+    ``k width .. (k+1) width - 1`` of the stream seeded with ``seed``."""
+    bits = np.random.PCG64(seed)
+    bits.advance(start * width)
+    return np.random.Generator(bits).random((stop - start, width))
 
 
 def _histogram_counts(values: np.ndarray, lo: float, hi: float, bins: int,
@@ -231,47 +214,46 @@ Q_ABOVE = 2.0 * BAND_EPS
 
 @dataclass(frozen=True)
 class _Band:
-    """Gamma probabilities at the bin edges of a window, for the indices
-    ``j0 .. j0 + len(p) - 1`` that can reach it, and every index's band.
+    """Gamma probabilities at the bin edges of a window of a size-``n`` run
+    for the indices ``j0 .. j1 - 1`` that can reach it, and the bands.
 
     Row i of ``p`` holds ``P(a_j, X(e_k))`` of index ``j = j0 + i`` at edges
     ``e_0 .. e_bins`` in columns ``0 .. bins``, nondecreasing in k, then
-    ``+inf`` up to a power-of-two width for the binary search.  Index j's
-    draw is kept when ``u_j q_scale_j`` lies in ``[q_lo_j, q_hi_j]``: for a
-    row of ``p`` its band, the outer edges widened by ``BAND_EPS``, and for
-    a narrow index the shared band.  ``q_scale`` is ``P(a_j, n)`` on the
-    rows of ``p`` and 1 elsewhere for the hard edge (``q = u P(a, n)``), and
-    None otherwise.
+    ``+inf`` up to a power-of-two width for the binary search.  Row i's draw
+    is kept when ``u_i q_scale_i`` lies in ``[q_lo_i, q_hi_i]``, its band
+    widened by ``BAND_EPS``; ``q_scale`` is ``P(a_j, n)`` at the hard edge
+    and None otherwise.  A narrow index keeps its draw with probability
+    ``p_narrow[0]`` below ``j0``, ``p_narrow[1]`` (a threshold in u) above.
     """
 
+    n: int
     j0: int
+    j1: int
     q_scale: np.ndarray | None
     p: np.ndarray
     q_lo: np.ndarray
     q_hi: np.ndarray
+    p_narrow: tuple
     checked: int            # band edges inverted by the check
     backward_error: float   # worst |P(a, P^{-1}(a, q)) - q| over those edges
 
+    def log_keep_none(self) -> tuple:
+        """Log-probabilities that the narrow indices below ``j0``, and those
+        from ``j1`` on, keep no draw."""
+        return (self.j0 * math.log1p(-self.p_narrow[0]),
+                (self.n - self.j1) * math.log1p(-self.p_narrow[1]))
+
 
 def _window_band(frame: RescaleFrame, lo: float, hi: float, bins: int) -> _Band:
-    """The edge table and bands of the indices that can reach the window
-    of ``frame``, the shared band of the others, checked once.
+    """The edge table and bands of the window of ``frame``, checked once
+    (module docstring).
 
-    ``x -> frame.to_local(r(x))`` is increasing and ``X(v) = n
-    frame.to_global(v)^(2 lam)`` inverts it, so the table is ``P(a, X(e_k))``
-    and the band ``[P(a, X(lo)) - eps, P(a, X(hi)) + eps]``.  Bisection finds
-    the table's rows ``j0 .. j1 - 1``; the shared
-    band is ``[1 - 2 eps, inf)`` below them and ``(-inf, 2 eps]`` above
-    (module docstring).  A row whose outer edges lie within ``2 eps`` keeps
-    ``P(a, X(lo))`` in its inner columns: each draw of its band sits within
-    ``eps`` of an outer edge and is inverted.  The running maximum over the
-    edges only guards the order against rounding.  The check inverts every
-    band edge of a row that cuts off some probability, and each shared
-    threshold at the two extreme shapes of its indices: its backward error
-    must stay below ``eps`` and its value must fall outside the window, or
-    the run is refused with :class:`InversionCheckFailed`.  A window that no
-    index can reach (``j1 == j0``) and a table of more than ``TABLE_BUDGET``
-    entries are refused before anything is built or drawn.
+    A row whose outer edges lie within ``2 eps`` keeps ``P(a, X(lo))`` in its
+    inner columns: each draw of its band sits within ``eps`` of an outer edge
+    and is inverted.  The running maximum over the edges only guards the
+    order against rounding.  A window that no index can reach (``j1 == j0``)
+    and a table of more than ``TABLE_BUDGET`` entries are refused before
+    anything is built or drawn.
     """
     pot, n = frame.pot, frame.n
     with np.errstate(over="ignore"):  # an edge beyond every radius maps to inf
@@ -294,24 +276,19 @@ def _window_band(frame: RescaleFrame, lo: float, hi: float, bins: int) -> _Band:
     wide = p[:, bins] - p[:, 0] > 2.0 * BAND_EPS
     p[wide, 1:bins] = gammainc(a[wide, None], x[1:-1])
     np.maximum.accumulate(p, axis=1, out=p)
-    q_lo = np.full(n, -np.inf)
-    q_hi = np.full(n, Q_ABOVE)
-    q_lo[:j0], q_hi[:j0] = Q_BELOW, np.inf
-    q_lo[j0:j1] = p[:, 0] - BAND_EPS
-    q_hi[j0:j1] = p[:, bins] + BAND_EPS
-    q_scale = None
+    q_lo = p[:, 0] - BAND_EPS
+    q_hi = p[:, bins] + BAND_EPS
+    q_scale, p_above = None, Q_ABOVE
     if pot.kind == "hard_edge":
-        q_scale = np.ones(n)
-        q_scale[j0:j1] = gammainc(a, float(n))
-        q_hi[j1:] = Q_ABOVE / gammainc(_shapes(pot, n - 1), float(n))
-    rows_lo, rows_hi = q_lo[j0:j1], q_hi[j0:j1]
-    cut_lo = rows_lo > 0.0
-    cut_hi = rows_hi < (1.0 if q_scale is None else q_scale[j0:j1])
+        q_scale = gammainc(a, float(n))
+        p_above = Q_ABOVE / gammainc(_shapes(pot, n - 1), float(n))
+    cut_lo = q_lo > 0.0
+    cut_hi = q_hi < (1.0 if q_scale is None else q_scale)
     below = sorted({0, j0 - 1}) if j0 else []
     above = sorted({j1, n - 1}) if j1 < n else []
     a_e = np.concatenate([a[cut_lo], _shapes(pot, below), a[cut_hi], _shapes(pot, above)])
-    q_e = np.concatenate([rows_lo[cut_lo], np.full(len(below), Q_BELOW),
-                          rows_hi[cut_hi], np.full(len(above), Q_ABOVE)])
+    q_e = np.concatenate([q_lo[cut_lo], np.full(len(below), Q_BELOW),
+                          q_hi[cut_hi], np.full(len(above), Q_ABOVE)])
     x_e = gammaincinv(a_e, q_e)
     err = float(np.max(np.abs(gammainc(a_e, x_e) - q_e), initial=0.0))
     v_e = frame.to_local(_radius_of(pot, n, x_e))
@@ -320,7 +297,33 @@ def _window_band(frame: RescaleFrame, lo: float, hi: float, bins: int) -> _Band:
         raise InversionCheckFailed(
             f"inverse Gamma CDF misses the {BAND_EPS:g} band margin at n={n}: "
             f"backward error {err:.2e} at the band edges")
-    return _Band(j0, q_scale, p, q_lo, q_hi, int(a_e.size), err)
+    return _Band(n, j0, j1, q_scale, p, q_lo, q_hi, (Q_ABOVE, p_above), int(a_e.size), err)
+
+
+def _narrow_draws(band: _Band, seed: int, k: int) -> tuple:
+    """Indices and uniforms of trial k's kept narrow draws, given that it keeps
+    one, from its own child stream: the first kept index of ``0 .. j0 - 1,
+    j1 .. n - 1`` by inverse CDF of its truncated-geometric law, each later
+    one kept independently with its ``band.p_narrow`` (a binomial count at
+    uniform positions), and each kept uniform uniform on its shared band."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+    j0, j1, n = band.j0, band.j1, band.n
+    (p_below, p_above), (log_below, log_above) = band.p_narrow, band.log_keep_none()
+    # the first kept index is the first at which log P(none kept so far) < c
+    c = math.log1p(math.expm1(log_below + log_above) * rng.random())
+    first = math.floor(c / math.log1p(-p_below))
+    if first < j0 or j1 == n:
+        first = min(first, j0 - 1)
+    else:
+        first = j1 + min(math.floor((c - log_below) / math.log1p(-p_above)), n - j1 - 1)
+    j = [first]
+    for start, stop, p in ((first + 1, j0, p_below), (max(first + 1, j1), n, p_above)):
+        if start < stop:
+            j.extend(start + rng.choice(stop - start, rng.binomial(stop - start, p), replace=False))
+    j = np.array(j)
+    v = rng.random(j.size)
+    # below j0 up to the largest uniform numpy draws, so no radius is infinite
+    return j, np.where(j < j0, Q_BELOW + (np.nextafter(1.0, 0.0) - Q_BELOW) * v, p_above * v)
 
 
 def radial_profile(cfg: SampleConfig, hist) -> Histogram1D:
@@ -333,40 +336,33 @@ def radial_profile(cfg: SampleConfig, hist) -> Histogram1D:
     of ``limits.LimitKernelSpec.of_frame(cfg.frame)``.  ``hist`` is the
     ``(lo, hi, bins)`` window.
 
-    Each trial draws all n uniforms and keeps the indices inside their
-    band.  A kept draw's bin is the number of edge probabilities more than
-    ``eps`` below it, less one, found by a branchless binary search over its
-    row of the edge table; a draw within ``eps`` of an edge probability, or
-    of a narrow index, is inverted and binned from its radius.  Trials run
-    in blocks of about ``BLOCK_POINTS`` uniforms or bin counts, whichever a
-    trial has more of, so temporaries stay O(points).
+    Each trial is drawn, binned and inverted as the module docstring says.
+    Trials run in blocks of about ``BLOCK_POINTS`` uniforms or bin counts,
+    whichever a trial has more of, so temporaries stay O(points).
     """
     lo, hi, bins = _hist_window(hist)
     frame, pot, n = cfg.frame, cfg.frame.pot, cfg.frame.n
     band = _window_band(frame, lo, hi, bins)
     rows_p, width = band.p.shape
-    # the narrow indices search one extra row of -inf, so each of their
-    # kept draws counts as near an edge and is inverted
-    table = np.vstack([band.p, np.full(width, -np.inf)]).ravel()
+    table = band.p.ravel()
+    p_none = math.exp(sum(band.log_keep_none()))
     counts = np.zeros(bins, dtype=np.int64)
     counts_sq = np.zeros(bins, dtype=np.int64)
     inverted = band.checked
     step = max(1, BLOCK_POINTS // max(n, bins))
     for start in range(0, cfg.trials, step):
         stop = min(start + step, cfg.trials)
-        u = _uniforms(cfg, start, stop)
+        u = _trial_uniforms(cfg.seed, rows_p + 1, start, stop)
+        trigger, u = u[:, 0], u[:, 1:]
         q = u if band.q_scale is None else u * band.q_scale
-        kept = np.flatnonzero((q >= band.q_lo) & (q <= band.q_hi))
-        rows, cols = np.divmod(kept, n)
-        q = q.ravel()[kept]
+        rows, cols = np.divmod(np.flatnonzero((q >= band.q_lo) & (q <= band.q_hi)), rows_p)
+        q = q[rows, cols]
         q_eps = q - BAND_EPS
         # pos - base counts the edges of the draw's row below q_eps.  The
         # top edge is below it only by rounding, so the count is capped at
         # bins.  Kept draws lie in the band, so a draw with no edge below
         # q_eps sits within eps of the lower edge
-        table_row = cols - band.j0
-        table_row[(table_row < 0) | (table_row >= rows_p)] = rows_p
-        base = table_row * width
+        base = cols * width
         pos = base.copy()
         half = width // 2
         while half:
@@ -376,9 +372,13 @@ def radial_profile(cfg: SampleConfig, hist) -> Histogram1D:
         near = q >= table[pos] - BAND_EPS
         far = rows[~near] * bins + (pos - base)[~near] - 1
         h = np.bincount(far, minlength=(stop - start) * bins).reshape(-1, bins)
-        r = _radii_from_uniforms(pot, n, u.ravel()[kept[near]], cols[near])
-        values = frame.to_local(r)
-        h += _histogram_counts(values, lo, hi, bins, rows[near], stop - start)
+        draws = [(rows[near], band.j0 + cols[near], u[rows[near], cols[near]])]
+        for t in np.flatnonzero(trigger >= p_none):
+            j, u_t = _narrow_draws(band, cfg.seed, start + t)
+            draws.append((np.full(j.size, t), j, u_t))
+        trial, j, u = map(np.concatenate, zip(*draws))
+        values = frame.to_local(_radii_from_uniforms(pot, n, u, j))
+        h += _histogram_counts(values, lo, hi, bins, trial, stop - start)
         counts += h.sum(axis=0)
         counts_sq += (h * h).sum(axis=0)
         inverted += values.size

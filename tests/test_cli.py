@@ -763,7 +763,7 @@ def test_bad_histogram_window_is_usage_error(tmp_path, capsys, monkeypatch,
     def no_sampling(*args):
         raise AssertionError("sampled before the window was checked")
 
-    monkeypatch.setattr(sampler, "_uniforms", no_sampling)
+    monkeypatch.setattr(sampler, "_trial_uniforms", no_sampling)
     assert main(["sample", "--n", "64", "--trials", "10", "--out",
                  str(tmp_path)] + flags) == 2
     assert named in capsys.readouterr().err
@@ -776,7 +776,7 @@ def test_sample_over_budget_is_usage_error(tmp_path, capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled before the budget was checked")
 
-    monkeypatch.setattr(sampler, "_uniforms", no_sampling)
+    monkeypatch.setattr(sampler, "_trial_uniforms", no_sampling)
     assert main(["sample", "--n", "4096", "--trials", "400000", "--out",
                  str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -791,7 +791,7 @@ def test_sample_over_table_budget_is_usage_error(tmp_path, capsys, monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled before the table budget was checked")
 
-    monkeypatch.setattr(sampler, "_uniforms", no_sampling)
+    monkeypatch.setattr(sampler, "_trial_uniforms", no_sampling)
     assert main(["sample", "--n", "1024", "--trials", "10", "--bins", "1000000",
                  "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -1,6 +1,8 @@
-"""Radial sampling of rotation-invariant ensembles: determinism, coupling,
-conservation, and agreement with the limiting profiles."""
+"""Radial sampling of rotation-invariant ensembles: determinism,
+conservation, the exact law of the counts, and agreement with the limiting
+profiles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,15 +23,15 @@ from plasma_kernel.sampler import (
     SampleConfig,
     _histogram_counts,
     _radii_from_uniforms,
-    _uniforms,
     radial_profile,
-    sample_radii,
 )
 from plasma_kernel.special import plasma_F
 
 rng = np.random.default_rng(11)
 
 GINIBRE = Potential.ginibre()
+# the largest uniform numpy draws
+U_TOP = np.nextafter(1.0, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -52,11 +54,22 @@ def test_config_validation():
 
 
 def test_radii_deterministic_per_trial():
-    cfg = SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), 10, seed=123)
-    assert_array_equal(sample_radii(cfg, 3), sample_radii(cfg, 3))
-    assert not np.array_equal(sample_radii(cfg, 3), sample_radii(cfg, 4))
-    other = SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), 10, seed=124)
-    assert not np.array_equal(sample_radii(cfg, 3), sample_radii(other, 3))
+    # a trial's draws, its row uniforms and its narrow draws alike, are a
+    # pure function of (seed, trial)
+    frame = RescaleFrame(GINIBRE, 64, "boundary")
+    band = sampler._window_band(frame, -3.0, 1.0, 40)
+    width = len(band.p) + 1
+    one = sampler._trial_uniforms(123, width, 3, 4)
+    assert_array_equal(one, sampler._trial_uniforms(123, width, 3, 4))
+    assert not np.array_equal(one, sampler._trial_uniforms(123, width, 4, 5))
+    assert not np.array_equal(one, sampler._trial_uniforms(124, width, 3, 4))
+    narrow = sampler._narrow_draws(band, 123, 3)
+    assert all(map(np.array_equal, narrow, sampler._narrow_draws(band, 123, 3)))
+    assert not np.array_equal(narrow[1], sampler._narrow_draws(band, 123, 4)[1])
+    cfg = SampleConfig(frame, 10, seed=123)
+    one, two = (radial_profile(cfg, (-3.0, 1.0, 40)) for _ in range(2))
+    assert_array_equal(one.counts, two.counts)
+    assert_array_equal(one.counts_sq, two.counts_sq)
 
 
 @pytest.mark.parametrize("n,trials,ks", [
@@ -64,20 +77,19 @@ def test_radii_deterministic_per_trial():
     (2**17, 3, (0, 1, 2)),
 ], ids=["n1024", "n2^17"])
 def test_trial_drawn_alone_equals_its_row_in_a_block(n, trials, ks):
-    # trial k is draws k n .. (k+1) n - 1 of the run's one stream: drawn
-    # alone it equals its row of the sampler's block, at n = 1024 the first
-    # row, a block's last and the next block's first, and the run's last;
-    # above BLOCK_POINTS every block is one trial
-    cfg = SampleConfig(RescaleFrame(GINIBRE, n, "boundary"), trials, seed=5)
+    # trial k is draws k (R + 1) .. (k + 1) (R + 1) - 1 of the run's one
+    # stream, R the table rows: drawn alone it equals its row of the
+    # sampler's block, at n = 1024 the first row, a block's last and the
+    # next block's first, and the run's last; above BLOCK_POINTS every block
+    # is one trial
+    band = sampler._window_band(RescaleFrame(GINIBRE, n, "boundary"), -3.0, 1.0, 40)
+    width = len(band.p) + 1
     step = max(1, BLOCK_POINTS // n)
     assert step == (64 if n == 1024 else 1)
     for k in ks:
         start = k - k % step
-        block = _uniforms(cfg, start, min(start + step, trials))
-        alone = _uniforms(cfg, k, k + 1)[0]
-        assert_array_equal(alone, block[k - start])
-        assert_array_equal(np.sort(_radii_from_uniforms(GINIBRE, n, alone)),
-                           sample_radii(cfg, k))
+        block = sampler._trial_uniforms(5, width, start, min(start + step, trials))
+        assert_array_equal(sampler._trial_uniforms(5, width, k, k + 1)[0], block[k - start])
 
 
 @pytest.mark.parametrize("block_points", [1, 300, 5000])
@@ -98,9 +110,9 @@ def test_blocks_hold_trials_times_bins_within_the_budget(monkeypatch):
     # get one trial per block instead of 1024 (three 1024 x 100,000 int64
     # arrays, about 2.5 GB)
     sizes = []
-    uniforms = sampler._uniforms
-    monkeypatch.setattr(sampler, "_uniforms", lambda cfg, start, stop: (
-        sizes.append(stop - start) or uniforms(cfg, start, stop)))
+    uniforms = sampler._trial_uniforms
+    monkeypatch.setattr(sampler, "_trial_uniforms", lambda seed, width, start, stop: (
+        sizes.append(stop - start) or uniforms(seed, width, start, stop)))
     radial_profile(SampleConfig(RescaleFrame(GINIBRE, 1024, "boundary"), trials=100, seed=1),
                    (-3.0, 1.0, 40))
     assert sizes == [64, 36]
@@ -108,14 +120,6 @@ def test_blocks_hold_trials_times_bins_within_the_budget(monkeypatch):
     radial_profile(SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), trials=3, seed=1),
                    (-3.0, 1.0, 100_000))
     assert sizes == [1, 1, 1]
-
-
-def test_radii_sorted_positive():
-    cfg = SampleConfig(RescaleFrame(GINIBRE, 128, "boundary"), 1, seed=5)
-    r = sample_radii(cfg, 0)
-    assert r.shape == (128,)
-    assert np.all(np.diff(r) >= 0.0)
-    assert np.all(r > 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -128,7 +132,7 @@ def test_ginibre_moduli_are_gamma_quantiles():
     # quantile function must reproduce the sampler exactly
     n = 16
     u = rng.random(n)
-    ours = _radii_from_uniforms(GINIBRE, n, u)
+    ours = _radii_from_uniforms(GINIBRE, n, u, np.arange(n))
     ref = np.sqrt(gamma_dist.ppf(u, np.arange(1, n + 1)) / n)
     assert_allclose(ours, ref, rtol=1e-10)
 
@@ -140,7 +144,7 @@ def test_power_law_moduli_distribution():
     samples = np.empty(draws)
     for t in range(draws):
         u = rng.random(n)
-        samples[t] = _radii_from_uniforms(pot, n, u)[3]
+        samples[t] = _radii_from_uniforms(pot, n, u, np.arange(n))[3]
     pulled = n * samples**4
     grid = np.sort(pulled)
     ecdf = np.arange(1, draws + 1) / draws
@@ -149,28 +153,21 @@ def test_power_law_moduli_distribution():
 
 
 def test_hard_edge_radii_clipped_to_disc():
-    pot = Potential.hard_edge()
-    cfg = SampleConfig(RescaleFrame(pot, 256, "boundary"), 4, seed=9)
-    for trial in range(4):
-        assert np.all(sample_radii(cfg, trial) <= 1.0)
-
-
-def test_monotone_coupling_across_ensembles():
-    # one shared uniform array drives every ensemble: the hard-edge radius
-    # never exceeds the Ginibre radius truncated at the wall
-    n = 64
-    for _ in range(5):
-        u = rng.random(n)
-        r_gin = _radii_from_uniforms(GINIBRE, n, u)
-        r_hard = _radii_from_uniforms(Potential.hard_edge(), n, u)
-        assert np.all(r_hard <= np.minimum(r_gin, 1.0) + 1e-12)
+    # every radius is positive, and inside the disc at the hard edge, down
+    # to the smallest and up to the largest uniform numpy draws
+    n = 256
+    u = np.concatenate([rng.random((4, n)), [np.zeros(n), np.full(n, U_TOP)]])
+    r = _radii_from_uniforms(Potential.hard_edge(), n, u, np.arange(n))
+    assert np.all(r <= 1.0)
+    assert np.all(r[:4] > 0.0)
+    assert np.all(_radii_from_uniforms(GINIBRE, n, u[:4], np.arange(n)) > 0.0)
 
 
 def test_kostlan_mean_modulus():
     # E r_j^2 = (j+1)/n for Ginibre: check the empirical mean of sum r_j^2,
     # which is n(n+1)/(2n); 200 trials keep the standard error tiny
-    cfg = SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), 200, seed=77)
-    total = np.mean([np.sum(sample_radii(cfg, t) ** 2) for t in range(200)])
+    u = np.random.default_rng(77).random((200, 64))
+    total = np.mean(np.sum(_radii_from_uniforms(GINIBRE, 64, u, np.arange(64)) ** 2, axis=1))
     assert_allclose(total, 65.0 / 2.0, rtol=0.02)
 
 
@@ -181,7 +178,7 @@ def test_kostlan_mean_modulus():
 
 def test_histogram_validation_and_centers(monkeypatch):
     # a bad window is refused before any draw
-    monkeypatch.setattr(sampler, "_uniforms", None)
+    monkeypatch.setattr(sampler, "_trial_uniforms", None)
     cfg = SampleConfig(RescaleFrame(GINIBRE, 64, "boundary"), 2, seed=0)
     with pytest.raises(ValueError):
         radial_profile(cfg, (1.0, 0.0, 10))
@@ -264,9 +261,15 @@ def _law_ratio(hist, frame):
     false-alarm rate of ``LAW_ALPHA / bins`` per bin: ``P(|S - ES| >= s) <=
     2 exp(-s^2 / (2 (var + s / 3)))``.  Above 1 the counts break their law."""
     mean, var = _exact_bin_law(frame, hist.lo, hist.hi, hist.bins)
-    log_odds = math.log(2.0 * hist.bins / LAW_ALPHA)
-    s = log_odds / 3.0 + np.sqrt((log_odds / 3.0) ** 2 + 2.0 * log_odds * hist.trials * var)
+    s = _bernstein(hist.trials * var, math.log(2.0 * hist.bins / LAW_ALPHA))
     return float(np.max(np.abs(hist.counts - hist.trials * mean) / s))
+
+
+def _bernstein(var, log_odds):
+    """The deviation ``s`` that a sum of independent Bernoulli variables of
+    total variance ``var`` exceeds with probability at most ``2 exp(-s^2 /
+    (2 (var + s / 3))) = 2 exp(-log_odds)``."""
+    return log_odds / 3.0 + np.sqrt((log_odds / 3.0) ** 2 + 2.0 * log_odds * var)
 
 
 LAW_CASES = {
@@ -323,12 +326,27 @@ def _frame(pot, n):
     return RescaleFrame(pot, n, "singularity" if pot.kind == "power" else "boundary")
 
 
+def _trial_draws(cfg, band, t):
+    """Trial t's indices and uniforms as the sampler draws them: one per
+    table row, and the kept narrow draws when its trigger is past
+    ``P_none``."""
+    u = sampler._trial_uniforms(cfg.seed, len(band.p) + 1, t, t + 1)[0]
+    j, u_rows = np.arange(band.j0, band.j1), u[1:]
+    if u[0] < math.exp(sum(band.log_keep_none())):
+        return j, u_rows
+    j_narrow, u_narrow = sampler._narrow_draws(band, cfg.seed, t)
+    return np.concatenate([j, j_narrow]), np.concatenate([u_rows, u_narrow])
+
+
 def _full_inversion_counts(cfg, lo, hi, bins):
+    """Counts and squared counts of every trial's draws, each inverted."""
     frame = cfg.frame
+    band = sampler._window_band(frame, lo, hi, bins)
     c = np.zeros(bins, dtype=np.int64)
     c2 = np.zeros(bins, dtype=np.int64)
     for t in range(cfg.trials):
-        r = _radii_from_uniforms(frame.pot, frame.n, _uniforms(cfg, t, t + 1)[0])
+        j, u = _trial_draws(cfg, band, t)
+        r = _radii_from_uniforms(frame.pot, frame.n, u, j)
         h = _histogram_counts(frame.zoom * (r - frame.p), lo, hi, bins)[0]
         c += h
         c2 += h * h
@@ -419,27 +437,26 @@ def test_inaccurate_inverse_refuses_the_run(monkeypatch):
 @pytest.mark.parametrize("pot", [GINIBRE, Potential.hard_edge()],
                          ids=["ginibre", "hard-edge"])
 def test_draws_on_edge_probabilities_are_inverted(monkeypatch, pot):
-    # per trial, three indices get a probability exactly on an inner edge
+    # per trial, three table rows get a probability exactly on an inner edge
     # probability and eps/2 either side of one: all three take the inverse,
     # and the counts stay those of the full inversion
     n, trials, window = 64, 6, (-3.0, 1.0, 8)
     frame = RescaleFrame(pot, n, "boundary")
     band = sampler._window_band(frame, *window)
-    j0 = int(np.argmax(band.p[:, 8] - band.p[:, 0]))
+    widest = int(np.argmax(band.p[:, 8] - band.p[:, 0]))
     offsets = (0.0, BAND_EPS / 2, -BAND_EPS / 2)
-    real_uniforms = sampler._uniforms
+    real_uniforms = sampler._trial_uniforms
 
-    def on_edges(cfg, start, stop):
-        u = real_uniforms(cfg, start, stop)
+    def on_edges(seed, width, start, stop):
+        u = real_uniforms(seed, width, start, stop)
         for trial, row in zip(range(start, stop), u):
             for i, off in enumerate(offsets):
-                j, k = j0 + i - 1, 1 + (i + trial) % 5  # edges -2.5 .. -0.5
-                q = band.p[j, k] + off
-                row[j] = q if band.q_scale is None else q / band.q_scale[j]
+                r, k = widest + i - 1, 1 + (i + trial) % 5  # edges -2.5 .. -0.5
+                q = band.p[r, k] + off
+                row[1 + r] = q if band.q_scale is None else q / band.q_scale[r]
         return u
 
-    monkeypatch.setattr(sampler, "_uniforms", on_edges)
-    monkeypatch.setitem(globals(), "_uniforms", on_edges)  # the reference's
+    monkeypatch.setattr(sampler, "_trial_uniforms", on_edges)
     cfg = SampleConfig(frame, trials, seed=17)
     hist = radial_profile(cfg, window)
     counts, counts_sq = _full_inversion_counts(cfg, *window)
@@ -448,39 +465,39 @@ def test_draws_on_edge_probabilities_are_inverted(monkeypatch, pot):
     assert hist.inverted == band.checked + len(offsets) * trials
 
 
+def _fire_every_trigger(monkeypatch):
+    """Make every trial's trigger the largest uniform, past any ``P_none < 1``."""
+    real_uniforms = sampler._trial_uniforms
+
+    def fired(seed, width, start, stop):
+        u = real_uniforms(seed, width, start, stop)
+        u[:, 0] = U_TOP
+        return u
+
+    monkeypatch.setattr(sampler, "_trial_uniforms", fired)
+
+
 @pytest.mark.parametrize("pot,window,side", [
     (GINIBRE, (-3.0, 1.0, 40), "below"),
     (Potential.hard_edge(), (-3.0, 1.0, 40), "below"),
     (Potential.power(2.0), (0.9, 1.3, 2), "above"),
 ], ids=["ginibre-below-j0", "hard-edge-below-j0", "power2-above-j1"])
 def test_draws_on_shared_thresholds_are_inverted(monkeypatch, pot, window, side):
-    # per trial, three narrow indices get a uniform on their shared threshold
-    # (1 - 2 eps below j0, 2 eps from j1 on) and eps/2 inside and outside it:
-    # the two in the band take the inverse, and the counts stay those of the
-    # full inversion
+    # every trigger fires, and the trial keeps two narrow draws: one on the
+    # shared threshold in u (1 - 2 eps below j0, 2 eps from j1 on) and one
+    # eps/2 inside it.  Both take the inverse, and the counts stay those of
+    # the full inversion
     n, trials = 256, 6
     frame = _frame(pot, n)
     band = sampler._window_band(frame, *window)
-    j1 = band.j0 + len(band.p)
+    assert band.p_narrow[0] == 2.0 * BAND_EPS
     if side == "below":
-        js, inside, threshold = range(band.j0 - 3, band.j0), 1.0, band.q_lo
-        assert np.all(threshold[js] == 1.0 - 2.0 * BAND_EPS)
+        js, threshold, inside = [band.j0 - 2, band.j0 - 1], sampler.Q_BELOW, 1.0
     else:
-        js, inside, threshold = range(j1, j1 + 3), -1.0, band.q_hi
-        assert np.all(threshold[js] == 2.0 * BAND_EPS)
-    offsets = (0.0, inside * BAND_EPS / 2, -inside * BAND_EPS / 2)
-    real_uniforms = sampler._uniforms
-
-    def on_thresholds(cfg, start, stop):
-        u = real_uniforms(cfg, start, stop)
-        for trial, row in zip(range(start, stop), u):
-            for i, off in enumerate(offsets):
-                j = js[(i + trial) % 3]
-                row[j] = threshold[j] + off
-        return u
-
-    monkeypatch.setattr(sampler, "_uniforms", on_thresholds)
-    monkeypatch.setitem(globals(), "_uniforms", on_thresholds)  # the reference's
+        js, threshold, inside = [band.j1, band.j1 + 1], sampler.Q_ABOVE, -1.0
+    _fire_every_trigger(monkeypatch)
+    monkeypatch.setattr(sampler, "_narrow_draws", lambda band, seed, k: (
+        np.array(js), np.array([threshold, threshold + inside * BAND_EPS / 2])))
     cfg = SampleConfig(frame, trials, seed=19)
     hist = radial_profile(cfg, window)
     counts, counts_sq = _full_inversion_counts(cfg, *window)
@@ -489,26 +506,100 @@ def test_draws_on_shared_thresholds_are_inverted(monkeypatch, pot, window, side)
     assert hist.inverted == band.checked + 2 * trials
 
 
+@pytest.mark.parametrize("pot", [GINIBRE, Potential.hard_edge()],
+                         ids=["ginibre", "hard-edge"])
+def test_a_fired_trigger_draws_and_inverts_narrow_draws(monkeypatch, pot):
+    # trial 5's trigger is forced past P_none: its kept narrow draws come
+    # from its own child stream, are inverted and counted in `inverted`, and
+    # the counts stay those of the full inversion of the same draws
+    n, trials, window = 1024, 8, (-3.0, 0.0, 6)
+    frame = RescaleFrame(pot, n, "boundary")
+    cfg = SampleConfig(frame, trials, seed=23)
+    plain = radial_profile(cfg, window)
+    band = sampler._window_band(frame, *window)
+    j, u = sampler._narrow_draws(band, cfg.seed, 5)
+    assert j.size >= 1 and np.all((j < band.j0) | (j >= band.j1))
+    real_uniforms, real_narrow, calls = sampler._trial_uniforms, sampler._narrow_draws, []
+
+    def trial_5_fires(seed, width, start, stop):
+        u = real_uniforms(seed, width, start, stop)
+        if start <= 5 < stop:
+            u[5 - start, 0] = U_TOP
+        return u
+
+    monkeypatch.setattr(sampler, "_trial_uniforms", trial_5_fires)
+    monkeypatch.setattr(sampler, "_narrow_draws", lambda band, seed, k: (
+        calls.append(k) or real_narrow(band, seed, k)))
+    hist = radial_profile(cfg, window)
+    assert calls == [5]
+    assert hist.inverted == plain.inverted + j.size
+    counts, counts_sq = _full_inversion_counts(cfg, *window)
+    assert_array_equal(hist.counts, counts)
+    assert_array_equal(hist.counts_sq, counts_sq)
+
+
+def test_narrow_draws_follow_their_law():
+    # keep probabilities inflated to 1e-3 below j0 and 3e-3 from j1 on, seed
+    # 9, 10,000 trials that keep a narrow draw (Ginibre n = 1024, bulk frame,
+    # window 10:20, so both groups hold indices).  The first kept index
+    # follows its truncated-geometric law (DKW bound on its CDF), every
+    # later index of each group is kept with its probability (Bernstein
+    # bound on each group's total and on each index), and each kept uniform
+    # lies in its group's band.  Family-wise false-alarm rate: 1e-6
+    frame = RescaleFrame(GINIBRE, 1024, "singularity")
+    band = dataclasses.replace(sampler._window_band(frame, 10.0, 20.0, 5), p_narrow=(1e-3, 3e-3))
+    j0, j1, n = band.j0, band.j1, band.n
+    assert 0 < j0 < j1 < n
+    narrow = np.concatenate([np.arange(j0), np.arange(j1, n)])
+    p = np.where(narrow < j0, 1e-3, 3e-3)
+    log_none = np.cumsum(np.log1p(-p))  # P(none kept up to and at each one)
+    cdf = np.expm1(log_none) / np.expm1(log_none[-1])
+    trials, alpha = 10_000, 1e-6 / 4
+    first = np.empty(trials, dtype=np.int64)
+    later = np.zeros(narrow.size)
+    exposed = np.zeros(narrow.size)
+    for k in range(trials):
+        j, u = sampler._narrow_draws(band, 9, k)
+        pos = np.searchsorted(narrow, j)
+        assert np.array_equal(narrow[pos], j) and len(set(pos)) == pos.size
+        assert np.all(np.where(j < j0, (u >= sampler.Q_BELOW) & (u < 1.0),
+                               (u >= 0.0) & (u <= 3e-3)))
+        first[k] = pos[0]
+        assert np.all(pos[1:] > pos[0])
+        later[pos[1:]] += 1
+        exposed[pos[0] + 1:] += 1
+    ecdf = np.searchsorted(np.sort(first), np.arange(narrow.size), side="right") / trials
+    assert np.max(np.abs(ecdf - cdf)) <= math.sqrt(math.log(2.0 / alpha) / (2.0 * trials))
+    mean, var = exposed * p, exposed * p * (1.0 - p)
+    for group in (narrow < j0, narrow >= j1):
+        dev = abs(later[group].sum() - mean[group].sum())
+        assert dev <= _bernstein(var[group].sum(), math.log(4.0 / alpha))
+    assert np.all(np.abs(later - mean) <= _bernstein(var, math.log(2.0 * narrow.size / alpha)))
+
+
 def test_band_work_grows_with_the_window_not_n(monkeypatch):
     # n = 2^20, one trial: only the O(sqrt n) indices that can reach the
-    # window get a row of the edge table, band edges to check and draws to
-    # invert, and the counts stay those of the full inversion
+    # window get a row of the edge table, a uniform, band edges to check and
+    # draws to invert, and the counts stay those of the full inversion
     n, window = 2**20, (-3.0, 1.0, 40)
-    frame = RescaleFrame(GINIBRE, n, "boundary")
-    cfg = SampleConfig(frame, 1, seed=6)
-    counts = _histogram_counts(frame.zoom * (sample_radii(cfg, 0) - 1.0), *window)[0]
-    points = []
+    cfg = SampleConfig(RescaleFrame(GINIBRE, n, "boundary"), 1, seed=6)
+    counts = _full_inversion_counts(cfg, *window)[0]
+    points, widths = [], []
 
     def counting(a, q):
         points.append(np.size(a))
         return gammaincinv(a, q)
 
+    real_uniforms = sampler._trial_uniforms
     monkeypatch.setattr(sampler, "gammaincinv", counting)
+    monkeypatch.setattr(sampler, "_trial_uniforms", lambda seed, width, start, stop: (
+        widths.append(width) or real_uniforms(seed, width, start, stop)))
     hist = radial_profile(cfg, window)
     assert_array_equal(hist.counts, counts)
     assert sum(points) == hist.inverted
     assert sum(points) < 32 * math.sqrt(n)
     assert hist.band_rows < 16 * math.sqrt(n)
+    assert widths == [hist.band_rows + 1]
 
 
 def test_edge_table_counts_match_full_inversion_property():
@@ -535,7 +626,7 @@ def test_edge_table_counts_match_full_inversion_property():
             # refused only where no index can reach the window, so where the
             # full inversion counts nothing
             assert "no index can reach the window" in str(exc)
-            assert not _full_inversion_counts(cfg, *window)[0].any()
+            assert _exact_bin_law(cfg.frame, *window)[0].sum() <= n * BAND_EPS
             return
         counts, counts_sq = _full_inversion_counts(cfg, *window)
         assert_array_equal(hist.counts, counts)

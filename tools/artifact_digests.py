@@ -51,6 +51,8 @@ FAMILIES = [
     "sample --pot power:2 --n 1024 --trials 100 --bins 10",
     "sample --pot power:3 --frame singularity --n 1024 --trials 100 --bins 10",
     "sample --pot hard-edge --n 16384 --trials 10 --bins 10",
+    # the O(sqrt n) draw path: 6,684 table rows of 262,144 indices
+    "sample --n 262144 --trials 4 --bins 10",
     # usage fixed since: the mode from a config file, a repeated n, values
     # that start with a minus and a digit, a window no index can reach
     'eval --n 64 --grid 0:0:1 --config {"finite":"ginibre"}',
