@@ -257,9 +257,8 @@ def _exact_bin_law(frame, lo, hi, bins):
 
 def _law_ratio(hist, frame):
     """Worst ``|count - trials mean| / s`` over the bins, with ``s`` the
-    Bernstein bound on a sum of independent Bernoulli variables at a
-    false-alarm rate of ``LAW_ALPHA / bins`` per bin: ``P(|S - ES| >= s) <=
-    2 exp(-s^2 / (2 (var + s / 3)))``.  Above 1 the counts break their law."""
+    Bernstein bound at a false-alarm rate of ``LAW_ALPHA / bins`` per bin.
+    Above 1 the counts break their law."""
     mean, var = _exact_bin_law(frame, hist.lo, hist.hi, hist.bins)
     s = _bernstein(hist.trials * var, math.log(2.0 * hist.bins / LAW_ALPHA))
     return float(np.max(np.abs(hist.counts - hist.trials * mean) / s))
